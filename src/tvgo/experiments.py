@@ -90,17 +90,19 @@ class EventEvaluator:
        projected and antiprojected squared norms (A' adds the upper
        antiprojection bound, so A' implies A).
     R: gamma * max_i |eps'd_i^+| / (||eps||_n ||d_i^+||_n n) <= R.
+
+    The pseudoinverse, its column norms and gamma come from the theory
+    report of the same active set.
     """
 
-    def __init__(self, D: sp.spmatrix, active: ActiveSet, sigma: float,
-                 lam: float, R: float, x: float, a: float):
+    def __init__(self, report: projections.TheoryReport, active: ActiveSet,
+                 sigma: float, lam: float, R: float, x: float, a: float):
         self.active = active
         self.sigma = sigma
         self.lam, self.R, self.x, self.a = lam, R, x, a
-        self.pinv = projections.pseudoinverse(D, active)
-        self.col_norms = self.pinv.column_norms()          # l2 norms
-        self.col_norms_n = self.col_norms / math.sqrt(active.n)
-        self.gamma = float(self.col_norms_n.max())
+        self.pinv = report.pinv
+        self.col_norms_n = report.omega[np.asarray(active.inactive) - 1]  # ||d_i^+||_n
+        self.gamma = report.gamma
         n, r = active.n, active.r_S
         self.thr_T = lam * self.col_norms_n / self.gamma
         self.thr_X = math.sqrt(sigma ** 2 / n) * (math.sqrt(r) + math.sqrt(2 * x))
@@ -283,7 +285,7 @@ class Experiment:
         lam_T = self.lam if self.lam is not None else tuning.lambda_plain(
             self.report.gamma, cfg.sigma, self.active.n, self.active.r_S, cfg.t)
         R = tuning.sqrt_R_min(self.report.gamma, self.active.n, self.active.r_S, cfg.t)
-        self.events = EventEvaluator(self.D, self.active, cfg.sigma, lam_T, R,
+        self.events = EventEvaluator(self.report, self.active, cfg.sigma, lam_T, R,
                                      cfg.x, cfg.a) if cfg.events else None
         self.solver_opts = SolverOptions(tol=cfg.solver_tol, certify=False)
         self.S_rows = np.asarray(self.active.S, dtype=np.int64) - 1

@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 
 class GraphError(ValueError):
@@ -126,60 +127,54 @@ def build_graph(family: str, **params) -> DirectedGraph:
     raise GraphError(f"unknown graph family: {family!r}")
 
 
+def _ends(graph: DirectedGraph) -> np.ndarray:
+    """0-based (tail, head) pairs of the graph's edges, shape (m, 2)."""
+    return np.asarray(graph.edges, dtype=np.int64).reshape(graph.m, 2) - 1
+
+
 def incidence(graph: DirectedGraph) -> sp.csr_matrix:
     """Incidence matrix of the graph: row i has -1 at the tail of edge i
     and +1 at its head.  Shape (m, n), dtype float64, CSR."""
     m, n = graph.m, graph.n
     rows = np.repeat(np.arange(m), 2)
-    cols = np.empty(2 * m, dtype=np.int64)
-    data = np.empty(2 * m, dtype=np.float64)
-    for i, (u, v) in enumerate(graph.edges):
-        cols[2 * i] = u - 1
-        cols[2 * i + 1] = v - 1
-        data[2 * i] = -1.0
-        data[2 * i + 1] = 1.0
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, n))
+    data = np.tile([-1.0, 1.0], m)
+    return sp.csr_matrix((data, (rows, _ends(graph).ravel())), shape=(m, n))
 
 
 def edge_endpoints(D: sp.spmatrix) -> np.ndarray:
     """Recover 0-based (tail, head) pairs from an incidence matrix.
 
     Returns an (m, 2) int array; column 0 is the -1 position, column 1 the +1.
+    Raises GraphError unless every row has exactly two nonzeros, one
+    negative and one positive.
     """
     D = sp.csr_matrix(D)
     m = D.shape[0]
+    rows = np.repeat(np.arange(m), np.diff(D.indptr))
+    nz = D.data != 0
+    rows, idx, val = rows[nz], D.indices[nz], D.data[nz]
+    neg, pos = val < 0, val > 0
+    bad = ((np.bincount(rows, minlength=m) != 2)
+           | (np.bincount(rows[neg], minlength=m) != 1)
+           | (np.bincount(rows[pos], minlength=m) != 1))
+    if bad.any():
+        raise GraphError(f"row {np.flatnonzero(bad)[0] + 1} is not an incidence row")
     out = np.empty((m, 2), dtype=np.int64)
-    for i in range(m):
-        sl = slice(D.indptr[i], D.indptr[i + 1])
-        idx = D.indices[sl]
-        val = D.data[sl]
-        nz = val != 0
-        idx, val = idx[nz], val[nz]
-        if len(idx) != 2 or not set(np.sign(val)) == {-1.0, 1.0}:
-            raise GraphError(f"row {i + 1} is not an incidence row")
-        out[i, 0] = idx[val < 0][0]
-        out[i, 1] = idx[val > 0][0]
+    out[rows[neg], 0] = idx[neg]
+    out[rows[pos], 1] = idx[pos]
     return out
 
 
-class _UnionFind:
-    """Union-find with path compression, for component labeling."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def component_labels(n: int, ends: np.ndarray) -> np.ndarray:
+    """0-based connected-component id per vertex of the graph on n vertices
+    with 0-based edge endpoints `ends` (shape (k, 2)).  Component ids follow
+    the smallest vertex in each component."""
+    adj = sp.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    k, labels = csgraph.connected_components(adj, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(k)
+    return rank[labels]
 
 
 @dataclass(frozen=True)
@@ -246,25 +241,11 @@ def active_set(graph: DirectedGraph, S: Iterable[int]) -> ActiveSet:
     for i in S_sorted:
         if not (1 <= i <= graph.m):
             raise GraphError(f"active edge index {i} outside 1..{graph.m}")
-    uf = _UnionFind(graph.n)
-    active = set(S_sorted)
-    for i, (u, v) in enumerate(graph.edges, start=1):
-        if i not in active:
-            uf.union(u - 1, v - 1)
-    roots = np.array([uf.find(v) for v in range(graph.n)])
-    _, labels = np.unique(roots, return_inverse=True)
-    # relabel so component ids follow the smallest contained vertex
-    first_seen = {}
-    remap = np.empty(labels.max() + 1, dtype=np.int64)
-    next_id = 0
-    for v in range(graph.n):
-        if labels[v] not in first_seen:
-            first_seen[labels[v]] = next_id
-            remap[labels[v]] = next_id
-            next_id += 1
-    labels = remap[labels]
+    inactive_mask = np.ones(graph.m, dtype=bool)
+    inactive_mask[np.asarray(S_sorted, dtype=np.int64) - 1] = False
+    labels = component_labels(graph.n, _ends(graph)[inactive_mask])
     sizes = tuple(int(c) for c in np.bincount(labels))
-    inactive = tuple(i for i in range(1, graph.m + 1) if i not in active)
+    inactive = tuple(int(i) for i in np.flatnonzero(inactive_mask) + 1)
     return ActiveSet(S=S_sorted, n=graph.n, m=graph.m, comp_label=labels,
                      comp_sizes=sizes, inactive=inactive)
 

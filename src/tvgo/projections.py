@@ -11,7 +11,7 @@ back to a dense SVD pseudoinverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +68,7 @@ class _TreeBlock:
         for v in preorder[::-1]:
             if parent[v] >= 0:
                 sub[parent[v]] += sub[v]
+        self.sub = sub
         # per edge: the child vertex (far side from root) and orientation sign
         child = np.empty(k, dtype=np.int64)
         sign = np.empty(k, dtype=np.float64)
@@ -118,11 +119,7 @@ class _TreeBlock:
         tin = np.empty(self.nc, dtype=np.int64)
         tin[self.preorder] = np.arange(self.nc)
         # subtree of v occupies preorder positions [tin[v], tin[v]+sub[v])
-        sub = np.ones(self.nc, dtype=np.int64)
-        for v in self.preorder[::-1]:
-            if self.parent[v] >= 0:
-                sub[self.parent[v]] += sub[v]
-        return [self.preorder[tin[c]:tin[c] + sub[c]] for c in self.child]
+        return [self.preorder[tin[c]:tin[c] + self.sub[c]] for c in self.child]
 
 
 class _DenseBlock:
@@ -217,22 +214,26 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet) -> PseudoInverse:
                          blocks=blocks, col_of_block=col_of_block)
 
 
+def componentwise_mean(labels: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mean of v over each component of the 0-based vertex labels, replicated
+    on the component's vertices; v has shape (n,) or (n, B)."""
+    v = np.asarray(v, dtype=np.float64)
+    sizes = np.bincount(labels).astype(np.float64)
+    if v.ndim == 1:
+        return (np.bincount(labels, weights=v) / sizes)[labels]
+    out = np.empty_like(v)
+    for j in range(v.shape[1]):
+        out[:, j] = (np.bincount(labels, weights=v[:, j]) / sizes)[labels]
+    return out
+
+
 def project_nullspace(active: ActiveSet, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection of v onto the nullspace of the reduced operator:
     the componentwise mean of v replicated on each component."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape[0] != active.n:
         raise ValueError(f"vector length {v.shape[0]} != n = {active.n}")
-    lab = active.comp_label
-    sizes = np.asarray(active.comp_sizes, dtype=np.float64)
-    if v.ndim == 1:
-        sums = np.bincount(lab, weights=v, minlength=active.r_S)
-        return (sums / sizes)[lab]
-    out = np.empty_like(v)
-    for j in range(v.shape[1]):
-        sums = np.bincount(lab, weights=v[:, j], minlength=active.r_S)
-        out[:, j] = (sums / sizes)[lab]
-    return out
+    return componentwise_mean(active.comp_label, v)
 
 
 def antiproject_nullspace(active: ActiveSet, v: np.ndarray) -> np.ndarray:
@@ -248,6 +249,8 @@ class TheoryReport:
     omega[i-1] is the scaled norm of the pseudoinverse column matched to edge
     i (zero on active edges), gamma is its maximum over inactive edges, and
     weights[i-1] = 1 - omega[i-1]/gamma (so active edges carry weight 1).
+    pinv is the pseudoinverse the report was computed from, kept for the
+    noise events; it is left out of to_dict, repr and comparison.
     """
 
     omega: np.ndarray
@@ -255,6 +258,7 @@ class TheoryReport:
     weights: np.ndarray
     r_S: int
     component_sizes: tuple[int, ...]
+    pinv: PseudoInverse = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -279,7 +283,7 @@ def theory_report(D: sp.spmatrix, active: ActiveSet) -> TheoryReport:
         raise ValueError("inverse scaling factor is zero; reduced operator is degenerate")
     weights = 1.0 - omega / gamma
     return TheoryReport(omega=omega, gamma=gamma, weights=weights,
-                        r_S=active.r_S, component_sizes=active.comp_sizes)
+                        r_S=active.r_S, component_sizes=active.comp_sizes, pinv=pinv)
 
 
 def gamma_bound(family: str, n: int, n_max: int, grid_constant: float | None = None) -> float:

@@ -4,13 +4,19 @@ solve_analysis minimizes   ||Y - f||_n^2 + 2*lam*||D f||_1
 solve_sqrt_analysis minimizes   ||Y - f||_n + 2*lam0*||D f||_1
 
 Both use the same over-relaxed ADMM consensus splitting (f, z = Df) with
-residual-balanced penalty adaptation, so any incidence-like operator works
+residual-balanced penalty adaptation, so any graph incidence matrix works
 (paths, cycles, grids, trees).  The square-root problem is solved by an
 outer fixed point on the residual scale: with sigma fixed, the minimizer
 coincides with the plain solution at lam = 2*lam0*sigma, and the residual
 norm of that solution updates sigma.  The iteration starts at the largest
 attainable residual norm and decreases monotonically, so it lands on the
 largest fixed point; collapse to zero is reported as overfitting.
+
+There is one fixed-point loop, _sqrt_fixed_point, run on a batch of
+columns: each column leaves the batch once its scale settles or collapses,
+and the warm-start state of the remaining columns carries over.  The single
+solve is a batch of one.  Observations must be finite; NaN or inf raises
+ValueError before any iteration.
 
 Certification never trusts solver convergence alone: kkt_residual solves a
 small linear feasibility program for the best subgradient certificate.
@@ -22,9 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
+
+from . import graphs, projections
 
 
 def norm_n(v: np.ndarray, axis: int = 0) -> np.ndarray | float:
@@ -85,27 +92,12 @@ class EstimateResult:
         }
 
 
-def component_labels(D: sp.spmatrix) -> np.ndarray:
-    """0-based connected-component labels of the graph underlying D."""
-    D = sp.csr_matrix(D)
-    n = D.shape[1]
-    pattern = sp.csr_matrix((np.abs(D.data), D.indices, D.indptr), shape=D.shape)
-    adj = pattern.T @ pattern
-    _, labels = csgraph.connected_components(adj, directed=False)
-    return labels
-
-
-def nullspace_project(D: sp.spmatrix, v: np.ndarray) -> np.ndarray:
-    """Projection onto the nullspace of D: componentwise means."""
-    labels = component_labels(D)
-    counts = np.bincount(labels).astype(np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        return (np.bincount(labels, weights=v) / counts)[labels]
-    out = np.empty_like(v)
-    for j in range(v.shape[1]):
-        out[:, j] = (np.bincount(labels, weights=v[:, j]) / counts)[labels]
-    return out
+def _observations(Y) -> np.ndarray:
+    """Y as a float64 array; non-finite entries raise ValueError."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if not np.isfinite(Y).all():
+        raise ValueError("observations contain NaN or inf")
+    return Y
 
 
 class _AdmmState:
@@ -218,7 +210,7 @@ def solve_analysis(Y: np.ndarray, D: sp.spmatrix, lam: float,
     opts : solver options; defaults are tuned for certification-grade runs.
     """
     opts = opts or SolverOptions()
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _observations(Y)
     D = sp.csr_matrix(D)
     if D.shape[1] != Y.shape[0]:
         raise ValueError(f"dimension mismatch: D has {D.shape[1]} columns, Y has {Y.shape[0]}")
@@ -288,6 +280,55 @@ def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
     return float(sol.fun)
 
 
+def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
+                      opts: SolverOptions):
+    """The square-root fixed point on the columns of Y, shape (n, B).
+
+    Each column starts at sigma = ||Y - (componentwise mean of Y)||_n and
+    leaves the batch once sigma settles (relative change <= fp_tol with a
+    converged inner solve) or falls to overfit_floor * ||Y||_n.  Returns
+    (F, sigma, lam, overfit, settled, iterations): overfit columns carry
+    f = Y and sigma = 0; lam is the last penalty each column was solved at
+    (0 for columns that never entered an inner solve); iterations sums the
+    inner iterations over the outer steps.
+    """
+    Y = _observations(Y)
+    n, B = Y.shape
+    labels = graphs.component_labels(n, graphs.edge_endpoints(D))
+    sigma = np.atleast_1d(norm_n(Y - projections.componentwise_mean(labels, Y), axis=0))
+    floors = opts.overfit_floor * np.atleast_1d(norm_n(Y, axis=0))
+    overfit = sigma <= floors
+    lam = np.zeros(B)
+    F = Y.copy()
+    live = np.flatnonzero(~overfit)
+    state = None
+    inner = replace(opts, certify=False)
+    iterations = 0
+    for _ in range(opts.max_outer):
+        if len(live) == 0:
+            break
+        sig_old = sigma[live]
+        lam[live] = 2.0 * lambda0 * sig_old
+        F_new, state, it, conv, _ = _admm_batch(D, Y[:, live], lam[live], inner, state)
+        iterations += it
+        sig_new = np.atleast_1d(norm_n(Y[:, live] - F_new, axis=0))
+        F[:, live] = F_new
+        sigma[live] = sig_new
+        hit_floor = sig_new <= floors[live]
+        overfit[live] |= hit_floor
+        settled = hit_floor | (conv & (np.abs(sig_new - sig_old)
+                                       <= opts.fp_tol * np.maximum(sig_old, 1e-300)))
+        if settled.any():
+            keep = ~settled
+            live = live[keep]
+            state = _AdmmState(state.F[:, keep], state.Z[:, keep], state.U[:, keep], state.rho)
+    F[:, overfit] = Y[:, overfit]
+    sigma = np.where(overfit, 0.0, sigma)
+    settled = np.ones(B, dtype=bool)
+    settled[live] = False
+    return F, sigma, lam, overfit, settled, iterations
+
+
 def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
                         opts: SolverOptions | None = None) -> EstimateResult:
     """Solve the square-root variant by a fixed point on the residual scale.
@@ -297,52 +338,28 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
     one at lam = 2*lambda0*sigma.  Starting from sigma equal to the residual
     norm of the fully penalized fit, the scale iterates downward to the
     largest fixed point; if it collapses below overfit_floor * ||Y||_n the
-    estimator is flagged as overfitting and Y itself is returned (there the
-    stationarity certificate does not exist).
+    estimator is flagged as overfitting and Y itself is returned, with
+    sigma_hat = lambda_used = 0 (there the stationarity certificate does not
+    exist).  A scale that has not settled after max_outer steps is returned
+    with converged=False.
     """
     opts = opts or SolverOptions()
     Y = np.asarray(Y, dtype=np.float64)
     D = sp.csr_matrix(D)
     if lambda0 <= 0:
         raise ValueError("lambda0 must be > 0")
-    sigma = norm_n(Y - nullspace_project(D, Y))
-    floor = opts.overfit_floor * norm_n(Y)
-    if sigma <= floor:
-        return EstimateResult(f_hat=Y.copy(), lambda_used=0.0,
-                              residual_norm_n=0.0, kkt_residual=None,
-                              iterations=0, converged=True, objective=norm_n(Y - Y),
-                              sigma_hat=0.0, overfit=True)
-    state = None
-    inner = replace(opts, certify=False)
-    total_inner = 0
-    converged = False
-    lam = 0.0
-    f = Y
-    for outer in range(1, opts.max_outer + 1):
-        lam = 2.0 * lambda0 * sigma
-        F, state, it, conv, _ = _admm_batch(D, Y[:, None], np.array([lam]), inner, state)
-        total_inner += it
-        f = F[:, 0]
-        sigma_new = norm_n(Y - f)
-        if sigma_new <= floor:
-            return EstimateResult(f_hat=Y.copy(), lambda_used=2.0 * lambda0 * sigma_new,
-                                  residual_norm_n=0.0, kkt_residual=None,
-                                  iterations=total_inner, converged=True,
-                                  objective=2.0 * lambda0 * float(np.abs(D @ Y).sum()),
-                                  sigma_hat=0.0, overfit=True)
-        if abs(sigma_new - sigma) <= opts.fp_tol * sigma and bool(conv[0]):
-            sigma = sigma_new
-            converged = True
-            break
-        sigma = sigma_new
-    objective = norm_n(Y - f) + 2.0 * lambda0 * float(np.abs(D @ f).sum())
-    res = EstimateResult(f_hat=f, lambda_used=lam,
+    F, sigma, lam, overfit, settled, iterations = _sqrt_fixed_point(Y[:, None], D, lambda0, opts)
+    f = F[:, 0]
+    overfit, converged = bool(overfit[0]), bool(settled[0])
+    lam_used = 0.0 if overfit else float(lam[0])
+    res = EstimateResult(f_hat=f, lambda_used=lam_used,
                          residual_norm_n=norm_n(Y - f),
-                         kkt_residual=None, iterations=total_inner,
-                         converged=converged, objective=objective,
-                         sigma_hat=sigma, overfit=False)
-    if opts.certify and converged:
-        res.kkt_residual = kkt_residual(Y, f, D, lam, opts)
+                         kkt_residual=None, iterations=iterations,
+                         converged=converged,
+                         objective=norm_n(Y - f) + 2.0 * lambda0 * float(np.abs(D @ f).sum()),
+                         sigma_hat=float(sigma[0]), overfit=overfit)
+    if opts.certify and converged and not overfit:
+        res.kkt_residual = kkt_residual(Y, f, D, lam_used, opts)
     return res
 
 
@@ -350,7 +367,7 @@ def solve_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lam: float,
                          opts: SolverOptions | None = None) -> np.ndarray:
     """Plain solutions for a batch of observation columns; returns (n, B)."""
     opts = opts or SolverOptions()
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _observations(Y)
     if lam == 0.0:
         return Y.copy()
     F, _, _, conv, _ = _admm_batch(D, Y, np.full(Y.shape[1], lam), opts)
@@ -367,40 +384,7 @@ def solve_sqrt_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
     columns carry f = Y and sigma_hat = 0.
     """
     opts = opts or SolverOptions()
-    Y = np.asarray(Y, dtype=np.float64)
-    n, B = Y.shape
-    D = sp.csr_matrix(D)
-    sigma = np.atleast_1d(norm_n(Y - nullspace_project(D, Y), axis=0))
-    floors = opts.overfit_floor * np.atleast_1d(norm_n(Y, axis=0))
-    overfit = sigma <= floors
-    F = Y.copy()
-    live = np.flatnonzero(~overfit)
-    state = None
-    inner = replace(opts, certify=False)
-    sig_live = sigma[live]
-    for _ in range(opts.max_outer):
-        if len(live) == 0:
-            break
-        lam = 2.0 * lambda0 * sig_live
-        F_new, state, _, conv, _ = _admm_batch(D, Y[:, live], lam, inner, state)
-        sig_new = np.atleast_1d(norm_n(Y[:, live] - F_new, axis=0))
-        F[:, live] = F_new
-        sigma[live] = sig_new
-        hit_floor = sig_new <= floors[live]
-        overfit[live] |= hit_floor
-        settled = hit_floor | (conv & (np.abs(sig_new - sig_live)
-                                       <= opts.fp_tol * np.maximum(sig_live, 1e-300)))
-        if settled.any():
-            keep = ~settled
-            live = live[keep]
-            sig_live = sig_new[keep]
-            if state is not None:
-                state = _AdmmState(state.F[:, keep], state.Z[:, keep],
-                                   state.U[:, keep], state.rho)
-        else:
-            sig_live = sig_new
-    if len(live):
+    F, sigma, _, overfit, settled, _ = _sqrt_fixed_point(Y, sp.csr_matrix(D), lambda0, opts)
+    if not settled.all():
         raise RuntimeError("square-root fixed point did not settle on every column")
-    F[:, overfit] = Y[:, overfit]
-    sigma = np.where(overfit, 0.0, sigma)
     return F, sigma, overfit

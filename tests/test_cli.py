@@ -76,6 +76,15 @@ def test_solve_sqrt_and_nonconvergence(tmp_path):
     assert code == 3
 
 
+def test_solve_rejects_non_finite_observations(tmp_path, capsys):
+    y = tmp_path / "y.csv"
+    y.write_text("0\nnan\n1\n")
+    for penalty in (["--lambda", "0.25"], ["--lambda0", "0.3"]):
+        assert dispatch(["solve", "--graph", "path:3", "--y", str(y), *penalty]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "ValueError" and "NaN or inf" in err["error"]
+
+
 def test_solve_requires_one_penalty(tmp_path, capsys):
     y = tmp_path / "y.csv"
     y.write_text("0\n2\n")

@@ -84,7 +84,7 @@ def _evaluator(n=24, S=(12,), sigma=1.0, x=2.0, a=2.0, t=2.0):
     from tvgo import tuning
     lam = tuning.lambda_plain(rep.gamma, sigma, n, act.r_S, t)
     R = tuning.sqrt_R_min(rep.gamma, n, act.r_S, t)
-    return EventEvaluator(D, act, sigma, lam, R, x, a)
+    return EventEvaluator(rep, act, sigma, lam, R, x, a)
 
 
 def test_event_flags_zero_noise():
@@ -123,6 +123,22 @@ BASE_CFG = {
     "trials": 120,
     "seed": 31,
 }
+
+
+def test_setup_builds_one_pseudoinverse(monkeypatch):
+    calls = []
+    original = projections.pseudoinverse
+
+    def counting(D, active):
+        calls.append(active.S)
+        return original(D, active)
+
+    monkeypatch.setattr(projections, "pseudoinverse", counting)
+    cfg = experiments.ExperimentConfig.from_dict(dict(BASE_CFG, events=True))
+    exp = experiments.Experiment(cfg)
+    assert len(calls) == 1
+    assert exp.events.pinv is exp.report.pinv
+    assert exp.events.gamma == exp.report.gamma
 
 
 def test_run_experiment_plain_floors():

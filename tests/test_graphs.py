@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tvgo import graphs
 from tvgo.graphs import (GraphError, active_set, build_graph, cycle_graph,
@@ -123,17 +124,30 @@ def _random_subset(rng, m):
 
 
 @pytest.mark.parametrize("g", [path_graph(9), cycle_graph(8), grid_graph(3, 4),
-                               tree_graph([1, 2, 2, 1, 4, 4, 3, 8, 8, 10, 1])])
+                               tree_graph([1, 2, 2, 1, 4, 4, 3, 8, 8, 10, 1]),
+                               tree_graph([3, 1, 5, 1])])   # parents point forward
 def test_r_S_matches_rank_nullity(g):
     # component count equals n - rank of the reduced incidence, all n <= 12
     rng = np.random.default_rng(g.n * 31 + g.m)
     D = incidence(g).toarray()
-    for _ in range(25):
-        S = _random_subset(rng, g.m)
+    for S in [[1]] + [_random_subset(rng, g.m) for _ in range(25)]:
         a = active_set(g, S)
         keep = [i - 1 for i in a.inactive]
         rank = np.linalg.matrix_rank(D[keep]) if keep else 0
         assert a.r_S == g.n - rank
+        # component ids follow the smallest vertex of each component
+        first = [int(np.flatnonzero(a.comp_label == c)[0]) for c in range(a.r_S)]
+        assert first == sorted(first)
+
+
+@pytest.mark.parametrize("bad_row", [[0.0, 1.0, 1.0],     # two +1 entries
+                                     [0.0, 0.0, 1.0],     # a single entry
+                                     [-1.0, 1.0, 1.0],    # three entries
+                                     [0.0, 0.0, 0.0]])    # an empty row
+def test_edge_endpoints_rejects_non_incidence_rows(bad_row):
+    D = sp.csr_matrix(np.array([[-1.0, 1.0, 0.0], bad_row]))
+    with pytest.raises(GraphError, match="row 2 is not an incidence row"):
+        graphs.edge_endpoints(D)
 
 
 def test_admissible_exhaustive_path_cycle():

@@ -192,6 +192,19 @@ def test_dimension_mismatch_raises():
         solve_sqrt_analysis(Y2, P2, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observations_rejected(bad):
+    Y = np.array([0.0, bad])
+    calls = [lambda: solve_analysis(Y, P2, 0.25),
+             lambda: solve_analysis(Y, P2, 0.0),
+             lambda: solve_analysis_batch(Y[:, None], P2, 0.25),
+             lambda: solve_sqrt_analysis(Y, P2, 0.3),
+             lambda: solve_sqrt_analysis_batch(Y[:, None], P2, 0.3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="NaN or inf"):
+            call()
+
+
 def test_estimate_result_serialization():
     r = solve_analysis(Y2, P2, 0.25)
     d = r.to_dict()
