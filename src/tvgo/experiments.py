@@ -114,10 +114,14 @@ class EventEvaluator:
     def flags_batch(self, eps: np.ndarray) -> list[EventFlags]:
         """Flags for a block of noise columns, shape (n, B)."""
         n = self.active.n
-        corr = np.abs(self.pinv.apply_transpose(eps)) / n   # (m-s, B)
+        # large arrays are updated in place once their values are not needed
+        # again: each fresh (m-s, B) or (n, B) array is new memory to fault in
+        corr = self.pinv.apply_transpose(eps)   # (m-s, B)
+        np.abs(corr, out=corr)
+        corr /= n
         T = np.all(corr <= self.thr_T[:, None], axis=0)
         proj = projections.project_nullspace(self.active, eps)
-        proj_sq = np.sum(proj ** 2, axis=0)
+        proj_sq = np.sum(np.square(proj, out=proj), axis=0)
         eps_sq = np.sum(eps ** 2, axis=0)
         anti_sq = eps_sq - proj_sq
         X = np.sqrt(proj_sq / n) <= self.thr_X
@@ -127,7 +131,8 @@ class EventEvaluator:
         Ap = A & (anti_scaled <= self.anti_hi)
         eps_n = np.sqrt(eps_sq / n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Rhat = np.max(corr / (self.col_norms_n[:, None] * eps_n[None, :]), axis=0)
+            scale = self.col_norms_n[:, None] * eps_n[None, :]
+            Rhat = np.max(np.divide(corr, scale, out=scale), axis=0)
         Rhat = np.where(eps_n == 0.0, 0.0, Rhat)  # zero noise correlates with nothing
         Rflag = self.gamma * Rhat <= self.R
         return [EventFlags(bool(T[j]), bool(X[j]), bool(A[j]), bool(Ap[j]), bool(Rflag[j]))
@@ -308,7 +313,8 @@ class Experiment:
         eps = np.empty((n, len(idx)))
         for j, ti in enumerate(idx):
             eps[:, j] = trial_noise(cfg.sigma, n, cfg.seed, int(ti))
-        Y = self.f0[:, None] + eps
+        if self.lam is not None or self.lambda0 is not None:
+            Y = self.f0[:, None] + eps
         flags = self.events.flags_batch(eps) if self.events else [None] * len(idx)
 
         mse_plain = pen_plain = None

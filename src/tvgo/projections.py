@@ -4,9 +4,12 @@ projections, antiprojection lengths, the inverse scaling factor, and weights.
 The reduced operator splits into independent blocks, one per connected
 component left after deleting the active edges.  Tree components admit an
 exact combinatorial pseudoinverse (each column is a centered, signed subtree
-indicator), so their column norms and noise correlations come out in O(n_i)
-without materializing anything dense.  Components containing cycles fall
-back to a dense SVD pseudoinverse.
+indicator).  A subtree occupies a contiguous interval of the component's
+depth-first preorder, so the column norms follow from the subtree sizes and
+the noise correlations of a whole (n, B) block from one prefix sum along the
+preorder, in O(n_i B) array operations without materializing anything
+dense.  Components containing cycles, or parallel edges, fall back to a
+dense SVD pseudoinverse.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .graphs import ActiveSet, edge_endpoints
 
@@ -27,63 +31,49 @@ class _TreeBlock:
 
     Column for edge e equals sign_e * (1_B - |B|/n_c) restricted to the
     component, where B is the vertex set cut off from the (local) root by
-    deleting e and sign_e is +1 when the edge head lies in B.
+    deleting e and sign_e is +1 when the edge head lies in B.  B is the
+    subtree of the edge's child vertex, which occupies the preorder positions
+    [lo_e, hi_e), so every subtree sum is a difference of two preorder prefix
+    sums.  The index arrays are built here, never on first use, because the
+    experiment's thread pool shares one block between its workers.
     """
 
     def __init__(self, vertices: np.ndarray, ends_local: np.ndarray):
         # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
         self.vertices = vertices
-        self.nc = len(vertices)
+        self.nc = nc = len(vertices)
         k = len(ends_local)
-        if k != self.nc - 1:
+        if k != nc - 1:
             raise ValueError("tree block must have n_c - 1 edges")
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.nc)]
-        for e, (u, v) in enumerate(ends_local):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        # iterative DFS from local root 0: preorder, parent pointers
-        preorder = np.empty(self.nc, dtype=np.int64)
-        parent = np.full(self.nc, -1, dtype=np.int64)
-        parent_edge = np.full(self.nc, -1, dtype=np.int64)
-        seen = np.zeros(self.nc, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        pos = 0
-        while stack:
-            v = stack.pop()
-            preorder[pos] = v
-            pos += 1
-            for w, e in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    parent_edge[w] = e
-                    stack.append(w)
-        if pos != self.nc:
+        tail, head = ends_local[:, 0], ends_local[:, 1]
+        adj = sp.coo_matrix((np.ones(k), (tail, head)), shape=(nc, nc))
+        # preorder and parent pointers from local root 0 (the root's parent
+        # is negative)
+        preorder, parent = csgraph.depth_first_order(
+            adj, 0, directed=False, return_predecessors=True)
+        if len(preorder) != nc:
             raise ValueError("component is not connected")
         self.preorder = preorder
-        self.parent = parent
         # subtree sizes by reverse preorder accumulation
-        sub = np.ones(self.nc, dtype=np.int64)
-        for v in preorder[::-1]:
-            if parent[v] >= 0:
-                sub[parent[v]] += sub[v]
-        self.sub = sub
+        par = parent.tolist()
+        sub = [1] * nc
+        for v in reversed(preorder.tolist()):
+            if par[v] >= 0:
+                sub[par[v]] += sub[v]
+        sub = np.array(sub, dtype=np.int64)
         # per edge: the child vertex (far side from root) and orientation sign
-        child = np.empty(k, dtype=np.int64)
-        sign = np.empty(k, dtype=np.float64)
-        for e, (u, v) in enumerate(ends_local):
-            if parent[v] == u:
-                child[e] = v
-                sign[e] = 1.0   # head on the far side
-            elif parent[u] == v:
-                child[e] = u
-                sign[e] = -1.0  # tail on the far side
-            else:
-                raise ValueError("edge does not match tree structure")
-        self.child = child
-        self.sign = sign
-        self.cut_size = sub[child]
+        head_below = parent[head] == tail
+        if not np.all(head_below | (parent[tail] == head)):
+            raise ValueError("edge does not match tree structure")
+        self.child = np.where(head_below, head, tail)
+        self.sign = np.where(head_below, 1.0, -1.0)
+        self.cut_size = sub[self.child]
+        self.frac = self.cut_size / nc
+        tin = np.empty(nc, dtype=np.int64)
+        tin[preorder] = np.arange(nc)
+        self.lo = tin[self.child]
+        self.hi = self.lo + self.cut_size
+        self.rows = vertices[preorder]
 
     def column_norms_sq(self) -> np.ndarray:
         """Squared l2 norms of the pseudoinverse columns: b*(n_c-b)/n_c."""
@@ -93,33 +83,29 @@ class _TreeBlock:
     def apply_transpose(self, V: np.ndarray) -> np.ndarray:
         """Column-wise inner products (D+)' V for V of shape (n, B).
 
-        Uses subtree sums: col_e' v = sign_e * (sum_B v - |B|/n_c * sum_C v).
+        col_e' v = sign_e * (sum_B v - |B|/n_c * sum_C v), with sum_B v =
+        P[hi_e] - P[lo_e] for the prefix sums P of v in preorder.
         """
-        sub_sum = V[self.vertices].astype(np.float64, copy=True)
-        for v in self.preorder[::-1]:
-            p = self.parent[v]
-            if p >= 0:
-                sub_sum[p] += sub_sum[v]
-        total = sub_sum[0]
-        frac = self.cut_size / self.nc
-        return self.sign[:, None] * (sub_sum[self.child] - frac[:, None] * total[None, :])
+        # gathered and summed in place: every (n_c, B) temporary is new
+        # memory to fault in on each block of trials
+        P = np.empty((self.nc + 1, V.shape[1]))
+        P[0] = 0.0
+        np.take(V, self.rows, axis=0, out=P[1:], mode="clip")  # unbuffered; rows are in range
+        np.cumsum(P[1:], axis=0, out=P[1:])
+        out = P[self.hi]
+        out -= P[self.lo]
+        out -= self.frac[:, None] * P[-1]
+        out *= self.sign[:, None]
+        return out
 
     def to_dense(self, n: int) -> np.ndarray:
         """Materialized (n, k) block embedded at the component's vertices."""
         out = np.zeros((n, len(self.child)), dtype=np.float64)
-        members = self._cut_members()
-        for e in range(len(self.child)):
-            col = np.full(self.nc, -self.cut_size[e] / self.nc)
-            col[members[e]] += 1.0
+        for e, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            col = np.full(self.nc, -self.frac[e])
+            col[self.preorder[lo:hi]] += 1.0
             out[self.vertices, e] = self.sign[e] * col
         return out
-
-    def _cut_members(self) -> list[np.ndarray]:
-        # subtree membership via preorder intervals
-        tin = np.empty(self.nc, dtype=np.int64)
-        tin[self.preorder] = np.arange(self.nc)
-        # subtree of v occupies preorder positions [tin[v], tin[v]+sub[v])
-        return [self.preorder[tin[c]:tin[c] + self.sub[c]] for c in self.child]
 
 
 class _DenseBlock:
@@ -181,33 +167,31 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet) -> PseudoInverse:
     components with cycles use a dense SVD pseudoinverse."""
     if len(active.inactive) == 0:
         raise ValueError("no rows to invert: every edge is active")
-    ends = edge_endpoints(D)
-    lab = active.comp_label
+    ends = edge_endpoints(D)[np.asarray(active.inactive) - 1]
     comp_vertices = active.component_vertices()
     # local vertex index within each component
     local = np.empty(active.n, dtype=np.int64)
     for verts in comp_vertices:
         local[verts] = np.arange(len(verts))
-    # group inactive edges by component
-    edge_comp = [[] for _ in range(active.r_S)]
-    for k, i in enumerate(active.inactive):
-        u, v = ends[i - 1]
-        if lab[u] != lab[v]:
-            raise ValueError(f"inactive edge {i} spans two components")
-        edge_comp[lab[u]].append((k, local[u], local[v]))
+    # group inactive edges by component, keeping row order within each group
+    edge_lab = active.comp_label[ends]
+    split = np.flatnonzero(edge_lab[:, 0] != edge_lab[:, 1])
+    if len(split):
+        raise ValueError(f"inactive edge {active.inactive[split[0]]} spans two components")
+    order = np.argsort(edge_lab[:, 0], kind="stable")
+    bounds = np.searchsorted(edge_lab[order, 0], np.arange(active.r_S + 1))
     blocks, col_of_block = [], []
-    for c, items in enumerate(edge_comp):
-        if not items:
+    for c, verts in enumerate(comp_vertices):
+        cols = order[bounds[c]:bounds[c + 1]]
+        if len(cols) == 0:
             continue
-        cols = np.array([k for k, _, _ in items], dtype=np.int64)
-        ends_local = np.array([(u, v) for _, u, v in items], dtype=np.int64)
-        verts = comp_vertices[c]
-        if len(items) == len(verts) - 1:
+        ends_local = local[ends[cols]]
+        if len(cols) == len(verts) - 1:
             blocks.append(_TreeBlock(verts, ends_local))
         else:
-            B = np.zeros((len(items), len(verts)))
-            B[np.arange(len(items)), ends_local[:, 0]] = -1.0
-            B[np.arange(len(items)), ends_local[:, 1]] = 1.0
+            B = np.zeros((len(cols), len(verts)))
+            B[np.arange(len(cols)), ends_local[:, 0]] = -1.0
+            B[np.arange(len(cols)), ends_local[:, 1]] = 1.0
             blocks.append(_DenseBlock(verts, B))
         col_of_block.append(cols)
     return PseudoInverse(n=active.n, n_cols=len(active.inactive),
@@ -221,10 +205,11 @@ def componentwise_mean(labels: np.ndarray, v: np.ndarray) -> np.ndarray:
     sizes = np.bincount(labels).astype(np.float64)
     if v.ndim == 1:
         return (np.bincount(labels, weights=v) / sizes)[labels]
-    out = np.empty_like(v)
-    for j in range(v.shape[1]):
-        out[:, j] = (np.bincount(labels, weights=v[:, j]) / sizes)[labels]
-    return out
+    # the indicator product sums each component's rows in vertex order, as
+    # bincount does, so every column equals its 1-D mean bit for bit
+    n = len(labels)
+    members = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(len(sizes), n))
+    return (members @ v / sizes[:, None])[labels]
 
 
 def project_nullspace(active: ActiveSet, v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ def test_run_experiment_csv_deterministic_across_threads():
     header = csv1.splitlines()[0].split(",")
     assert header[:3] == ["trial", "mse_plain", "mse_sqrt"]
     assert header[-1] == "plain_slow_holds"
+
+
+def test_tree_events_csv_identical_across_threads():
+    # events only, on a tree: the pool's workers share the tree pseudoinverse
+    # blocks; 16 blocks and a short switch interval make them interleave often
+    rng = np.random.default_rng(11)
+    n = 512
+    parents = [int(rng.integers(max(1, v - 8), v)) for v in range(2, n + 1)]
+    cfg = {"graph": {"family": "tree", "params": {"parents": parents}},
+           "S": [100, 300, 450], "signal": {"levels": [0.0, 1.0, 0.0, 1.0]},
+           "theorems": [], "events": True, "trials": 1024, "seed": 5}
+    csv1, _ = experiment_csv(dict(cfg, threads=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        csv4, _ = experiment_csv(dict(cfg, threads=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(csv1.splitlines()) == 1025
+    assert csv1 == csv4
 
 
 def test_run_experiment_sqrt_regime():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from tvgo import graphs, projections
-from tvgo.graphs import active_set, cycle_graph, grid_graph, incidence, path_graph, tree_graph
-from tvgo.projections import (antiproject_nullspace, gamma_bound,
-                              project_nullspace, pseudoinverse, theory_report)
+from tvgo.graphs import (DirectedGraph, active_set, cycle_graph, grid_graph, incidence,
+                         path_graph, tree_graph)
+from tvgo.projections import (_DenseBlock, _TreeBlock, antiproject_nullspace,
+                              componentwise_mean, gamma_bound, project_nullspace,
+                              pseudoinverse, theory_report)
 
 
 def _random_tree(rng, n):
@@ -27,6 +29,7 @@ CASES = [
     (grid_graph(3, 3), []),
     (grid_graph(3, 4), [2, 7, 11]),
     (tree_graph([1, 1, 2, 2, 3, 3, 5]), [2, 6]),
+    (DirectedGraph(3, ((1, 2), (1, 2), (2, 3))), []),   # parallel edges
 ]
 
 
@@ -76,6 +79,77 @@ def test_pinv_apply_transpose_consistent():
         assert np.allclose(pinv.apply_transpose(V), pinv.to_dense().T @ V, atol=1e-10)
         v = rng.standard_normal(g.n)
         assert np.allclose(pinv.apply_transpose(v), pinv.to_dense().T @ v, atol=1e-10)
+
+
+def _relabelled_tree(rng, n):
+    """Random tree on 1..n rooted at 1 whose parents often point forward:
+    a random recursive tree with vertices 2..n shuffled."""
+    label = np.concatenate(([1], 1 + rng.permutation(np.arange(1, n))))
+    parent = np.empty(n + 1, dtype=np.int64)
+    for pos in range(1, n):
+        parent[label[pos]] = label[int(rng.integers(0, pos))]
+    return tree_graph(parent[2:].tolist())
+
+
+def _reversed_edges(g, rng):
+    """The same graph with about half of its edges pointing the other way."""
+    flip = rng.random(g.m) < 0.5
+    return DirectedGraph(g.n, tuple((v, u) if f else (u, v)
+                                    for (u, v), f in zip(g.edges, flip)))
+
+
+_rng_trees = np.random.default_rng(17)
+_forward_trees = [_relabelled_tree(_rng_trees, 300) for _ in range(3)]
+TREE_CASES = [
+    (_forward_trees[0], []),
+    (_forward_trees[1], [7, 150, 222]),
+    (_reversed_edges(_forward_trees[2], _rng_trees), [3, 90]),
+    # S = [3, 4] leaves {4} alone and cuts {5, 8} off as a 2-vertex tree
+    (tree_graph([1, 1, 2, 2, 3, 3, 5]), [3, 4]),
+    (_reversed_edges(tree_graph([1, 1, 2, 2, 3, 3, 5]), _rng_trees), [3, 4]),
+]
+
+
+def test_relabelled_trees_have_forward_parents():
+    # tree_graph edges are (parent, child): some parents follow their child
+    assert all(any(u > v for u, v in g.edges) for g in _forward_trees)
+
+
+@pytest.mark.parametrize("g,S", TREE_CASES)
+def test_tree_block_apply_transpose_exact(g, S):
+    a = active_set(g, S)
+    pinv = pseudoinverse(incidence(g), a)
+    assert all(isinstance(b, _TreeBlock) for b in pinv.blocks)
+    P = pinv.to_dense()
+    Dm = incidence(g).toarray()[[i - 1 for i in a.inactive]]
+    assert np.abs(P - np.linalg.pinv(Dm)).max() < 1e-10
+    rng = np.random.default_rng(len(S))
+    V = rng.standard_normal((g.n, 5))
+    assert np.allclose(pinv.apply_transpose(V), P.T @ V, rtol=0, atol=1e-11)
+    v = rng.standard_normal(g.n)
+    assert np.allclose(pinv.apply_transpose(v), P.T @ v, rtol=0, atol=1e-11)
+
+
+def test_parallel_edges_take_the_dense_block():
+    g = DirectedGraph(3, ((1, 2), (1, 2), (2, 3)))
+    pinv = pseudoinverse(incidence(g), active_set(g, []))
+    assert [type(b) for b in pinv.blocks] == [_DenseBlock]
+
+
+@pytest.mark.parametrize("g,S", CASES + TREE_CASES)
+def test_componentwise_mean_batch_matches_columns(g, S):
+    labels = active_set(g, S).comp_label
+    V = np.random.default_rng(g.n).standard_normal((g.n, 7))
+    cols = np.column_stack([componentwise_mean(labels, V[:, j]) for j in range(7)])
+    assert np.array_equal(componentwise_mean(labels, V), cols)
+
+
+def test_pinv_rejects_inconsistent_components():
+    with pytest.raises(ValueError, match="not connected"):
+        _TreeBlock(np.arange(4), np.array([[0, 1], [1, 0], [2, 3]]))
+    g, h = path_graph(4), DirectedGraph(4, ((1, 2), (3, 4), (2, 3)))
+    with pytest.raises(ValueError, match="inactive edge 2 spans two components"):
+        pseudoinverse(incidence(g), active_set(h, [3]))
 
 
 def test_pinv_requires_inactive_rows():
