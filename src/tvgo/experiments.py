@@ -6,6 +6,11 @@ Reproducibility contract: every trial draws its noise from a counter-based
 generator keyed by (master seed, trial index), trials are processed in fixed
 blocks, and aggregation folds blocks in index order, so output is bit
 identical for any thread count.
+
+A block of trials is a dict of numpy columns keyed by trial-CSV column name
+(None where a column does not apply); `run_experiment` concatenates the
+blocks, and the summary and the CSV read those columns.  Summary statistics
+of an absent column are None, so the summary JSON has no NaN.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +29,7 @@ from .solvers import SolverOptions
 from .tuning import TheoremInputs
 
 BLOCK_SIZE = 64  # trials per solver batch; fixed so results never depend on threading
+EVENT_NAMES = ("T", "X", "A", "Aprime", "R")
 
 
 @dataclass(frozen=True)
@@ -70,15 +76,6 @@ def generate_trial(spec: SignalSpec, D: sp.spmatrix, active: ActiveSet,
     return f0, f0 + eps, eps
 
 
-@dataclass(frozen=True)
-class EventFlags:
-    T_holds: bool
-    X_holds: bool
-    A_holds: bool
-    Aprime_holds: bool
-    R_holds: bool
-
-
 class EventEvaluator:
     """Precomputed machinery for the per-trial noise event indicators.
 
@@ -111,8 +108,9 @@ class EventEvaluator:
         self.anti_lo = (n - r) - 2.0 * math.sqrt(a * (n - r))
         self.anti_hi = (n - r) + 2.0 * math.sqrt(a * (n - r)) + 2.0 * a
 
-    def flags_batch(self, eps: np.ndarray) -> list[EventFlags]:
-        """Flags for a block of noise columns, shape (n, B)."""
+    def flags_batch(self, eps: np.ndarray) -> dict[str, np.ndarray]:
+        """Boolean (B,) column per event, keyed `<name>_holds`, for a block
+        of noise columns of shape (n, B)."""
         n = self.active.n
         # large arrays are updated in place once their values are not needed
         # again: each fresh (m-s, B) or (n, B) array is new memory to fault in
@@ -135,17 +133,16 @@ class EventEvaluator:
             Rhat = np.max(np.divide(corr, scale, out=scale), axis=0)
         Rhat = np.where(eps_n == 0.0, 0.0, Rhat)  # zero noise correlates with nothing
         Rflag = self.gamma * Rhat <= self.R
-        return [EventFlags(bool(T[j]), bool(X[j]), bool(A[j]), bool(Ap[j]), bool(Rflag[j]))
-                for j in range(eps.shape[1])]
+        return {f"{nm}_holds": flag for nm, flag in zip(EVENT_NAMES, (T, X, A, Ap, Rflag))}
 
 
-EVENT_FLOORS = {
-    "T": lambda p: 1.0 - math.exp(-p["t"]),
-    "X": lambda p: 1.0 - math.exp(-p["x"]),
-    "A": lambda p: 1.0 - 3.0 * math.exp(-p["a"]),
-    "Aprime": lambda p: 1.0 - 4.0 * math.exp(-p["a"]),
-    "R": lambda p: 1.0 - math.exp(-p["t"]),
-}
+EVENT_FLOORS = dict(zip(EVENT_NAMES, (
+    lambda p: 1.0 - math.exp(-p["t"]),
+    lambda p: 1.0 - math.exp(-p["x"]),
+    lambda p: 1.0 - 3.0 * math.exp(-p["a"]),
+    lambda p: 1.0 - 4.0 * math.exp(-p["a"]),
+    lambda p: 1.0 - math.exp(-p["t"]),
+)))
 
 
 @dataclass
@@ -173,6 +170,10 @@ class ExperimentConfig:
     kappa_source: str = "paper_bound"
     kappa_value: float | None = None
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         gspec = cfg["graph"]
@@ -199,34 +200,20 @@ class ExperimentConfig:
         )
 
 
-@dataclass
-class TrialRecord:
-    trial: int
-    mse_plain: float | None
-    mse_sqrt: float | None
-    sigma_hat: float | None
-    ratio_eps: float | None
-    overfit: bool | None
-    nonoverfit_holds: bool | None
-    flags: EventFlags | None
-    lhs: dict = field(default_factory=dict)
-    rhs: dict = field(default_factory=dict)
-    holds: dict = field(default_factory=dict)
-
-
 CSV_BASE_COLUMNS = ["trial", "mse_plain", "mse_sqrt", "sigma_hat", "ratio_eps",
-                    "overfit", "nonoverfit_holds", "T_holds", "X_holds",
-                    "A_holds", "Aprime_holds", "R_holds"]
+                    "overfit", "nonoverfit_holds", *(f"{nm}_holds" for nm in EVENT_NAMES)]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def _fmt(col, rows: int) -> list[str]:
+    """CSV cells of one column: empty when absent, bools as 0/1, ints as
+    decimals, floats at full precision."""
+    if col is None:
+        return [""] * rows
+    if col.dtype == np.bool_:
+        return ["1" if v else "0" for v in col.tolist()]
+    if np.issubdtype(col.dtype, np.integer):
+        return [str(v) for v in col.tolist()]
+    return [format(v, ".17g") for v in col.tolist()]
 
 
 def trial_columns(theorem_ids) -> list[str]:
@@ -236,20 +223,13 @@ def trial_columns(theorem_ids) -> list[str]:
     return cols
 
 
-def write_trials_csv(records: list[TrialRecord], theorem_ids, fh) -> None:
+def write_trials_csv(columns: dict, theorem_ids, fh) -> None:
     """Stable-order CSV, one row per trial, full-precision floats."""
+    names = trial_columns(theorem_ids)
+    rows = len(columns["trial"])
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(trial_columns(theorem_ids))
-    for r in records:
-        fl = r.flags
-        row = [_fmt(r.trial), _fmt(r.mse_plain), _fmt(r.mse_sqrt),
-               _fmt(r.sigma_hat), _fmt(r.ratio_eps), _fmt(r.overfit),
-               _fmt(r.nonoverfit_holds)]
-        row += [_fmt(None if fl is None else getattr(fl, f"{nm}_holds"))
-                for nm in ("T", "X", "A", "Aprime", "R")]
-        for tid in theorem_ids:
-            row += [_fmt(r.lhs.get(tid)), _fmt(r.rhs.get(tid)), _fmt(r.holds.get(tid))]
-        writer.writerow(row)
+    writer.writerow(names)
+    writer.writerows(zip(*(_fmt(columns[nm], rows) for nm in names)))
 
 
 class Experiment:
@@ -306,65 +286,58 @@ class Experiment:
                 "run them in separate experiments or fix the tuning explicitly")
         return vals[0]
 
-    def run_block(self, block_index: int, lo: int, hi: int) -> list[TrialRecord]:
+    def _errors(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column mean squared error against f0 and ||D_S F||_1."""
+        diff = F - self.f0[:, None]
+        return (np.sum(diff ** 2, axis=0) / self.active.n,
+                np.abs(self.D @ F)[self.S_rows].sum(axis=0))
+
+    def run_block(self, block_index: int, lo: int, hi: int) -> dict:
+        """Trials lo..hi-1 as numpy columns keyed by CSV column name; a column
+        that does not apply to this experiment is None."""
         cfg = self.cfg
         n = self.active.n
         idx = np.arange(lo, hi)
+        cols = dict.fromkeys(trial_columns(cfg.theorems))
+        cols["trial"] = idx
         eps = np.empty((n, len(idx)))
         for j, ti in enumerate(idx):
             eps[:, j] = trial_noise(cfg.sigma, n, cfg.seed, int(ti))
         if self.lam is not None or self.lambda0 is not None:
             Y = self.f0[:, None] + eps
-        flags = self.events.flags_batch(eps) if self.events else [None] * len(idx)
+        if self.events:
+            cols.update(self.events.flags_batch(eps))
 
-        mse_plain = pen_plain = None
+        errors = {}  # estimator kind -> (mse, ||D_S f_hat||_1) columns
         if self.lam is not None:
             F = solvers.solve_analysis_batch(Y, self.D, self.lam, self.solver_opts)
-            diff = F - self.f0[:, None]
-            mse_plain = np.sum(diff ** 2, axis=0) / n
-            pen_plain = np.abs((self.D @ F))[self.S_rows].sum(axis=0) if len(self.S_rows) else \
-                np.zeros(len(idx))
-
-        mse_sqrt = sig_hat = overfit = pen_sqrt = ratio = nonover = None
+            errors["plain"] = self._errors(F)
+            cols["mse_plain"] = errors["plain"][0]
         if self.lambda0 is not None:
             # the solver's penalty is 2*lambda0*||Df||_1, so the inequality's
             # lambda0 (penalty coefficient as stated) maps to lambda0/2 here
             F2, sig_hat, overfit = solvers.solve_sqrt_analysis_batch(
                 Y, self.D, self.lambda0 / 2.0, self.solver_opts)
-            diff = F2 - self.f0[:, None]
-            mse_sqrt = np.sum(diff ** 2, axis=0) / n
-            pen_sqrt = np.abs((self.D @ F2))[self.S_rows].sum(axis=0) if len(self.S_rows) else \
-                np.zeros(len(idx))
+            errors["sqrt"] = self._errors(F2)
             eps_n = np.sqrt(np.sum(eps ** 2, axis=0) / n)
             ratio = sig_hat / eps_n
-            nonover = np.abs(ratio - 1.0) <= cfg.eta
+            cols.update(mse_sqrt=errors["sqrt"][0], sigma_hat=sig_hat, ratio_eps=ratio,
+                        overfit=overfit, nonoverfit_holds=np.abs(ratio - 1.0) <= cfg.eta)
 
-        out = []
-        for j, ti in enumerate(idx):
-            rec = TrialRecord(
-                trial=int(ti),
-                mse_plain=None if mse_plain is None else float(mse_plain[j]),
-                mse_sqrt=None if mse_sqrt is None else float(mse_sqrt[j]),
-                sigma_hat=None if sig_hat is None else float(sig_hat[j]),
-                ratio_eps=None if ratio is None else float(ratio[j]),
-                overfit=None if overfit is None else bool(overfit[j]),
-                nonoverfit_holds=None if nonover is None else bool(nonover[j]),
-                flags=flags[j])
-            for tid in cfg.theorems:
-                kind = tuning.theorem_kind(tid)
-                if kind == "plain":
-                    lhs = float(mse_plain[j] + self.lhs_coeff[tid] * pen_plain[j])
-                else:
-                    lhs = float(mse_sqrt[j] + self.lhs_coeff[tid] * pen_sqrt[j])
-                rec.lhs[tid] = lhs
-                rec.rhs[tid] = self.rhs[tid].value
-                rec.holds[tid] = lhs <= self.rhs[tid].value
-            out.append(rec)
-        return out
+        for tid in cfg.theorems:
+            mse, pen = errors[tuning.theorem_kind(tid)]
+            lhs = mse + self.lhs_coeff[tid] * pen
+            rhs = self.rhs[tid].value
+            cols[f"{tid}_lhs"] = lhs
+            cols[f"{tid}_rhs"] = np.full(len(idx), rhs)
+            cols[f"{tid}_holds"] = lhs <= rhs
+        return cols
 
 
 def run_experiment(cfg: ExperimentConfig | dict):
-    """Run the Monte Carlo experiment; returns (summary dict, records)."""
+    """Run the Monte Carlo experiment; returns (summary dict, columns): one
+    numpy array per CSV column over all trials in order, or None for a
+    column that does not apply."""
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
     exp = Experiment(cfg)
@@ -376,21 +349,22 @@ def run_experiment(cfg: ExperimentConfig | dict):
             results = [f.result() for f in futures]
     else:
         results = [exp.run_block(b, lo, hi) for b, lo, hi in blocks]
-    records = [rec for block in results for rec in block]
-    return _summarize(exp, records), records
+    columns = {nm: None if col is None else np.concatenate([block[nm] for block in results])
+               for nm, col in results[0].items()}
+    return _summarize(exp, columns), columns
 
 
-def _frac(values) -> float:
-    vals = [v for v in values if v is not None]
-    return float(np.mean(vals)) if vals else math.nan
+def _frac(col) -> float | None:
+    """Mean of a column; None (JSON null) for an absent column."""
+    return None if col is None else float(np.mean(col))
 
 
-def _summarize(exp: Experiment, records: list[TrialRecord]) -> dict:
+def _summarize(exp: Experiment, columns: dict) -> dict:
     cfg = exp.cfg
     params = {"x": cfg.x, "t": cfg.t, "a": cfg.a, "eta": cfg.eta}
     thm_summary = {}
     for tid in cfg.theorems:
-        frac = _frac([r.holds[tid] for r in records])
+        frac = _frac(columns[f"{tid}_holds"])
         floor = exp.rhs[tid].probability
         thm_summary[tid] = {
             "holds_fraction": frac,
@@ -401,20 +375,18 @@ def _summarize(exp: Experiment, records: list[TrialRecord]) -> dict:
         }
     events = {}
     if exp.events is not None:
-        for nm in ("T", "X", "A", "Aprime", "R"):
-            frac = _frac([getattr(r.flags, f"{nm}_holds") for r in records])
+        for nm in EVENT_NAMES:
+            frac = _frac(columns[f"{nm}_holds"])
             floor = EVENT_FLOORS[nm](params)
             events[nm] = {"fraction": frac, "floor": floor,
                           "passes_floor": bool(frac >= floor - 3.0 * _binom_se(floor, cfg.trials))}
 
-    def stats(vals):
-        arr = np.array([v for v in vals if v is not None], dtype=np.float64)
-        if arr.size == 0:
+    def stats(arr):
+        if arr is None:
             return None
         return {"mean": float(arr.mean()), "median": float(np.median(arr)),
                 "q10": float(np.quantile(arr, 0.10)), "q90": float(np.quantile(arr, 0.90))}
 
-    overfits = [r.overfit for r in records if r.overfit is not None]
     summary = {
         "config": {
             "family": cfg.family, "n": exp.active.n, "S": list(cfg.S),
@@ -426,11 +398,11 @@ def _summarize(exp: Experiment, records: list[TrialRecord]) -> dict:
         },
         "theorems": thm_summary,
         "events": events,
-        "mse_plain": stats([r.mse_plain for r in records]),
-        "mse_sqrt": stats([r.mse_sqrt for r in records]),
-        "sigma_hat_mean": _frac([r.sigma_hat for r in records]),
-        "overfit_rate": float(np.mean(overfits)) if overfits else None,
-        "nonoverfit_fraction": _frac([r.nonoverfit_holds for r in records]),
+        "mse_plain": stats(columns["mse_plain"]),
+        "mse_sqrt": stats(columns["mse_sqrt"]),
+        "sigma_hat_mean": _frac(columns["sigma_hat"]),
+        "overfit_rate": _frac(columns["overfit"]),
+        "nonoverfit_fraction": _frac(columns["nonoverfit_holds"]),
     }
     return summary
 
@@ -444,9 +416,9 @@ def experiment_csv(cfg: ExperimentConfig | dict) -> tuple[str, dict]:
     """Run and render the trials CSV; returns (csv text, summary)."""
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
-    summary, records = run_experiment(cfg)
+    summary, columns = run_experiment(cfg)
     buf = io.StringIO()
-    write_trials_csv(records, cfg.theorems, buf)
+    write_trials_csv(columns, cfg.theorems, buf)
     return buf.getvalue(), summary
 
 

@@ -165,6 +165,34 @@ def test_simulate_summary_written(tmp_path):
     assert s["theorems"]["plain_fast"]["passes_floor"] is True
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_simulate_summary_is_strict_json(tmp_path):
+    # plain estimator only: the square-root statistics are absent, and
+    # absent statistics must be null rather than bare NaN tokens
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SIM_CFG))
+    summ = tmp_path / "s.json"
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                     "--summary", str(summ)]) == 0
+    s = json.loads(summ.read_text(), parse_constant=_reject_constant)
+    for key in ("mse_sqrt", "sigma_hat_mean", "overfit_rate", "nonoverfit_fraction"):
+        assert s[key] is None, key
+    assert s["mse_plain"] is not None
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SIM_CFG, trials=trials)))
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": f"trials must be at least 1, got {trials}",
+                       "type": "ValueError"}
+
+
 def test_env_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SIM_CFG))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -90,11 +91,13 @@ def _evaluator(n=24, S=(12,), sigma=1.0, x=2.0, a=2.0, t=2.0):
 
 def test_event_flags_zero_noise():
     ev = _evaluator()
-    flags = ev.flags_batch(np.zeros((24, 1)))[0]
+    flags = ev.flags_batch(np.zeros((24, 1)))
+    assert {k: v.shape for k, v in flags.items()} == {
+        f"{nm}_holds": (1,) for nm in experiments.EVENT_NAMES}
     # all upper-bound events hold; the two-sided window fails from below
-    assert flags.T_holds and flags.X_holds
-    assert not flags.A_holds and not flags.Aprime_holds
-    assert flags.R_holds
+    assert flags["T_holds"][0] and flags["X_holds"][0]
+    assert not flags["A_holds"][0] and not flags["Aprime_holds"][0]
+    assert flags["R_holds"][0]
 
 
 def test_event_nesting_and_floors():
@@ -102,10 +105,8 @@ def test_event_nesting_and_floors():
     rng = np.random.default_rng(0)
     eps = rng.standard_normal((24, 400))
     flags = ev.flags_batch(eps)
-    for fl in flags:
-        assert (not fl.Aprime_holds) or fl.A_holds  # A' implies A
-    fracs = {nm: np.mean([getattr(fl, f"{nm}_holds") for fl in flags])
-             for nm in ("T", "X", "A", "Aprime", "R")}
+    assert np.all(~flags["Aprime_holds"] | flags["A_holds"])  # A' implies A
+    fracs = {nm: np.mean(flags[f"{nm}_holds"]) for nm in experiments.EVENT_NAMES}
     floors = {"T": 1 - math.exp(-2), "X": 1 - math.exp(-2),
               "A": 1 - 3 * math.exp(-2), "Aprime": 1 - 4 * math.exp(-2),
               "R": 1 - math.exp(-2)}
@@ -143,8 +144,8 @@ def test_setup_builds_one_pseudoinverse(monkeypatch):
 
 
 def test_run_experiment_plain_floors():
-    summary, records = run_experiment(dict(BASE_CFG))
-    assert len(records) == 120
+    summary, columns = run_experiment(dict(BASE_CFG))
+    assert len(columns["trial"]) == 120
     for tid in ("plain_fast", "plain_slow"):
         s = summary["theorems"][tid]
         assert s["passes_floor"], s
@@ -164,15 +165,20 @@ def test_run_experiment_csv_deterministic_across_threads():
     assert header[-1] == "plain_slow_holds"
 
 
-def test_tree_events_csv_identical_across_threads():
-    # events only, on a tree: the pool's workers share the tree pseudoinverse
-    # blocks; 16 blocks and a short switch interval make them interleave often
+def _tree_events_cfg(trials):
+    """Events only on a random 512-vertex tree cut into four parts."""
     rng = np.random.default_rng(11)
     n = 512
     parents = [int(rng.integers(max(1, v - 8), v)) for v in range(2, n + 1)]
-    cfg = {"graph": {"family": "tree", "params": {"parents": parents}},
-           "S": [100, 300, 450], "signal": {"levels": [0.0, 1.0, 0.0, 1.0]},
-           "theorems": [], "events": True, "trials": 1024, "seed": 5}
+    return {"graph": {"family": "tree", "params": {"parents": parents}},
+            "S": [100, 300, 450], "signal": {"levels": [0.0, 1.0, 0.0, 1.0]},
+            "theorems": [], "events": True, "trials": trials, "seed": 5}
+
+
+def test_tree_events_csv_identical_across_threads():
+    # events only, on a tree: the pool's workers share the tree pseudoinverse
+    # blocks; 16 blocks and a short switch interval make them interleave often
+    cfg = _tree_events_cfg(1024)
     csv1, _ = experiment_csv(dict(cfg, threads=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -182,6 +188,14 @@ def test_tree_events_csv_identical_across_threads():
         sys.setswitchinterval(interval)
     assert len(csv1.splitlines()) == 1025
     assert csv1 == csv4
+
+
+def test_tree_events_csv_golden_digest():
+    # events only, so the bytes depend on Philox, numpy and the tree
+    # pseudoinverse alone; the digest pins the CSV rendering of the columns
+    text, _ = experiment_csv(dict(_tree_events_cfg(256), threads=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "eb9048ecd8ae921897350bf71ace43e185d6c673440f83a8057aa40d4693f94b"
 
 
 def test_run_experiment_sqrt_regime():
@@ -196,7 +210,7 @@ def test_run_experiment_sqrt_regime():
         "seed": 3,
         "threads": 2,
     }
-    summary, records = run_experiment(cfg)
+    summary, columns = run_experiment(cfg)
     for tid in ("sqrt_fast", "sqrt_slow"):
         assert summary["theorems"][tid]["passes_floor"]
     floor = 1 - 3 * math.exp(-2) - math.exp(-2)
@@ -205,7 +219,7 @@ def test_run_experiment_sqrt_regime():
     assert summary["overfit_rate"] == 0.0
     assert 0.8 < summary["sigma_hat_mean"] < 1.2
     # noise-scale consistency: |sigma_hat/sigma - 1| <= eta on the same floor
-    frac = np.mean([abs(r.sigma_hat - 1.0) <= 0.5 for r in records])
+    frac = np.mean(np.abs(columns["sigma_hat"] - 1.0) <= 0.5)
     assert frac >= floor - 3 * se
 
 
@@ -281,9 +295,18 @@ def test_user_lambda_without_theorems():
         "theorems": [], "lambda": 0.2, "trials": 16, "seed": 2,
         "events": False,
     }
-    summary, records = run_experiment(cfg)
+    summary, columns = run_experiment(cfg)
     assert summary["mse_plain"] is not None
-    assert records[0].flags is None
+    assert all(columns[f"{nm}_holds"] is None for nm in experiments.EVENT_NAMES)
+    assert columns["mse_sqrt"] is None
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trials_below_one_rejected(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        experiments.ExperimentConfig.from_dict(dict(BASE_CFG, trials=trials))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_experiment(dict(BASE_CFG, trials=trials))
 
 
 def test_verify_probability_lemmas_small():
