@@ -247,8 +247,6 @@ def _cmd_simulate(args) -> int:
         cfg_dict["seed"] = args.seed
     if args.threads is not None:
         cfg_dict["threads"] = args.threads
-    elif "threads" not in cfg_dict:
-        cfg_dict["threads"] = os.cpu_count() or 1
     csv_text, summary = experiments.experiment_csv(cfg_dict)
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -7,6 +7,13 @@ generator keyed by (master seed, trial index), trials are processed in fixed
 blocks, and aggregation folds blocks in index order, so output is bit
 identical for any thread count.
 
+A block's noise is drawn trial-major: each trial fills a contiguous row from
+its own key, and chunks of rows are written into the C-ordered (n, B) block
+that the solvers and the event sums read.  The noise events are reduced one
+pseudoinverse block at a time (T an `all`, R a `max` over each block's
+directions), so the (m-s, B) correlation matrix is never assembled.  Both
+give the same bits as a column-by-column evaluation.
+
 A block of trials is a dict of numpy columns keyed by trial-CSV column name
 (None where a column does not apply); `run_experiment` concatenates the
 blocks, and the summary and the CSV read those columns.  Summary statistics
@@ -30,6 +37,9 @@ from .tuning import TheoremInputs
 
 BLOCK_SIZE = 64  # trials per solver batch; fixed so results never depend on threading
 EVENT_NAMES = ("T", "X", "A", "Aprime", "R")
+# trials whose noise is transposed into a block at once: 8 float64 fill one
+# 64-byte cache line of each row of the C-ordered (n, B) block
+NOISE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -61,11 +71,34 @@ class SignalSpec:
         return f0
 
 
-def trial_noise(sigma: float, n: int, master_seed: int, trial_index: int) -> np.ndarray:
-    """Noise vector of trial `trial_index`, bit-reproducible and independent
-    of evaluation order (counter-based keying)."""
-    gen = np.random.Generator(np.random.Philox(key=[master_seed, trial_index]))
-    return sigma * gen.standard_normal(n)
+def trial_noise(sigma: float, n: int, master_seed: int, trial: int | range) -> np.ndarray:
+    """Noise of trial `trial`, bit-reproducible and independent of evaluation
+    order (counter-based keying): a vector of length n for one trial index,
+    or for a range of trials the C-ordered (n, B) array whose column j is the
+    vector of trial `trial[j]`, bit for bit."""
+    if not isinstance(trial, range):
+        gen = np.random.Generator(np.random.Philox(key=[master_seed, trial]))
+        return sigma * gen.standard_normal(n)
+    # one generator re-keyed per trial: the state setter writes every field
+    # (counter, key, buffer, buffer position, cached half word), so each
+    # trial starts from the state of a freshly built Philox([seed, trial])
+    bitgen = np.random.Philox(key=[master_seed, trial.start])
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    # trials fill contiguous rows of a small buffer, NOISE_CHUNK at a time,
+    # and each chunk is written into the columns of the block in one pass
+    eps = np.empty((n, len(trial)))
+    rows = np.empty((NOISE_CHUNK, n))
+    for j in range(0, len(trial), NOISE_CHUNK):
+        chunk = trial[j:j + NOISE_CHUNK]
+        for row, ti in zip(rows, chunk):
+            fresh["state"]["key"][1] = ti
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
+        part = rows[:len(chunk)]
+        part *= sigma
+        eps[:, j:j + len(chunk)] = part.T
+    return eps
 
 
 def generate_trial(spec: SignalSpec, D: sp.spmatrix, active: ActiveSet,
@@ -89,7 +122,9 @@ class EventEvaluator:
     R: gamma * max_i |eps'd_i^+| / (||eps||_n ||d_i^+||_n n) <= R.
 
     The pseudoinverse, its column norms and gamma come from the theory
-    report of the same active set.
+    report of the same active set.  T and R are reduced one pseudoinverse
+    block at a time (an `all` and a `max` over the block's directions, which
+    ignore row order), so the (m-s, B) correlation matrix is never assembled.
     """
 
     def __init__(self, report: projections.TheoryReport, active: ActiveSet,
@@ -98,10 +133,14 @@ class EventEvaluator:
         self.sigma = sigma
         self.lam, self.R, self.x, self.a = lam, R, x, a
         self.pinv = report.pinv
-        self.col_norms_n = report.omega[np.asarray(active.inactive) - 1]  # ||d_i^+||_n
         self.gamma = report.gamma
         n, r = active.n, active.r_S
-        self.thr_T = lam * self.col_norms_n / self.gamma
+        col_norms_n = report.omega[np.asarray(active.inactive) - 1]  # ||d_i^+||_n
+        thr_T = lam * col_norms_n / self.gamma
+        # per pseudoinverse block: the block, its T thresholds and its column
+        # norms, as (k, 1) columns that broadcast over a block of trials
+        self.blocks = [(blk, thr_T[cols, None], col_norms_n[cols, None])
+                       for blk, cols in zip(self.pinv.blocks, self.pinv.col_of_block)]
         self.thr_X = math.sqrt(sigma ** 2 / n) * (math.sqrt(r) + math.sqrt(2 * x))
         self.pi_lo = r - 2.0 * math.sqrt(a * r)
         self.pi_hi = r + 2.0 * math.sqrt(a * r) + 2.0 * a
@@ -111,28 +150,33 @@ class EventEvaluator:
     def flags_batch(self, eps: np.ndarray) -> dict[str, np.ndarray]:
         """Boolean (B,) column per event, keyed `<name>_holds`, for a block
         of noise columns of shape (n, B)."""
-        n = self.active.n
-        # large arrays are updated in place once their values are not needed
-        # again: each fresh (m-s, B) or (n, B) array is new memory to fault in
-        corr = self.pinv.apply_transpose(eps)   # (m-s, B)
-        np.abs(corr, out=corr)
-        corr /= n
-        T = np.all(corr <= self.thr_T[:, None], axis=0)
-        proj = projections.project_nullspace(self.active, eps)
-        proj_sq = np.sum(np.square(proj, out=proj), axis=0)
-        eps_sq = np.sum(eps ** 2, axis=0)
+        n, B = eps.shape
+        # one (n, B) buffer holds the projection, then the squared noise, then
+        # each block's prefix sums and R-ratio denominators: every fresh large
+        # array is new memory to fault in on each block of trials
+        buf = projections.project_nullspace(self.active, eps)
+        proj_sq = np.sum(np.square(buf, out=buf), axis=0)
+        eps_sq = np.sum(np.square(eps, out=buf), axis=0)
+        eps_n = np.sqrt(eps_sq / n)
+        T = np.ones(B, dtype=bool)
+        Rhat = np.full(B, -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for blk, thr_T, col_norms_n in self.blocks:
+                corr = blk.apply_transpose(eps, work=buf)   # (k, B)
+                np.abs(corr, out=corr)
+                corr /= n
+                T &= np.all(corr <= thr_T, axis=0)
+                k = len(corr)   # a component with cycles may have more edges than n
+                scale = np.multiply(col_norms_n, eps_n, out=buf[:k] if k <= n else None)
+                np.maximum(Rhat, np.max(np.divide(corr, scale, out=scale), axis=0), out=Rhat)
+        Rhat = np.where(eps_n == 0.0, 0.0, Rhat)  # zero noise correlates with nothing
+        Rflag = self.gamma * Rhat <= self.R
         anti_sq = eps_sq - proj_sq
         X = np.sqrt(proj_sq / n) <= self.thr_X
         pi_scaled = proj_sq / self.sigma ** 2
         anti_scaled = anti_sq / self.sigma ** 2
         A = (pi_scaled >= self.pi_lo) & (pi_scaled <= self.pi_hi) & (anti_scaled >= self.anti_lo)
         Ap = A & (anti_scaled <= self.anti_hi)
-        eps_n = np.sqrt(eps_sq / n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = self.col_norms_n[:, None] * eps_n[None, :]
-            Rhat = np.max(np.divide(corr, scale, out=scale), axis=0)
-        Rhat = np.where(eps_n == 0.0, 0.0, Rhat)  # zero noise correlates with nothing
-        Rflag = self.gamma * Rhat <= self.R
         return {f"{nm}_holds": flag for nm, flag in zip(EVENT_NAMES, (T, X, A, Ap, Rflag))}
 
 
@@ -300,9 +344,7 @@ class Experiment:
         idx = np.arange(lo, hi)
         cols = dict.fromkeys(trial_columns(cfg.theorems))
         cols["trial"] = idx
-        eps = np.empty((n, len(idx)))
-        for j, ti in enumerate(idx):
-            eps[:, j] = trial_noise(cfg.sigma, n, cfg.seed, int(ti))
+        eps = trial_noise(cfg.sigma, n, cfg.seed, range(lo, hi))
         if self.lam is not None or self.lambda0 is not None:
             Y = self.f0[:, None] + eps
         if self.events:

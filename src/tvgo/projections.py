@@ -73,6 +73,10 @@ class _TreeBlock:
         tin[preorder] = np.arange(nc)
         self.lo = tin[self.child]
         self.hi = self.lo + self.cut_size
+        # with inclusive prefix sums C, the subtree sums to C[hi-1] - C[lo-1];
+        # a child is never the root, so lo >= 1
+        self.last = self.hi - 1
+        self.before = self.lo - 1
         self.rows = vertices[preorder]
 
     def column_norms_sq(self) -> np.ndarray:
@@ -80,21 +84,25 @@ class _TreeBlock:
         b = self.cut_size.astype(np.float64)
         return b * (self.nc - b) / self.nc
 
-    def apply_transpose(self, V: np.ndarray) -> np.ndarray:
+    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """Column-wise inner products (D+)' V for V of shape (n, B).
 
         col_e' v = sign_e * (sum_B v - |B|/n_c * sum_C v), with sum_B v =
-        P[hi_e] - P[lo_e] for the prefix sums P of v in preorder.
+        C[hi_e - 1] - C[lo_e - 1] for the inclusive prefix sums C of v in
+        preorder.  `work`, a C-ordered array of shape (>= n_c, B), holds the
+        prefix sums when given (its contents are overwritten); the result is
+        the only fresh (k, B) array.
         """
-        # gathered and summed in place: every (n_c, B) temporary is new
-        # memory to fault in on each block of trials
-        P = np.empty((self.nc + 1, V.shape[1]))
-        P[0] = 0.0
-        np.take(V, self.rows, axis=0, out=P[1:], mode="clip")  # unbuffered; rows are in range
-        np.cumsum(P[1:], axis=0, out=P[1:])
-        out = P[self.hi]
-        out -= P[self.lo]
-        out -= self.frac[:, None] * P[-1]
+        # gathered, summed and scaled in place: every (n_c, B) temporary is
+        # new memory to fault in on each block of trials
+        B = V.shape[1]
+        C = np.empty((self.nc, B)) if work is None else work[:self.nc]
+        np.take(V, self.rows, axis=0, out=C, mode="clip")  # unbuffered; rows are in range
+        np.cumsum(C, axis=0, out=C)
+        out = C[self.last]
+        out -= C[self.before]
+        # the k = n_c - 1 rows before the total C[-1] hold its product with frac
+        out -= np.multiply(self.frac[:, None], C[-1], out=C[:-1])
         out *= self.sign[:, None]
         return out
 
@@ -118,8 +126,8 @@ class _DenseBlock:
     def column_norms_sq(self) -> np.ndarray:
         return np.sum(self.pinv ** 2, axis=0)
 
-    def apply_transpose(self, V: np.ndarray) -> np.ndarray:
-        return self.pinv.T @ V[self.vertices]
+    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        return self.pinv.T @ V[self.vertices]   # needs no work array
 
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros((n, self.pinv.shape[1]), dtype=np.float64)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tvgo import graphs
+from tvgo import experiments, graphs
 from tvgo.cli import dispatch, parse_graph_spec, parse_set_spec
 
 
@@ -152,6 +152,27 @@ def test_simulate_deterministic_across_threads(tmp_path):
                      "--threads", "8"]) == 0
     assert out1.read_bytes() == out8.read_bytes()
     assert len(out1.read_text().splitlines()) == 41
+
+
+def test_simulate_defaults_to_one_thread(tmp_path, monkeypatch):
+    # as run_experiment does: more threads only when the config or --threads
+    # asks, whatever the machine's core count
+    seen = []
+
+    def record(cfg):
+        seen.append(experiments.ExperimentConfig.from_dict(cfg).threads)
+        return "", {}
+
+    monkeypatch.setattr(experiments, "experiment_csv", record)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cfg = tmp_path / "cfg.json"
+    out = str(tmp_path / "t.csv")
+    cfg.write_text(json.dumps(SIM_CFG))
+    assert dispatch(["simulate", "--config", str(cfg), "--out", out]) == 0
+    assert dispatch(["simulate", "--config", str(cfg), "--out", out, "--threads", "3"]) == 0
+    cfg.write_text(json.dumps(dict(SIM_CFG, threads=2)))
+    assert dispatch(["simulate", "--config", str(cfg), "--out", out]) == 0
+    assert seen == [1, 3, 2]
 
 
 def test_simulate_summary_written(tmp_path):

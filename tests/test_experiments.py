@@ -70,6 +70,26 @@ def test_trial_noise_moments():
     assert abs(draws.var() - 4.0) <= 3 * 4.0 * math.sqrt(2.0 / N)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.5])
+@pytest.mark.parametrize("B", [1, 2, 64])
+def test_trial_noise_block_equals_scalar_columns(B, sigma):
+    block = trial_noise(sigma, 37, 123, range(9, 9 + B))
+    scalar = np.column_stack([trial_noise(sigma, 37, 123, t) for t in range(9, 9 + B)])
+    assert block.shape == (37, B) and block.flags.c_contiguous
+    assert np.array_equal(block, scalar)
+
+
+def test_trial_noise_block_starts_each_trial_from_a_fresh_generator():
+    # a block re-keys one generator per trial; short trials leave its output
+    # buffer part used, which must not leak into the next trial
+    seed = 2 ** 40 + 7
+    for n in (1, 3, 5, 17):
+        block = trial_noise(1.0, n, seed, range(11))
+        for j in range(11):
+            fresh = np.random.Generator(np.random.Philox(key=[seed, j]))
+            assert np.array_equal(block[:, j], fresh.standard_normal(n)), (n, j)
+
+
 def test_generate_trial_composition():
     g = path_graph(12)
     D = incidence(g)
@@ -113,6 +133,78 @@ def test_event_nesting_and_floors():
     for nm, frac in fracs.items():
         se = math.sqrt(floors[nm] * (1 - floors[nm]) / 400)
         assert frac >= floors[nm] - 3 * se, nm
+
+
+def _assembled_flags(report, ev, eps):
+    """Event flags from the assembled (m-s, B) correlation matrix, by the
+    formulas `flags_batch` reduces blockwise."""
+    n = ev.active.n
+    col_norms_n = report.omega[np.asarray(ev.active.inactive) - 1]
+    corr = report.pinv.apply_transpose(eps)
+    np.abs(corr, out=corr)
+    corr /= n
+    T = np.all(corr <= (ev.lam * col_norms_n / ev.gamma)[:, None], axis=0)
+    proj_sq = np.sum(projections.project_nullspace(ev.active, eps) ** 2, axis=0)
+    eps_sq = np.sum(eps ** 2, axis=0)
+    pi_scaled = proj_sq / ev.sigma ** 2
+    anti_scaled = (eps_sq - proj_sq) / ev.sigma ** 2
+    X = np.sqrt(proj_sq / n) <= ev.thr_X
+    A = (pi_scaled >= ev.pi_lo) & (pi_scaled <= ev.pi_hi) & (anti_scaled >= ev.anti_lo)
+    Ap = A & (anti_scaled <= ev.anti_hi)
+    eps_n = np.sqrt(eps_sq / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Rhat = np.max(corr / (col_norms_n[:, None] * eps_n[None, :]), axis=0)
+    Rhat = np.where(eps_n == 0.0, 0.0, Rhat)
+    Rflag = ev.gamma * Rhat <= ev.R
+    return {f"{nm}_holds": f for nm, f in zip(experiments.EVENT_NAMES, (T, X, A, Ap, Rflag))}
+
+
+def _random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    return graphs.tree_graph([int(rng.integers(max(1, v - 8), v)) for v in range(2, n + 1)])
+
+
+FLAG_CASES = {
+    # {4} alone and {5, 8} cut off as a 2-vertex tree
+    "tree_small": (graphs.tree_graph([1, 1, 2, 2, 3, 3, 5]), [3, 4]),
+    # the last vertex is a leaf, so edge 299 cuts it off alone
+    "tree_300": (_random_tree(300, 4), [40, 170, 299]),
+    # the edges between columns 3 and 4: two 6x3 dense blocks
+    "grid_cut": (graphs.grid_graph(6, 6), [3, 8, 13, 18, 23, 28]),
+    # one dense block with more columns (40 edges) than vertices (25)
+    "grid_whole": (graphs.grid_graph(5, 5), []),
+}
+
+
+@pytest.mark.parametrize("case", list(FLAG_CASES))
+def test_flags_batch_matches_assembled_oracle(case):
+    g, S = FLAG_CASES[case]
+    act = active_set(g, S)
+    rep = projections.theory_report(incidence(g), act)
+    eps = np.random.default_rng(len(S)).standard_normal((g.n, 64))
+    eps[:, 5] = 0.0
+    # T and R thresholds at the median over the noisy columns, so that both
+    # flags hold on some columns and fail on others
+    col_norms_n = rep.omega[np.asarray(act.inactive) - 1][:, None]
+    corr = np.abs(rep.pinv.apply_transpose(eps)) / g.n
+    noisy = np.flatnonzero(np.any(eps != 0.0, axis=0))
+    lam_hold = np.max(corr * rep.gamma / col_norms_n, axis=0)[noisy]
+    R_hold = np.max(corr / col_norms_n, axis=0)[noisy] * rep.gamma / \
+        np.sqrt(np.sum(eps[:, noisy] ** 2, axis=0) / g.n)
+    ev = EventEvaluator(rep, act, 1.0, float(np.median(lam_hold)),
+                        float(np.median(R_hold)), 2.0, 2.0)
+    blocks = {"block": eps, "one column": eps[:, :1].copy(), "zero column": eps[:, 5:6].copy()}
+    for label, block in blocks.items():
+        got = ev.flags_batch(block)
+        want = _assembled_flags(rep, ev, block)
+        assert got.keys() == want.keys(), label
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (label, key)
+    flags = ev.flags_batch(eps)
+    for key in ("T_holds", "R_holds"):
+        assert flags[key][noisy].any() and not flags[key][noisy].all(), key
+    assert flags["T_holds"][5] and flags["R_holds"][5]   # zero noise
+    assert ev.flags_batch(blocks["zero column"])["R_holds"][0]
 
 
 BASE_CFG = {
@@ -196,6 +288,20 @@ def test_tree_events_csv_golden_digest():
     text, _ = experiment_csv(dict(_tree_events_cfg(256), threads=1))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "eb9048ecd8ae921897350bf71ace43e185d6c673440f83a8057aa40d4693f94b"
+
+
+def test_solver_csv_golden_digest():
+    # both estimators and the events: the digest pins the bits and the
+    # layout of the noise block and of Y = f0 + eps that the solvers see
+    cfg = {"graph": {"family": "path", "params": {"n": 32}}, "S": [16],
+           "signal": {"levels": [0.0, 1.0]}, "sigma": 1.0,
+           "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
+           "theorems": ["plain_fast", "sqrt_slow"], "events": True,
+           "trials": 70, "seed": 41, "threads": 1}
+    text, _ = experiment_csv(cfg)
+    assert len(text.splitlines()) == 71
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f930951f0127c830105a958ea439e258f2c967bb2e2c9c804f5033dd84afa778"
 
 
 def test_run_experiment_sqrt_regime():
