@@ -147,16 +147,20 @@ class EventEvaluator:
         self.anti_lo = (n - r) - 2.0 * math.sqrt(a * (n - r))
         self.anti_hi = (n - r) + 2.0 * math.sqrt(a * (n - r)) + 2.0 * a
 
-    def flags_batch(self, eps: np.ndarray) -> dict[str, np.ndarray]:
+    def flags_batch(self, eps: np.ndarray,
+                    eps_sq: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Boolean (B,) column per event, keyed `<name>_holds`, for a block
-        of noise columns of shape (n, B)."""
+        of noise columns of shape (n, B); `eps_sq`, the per-trial squared
+        noise norms np.sum(eps ** 2, axis=0), is computed when not given."""
         n, B = eps.shape
-        # one (n, B) buffer holds the projection, then the squared noise, then
-        # each block's prefix sums and R-ratio denominators: every fresh large
-        # array is new memory to fault in on each block of trials
+        # one (n, B) buffer holds the projection, then the squared noise (when
+        # eps_sq is not given), then each block's prefix sums and R-ratio
+        # denominators: every fresh large array is new memory to fault in on
+        # each block of trials
         buf = projections.project_nullspace(self.active, eps)
         proj_sq = np.sum(np.square(buf, out=buf), axis=0)
-        eps_sq = np.sum(np.square(eps, out=buf), axis=0)
+        if eps_sq is None:
+            eps_sq = np.sum(np.square(eps, out=buf), axis=0)
         eps_n = np.sqrt(eps_sq / n)
         T = np.ones(B, dtype=bool)
         Rhat = np.full(B, -np.inf)
@@ -345,10 +349,14 @@ class Experiment:
         cols = dict.fromkeys(trial_columns(cfg.theorems))
         cols["trial"] = idx
         eps = trial_noise(cfg.sigma, n, cfg.seed, range(lo, hi))
+        eps_sq = None   # per-trial squared noise norms, for the events and sigma_hat
         if self.lam is not None or self.lambda0 is not None:
-            Y = self.f0[:, None] + eps
+            # the squares pass through Y's memory before Y = f0 + eps fills it
+            Y = np.square(eps)
+            eps_sq = np.sum(Y, axis=0)
+            np.add(self.f0[:, None], eps, out=Y)
         if self.events:
-            cols.update(self.events.flags_batch(eps))
+            cols.update(self.events.flags_batch(eps, eps_sq))
 
         errors = {}  # estimator kind -> (mse, ||D_S f_hat||_1) columns
         if self.lam is not None:
@@ -361,8 +369,7 @@ class Experiment:
             F2, sig_hat, overfit = solvers.solve_sqrt_analysis_batch(
                 Y, self.D, self.lambda0 / 2.0, self.solver_opts)
             errors["sqrt"] = self._errors(F2)
-            eps_n = np.sqrt(np.sum(eps ** 2, axis=0) / n)
-            ratio = sig_hat / eps_n
+            ratio = sig_hat / np.sqrt(eps_sq / n)
             cols.update(mse_sqrt=errors["sqrt"][0], sigma_hat=sig_hat, ratio_eps=ratio,
                         overfit=overfit, nonoverfit_holds=np.abs(ratio - 1.0) <= cfg.eta)
 

@@ -8,8 +8,8 @@ indicator).  A subtree occupies a contiguous interval of the component's
 depth-first preorder, so the column norms follow from the subtree sizes and
 the noise correlations of a whole (n, B) block from one prefix sum along the
 preorder, in O(n_i B) array operations without materializing anything
-dense.  Components containing cycles, or parallel edges, fall back to a
-dense SVD pseudoinverse.
+dense.  Components containing cycles, or parallel edges (which add up in the
+Laplacian), keep a dense block from one Cholesky factor of their Laplacian.
 """
 from __future__ import annotations
 
@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
+from scipy.linalg import lapack
 
 from .graphs import ActiveSet, edge_endpoints
-
-# singular values below RANK_RTOL * largest are treated as zero
-RANK_RTOL = 1e-10
 
 
 class _TreeBlock:
@@ -53,7 +51,6 @@ class _TreeBlock:
             adj, 0, directed=False, return_predecessors=True)
         if len(preorder) != nc:
             raise ValueError("component is not connected")
-        self.preorder = preorder
         # subtree sizes by reverse preorder accumulation
         par = parent.tolist()
         sub = [1] * nc
@@ -109,19 +106,32 @@ class _TreeBlock:
     def to_dense(self, n: int) -> np.ndarray:
         """Materialized (n, k) block embedded at the component's vertices."""
         out = np.zeros((n, len(self.child)), dtype=np.float64)
-        for e, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            col = np.full(self.nc, -self.frac[e])
-            col[self.preorder[lo:hi]] += 1.0
-            out[self.vertices, e] = self.sign[e] * col
+        pos = np.arange(self.nc)[:, None]   # preorder position of each row
+        out[self.rows] = self.sign * (((self.lo <= pos) & (pos < self.hi)) - self.frac)
         return out
 
 
 class _DenseBlock:
-    """SVD pseudoinverse block for a component containing cycles."""
+    """Dense pseudoinverse block of a component with cycles or parallel edges.
 
-    def __init__(self, vertices: np.ndarray, block_incidence: np.ndarray):
+    M = L + 11'/n_c, L = B'B, has M^-1 = L+ + 11'/n_c, so column e of B+ = L+ B'
+    is M^-1[:, head_e] - M^-1[:, tail_e]: one Cholesky factor of M builds it.
+    """
+
+    def __init__(self, vertices: np.ndarray, ends_local: np.ndarray):
+        # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
         self.vertices = vertices
-        self.pinv = np.linalg.pinv(block_incidence, rcond=RANK_RTOL)
+        nc = len(vertices)
+        adj = sp.coo_matrix((np.ones(len(ends_local)), ends_local.T), shape=(nc, nc))
+        M = csgraph.laplacian((adj + adj.T).toarray()) + 1.0 / nc
+        R, info = lapack.dpotrf(M)   # M = R'R with R upper triangular
+        # a squared pivot is at least M's least eigenvalue, which exceeds
+        # 4/n_c^2 on a connected component (Mohar 1991); else M is singular
+        if info != 0 or R.diagonal().min() * nc < 1.0:
+            raise ValueError("component is not connected")
+        Minv, _ = lapack.dpotri(R, overwrite_c=True)  # upper triangle only
+        Minv = np.triu(Minv) + np.triu(Minv, 1).T
+        self.pinv = Minv[:, ends_local[:, 1]] - Minv[:, ends_local[:, 0]]
 
     def column_norms_sq(self) -> np.ndarray:
         return np.sum(self.pinv ** 2, axis=0)
@@ -171,8 +181,7 @@ class PseudoInverse:
 
 def pseudoinverse(D: sp.spmatrix, active: ActiveSet) -> PseudoInverse:
     """Blockwise pseudoinverse of the reduced operator D with the rows in S
-    removed.  Tree components use the exact combinatorial construction;
-    components with cycles use a dense SVD pseudoinverse."""
+    removed: a _TreeBlock for each tree component, a _DenseBlock for the rest."""
     if len(active.inactive) == 0:
         raise ValueError("no rows to invert: every edge is active")
     ends = edge_endpoints(D)[np.asarray(active.inactive) - 1]
@@ -193,14 +202,8 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet) -> PseudoInverse:
         cols = order[bounds[c]:bounds[c + 1]]
         if len(cols) == 0:
             continue
-        ends_local = local[ends[cols]]
-        if len(cols) == len(verts) - 1:
-            blocks.append(_TreeBlock(verts, ends_local))
-        else:
-            B = np.zeros((len(cols), len(verts)))
-            B[np.arange(len(cols)), ends_local[:, 0]] = -1.0
-            B[np.arange(len(cols)), ends_local[:, 1]] = 1.0
-            blocks.append(_DenseBlock(verts, B))
+        block = _TreeBlock if len(cols) == len(verts) - 1 else _DenseBlock
+        blocks.append(block(verts, local[ends[cols]]))
         col_of_block.append(cols)
     return PseudoInverse(n=active.n, n_cols=len(active.inactive),
                          blocks=blocks, col_of_block=col_of_block)
@@ -265,12 +268,9 @@ class TheoryReport:
 
 def theory_report(D: sp.spmatrix, active: ActiveSet) -> TheoryReport:
     """Compute omega, gamma and the weight vector for (D, S)."""
-    if len(active.inactive) == 0:
-        raise ValueError("no rows to invert: every edge is active")
     pinv = pseudoinverse(D, active)
-    col_norms = pinv.column_norms()          # l2 norms
     omega = np.zeros(active.m)
-    omega[np.asarray(active.inactive) - 1] = col_norms / math.sqrt(active.n)
+    omega[np.asarray(active.inactive) - 1] = pinv.column_norms() / math.sqrt(active.n)
     gamma = float(omega.max())
     if gamma <= 0.0:
         raise ValueError("inverse scaling factor is zero; reduced operator is degenerate")

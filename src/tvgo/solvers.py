@@ -138,7 +138,8 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
         state = _AdmmState(F, Z, U, rho)
     F, Z, U, rho = state.F, state.Z, state.U, state.rho
 
-    DtD = (D.T @ D).tocsc()
+    Dt = D.T   # one CSC transpose for the whole call
+    DtD = (Dt @ D).tocsc()
     eye = sp.identity(n, format="csc")
     solve = spla.splu((eye + rho * DtD).tocsc()).solve
 
@@ -153,7 +154,7 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     dual_anchor = np.maximum(np.linalg.norm(Y, axis=0), 1e-12)
     it = 0
     for it in range(1, opts.max_iter + 1):
-        F = solve(Y + D.T @ (rho * (Z - U)))
+        F = solve(Y + Dt @ (rho * (Z - U)))
         DF = D @ F
         DF_r = alpha * DF + (1.0 - alpha) * Z
         V = DF_r + U
@@ -170,10 +171,10 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
             trace.append(float(obj_best.mean()))
 
         r_norm = np.linalg.norm(DF - Z_new, axis=0)
-        s_norm = rho * np.linalg.norm(D.T @ (Z_new - Z), axis=0)
+        s_norm = rho * np.linalg.norm(Dt @ (Z_new - Z), axis=0)
         Z = Z_new
         eps_pri = opts.tol * np.maximum(np.linalg.norm(Z, axis=0), pri_anchor)
-        eps_dual = opts.tol * np.maximum(rho * np.linalg.norm(D.T @ U, axis=0),
+        eps_dual = opts.tol * np.maximum(rho * np.linalg.norm(Dt @ U, axis=0),
                                          dual_anchor)
         converged = (r_norm <= eps_pri) & (s_norm <= eps_dual)
         if converged.all():

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 import sys
 
@@ -302,6 +304,28 @@ def test_solver_csv_golden_digest():
     assert len(text.splitlines()) == 71
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "f930951f0127c830105a958ea439e258f2c967bb2e2c9c804f5033dd84afa778"
+
+
+def test_grid_csv_golden_digests():
+    # an 8x8 grid cut into two halves, whose dense pseudoinverse blocks and
+    # ADMM solves set every float: one digest pins the trial and boolean
+    # columns, the other the whole CSV
+    side = 8
+    cfg = {"graph": {"family": "grid", "params": {"height": side, "width": side}},
+           "S": [(r - 1) * (side - 1) + side // 2 for r in range(1, side + 1)],
+           "signal": {"levels": [0.0, 1.0]}, "sigma": 1.0,
+           "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
+           "theorems": ["plain_slow", "sqrt_slow"], "events": True,
+           "trials": 64, "seed": 23, "threads": 1}
+    text, _ = experiment_csv(cfg)
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [k for k, nm in enumerate(rows[0]) if nm in ("trial", "overfit") or nm.endswith("_holds")]
+    assert len(rows) == 65 and len(keep) == 10
+    flags = "\n".join(",".join(row[k] for k in keep) for row in rows)
+    assert hashlib.sha256(flags.encode()).hexdigest() == \
+        "1ee086ca796f3f63367bd0f60f7fd192807ecd1b4429941c72e177895305d48a"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d4c665ddc0b45733445e2a082559b2b900e78e84773fb3af47a8fff07c3d9e33"
 
 
 def test_run_experiment_sqrt_regime():

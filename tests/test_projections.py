@@ -136,6 +136,49 @@ def test_parallel_edges_take_the_dense_block():
     assert [type(b) for b in pinv.blocks] == [_DenseBlock]
 
 
+def _grid_halves(side):
+    """The horizontal edge between the middle two columns of every row."""
+    return [(r - 1) * (side - 1) + side // 2 for r in range(1, side + 1)]
+
+
+DENSE_CASES = {
+    "grid12_whole": (grid_graph(12, 12), []),
+    "grid12_halves": (grid_graph(12, 12), _grid_halves(12)),
+    "cycle64": (cycle_graph(64), []),
+    # 12 edges on 6 vertices: a 6-cycle, two chords and parallel edges both ways
+    "multigraph": (DirectedGraph(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
+                                     (1, 4), (2, 5), (2, 1), (1, 2), (3, 6), (6, 3))), []),
+    "parallel_pair": (DirectedGraph(2, ((1, 2), (2, 1), (1, 2))), []),
+}
+
+
+@pytest.mark.parametrize("g,S", DENSE_CASES.values(), ids=DENSE_CASES.keys())
+def test_dense_block_matches_svd_oracle(g, S):
+    D = incidence(g)
+    a = active_set(g, S)
+    pinv = pseudoinverse(D, a)
+    assert pinv.blocks and all(isinstance(b, _DenseBlock) for b in pinv.blocks)
+    Dm = D.toarray()[[i - 1 for i in a.inactive]]
+    oracle = np.linalg.pinv(Dm)
+    P = pinv.to_dense()
+    assert np.abs(P - oracle).max() < 1e-10
+    rel = pinv.column_norms() / np.linalg.norm(oracle, axis=0) - 1.0
+    assert np.abs(rel).max() < 1e-12
+    assert _mp_identities_err(Dm, P) < 1e-10
+
+
+@pytest.mark.parametrize("ends", [
+    [[0, 1], [1, 0], [2, 3]],                      # two parallel pairs
+    [[0, 1], [1, 2], [2, 0], [3, 4]],              # a triangle and an edge
+    # two 5-cycles: M's Cholesky factorization succeeds with a pivot of 4e-8
+    [[i, (i + 1) % 5] for i in range(5)] + [[5 + i, 5 + (i + 1) % 5] for i in range(5)],
+])
+def test_dense_block_rejects_disconnected_edges(ends):
+    nc = max(max(e) for e in ends) + 1
+    with pytest.raises(ValueError, match="not connected"):
+        _DenseBlock(np.arange(nc), np.array(ends))
+
+
 @pytest.mark.parametrize("g,S", CASES + TREE_CASES)
 def test_componentwise_mean_batch_matches_columns(g, S):
     labels = active_set(g, S).comp_label
