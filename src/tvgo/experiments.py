@@ -221,6 +221,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        for name, value, zero_ok in (("lambda", self.lam, True), ("lambda0", self.lambda0, False),
+                                     ("solver_tol", self.solver_tol, False)):
+            if value is not None:
+                solvers.check_level(name, value, zero_ok)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":

@@ -23,6 +23,8 @@ from scipy.linalg import lapack
 
 from .graphs import ActiveSet, edge_endpoints
 
+DENSE_CHUNK = 256   # tail columns gathered at once when building a dense block
+
 
 class _TreeBlock:
     """Pseudoinverse block of a tree component, kept in implicit form.
@@ -123,15 +125,30 @@ class _DenseBlock:
         self.vertices = vertices
         nc = len(vertices)
         adj = sp.coo_matrix((np.ones(len(ends_local)), ends_local.T), shape=(nc, nc))
-        M = csgraph.laplacian((adj + adj.T).toarray()) + 1.0 / nc
-        R, info = lapack.dpotrf(M)   # M = R'R with R upper triangular
+        M = csgraph.laplacian((adj + adj.T).toarray())
+        M += 1.0 / nc
+        # M is symmetric, so its transpose is the Fortran-ordered array LAPACK
+        # factors and inverts in place: one (n_c, n_c) array throughout
+        R, info = lapack.dpotrf(M.T, overwrite_a=True)   # M = R'R, R upper
         # a squared pivot is at least M's least eigenvalue, which exceeds
         # 4/n_c^2 on a connected component (Mohar 1991); else M is singular
         if info != 0 or R.diagonal().min() * nc < 1.0:
             raise ValueError("component is not connected")
         Minv, _ = lapack.dpotri(R, overwrite_c=True)  # upper triangle only
-        Minv = np.triu(Minv) + np.triu(Minv, 1).T
-        self.pinv = Minv[:, ends_local[:, 1]] - Minv[:, ends_local[:, 0]]
+        # dpotrf zeroed the strict lower triangle, so adding the transpose
+        # mirrors the upper one and doubles the diagonal, which is restored
+        diag = Minv.diagonal().copy()
+        Minv += Minv.T
+        np.fill_diagonal(Minv, diag)
+        # Minv is symmetric, so the rows of its C-ordered transpose are its
+        # columns: those of the heads are gathered, those of the tails in
+        # chunks subtracted in place, so the only (k, n_c) array is the block
+        rows = Minv.T
+        pinv_t = rows[ends_local[:, 1]]
+        tail = ends_local[:, 0]
+        for lo in range(0, len(tail), DENSE_CHUNK):
+            pinv_t[lo:lo + DENSE_CHUNK] -= rows[tail[lo:lo + DENSE_CHUNK]]
+        self.pinv = pinv_t.T
 
     def column_norms_sq(self) -> np.ndarray:
         return np.sum(self.pinv ** 2, axis=0)

@@ -12,11 +12,22 @@ norm of that solution updates sigma.  The iteration starts at the largest
 attainable residual norm and decreases monotonically, so it lands on the
 largest fixed point; collapse to zero is reported as overfitting.
 
+The splitting, _admm_batch, runs on a batch of columns, and each column
+leaves the batch at the first iteration where it meets the primal/dual
+stopping test, so no column iterates longer than its own test asks;
+converged[j] means that column j met the test.  The warm-start state keeps
+each column's iterate from the iteration it left and one penalty rho: on a
+change of rho the scaled duals of the columns that have left are rescaled
+with the live ones.  rho is held once its adaptation has reversed direction
+twice, which stops the few columns left at the end of a batch (or a single
+column) from cycling between two penalties.
+
 There is one fixed-point loop, _sqrt_fixed_point, run on a batch of
 columns: each column leaves the batch once its scale settles or collapses,
 and the warm-start state of the remaining columns carries over.  The single
-solve is a batch of one.  Observations must be finite; NaN or inf raises
-ValueError before any iteration.
+solve is a batch of one.  Observations must be finite, penalty levels
+finite (lam >= 0, lambda0 > 0) and the stopping tolerance > 0; anything else
+raises ValueError before any iteration.
 
 Certification never trusts solver convergence alone: kkt_residual solves a
 small linear feasibility program for the best subgradient certificate.
@@ -100,6 +111,20 @@ def _observations(Y) -> np.ndarray:
     return Y
 
 
+def check_level(name: str, value: float, zero_ok: bool = False) -> None:
+    """Raise ValueError unless value is finite and > 0 (>= 0 with zero_ok).
+
+    Penalty levels and stopping tolerances are checked before any iteration:
+    a NaN level would surface as a singular factor, a negative one poses a
+    different problem, and a tolerance <= 0 is never met.
+    """
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise ValueError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value}")
+
+
+MAX_RHO_REVERSALS = 2   # penalty direction changes before rho is held
+
+
 class _AdmmState:
     """Warm-startable state of the batched splitting solver."""
 
@@ -119,9 +144,14 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     """Batched splitting solver.
 
     Y is (n, B); lam is (B,).  Minimizes (1/2)||f - Y||_2^2 + n*lam*||z||_1
-    subject to Df = z (the original objective scaled by n/2).  Returns the
-    best-objective iterates, the warm-start state, iteration count, a
-    per-column converged mask, and the per-column best-objective trace.
+    subject to Df = z (the original objective scaled by n/2).  Each column
+    leaves the batch at the first iteration where it meets the primal/dual
+    stopping test; the loop ends when no column is live or at max_iter.
+    Returns the best-objective iterates (n, B), the warm-start state, the
+    iteration count, a per-column converged mask (column j met the test) and
+    the trace of the mean best objective.  The state holds each column's
+    iterate at the iteration it left the batch (or the last one) and one
+    penalty rho; when given, it is updated in place.
     """
     D = sp.csr_matrix(D)
     m, n = D.shape
@@ -133,9 +163,7 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     if state is None:
         rho = opts.rho if opts.rho is not None else max(float(np.mean(thresh_scale)), 1e-6)
         F = Y.copy()
-        Z = D @ F
-        U = np.zeros_like(Z)
-        state = _AdmmState(F, Z, U, rho)
+        state = _AdmmState(F, D @ F, np.zeros((m, B)), rho)
     F, Z, U, rho = state.F, state.Z, state.U, state.rho
 
     Dt = D.T   # one CSC transpose for the whole call
@@ -146,12 +174,21 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     alpha = opts.over_relax
     obj_best = _objective(Y, F, lam, D)
     F_best = F.copy()
+    obj_all = obj_best.copy() if opts.track_objective else None
     trace = [float(obj_best.mean())] if opts.track_objective else None
     converged = np.zeros(B, dtype=bool)
     # absolute anchors keep the stopping test meaningful for fully fused
     # solutions, where z = 0 and a purely relative test can never fire
     pri_anchor = np.maximum(np.linalg.norm(D @ Y, axis=0), 1e-12)
     dual_anchor = np.maximum(np.linalg.norm(Y, axis=0), 1e-12)
+    # the working arrays hold the live columns only; Fb aliases F_best until
+    # the first column leaves
+    live = np.arange(B)
+    Fb = F_best
+    # a few columns left to themselves can make the adaptation cycle between
+    # two penalties, each change undoing the progress since the last; ADMM
+    # at a fixed penalty converges, so rho is held after MAX_RHO_REVERSALS
+    last_step, reversals = None, 0
     it = 0
     for it in range(1, opts.max_iter + 1):
         F = solve(Y + Dt @ (rho * (Z - U)))
@@ -166,9 +203,10 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
         better = obj < obj_best
         if np.any(better):
             obj_best[better] = obj[better]
-            F_best[:, better] = F[:, better]
+            Fb[:, better] = F[:, better]
         if trace is not None:
-            trace.append(float(obj_best.mean()))
+            obj_all[live] = obj_best
+            trace.append(float(obj_all.mean()))
 
         r_norm = np.linalg.norm(DF - Z_new, axis=0)
         s_norm = rho * np.linalg.norm(Dt @ (Z_new - Z), axis=0)
@@ -176,26 +214,44 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
         eps_pri = opts.tol * np.maximum(np.linalg.norm(Z, axis=0), pri_anchor)
         eps_dual = opts.tol * np.maximum(rho * np.linalg.norm(Dt @ U, axis=0),
                                          dual_anchor)
-        converged = (r_norm <= eps_pri) & (s_norm <= eps_dual)
-        if converged.all():
-            break
+        done = (r_norm <= eps_pri) & (s_norm <= eps_dual)
+        if done.any():
+            gone = live[done]
+            converged[gone] = True
+            F_best[:, gone] = Fb[:, done]
+            state.F[:, gone] = F[:, done]
+            state.Z[:, gone] = Z[:, done]
+            state.U[:, gone] = U[:, done]
+            keep = ~done
+            live = live[keep]
+            if len(live) == 0:
+                break
+            Y, F, Fb, Z, U = Y[:, keep], F[:, keep], Fb[:, keep], Z[:, keep], U[:, keep]
+            lam, thresh_scale, obj_best = lam[keep], thresh_scale[keep], obj_best[keep]
+            pri_anchor, dual_anchor = pri_anchor[keep], dual_anchor[keep]
+            r_norm, s_norm = r_norm[keep], s_norm[keep]
 
-        if it % 10 == 0:
-            live = ~converged
-            pr = float(np.linalg.norm(r_norm[live] / pri_anchor[live]))
+        if it % 10 == 0 and reversals < MAX_RHO_REVERSALS:
+            pr = float(np.linalg.norm(r_norm / pri_anchor))
             # deflating the dual residual biases the balance toward larger
             # penalties, which is where this splitting converges fastest
-            dr = float(np.linalg.norm(s_norm[live] / dual_anchor[live])) / 300.0
-            if pr > 10.0 * dr and rho < 1e12:
-                rho *= 2.0
-                U /= 2.0
+            dr = float(np.linalg.norm(s_norm / dual_anchor)) / 300.0
+            step = 2.0 if pr > 10.0 * dr and rho < 1e12 else \
+                0.5 if dr > 10.0 * pr and rho > 1e-12 else None
+            if step is not None:
+                reversals += last_step is not None and step != last_step
+                last_step = step
+                rho *= step
+                # the scaled dual u = y/rho of the columns that have left is
+                # rescaled too, so the whole state stays at one rho
+                U /= step
+                state.U /= step
                 solve = spla.splu((eye + rho * DtD).tocsc()).solve
-            elif dr > 10.0 * pr and rho > 1e-12:
-                rho /= 2.0
-                U *= 2.0
-                solve = spla.splu((eye + rho * DtD).tocsc()).solve
+    if len(live):   # max_iter reached with columns still live
+        F_best[:, live] = Fb
+        state.F[:, live], state.Z[:, live], state.U[:, live] = F, Z, U
 
-    state = _AdmmState(F, Z, U, rho)
+    state.rho = rho
     return F_best, state, it, converged, trace
 
 
@@ -215,8 +271,8 @@ def solve_analysis(Y: np.ndarray, D: sp.spmatrix, lam: float,
     D = sp.csr_matrix(D)
     if D.shape[1] != Y.shape[0]:
         raise ValueError(f"dimension mismatch: D has {D.shape[1]} columns, Y has {Y.shape[0]}")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    check_level("lam", lam, zero_ok=True)
+    check_level("tol", opts.tol)
     if lam == 0.0:
         res = EstimateResult(f_hat=Y.copy(), lambda_used=0.0,
                              residual_norm_n=0.0, kkt_residual=None,
@@ -347,8 +403,8 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
     opts = opts or SolverOptions()
     Y = np.asarray(Y, dtype=np.float64)
     D = sp.csr_matrix(D)
-    if lambda0 <= 0:
-        raise ValueError("lambda0 must be > 0")
+    check_level("lambda0", lambda0)
+    check_level("tol", opts.tol)
     F, sigma, lam, overfit, settled, iterations = _sqrt_fixed_point(Y[:, None], D, lambda0, opts)
     f = F[:, 0]
     overfit, converged = bool(overfit[0]), bool(settled[0])
@@ -369,6 +425,8 @@ def solve_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lam: float,
     """Plain solutions for a batch of observation columns; returns (n, B)."""
     opts = opts or SolverOptions()
     Y = _observations(Y)
+    check_level("lam", lam, zero_ok=True)
+    check_level("tol", opts.tol)
     if lam == 0.0:
         return Y.copy()
     F, _, _, conv, _ = _admm_batch(D, Y, np.full(Y.shape[1], lam), opts)
@@ -385,6 +443,8 @@ def solve_sqrt_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
     columns carry f = Y and sigma_hat = 0.
     """
     opts = opts or SolverOptions()
+    check_level("lambda0", lambda0)
+    check_level("tol", opts.tol)
     F, sigma, _, overfit, settled, _ = _sqrt_fixed_point(Y, sp.csr_matrix(D), lambda0, opts)
     if not settled.all():
         raise RuntimeError("square-root fixed point did not settle on every column")

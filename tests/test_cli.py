@@ -214,6 +214,17 @@ def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
                        "type": "ValueError"}
 
 
+@pytest.mark.parametrize("key,value", [("lambda", -0.05), ("lambda", float("nan")),
+                                       ("lambda0", 0.0), ("solver_tol", 0.0)])
+def test_simulate_rejects_bad_penalty_or_tolerance(tmp_path, capsys, key, value):
+    # a NaN lambda used to exit 3 on a singular factor, a negative one ran
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SIM_CFG, **{key: value})))
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["type"] == "ValueError" and f"{key} must be finite" in payload["error"]
+
+
 def test_env_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SIM_CFG))

@@ -303,7 +303,7 @@ def test_solver_csv_golden_digest():
     text, _ = experiment_csv(cfg)
     assert len(text.splitlines()) == 71
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "f930951f0127c830105a958ea439e258f2c967bb2e2c9c804f5033dd84afa778"
+        "24f6ea2255a362dc2f858d4e0740ae1c2c83555e6557ae062fd384b38ca61386"
 
 
 def test_grid_csv_golden_digests():
@@ -325,7 +325,7 @@ def test_grid_csv_golden_digests():
     assert hashlib.sha256(flags.encode()).hexdigest() == \
         "1ee086ca796f3f63367bd0f60f7fd192807ecd1b4429941c72e177895305d48a"
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "d4c665ddc0b45733445e2a082559b2b900e78e84773fb3af47a8fff07c3d9e33"
+        "298757d4092dbf078a585ecf75435f4e8facf949a81846405c1d2026642f5369"
 
 
 def test_run_experiment_sqrt_regime():
@@ -429,6 +429,16 @@ def test_user_lambda_without_theorems():
     assert summary["mse_plain"] is not None
     assert all(columns[f"{nm}_holds"] is None for nm in experiments.EVENT_NAMES)
     assert columns["mse_sqrt"] is None
+
+
+@pytest.mark.parametrize("key,value", [("lambda", -0.05), ("lambda", math.nan), ("lambda", math.inf),
+                                       ("lambda0", 0.0), ("lambda0", -0.1), ("lambda0", math.nan),
+                                       ("solver_tol", 0.0), ("solver_tol", -1.0)])
+def test_bad_penalty_or_tolerance_rejected(key, value):
+    # a negative lambda used to run, a NaN one failed as a singular factor,
+    # and a tolerance <= 0 spun to max_iter
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        experiments.ExperimentConfig.from_dict(dict(BASE_CFG, **{key: value}))
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _reference import brute_force_path2_sqrt, cd_reference_path, objective
-from tvgo import solvers
+from tvgo import experiments, solvers
 from tvgo.graphs import cycle_graph, grid_graph, incidence, path_graph
 from tvgo.solvers import (SolverOptions, kkt_residual, norm_n,
                           solve_analysis, solve_analysis_batch,
@@ -190,6 +190,41 @@ def test_dimension_mismatch_raises():
         solve_analysis(Y2, P2, -0.5)
     with pytest.raises(ValueError):
         solve_sqrt_analysis(Y2, P2, 0.0)
+
+
+def test_penalty_adaptation_that_cycles_is_held():
+    # trial 7 of this 32x32 grid experiment made the residual balancing
+    # double rho and halve it ten iterations later, every ~170 iterations,
+    # and stay unconverged after 20000; held after its second reversal, rho
+    # lets it converge
+    side = 32
+    cfg = experiments.ExperimentConfig.from_dict(
+        {"graph": {"family": "grid", "params": {"height": side, "width": side}},
+         "S": [(r - 1) * (side - 1) + side // 2 for r in range(1, side + 1)],
+         "signal": {"levels": [0.0, 1.0]}, "theorems": ["plain_slow"],
+         "trials": 8, "seed": 918072011719, "events": False})
+    exp = experiments.Experiment(cfg)
+    y = exp.f0 + experiments.trial_noise(cfg.sigma, exp.active.n, cfg.seed, 7)
+    r = solve_analysis(y, exp.D, exp.lam, SolverOptions(tol=1e-7, max_iter=6000, certify=False))
+    assert r.converged
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda Y: solve_analysis_batch(Y, P2, -0.05), "lam"),
+    (lambda Y: solve_analysis_batch(Y, P2, np.nan), "lam"),
+    (lambda Y: solve_analysis_batch(Y, P2, 0.25, SolverOptions(tol=0.0)), "tol"),
+    (lambda Y: solve_analysis_batch(Y, P2, 0.25, SolverOptions(tol=-1.0)), "tol"),
+    (lambda Y: solve_sqrt_analysis_batch(Y, P2, 0.0), "lambda0"),
+    (lambda Y: solve_sqrt_analysis_batch(Y, P2, -0.1), "lambda0"),
+    (lambda Y: solve_sqrt_analysis_batch(Y, P2, np.inf), "lambda0"),
+    (lambda Y: solve_sqrt_analysis_batch(Y, P2, 0.3, SolverOptions(tol=0.0)), "tol"),
+    (lambda Y: solve_analysis(Y[:, 0], P2, np.nan), "lam"),
+    (lambda Y: solve_sqrt_analysis(Y[:, 0], P2, 0.3, SolverOptions(tol=-1.0)), "tol"),
+], ids=["plain_negative", "plain_nan", "plain_tol0", "plain_tol_negative", "sqrt_zero",
+        "sqrt_negative", "sqrt_inf", "sqrt_tol0", "single_nan", "single_sqrt_tol_negative"])
+def test_bad_penalty_or_tolerance_rejected(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call(np.tile(Y2[:, None], (1, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
