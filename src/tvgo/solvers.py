@@ -22,6 +22,19 @@ with the live ones.  rho is held once its adaptation has reversed direction
 twice, which stops the few columns left at the end of a batch (or a single
 column) from cycling between two penalties.
 
+The f-update solves (I + rho D'D) F = R through one solve factory per D,
+rho -> solve, picked from the structure of D'D.  When D'D is the Laplacian
+of a row-major h x w grid (h, w >= 2; any edge order or orientation), the
+orthonormal DCT-II over the two grid axes diagonalises it, so the solve is
+exact without a factor and a new rho only rebuilds the diagonal.  Every
+other graph takes a SuperLU factor per rho.  Paths stay on SuperLU: their
+tridiagonal factor solves faster than the transforms, which made mc_path
+experiments slower.  The warm-start state carries this splitting of D (D',
+D'D, the factory and the last rho's solve), so the outer steps of the
+square-root fixed point refactor only when rho changes.  Each iteration
+does one product with D and two with D': D'z and D'u are carried across
+iterations, and z and u are updated in place.
+
 There is one fixed-point loop, _sqrt_fixed_point, run on a batch of
 columns: each column leaves the batch once its scale settles or collapses,
 and the warm-start state of the remaining columns carries over.  The single
@@ -38,6 +51,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
@@ -125,18 +139,98 @@ def check_level(name: str, value: float, zero_ok: bool = False) -> None:
 MAX_RHO_REVERSALS = 2   # penalty direction changes before rho is held
 
 
-class _AdmmState:
-    """Warm-startable state of the batched splitting solver."""
+def _grid_shape(DtD: sp.csc_matrix, m: int) -> tuple[int, int] | None:
+    """(h, w) when DtD is the Laplacian of the row-major h x w grid, h, w >= 2.
 
-    def __init__(self, F, Z, U, rho):
-        self.F, self.Z, self.U, self.rho = F, Z, U, rho
+    A grid has n = hw vertices and m = 2hw - h - w edges, so h and w are the
+    roots of t^2 - (2n - m) t + n; one sparse comparison then decides.  D'D
+    does not see edge order or orientation, so any incidence matrix of the
+    grid passes, and a relabelling of the vertices does not (unless it maps
+    the grid to itself).  Paths (h = 1) are left out.
+    """
+    n = DtD.shape[0]
+    s = 2 * n - m
+    r = math.isqrt(max(s * s - 4 * n, 0))
+    h, w = (s - r) // 2, (s + r) // 2
+    if s <= 0 or r * r != s * s - 4 * n or h < 2:
+        return None
+    for shape in ((h, w), (w, h)):
+        if (DtD != _grid_laplacian(*shape)).nnz == 0:
+            return shape
+    return None
+
+
+def _path_laplacian(k: int) -> sp.dia_matrix:
+    deg = np.full(k, 2.0)
+    deg[[0, -1]] = 1.0
+    return sp.diags([-np.ones(k - 1), deg, -np.ones(k - 1)], [-1, 0, 1])
+
+
+def _grid_laplacian(h: int, w: int) -> sp.csc_matrix:
+    """Laplacian of the h x w grid with vertices numbered row-major."""
+    return (sp.kron(_path_laplacian(h), sp.identity(w)) +
+            sp.kron(sp.identity(h), _path_laplacian(w))).tocsc()
+
+
+def _solve_factory(DtD: sp.csc_matrix, m: int):
+    """rho -> solve, where solve(R) returns X with (I + rho D'D) X = R.
+
+    On a row-major h x w grid the orthonormal DCT-II along both grid axes
+    diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) + 4 sin^2(pi j / 2w),
+    so the solve is exact without a factor and a new rho only rebuilds the
+    denominator; solve may overwrite R there.  Every other D'D, paths
+    included, takes a SuperLU factor of I + rho D'D per rho: on a path its
+    tridiagonal factor solves faster than the transforms.
+    """
+    shape = _grid_shape(DtD, m)
+    if shape is None:
+        eye = sp.identity(DtD.shape[0], format="csc")
+        return lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve
+    h, w = shape
+    eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in shape]
+    eig = eig[0][:, None] + eig[1][None, :]
+
+    def factory(rho):
+        denom = (1.0 + rho * eig)[:, :, None]
+
+        def solve(R):
+            X = sfft.dctn(R.reshape(h, w, -1), norm="ortho", axes=(0, 1), overwrite_x=True)
+            X /= denom
+            return sfft.idctn(X, norm="ortho", axes=(0, 1), overwrite_x=True).reshape(h * w, -1)
+        return solve
+    return factory
+
+
+class _Splitting:
+    """What the f-update needs of D: D', D'D and the solve of (I + rho D'D),
+    with the last penalty's solve kept for the next call at that penalty."""
+
+    def __init__(self, D):
+        self.D = sp.csr_matrix(D)
+        self.Dt = self.D.T   # one CSC transpose
+        self.factory = _solve_factory((self.Dt @ self.D).tocsc(), self.D.shape[0])
+        self._last = (None, None)
+
+    def solve(self, rho: float):
+        if self._last[0] != rho:
+            self._last = (rho, self.factory(rho))
+        return self._last[1]
+
+
+class _AdmmState:
+    """Warm-startable state of the batched splitting solver, for one D."""
+
+    def __init__(self, F, Z, U, rho, split: _Splitting):
+        self.F, self.Z, self.U, self.rho, self.split = F, Z, U, rho, split
+
+
+def _colsumsq(X: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", X, X)
 
 
 def _objective(Y, F, lam, D) -> np.ndarray:
     n = Y.shape[0]
-    fit = np.sum((Y - F) ** 2, axis=0) / n
-    pen = 2.0 * lam * np.sum(np.abs(D @ F), axis=0)
-    return fit + pen
+    return _colsumsq(Y - F) / n + 2.0 * lam * np.einsum("ij->j", np.abs(D @ F))
 
 
 def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
@@ -150,26 +244,30 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     Returns the best-objective iterates (n, B), the warm-start state, the
     iteration count, a per-column converged mask (column j met the test) and
     the trace of the mean best objective.  The state holds each column's
-    iterate at the iteration it left the batch (or the last one) and one
-    penalty rho; when given, it is updated in place.
+    iterate at the iteration it left the batch (or the last one), one
+    penalty rho and the splitting of D; when given, it is updated in place
+    and its splitting is used in place of D.
     """
-    D = sp.csr_matrix(D)
-    m, n = D.shape
     Y = np.asarray(Y, dtype=np.float64)
     B = Y.shape[1]
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (B,))
-    thresh_scale = n * lam  # soft threshold numerator in the scaled problem
-
     if state is None:
-        rho = opts.rho if opts.rho is not None else max(float(np.mean(thresh_scale)), 1e-6)
+        split = _Splitting(D)
+        m, n = split.D.shape
+        rho = opts.rho if opts.rho is not None else max(float(np.mean(n * lam)), 1e-6)
         F = Y.copy()
-        state = _AdmmState(F, D @ F, np.zeros((m, B)), rho)
-    F, Z, U, rho = state.F, state.Z, state.U, state.rho
-
-    Dt = D.T   # one CSC transpose for the whole call
-    DtD = (Dt @ D).tocsc()
-    eye = sp.identity(n, format="csc")
-    solve = spla.splu((eye + rho * DtD).tocsc()).solve
+        state = _AdmmState(F, split.D @ F, np.zeros((m, B)), rho, split)
+    split, rho = state.split, state.rho
+    D, Dt = split.D, split.Dt
+    m, n = D.shape
+    thresh_scale = n * lam  # soft threshold numerator in the scaled problem
+    solve = split.solve(rho)
+    # the working Z and U are updated in place, so they must not alias the
+    # state, whose U is rescaled separately on a change of rho
+    F, Z, U = state.F, state.Z.copy(), state.U.copy()
+    # D'z and D'u are carried across iterations: each step then needs one
+    # product with D and two with D', for z_new - z and for u_new
+    DtZ, DtU = Dt @ Z, Dt @ U
 
     alpha = opts.over_relax
     obj_best = _objective(Y, F, lam, D)
@@ -179,27 +277,26 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     converged = np.zeros(B, dtype=bool)
     # absolute anchors keep the stopping test meaningful for fully fused
     # solutions, where z = 0 and a purely relative test can never fire
-    pri_anchor = np.maximum(np.linalg.norm(D @ Y, axis=0), 1e-12)
-    dual_anchor = np.maximum(np.linalg.norm(Y, axis=0), 1e-12)
+    pri_anchor = np.maximum(np.sqrt(_colsumsq(D @ Y)), 1e-12)
+    dual_anchor = np.maximum(np.sqrt(_colsumsq(Y)), 1e-12)
     # the working arrays hold the live columns only; Fb aliases F_best until
-    # the first column leaves
+    # the first column leaves.  Zn and T are (m, live) scratch buffers.
     live = np.arange(B)
     Fb = F_best
+    Zn, T = np.empty_like(Z), np.empty_like(Z)
     # a few columns left to themselves can make the adaptation cycle between
     # two penalties, each change undoing the progress since the last; ADMM
     # at a fixed penalty converges, so rho is held after MAX_RHO_REVERSALS
     last_step, reversals = None, 0
     it = 0
     for it in range(1, opts.max_iter + 1):
-        F = solve(Y + Dt @ (rho * (Z - U)))
+        R = DtZ - DtU
+        R *= rho
+        R += Y
+        F = solve(R)
         DF = D @ F
-        DF_r = alpha * DF + (1.0 - alpha) * Z
-        V = DF_r + U
-        kappa = thresh_scale / rho
-        Z_new = np.sign(V) * np.maximum(np.abs(V) - kappa, 0.0)
-        U = U + DF_r - Z_new
-
-        obj = np.sum((Y - F) ** 2, axis=0) / n + 2.0 * lam * np.sum(np.abs(DF), axis=0)
+        np.abs(DF, out=T)
+        obj = _colsumsq(Y - F) / n + 2.0 * lam * np.einsum("ij->j", T)
         better = obj < obj_best
         if np.any(better):
             obj_best[better] = obj[better]
@@ -208,12 +305,27 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
             obj_all[live] = obj_best
             trace.append(float(obj_all.mean()))
 
-        r_norm = np.linalg.norm(DF - Z_new, axis=0)
-        s_norm = rho * np.linalg.norm(Dt @ (Z_new - Z), axis=0)
-        Z = Z_new
-        eps_pri = opts.tol * np.maximum(np.linalg.norm(Z, axis=0), pri_anchor)
-        eps_dual = opts.tol * np.maximum(rho * np.linalg.norm(Dt @ U, axis=0),
-                                         dual_anchor)
+        # over-relaxed z-update: u + alpha Df + (1 - alpha) z, soft-thresholded
+        np.multiply(DF, alpha, out=Zn)
+        np.multiply(Z, 1.0 - alpha, out=T)
+        Zn += T
+        U += Zn
+        np.abs(U, out=Zn)
+        Zn -= thresh_scale / rho
+        np.maximum(Zn, 0.0, out=Zn)
+        np.copysign(Zn, U, out=Zn)
+        U -= Zn
+
+        DF -= Zn
+        r_norm = np.sqrt(_colsumsq(DF))
+        np.subtract(Zn, Z, out=T)
+        dDtZ = Dt @ T
+        s_norm = rho * np.sqrt(_colsumsq(dDtZ))
+        DtZ += dDtZ
+        Z, Zn = Zn, Z
+        DtU = Dt @ U
+        eps_pri = opts.tol * np.maximum(np.sqrt(_colsumsq(Z)), pri_anchor)
+        eps_dual = opts.tol * np.maximum(rho * np.sqrt(_colsumsq(DtU)), dual_anchor)
         done = (r_norm <= eps_pri) & (s_norm <= eps_dual)
         if done.any():
             gone = live[done]
@@ -227,6 +339,8 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
             if len(live) == 0:
                 break
             Y, F, Fb, Z, U = Y[:, keep], F[:, keep], Fb[:, keep], Z[:, keep], U[:, keep]
+            DtZ, DtU = DtZ[:, keep], DtU[:, keep]
+            Zn, T = np.empty_like(Z), np.empty_like(Z)
             lam, thresh_scale, obj_best = lam[keep], thresh_scale[keep], obj_best[keep]
             pri_anchor, dual_anchor = pri_anchor[keep], dual_anchor[keep]
             r_norm, s_norm = r_norm[keep], s_norm[keep]
@@ -243,10 +357,12 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
                 last_step = step
                 rho *= step
                 # the scaled dual u = y/rho of the columns that have left is
-                # rescaled too, so the whole state stays at one rho
+                # rescaled too, so the whole state stays at one rho; a power
+                # of two divides D'u exactly
                 U /= step
+                DtU /= step
                 state.U /= step
-                solve = spla.splu((eye + rho * DtD).tocsc()).solve
+                solve = split.solve(rho)
     if len(live):   # max_iter reached with columns still live
         F_best[:, live] = Fb
         state.F[:, live], state.Z[:, live], state.U[:, live] = F, Z, U
@@ -378,7 +494,8 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
         if settled.any():
             keep = ~settled
             live = live[keep]
-            state = _AdmmState(state.F[:, keep], state.Z[:, keep], state.U[:, keep], state.rho)
+            state = _AdmmState(state.F[:, keep], state.Z[:, keep], state.U[:, keep],
+                                state.rho, state.split)
     F[:, overfit] = Y[:, overfit]
     sigma = np.where(overfit, 0.0, sigma)
     settled = np.ones(B, dtype=bool)

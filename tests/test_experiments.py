@@ -303,7 +303,7 @@ def test_solver_csv_golden_digest():
     text, _ = experiment_csv(cfg)
     assert len(text.splitlines()) == 71
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "24f6ea2255a362dc2f858d4e0740ae1c2c83555e6557ae062fd384b38ca61386"
+        "c6cb2d1a486256c3c0ab92ed71d1f15e5ac786b3afa2fe7c762ecef221ce1c42"
 
 
 def test_grid_csv_golden_digests():
@@ -325,7 +325,7 @@ def test_grid_csv_golden_digests():
     assert hashlib.sha256(flags.encode()).hexdigest() == \
         "1ee086ca796f3f63367bd0f60f7fd192807ecd1b4429941c72e177895305d48a"
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "298757d4092dbf078a585ecf75435f4e8facf949a81846405c1d2026642f5369"
+        "e71177b8718a64794937e684adffdff3d9b529ad1ec06426985078770807ae44"
 
 
 def test_run_experiment_sqrt_regime():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import brute_force_path2_sqrt, cd_reference_path, objective
 from tvgo import experiments, solvers
-from tvgo.graphs import cycle_graph, grid_graph, incidence, path_graph
+from tvgo.graphs import (DirectedGraph, cycle_graph, grid_graph, incidence, path_graph,
+                         tree_graph)
 from tvgo.solvers import (SolverOptions, kkt_residual, norm_n,
                           solve_analysis, solve_analysis_batch,
                           solve_sqrt_analysis, solve_sqrt_analysis_batch)
@@ -261,3 +266,106 @@ def test_kkt_certified_across_families_and_penalties():
             r = solve_analysis(Y, D, lam)
             assert r.converged
             assert r.kkt_residual <= 1e-7 * max(1.0, np.abs(Y).max()), (g.n, lam)
+
+
+def _shuffled_flipped(g, rng):
+    """The same graph with its edges in random order and random orientation."""
+    edges = [g.edges[k] for k in rng.permutation(g.m)]
+    return DirectedGraph(g.n, tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in edges))
+
+
+def _relabelled(g, perm):
+    """The graph with vertex v renamed perm[v - 1] + 1."""
+    return DirectedGraph(g.n, tuple((int(perm[u - 1]) + 1, int(perm[v - 1]) + 1)
+                                    for u, v in g.edges))
+
+
+def _grid_shape_of(g):
+    D = incidence(g)
+    return solvers._grid_shape((D.T @ D).tocsc(), D.shape[0])
+
+
+@pytest.mark.parametrize("h,w", [(2, 2), (3, 7), (7, 3), (8, 8), (32, 32)])
+def test_grid_detected_whatever_the_edge_order_and_orientation(h, w):
+    rng = np.random.default_rng(h * 100 + w)
+    g = grid_graph(h, w)
+    assert _grid_shape_of(g) == (h, w)
+    assert _grid_shape_of(_shuffled_flipped(g, rng)) == (h, w)
+
+
+def test_non_grids_take_superlu():
+    rng = np.random.default_rng(5)
+    g = grid_graph(8, 8)
+    cut = [e for k, e in enumerate(g.edges) if k % 7 != 3]          # the grid minus 8 edges
+    extra = g.edges + ((1, 64),)                                    # one edge too many
+    relabelled = _relabelled(g, rng.permutation(64))                # same n and m, other D'D
+    for other in [path_graph(12), DirectedGraph(64, tuple(cut)), DirectedGraph(64, extra),
+                  relabelled, cycle_graph(12), tree_graph([1, 1, 2, 2, 3, 3, 4])]:
+        assert _grid_shape_of(other) is None
+
+
+@pytest.mark.parametrize("h,w", [(7, 3), (8, 8)])
+@pytest.mark.parametrize("rho", [1e-3, 1.0, 1e3])
+def test_spectral_grid_solve_matches_superlu(h, w, rho):
+    D = incidence(grid_graph(h, w))
+    DtD = (D.T @ D).tocsc()
+    lu = spla.splu((sp.identity(h * w, format="csc") + rho * DtD).tocsc())
+    solve = solvers._solve_factory(DtD, D.shape[0])(rho)
+    rng = np.random.default_rng(int(rho * 1000) + h)
+    for B in (1, 5, 64):
+        R = rng.standard_normal((h * w, B))
+        ref = lu.solve(R)
+        X = solve(R.copy())
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_grid_batch_agrees_with_relabelled_grid_on_superlu():
+    # the same problem, once through the spectral solve and once, with the
+    # vertices renamed, through SuperLU
+    rng = np.random.default_rng(12)
+    g = grid_graph(6, 9)
+    perm = rng.permutation(g.n)
+    g_perm = _relabelled(g, perm)
+    assert _grid_shape_of(g) == (6, 9) and _grid_shape_of(g_perm) is None
+    Y = rng.standard_normal((g.n, 6)) + (np.arange(g.n) % 9 >= 4)[:, None]
+    Y_perm = np.empty_like(Y)
+    Y_perm[perm] = Y
+    lams = np.full(6, 0.05)
+    opts = SolverOptions(tol=1e-7, certify=False)
+    F, _, _, conv, _ = solvers._admm_batch(incidence(g), Y, lams, opts)
+    F_perm, _, _, conv_perm, _ = solvers._admm_batch(incidence(g_perm), Y_perm, lams, opts)
+    assert conv.all() and conv_perm.all()
+    obj = solvers._objective(Y, F, lams, incidence(g))
+    obj_perm = solvers._objective(Y_perm, F_perm, lams, incidence(g_perm))
+    assert np.all(np.abs(obj - obj_perm) <= 1e-5 * obj_perm)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(3, 10), lam=st.floats(0.02, 1.0), scale=st.floats(0.5, 3.0),
+       seed=st.integers(0, 2 ** 16))
+def test_random_paths_match_coordinate_descent_reference(n, lam, scale, seed):
+    Y = np.random.default_rng(seed).standard_normal(n) * scale
+    f_ref = cd_reference_path(Y, lam)
+    r = solve_analysis(Y, incidence(path_graph(n)), lam, SolverOptions(certify=False))
+    assert norm_n(r.f_hat - f_ref) < 1e-6
+    assert r.objective <= objective(Y, f_ref, lam) + 1e-6
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(family=st.sampled_from(["path", "grid"]), size=st.integers(4, 30),
+       a=st.floats(0.1, 10.0), negate=st.booleans(), b=st.floats(-10.0, 10.0),
+       lam=st.floats(0.01, 0.5), seed=st.integers(0, 2 ** 16))
+def test_solution_is_affine_equivariant(family, size, a, negate, b, lam, seed):
+    # f(aY + b) = a f(Y) + b at penalty |a| lam: D annihilates constants and
+    # the objective scales by a^2.  Paths take SuperLU, grids the DCT.
+    g = path_graph(size) if family == "path" else grid_graph(2 + size % 4, 2 + size // 4)
+    D = incidence(g)
+    a = -a if negate else a
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal(g.n) + (np.arange(g.n) >= g.n // 2)
+    opts = SolverOptions(tol=1e-9, certify=False)
+    base = solve_analysis(Y, D, lam, opts)
+    moved = solve_analysis(a * Y + b, D, abs(a) * lam, opts)
+    gap = 1e-5
+    assert abs(moved.objective - a * a * base.objective) <= gap * moved.objective
+    assert norm_n(moved.f_hat - (a * base.f_hat + b)) ** 2 <= 4.0 * gap * moved.objective
