@@ -26,14 +26,26 @@ The f-update solves (I + rho D'D) F = R through one solve factory per D,
 rho -> solve, picked from the structure of D'D.  When D'D is the Laplacian
 of a row-major h x w grid (h, w >= 2; any edge order or orientation), the
 orthonormal DCT-II over the two grid axes diagonalises it, so the solve is
-exact without a factor and a new rho only rebuilds the diagonal.  Every
-other graph takes a SuperLU factor per rho.  Paths stay on SuperLU: their
-tridiagonal factor solves faster than the transforms, which made mc_path
-experiments slower.  The warm-start state carries this splitting of D (D',
-D'D, the factory and the last rho's solve), so the outer steps of the
-square-root fixed point refactor only when rho changes.  Each iteration
+exact without a factor and a new rho only rebuilds the diagonal.  On grids
+up to DCT_MATRIX_MAX_SIDE per side the transforms are products with the
+DCT-II matrices C_h and C_w, built once per D: four stacked matmuls over the
+(h, w, B) view of R, each a k x k by k x B product (k = h or w).  At h, w <=
+32 and B <= 64 these stay below OpenBLAS's threading threshold, so they
+never compete with an experiment's threads.  Larger grids keep scipy.fft's
+dctn/idctn, whose cost grows as hw log(hw) where the products' grows as
+hw (h + w).
+
+Every other graph takes a SuperLU factor per rho.  Paths stay on SuperLU:
+their tridiagonal factor solves faster than the transforms, which made
+mc_path experiments slower.  The warm-start state carries this splitting
+of D (D', D'D, the factory and the last rho's solve), so the outer steps of
+the square-root fixed point refactor only when rho changes.  Each iteration
 does one product with D and two with D': D'z and D'u are carried across
-iterations, and z and u are updated in place.
+iterations, and z and u are updated in place: with v = u + alpha Df +
+(1 - alpha) z, u_new is v clipped to [-k, k] and z_new = v - u_new
+(_shrink).  The best iterate is not copied when every live column
+improved: the working best array is rebound to the iterate, which is a
+fresh array each iteration.
 
 There is one fixed-point loop, _sqrt_fixed_point, run on a batch of
 columns: each column leaves the batch once its scale settles or collapses,
@@ -137,6 +149,7 @@ def check_level(name: str, value: float, zero_ok: bool = False) -> None:
 
 
 MAX_RHO_REVERSALS = 2   # penalty direction changes before rho is held
+DCT_MATRIX_MAX_SIDE = 32   # largest grid side solved by DCT-II matrix products
 
 
 def _grid_shape(DtD: sp.csc_matrix, m: int) -> tuple[int, int] | None:
@@ -178,9 +191,11 @@ def _solve_factory(DtD: sp.csc_matrix, m: int):
     On a row-major h x w grid the orthonormal DCT-II along both grid axes
     diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) + 4 sin^2(pi j / 2w),
     so the solve is exact without a factor and a new rho only rebuilds the
-    denominator; solve may overwrite R there.  Every other D'D, paths
-    included, takes a SuperLU factor of I + rho D'D per rho: on a path its
-    tridiagonal factor solves faster than the transforms.
+    denominator.  Up to DCT_MATRIX_MAX_SIDE per side the transforms are
+    products with the DCT-II matrices, which do not write to R; larger grids
+    take scipy.fft's dctn/idctn, which may overwrite R.  Every other D'D,
+    paths included, takes a SuperLU factor of I + rho D'D per rho: on a path
+    its tridiagonal factor solves faster than the transforms.
     """
     shape = _grid_shape(DtD, m)
     if shape is None:
@@ -188,16 +203,27 @@ def _solve_factory(DtD: sp.csc_matrix, m: int):
         return lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve
     h, w = shape
     eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in shape]
-    eig = eig[0][:, None] + eig[1][None, :]
+    if max(shape) > DCT_MATRIX_MAX_SIDE:
+        eig = eig[0][:, None] + eig[1][None, :]
 
-    def factory(rho):
-        denom = (1.0 + rho * eig)[:, :, None]
-
-        def solve(R):
+        def divide(R, denom):
             X = sfft.dctn(R.reshape(h, w, -1), norm="ortho", axes=(0, 1), overwrite_x=True)
             X /= denom
             return sfft.idctn(X, norm="ortho", axes=(0, 1), overwrite_x=True).reshape(h * w, -1)
-        return solve
+    else:
+        Ch, Cw = (sfft.dct(np.eye(k), norm="ortho", axis=0) for k in shape)
+        eig = eig[1][:, None] + eig[0][None, :]   # (w, h), the layout X has when divided
+
+        def divide(R, denom):
+            X = np.matmul(Cw, R.reshape(h, w, -1))          # along w: (h, w, B)
+            X = np.matmul(Ch, X.transpose(1, 0, 2))         # along h: (w, h, B)
+            X /= denom
+            X = np.matmul(Ch.T, X)
+            return np.matmul(Cw.T, X.transpose(1, 0, 2)).reshape(h * w, -1)
+
+    def factory(rho):
+        denom = (1.0 + rho * eig)[:, :, None]
+        return lambda R: divide(R, denom)
     return factory
 
 
@@ -226,6 +252,15 @@ class _AdmmState:
 
 def _colsumsq(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", X, X)
+
+
+def _shrink(V: np.ndarray, k: np.ndarray, U_out: np.ndarray) -> None:
+    """Split V into its part clipped to [-k, k], written to U_out, and the
+    rest, its soft threshold at k, written over V: three passes.  k is a
+    per-column bound, so V and U_out are (rows, len(k))."""
+    np.maximum(V, -k, out=U_out)
+    np.minimum(U_out, k, out=U_out)
+    V -= U_out
 
 
 def _objective(Y, F, lam, D) -> np.ndarray:
@@ -279,8 +314,10 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     # solutions, where z = 0 and a purely relative test can never fire
     pri_anchor = np.maximum(np.sqrt(_colsumsq(D @ Y)), 1e-12)
     dual_anchor = np.maximum(np.sqrt(_colsumsq(Y)), 1e-12)
-    # the working arrays hold the live columns only; Fb aliases F_best until
-    # the first column leaves.  Zn and T are (m, live) scratch buffers.
+    # the working arrays hold the live columns only.  Fb holds the live
+    # columns' best iterates: it starts as F_best, is rebound to F when every
+    # live column improves and is copied into only on a partial improvement,
+    # so every exit writes it back to F_best.  Zn and T are (m, live) buffers.
     live = np.arange(B)
     Fb = F_best
     Zn, T = np.empty_like(Z), np.empty_like(Z)
@@ -298,23 +335,23 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
         np.abs(DF, out=T)
         obj = _colsumsq(Y - F) / n + 2.0 * lam * np.einsum("ij->j", T)
         better = obj < obj_best
-        if np.any(better):
+        if better.all():
+            # F is a fresh array each iteration and never written in place
+            Fb, obj_best = F, obj
+        elif better.any():
             obj_best[better] = obj[better]
             Fb[:, better] = F[:, better]
         if trace is not None:
             obj_all[live] = obj_best
             trace.append(float(obj_all.mean()))
 
-        # over-relaxed z-update: u + alpha Df + (1 - alpha) z, soft-thresholded
+        # over-relaxed z-update: v = u + alpha Df + (1 - alpha) z; u_new is v
+        # clipped to [-k, k] and z_new = v - u_new its soft threshold at k
         np.multiply(DF, alpha, out=Zn)
         np.multiply(Z, 1.0 - alpha, out=T)
         Zn += T
-        U += Zn
-        np.abs(U, out=Zn)
-        Zn -= thresh_scale / rho
-        np.maximum(Zn, 0.0, out=Zn)
-        np.copysign(Zn, U, out=Zn)
-        U -= Zn
+        Zn += U
+        _shrink(Zn, thresh_scale / rho, U)
 
         DF -= Zn
         r_norm = np.sqrt(_colsumsq(DF))

@@ -1,0 +1,107 @@
+"""The two kernels of an ADMM iteration: the grid f-update solve and the
+shrinkage of the z- and u-updates.
+
+On a row-major grid, (I + rho D'D) X = R is solved by products with the
+orthonormal DCT-II matrices up to solvers.DCT_MATRIX_MAX_SIDE per side and by
+scipy's pocketfft transforms above it; both are held to a pocketfft oracle
+(tests/test_solvers.py holds the solve to SuperLU).  The matrix products must
+leave R alone and give the same bytes whatever the number of OpenBLAS
+threads.  The shrinkage splits v into its clipped part u_new and its soft
+threshold z_new.
+"""
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+import scipy.fft as sfft
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tvgo
+from tvgo import solvers
+from tvgo.graphs import grid_graph, incidence
+
+# both sides of solvers.DCT_MATRIX_MAX_SIDE = 32
+GRIDS = [(2, 2), (16, 32), (32, 16), (32, 32), (16, 64), (64, 16), (33, 33)]
+
+
+def _pocketfft_solve(R, h, w, rho):
+    eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in (h, w)]
+    denom = 1.0 + rho * (eig[0][:, None] + eig[1][None, :])
+    X = sfft.dctn(R.reshape(h, w, -1), norm="ortho", axes=(0, 1)) / denom[:, :, None]
+    return sfft.idctn(X, norm="ortho", axes=(0, 1)).reshape(h * w, -1)
+
+
+@pytest.mark.parametrize("h,w", GRIDS)
+@pytest.mark.parametrize("rho", [1e-2, 1.0, 1e2])
+def test_grid_solve_matches_pocketfft_oracle(h, w, rho):
+    D = incidence(grid_graph(h, w))
+    solve = solvers._solve_factory((D.T @ D).tocsc(), D.shape[0])(rho)
+    rng = np.random.default_rng(h * 1000 + w)
+    for B in (1, 8, 64):
+        R = rng.standard_normal((h * w, B))
+        before = R.copy()
+        X = solve(R)
+        if max(h, w) <= solvers.DCT_MATRIX_MAX_SIDE:
+            assert R.tobytes() == before.tobytes()
+        assert X.shape == (h * w, B) and X.flags.c_contiguous
+        ref = _pocketfft_solve(before, h, w, rho)
+        assert np.linalg.norm(X - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+_SOLVE_BYTES = """
+import hashlib
+import numpy as np
+from tvgo import solvers
+from tvgo.graphs import grid_graph, incidence
+digest = hashlib.sha256()
+for h, w, B in [(32, 32, 64), (16, 32, 64), (32, 32, 512)]:
+    D = incidence(grid_graph(h, w))
+    solve = solvers._solve_factory((D.T @ D).tocsc(), D.shape[0])(0.7)
+    R = np.random.default_rng(h + w + B).standard_normal((h * w, B))
+    digest.update(solve(R).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_grid_solve_bytes_do_not_depend_on_blas_threads():
+    # 32 x 32 at 512 columns is above OpenBLAS's threading threshold, so
+    # there the products really run on two threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvgo.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _SOLVE_BYTES], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 6), scale=st.floats(1e-3, 1e3),
+       zero_k=st.booleans(), on_edge=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_shrink_splits_v_into_clip_and_soft_threshold(rows, cols, scale, zero_k, on_edge, seed):
+    rng = np.random.default_rng(seed)
+    V0 = rng.standard_normal((rows, cols)) * scale
+    k = np.abs(rng.standard_normal(cols)) * scale
+    if zero_k:
+        k[0] = 0.0
+    if on_edge:     # |v| = k exactly, on both sides
+        V0[0] = k
+        V0[-1] = -k
+    V, U = V0.copy(), np.empty_like(V0)
+    solvers._shrink(V, k, U)
+    Z = V
+    assert np.all(np.abs(U) <= k)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(Z + U - V0) <= eps * np.abs(V0))
+    soft = np.sign(V0) * np.maximum(np.abs(V0) - k, 0.0)
+    assert np.all(np.abs(Z - soft) <= eps * np.abs(V0))
+    inside = np.abs(V0) <= k
+    assert np.all(Z[inside] == 0.0) and np.array_equal(U[inside], V0[inside])
+    if zero_k:
+        assert np.all(U[:, 0] == 0.0) and np.array_equal(Z[:, 0], V0[:, 0])
+

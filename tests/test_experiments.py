@@ -303,7 +303,7 @@ def test_solver_csv_golden_digest():
     text, _ = experiment_csv(cfg)
     assert len(text.splitlines()) == 71
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "c6cb2d1a486256c3c0ab92ed71d1f15e5ac786b3afa2fe7c762ecef221ce1c42"
+        "a46fd68df4044f27b2e4ae24f7b4fb304aa53a86f5d3b2eb1c4404b494d544fb"
 
 
 def test_grid_csv_golden_digests():
@@ -325,7 +325,7 @@ def test_grid_csv_golden_digests():
     assert hashlib.sha256(flags.encode()).hexdigest() == \
         "1ee086ca796f3f63367bd0f60f7fd192807ecd1b4429941c72e177895305d48a"
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "e71177b8718a64794937e684adffdff3d9b529ad1ec06426985078770807ae44"
+        "db62d55e9216a76059eafb3dd941f2d7a37ad32c75ffe1ee8f550cd67ebbb9ca"
 
 
 def test_run_experiment_sqrt_regime():
