@@ -257,7 +257,7 @@ def _cmd_simulate(args) -> int:
     if args.summary:
         with open(args.summary, "w") as fh:
             fh.write(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_NONCONVERGED if any(summary["nonconverged"].values()) else EXIT_OK
 
 
 def _cmd_verify_prob(args) -> int:

@@ -345,12 +345,13 @@ class Experiment:
                 np.abs(self.D @ F)[self.S_rows].sum(axis=0))
 
     def run_block(self, block_index: int, lo: int, hi: int) -> dict:
-        """Trials lo..hi-1 as numpy columns keyed by CSV column name; a column
+        """Trials lo..hi-1 as numpy columns keyed by CSV column name, plus each
+        estimator's per-trial converged flags (not CSV columns); a column
         that does not apply to this experiment is None."""
         cfg = self.cfg
         n = self.active.n
         idx = np.arange(lo, hi)
-        cols = dict.fromkeys(trial_columns(cfg.theorems))
+        cols = dict.fromkeys(trial_columns(cfg.theorems) + ["plain_converged", "sqrt_converged"])
         cols["trial"] = idx
         eps = trial_noise(cfg.sigma, n, cfg.seed, range(lo, hi))
         eps_sq = None   # per-trial squared noise norms, for the events and sigma_hat
@@ -364,18 +365,19 @@ class Experiment:
 
         errors = {}  # estimator kind -> (mse, ||D_S f_hat||_1) columns
         if self.lam is not None:
-            F = solvers.solve_analysis_batch(Y, self.D, self.lam, self.solver_opts)
-            errors["plain"] = self._errors(F)
-            cols["mse_plain"] = errors["plain"][0]
+            out = solvers.solve_analysis_batch(Y, self.D, self.lam, self.solver_opts)
+            errors["plain"] = self._errors(out.F)
+            cols.update(mse_plain=errors["plain"][0], plain_converged=out.converged)
         if self.lambda0 is not None:
             # the solver's penalty is 2*lambda0*||Df||_1, so the inequality's
             # lambda0 (penalty coefficient as stated) maps to lambda0/2 here
-            F2, sig_hat, overfit = solvers.solve_sqrt_analysis_batch(
-                Y, self.D, self.lambda0 / 2.0, self.solver_opts)
-            errors["sqrt"] = self._errors(F2)
-            ratio = sig_hat / np.sqrt(eps_sq / n)
-            cols.update(mse_sqrt=errors["sqrt"][0], sigma_hat=sig_hat, ratio_eps=ratio,
-                        overfit=overfit, nonoverfit_holds=np.abs(ratio - 1.0) <= cfg.eta)
+            out = solvers.solve_sqrt_analysis_batch(Y, self.D, self.lambda0 / 2.0,
+                                                    self.solver_opts)
+            errors["sqrt"] = self._errors(out.F)
+            ratio = out.sigma_hat / np.sqrt(eps_sq / n)
+            cols.update(mse_sqrt=errors["sqrt"][0], sigma_hat=out.sigma_hat, ratio_eps=ratio,
+                        overfit=out.overfit, nonoverfit_holds=np.abs(ratio - 1.0) <= cfg.eta,
+                        sqrt_converged=out.converged)
 
         for tid in cfg.theorems:
             mse, pen = errors[tuning.theorem_kind(tid)]
@@ -389,8 +391,8 @@ class Experiment:
 
 def run_experiment(cfg: ExperimentConfig | dict):
     """Run the Monte Carlo experiment; returns (summary dict, columns): one
-    numpy array per CSV column over all trials in order, or None for a
-    column that does not apply."""
+    numpy array per CSV column and per converged-flag column over all trials
+    in order, or None for a column that does not apply."""
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
     exp = Experiment(cfg)
@@ -456,6 +458,9 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
         "sigma_hat_mean": _frac(columns["sigma_hat"]),
         "overfit_rate": _frac(columns["overfit"]),
         "nonoverfit_fraction": _frac(columns["nonoverfit_holds"]),
+        "nonconverged": {kind: None if columns[f"{kind}_converged"] is None else
+                         int(np.count_nonzero(~columns[f"{kind}_converged"]))
+                         for kind in ("plain", "sqrt")},
     }
     return summary
 

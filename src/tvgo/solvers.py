@@ -47,12 +47,13 @@ iterations, and z and u are updated in place: with v = u + alpha Df +
 improved: the working best array is rebound to the iterate, which is a
 fresh array each iteration.
 
-There is one fixed-point loop, _sqrt_fixed_point, run on a batch of
-columns: each column leaves the batch once its scale settles or collapses,
-and the warm-start state of the remaining columns carries over.  The single
-solve is a batch of one.  Observations must be finite, penalty levels
-finite (lam >= 0, lambda0 > 0) and the stopping tolerance > 0; anything else
-raises ValueError before any iteration.
+Both estimators run through one batched core, _estimate, which makes every
+input check (finite (n, B) observations matching D, a finite level with
+lam >= 0 or lambda0 > 0, tol > 0; ValueError before any iteration) and
+returns per-column outcomes: a column that does not converge is reported,
+not raised.  The batch entry points return them; a single solve is column 0
+of a batch of one.  The one fixed-point loop, _sqrt_fixed_point, retires
+each column once its scale settles or collapses.
 
 Certification never trusts solver convergence alone: kkt_residual solves a
 small linear feasibility program for the best subgradient certificate.
@@ -60,7 +61,7 @@ small linear feasibility program for the best subgradient certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -84,15 +85,30 @@ class SolverOptions:
 
     tol: float = 1e-8            # relative residual stopping threshold
     max_iter: int = 100_000
-    over_relax: float = 1.8
-    rho: float | None = None     # initial penalty; None picks a scale-aware value
     certify: bool = True         # run the KKT feasibility program on the result
     kkt_tol: float = 1e-6
-    active_tol_scale: float = 1e-6
     fp_tol: float = 1e-9         # relative tolerance of the sigma fixed point
-    max_outer: int = 500
-    overfit_floor: float = 1e-6
     track_objective: bool = False
+
+
+@dataclass
+class BatchResult:
+    """Per-column outcomes of one estimator on the columns of Y, shape (n, B).
+
+    converged[j]: column j met the ADMM stopping test (plain) or its scale
+    settled (square root).  lam[j]: the penalty column j was last solved at,
+    0 where f = Y.  iterations: inner ADMM iterations of the whole batch.
+    sigma_hat and overfit are set by the square-root estimator only, trace
+    by a plain solve with track_objective.
+    """
+
+    F: np.ndarray
+    converged: np.ndarray
+    lam: np.ndarray
+    iterations: int
+    sigma_hat: np.ndarray | None = None
+    overfit: np.ndarray | None = None
+    trace: list | None = None
 
 
 @dataclass
@@ -129,14 +145,6 @@ class EstimateResult:
         }
 
 
-def _observations(Y) -> np.ndarray:
-    """Y as a float64 array; non-finite entries raise ValueError."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if not np.isfinite(Y).all():
-        raise ValueError("observations contain NaN or inf")
-    return Y
-
-
 def check_level(name: str, value: float, zero_ok: bool = False) -> None:
     """Raise ValueError unless value is finite and > 0 (>= 0 with zero_ok).
 
@@ -149,6 +157,10 @@ def check_level(name: str, value: float, zero_ok: bool = False) -> None:
 
 
 MAX_RHO_REVERSALS = 2   # penalty direction changes before rho is held
+OVER_RELAX = 1.8        # ADMM over-relaxation alpha
+MAX_OUTER = 500         # square-root fixed-point steps before a column counts as unsettled
+OVERFIT_FLOOR = 1e-6    # sigma <= OVERFIT_FLOOR * ||Y||_n flags a square-root overfit
+ACTIVE_TOL_SCALE = 1e-6   # KKT: |(Df)_i| above this fraction of the data scale is active
 DCT_MATRIX_MAX_SIDE = 32   # largest grid side solved by DCT-II matrix products
 
 
@@ -272,8 +284,8 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
                 opts: SolverOptions, state: _AdmmState | None = None):
     """Batched splitting solver.
 
-    Y is (n, B); lam is (B,).  Minimizes (1/2)||f - Y||_2^2 + n*lam*||z||_1
-    subject to Df = z (the original objective scaled by n/2).  Each column
+    Y is (n, B) and lam (B,), both float64.  Minimizes (1/2)||f - Y||_2^2 +
+    n*lam*||z||_1 subject to Df = z (the original objective scaled by n/2).  Each column
     leaves the batch at the first iteration where it meets the primal/dual
     stopping test; the loop ends when no column is live or at max_iter.
     Returns the best-objective iterates (n, B), the warm-start state, the
@@ -283,13 +295,11 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     penalty rho and the splitting of D; when given, it is updated in place
     and its splitting is used in place of D.
     """
-    Y = np.asarray(Y, dtype=np.float64)
     B = Y.shape[1]
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (B,))
     if state is None:
         split = _Splitting(D)
         m, n = split.D.shape
-        rho = opts.rho if opts.rho is not None else max(float(np.mean(n * lam)), 1e-6)
+        rho = max(float(np.mean(n * lam)), 1e-6)
         F = Y.copy()
         state = _AdmmState(F, split.D @ F, np.zeros((m, B)), rho, split)
     split, rho = state.split, state.rho
@@ -304,7 +314,6 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     # product with D and two with D', for z_new - z and for u_new
     DtZ, DtU = Dt @ Z, Dt @ U
 
-    alpha = opts.over_relax
     obj_best = _objective(Y, F, lam, D)
     F_best = F.copy()
     obj_all = obj_best.copy() if opts.track_objective else None
@@ -347,8 +356,8 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
 
         # over-relaxed z-update: v = u + alpha Df + (1 - alpha) z; u_new is v
         # clipped to [-k, k] and z_new = v - u_new its soft threshold at k
-        np.multiply(DF, alpha, out=Zn)
-        np.multiply(Z, 1.0 - alpha, out=T)
+        np.multiply(DF, OVER_RELAX, out=Zn)
+        np.multiply(Z, 1.0 - OVER_RELAX, out=T)
         Zn += T
         Zn += U
         _shrink(Zn, thresh_scale / rho, U)
@@ -408,6 +417,29 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     return F_best, state, it, converged, trace
 
 
+def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResult:
+    """The plain (level lam) or, with sqrt, the square-root (level lambda0)
+    estimator on the columns of Y, shape (n, B), after every input check."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if not np.isfinite(Y).all():
+        raise ValueError("observations contain NaN or inf")
+    D = sp.csr_matrix(D)
+    n = D.shape[1]
+    if Y.ndim != 2 or Y.shape[0] != n:
+        raise ValueError(f"dimension mismatch: D has {n} columns, so Y must be ({n},) "
+                         f"for one solve or ({n}, B) for a batch")
+    check_level("lambda0" if sqrt else "lam", level, zero_ok=not sqrt)
+    check_level("tol", opts.tol)
+    if sqrt:
+        return _sqrt_fixed_point(Y, D, level, opts)
+    B = Y.shape[1]
+    if level == 0.0:
+        return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0)
+    lam = np.full(B, float(level))
+    F, _, it, conv, trace = _admm_batch(D, Y, lam, opts)
+    return BatchResult(F, conv, lam, it, trace=trace)
+
+
 def solve_analysis(Y: np.ndarray, D: sp.spmatrix, lam: float,
                    opts: SolverOptions | None = None) -> EstimateResult:
     """Solve the penalized least squares problem for one observation vector.
@@ -419,35 +451,34 @@ def solve_analysis(Y: np.ndarray, D: sp.spmatrix, lam: float,
     lam : penalty level, >= 0.
     opts : solver options; defaults are tuned for certification-grade runs.
     """
+    return _solve_one(Y, D, lam, opts, sqrt=False)
+
+
+def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> EstimateResult:
+    """The core on the one observation vector Y, read off as an EstimateResult
+    and certified when opts asks and a certificate exists (not for an
+    unsettled or overfit square-root fit)."""
     opts = opts or SolverOptions()
-    Y = _observations(Y)
+    Y = np.asarray(Y, dtype=np.float64)
     D = sp.csr_matrix(D)
-    if D.shape[1] != Y.shape[0]:
-        raise ValueError(f"dimension mismatch: D has {D.shape[1]} columns, Y has {Y.shape[0]}")
-    check_level("lam", lam, zero_ok=True)
-    check_level("tol", opts.tol)
-    if lam == 0.0:
-        res = EstimateResult(f_hat=Y.copy(), lambda_used=0.0,
-                             residual_norm_n=0.0, kkt_residual=None,
-                             iterations=0, converged=True, objective=0.0)
-        if opts.certify:
-            res.kkt_residual = kkt_residual(Y, res.f_hat, D, 0.0, opts)
-        return res
-    F, _, it, conv, trace = _admm_batch(D, Y[:, None], np.array([lam]), opts)
-    f = F[:, 0]
-    res = EstimateResult(
-        f_hat=f, lambda_used=float(lam),
-        residual_norm_n=norm_n(Y - f),
-        kkt_residual=None, iterations=it, converged=bool(conv[0]),
-        objective=float(_objective(Y[:, None], F, np.array([lam]), D)[0]),
-        objective_trace=trace)
-    if opts.certify:
-        res.kkt_residual = kkt_residual(Y, f, D, lam, opts)
+    out = _estimate(Y[:, None], D, level, opts, sqrt)
+    f = out.F[:, 0]
+    if sqrt:
+        objective = norm_n(Y - f) + 2.0 * level * float(np.abs(D @ f).sum())
+    else:
+        objective = float(_objective(Y[:, None], out.F, out.lam, D)[0])
+    res = EstimateResult(f_hat=f, lambda_used=float(out.lam[0]), residual_norm_n=norm_n(Y - f),
+                         kkt_residual=None, iterations=out.iterations,
+                         converged=bool(out.converged[0]), objective=objective,
+                         objective_trace=out.trace)
+    if sqrt:
+        res.sigma_hat, res.overfit = float(out.sigma_hat[0]), bool(out.overfit[0])
+    if opts.certify and (not sqrt or res.converged and not res.overfit):
+        res.kkt_residual = kkt_residual(Y, f, D, res.lambda_used)
     return res
 
 
-def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
-                 opts: SolverOptions | None = None) -> float:
+def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float) -> float:
     """Best-case stationarity violation of a candidate solution.
 
     Searches for a subgradient certificate v with ||v||_inf <= 1, v fixed to
@@ -455,7 +486,6 @@ def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
     threshold, minimizing || (Y - f)/n - lam * D'v ||_inf.  Zero at the exact
     optimum; solved as a linear program.
     """
-    opts = opts or SolverOptions()
     Y = np.asarray(Y, dtype=np.float64)
     f_hat = np.asarray(f_hat, dtype=np.float64)
     D = sp.csr_matrix(D)
@@ -468,7 +498,7 @@ def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
     # solutions ||Df||_inf is solver noise and must not define activity
     scale = max(float(np.max(np.abs(Df))) if Df.size else 0.0,
                 float(np.max(np.abs(D @ Y))) if Df.size else 0.0)
-    act = np.abs(Df) > opts.active_tol_scale * scale if scale > 0 else np.zeros(len(Df), bool)
+    act = np.abs(Df) > ACTIVE_TOL_SCALE * scale if scale > 0 else np.zeros(len(Df), bool)
     c_fixed = g.copy()
     if act.any():
         c_fixed = c_fixed - lam * (D[act].T @ np.sign(Df[act]))
@@ -491,35 +521,32 @@ def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
 
 
 def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
-                      opts: SolverOptions):
+                      opts: SolverOptions) -> BatchResult:
     """The square-root fixed point on the columns of Y, shape (n, B).
 
     Each column starts at sigma = ||Y - (componentwise mean of Y)||_n and
     leaves the batch once sigma settles (relative change <= fp_tol with a
-    converged inner solve) or falls to overfit_floor * ||Y||_n.  Returns
-    (F, sigma, lam, overfit, settled, iterations): overfit columns carry
-    f = Y and sigma = 0; lam is the last penalty each column was solved at
-    (0 for columns that never entered an inner solve); iterations sums the
-    inner iterations over the outer steps.
+    converged inner solve) or falls to OVERFIT_FLOOR * ||Y||_n.  A column
+    still live after MAX_OUTER steps is not converged.  Overfit columns carry
+    f = Y and sigma_hat = lam = 0; every other column's lam is the last
+    penalty it was solved at.
     """
-    Y = _observations(Y)
     n, B = Y.shape
     labels = graphs.component_labels(n, graphs.edge_endpoints(D))
     sigma = np.atleast_1d(norm_n(Y - projections.componentwise_mean(labels, Y), axis=0))
-    floors = opts.overfit_floor * np.atleast_1d(norm_n(Y, axis=0))
+    floors = OVERFIT_FLOOR * np.atleast_1d(norm_n(Y, axis=0))
     overfit = sigma <= floors
     lam = np.zeros(B)
     F = Y.copy()
     live = np.flatnonzero(~overfit)
     state = None
-    inner = replace(opts, certify=False)
     iterations = 0
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         if len(live) == 0:
             break
         sig_old = sigma[live]
         lam[live] = 2.0 * lambda0 * sig_old
-        F_new, state, it, conv, _ = _admm_batch(D, Y[:, live], lam[live], inner, state)
+        F_new, state, it, conv, _ = _admm_batch(D, Y[:, live], lam[live], opts, state)
         iterations += it
         sig_new = np.atleast_1d(norm_n(Y[:, live] - F_new, axis=0))
         F[:, live] = F_new
@@ -535,9 +562,10 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
                                 state.rho, state.split)
     F[:, overfit] = Y[:, overfit]
     sigma = np.where(overfit, 0.0, sigma)
+    lam[overfit] = 0.0
     settled = np.ones(B, dtype=bool)
     settled[live] = False
-    return F, sigma, lam, overfit, settled, iterations
+    return BatchResult(F, settled, lam, iterations, sigma_hat=sigma, overfit=overfit)
 
 
 def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
@@ -548,58 +576,23 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
     2*lam*||Df||_1 form, so with sigma fixed the inner problem is the plain
     one at lam = 2*lambda0*sigma.  Starting from sigma equal to the residual
     norm of the fully penalized fit, the scale iterates downward to the
-    largest fixed point; if it collapses below overfit_floor * ||Y||_n the
+    largest fixed point; if it collapses below OVERFIT_FLOOR * ||Y||_n the
     estimator is flagged as overfitting and Y itself is returned, with
     sigma_hat = lambda_used = 0 (there the stationarity certificate does not
-    exist).  A scale that has not settled after max_outer steps is returned
+    exist).  A scale that has not settled after MAX_OUTER steps is returned
     with converged=False.
     """
-    opts = opts or SolverOptions()
-    Y = np.asarray(Y, dtype=np.float64)
-    D = sp.csr_matrix(D)
-    check_level("lambda0", lambda0)
-    check_level("tol", opts.tol)
-    F, sigma, lam, overfit, settled, iterations = _sqrt_fixed_point(Y[:, None], D, lambda0, opts)
-    f = F[:, 0]
-    overfit, converged = bool(overfit[0]), bool(settled[0])
-    lam_used = 0.0 if overfit else float(lam[0])
-    res = EstimateResult(f_hat=f, lambda_used=lam_used,
-                         residual_norm_n=norm_n(Y - f),
-                         kkt_residual=None, iterations=iterations,
-                         converged=converged,
-                         objective=norm_n(Y - f) + 2.0 * lambda0 * float(np.abs(D @ f).sum()),
-                         sigma_hat=float(sigma[0]), overfit=overfit)
-    if opts.certify and converged and not overfit:
-        res.kkt_residual = kkt_residual(Y, f, D, lam_used, opts)
-    return res
+    return _solve_one(Y, D, lambda0, opts, sqrt=True)
 
 
 def solve_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lam: float,
-                         opts: SolverOptions | None = None) -> np.ndarray:
-    """Plain solutions for a batch of observation columns; returns (n, B)."""
-    opts = opts or SolverOptions()
-    Y = _observations(Y)
-    check_level("lam", lam, zero_ok=True)
-    check_level("tol", opts.tol)
-    if lam == 0.0:
-        return Y.copy()
-    F, _, _, conv, _ = _admm_batch(D, Y, np.full(Y.shape[1], lam), opts)
-    if not conv.all():
-        raise RuntimeError("batched solver did not converge on every column")
-    return F
+                         opts: SolverOptions | None = None) -> BatchResult:
+    """Plain solutions for the columns of Y, shape (n, B), with per-column outcomes."""
+    return _estimate(Y, D, lam, opts or SolverOptions(), sqrt=False)
 
 
 def solve_sqrt_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
-                              opts: SolverOptions | None = None):
-    """Square-root solutions for a batch of observation columns.
-
-    Returns (F, sigma_hat, overfit) with shapes (n, B), (B,), (B,).  Overfit
-    columns carry f = Y and sigma_hat = 0.
-    """
-    opts = opts or SolverOptions()
-    check_level("lambda0", lambda0)
-    check_level("tol", opts.tol)
-    F, sigma, _, overfit, settled, _ = _sqrt_fixed_point(Y, sp.csr_matrix(D), lambda0, opts)
-    if not settled.all():
-        raise RuntimeError("square-root fixed point did not settle on every column")
-    return F, sigma, overfit
+                              opts: SolverOptions | None = None) -> BatchResult:
+    """Square-root solutions for the columns of Y, shape (n, B), with
+    per-column outcomes: F, converged, lam, sigma_hat and overfit."""
+    return _estimate(Y, D, lambda0, opts or SolverOptions(), sqrt=True)

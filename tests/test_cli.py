@@ -161,7 +161,7 @@ def test_simulate_defaults_to_one_thread(tmp_path, monkeypatch):
 
     def record(cfg):
         seen.append(experiments.ExperimentConfig.from_dict(cfg).threads)
-        return "", {}
+        return "", {"nonconverged": {"plain": 0, "sqrt": None}}
 
     monkeypatch.setattr(experiments, "experiment_csv", record)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

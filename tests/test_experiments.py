@@ -1,13 +1,18 @@
 import csv
+import dataclasses
 import hashlib
 import io
+import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from tvgo import experiments, graphs, projections
+from tvgo import experiments, graphs, projections, solvers
+from tvgo.cli import dispatch
 from tvgo.experiments import (EventEvaluator, SignalSpec,
                               experiment_csv, generate_trial, run_experiment,
                               trial_noise, verify_probability_lemmas)
@@ -246,6 +251,35 @@ def test_run_experiment_plain_floors():
     for nm, ev in summary["events"].items():
         assert ev["passes_floor"], nm
     assert summary["config"]["lambda"] > 0 and summary["config"]["lambda0"] is None
+    assert summary["nonconverged"] == {"plain": 0, "sqrt": None}
+
+
+def test_nonconverged_trials_are_reported_not_raised(tmp_path, monkeypatch):
+    cfg = dict(BASE_CFG, theorems=["plain_fast", "sqrt_slow"], trials=70)
+    text, summary = experiment_csv(cfg)
+    assert summary["nonconverged"] == {"plain": 0, "sqrt": 0}
+    init = experiments.Experiment.__init__
+
+    def starved(self, cfg):
+        init(self, cfg)
+        self.solver_opts = dataclasses.replace(self.solver_opts, max_iter=2)
+
+    # two iterations per solve and two outer steps leave every column of
+    # both estimators unconverged (after a single iteration the best iterate
+    # is Y itself, which the square-root fixed point takes for an overfit)
+    monkeypatch.setattr(experiments.Experiment, "__init__", starved)
+    monkeypatch.setattr(solvers, "MAX_OUTER", 2)
+    starved_text, starved_summary = experiment_csv(cfg)
+    rows = starved_text.splitlines()
+    assert len(rows) == 71 and rows[0] == text.splitlines()[0]
+    assert starved_summary["nonconverged"] == {"plain": 70, "sqrt": 70}
+    # tvgo simulate writes both outputs, then reports the count by exit code
+    path, out, summ = (tmp_path / nm for nm in ("cfg.json", "t.csv", "s.json"))
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["simulate", "--config", str(path), "--out", str(out),
+                     "--summary", str(summ)]) == 3
+    assert out.read_text() == starved_text
+    assert json.loads(summ.read_text())["nonconverged"] == starved_summary["nonconverged"]
 
 
 def test_run_experiment_csv_deterministic_across_threads():
@@ -306,26 +340,46 @@ def test_solver_csv_golden_digest():
         "a46fd68df4044f27b2e4ae24f7b4fb304aa53a86f5d3b2eb1c4404b494d544fb"
 
 
+# an 8x8 grid cut into two halves, whose dense pseudoinverse blocks and ADMM
+# solves set every float
+GRID_CFG = {"graph": {"family": "grid", "params": {"height": 8, "width": 8}},
+            "S": [(r - 1) * 7 + 4 for r in range(1, 9)],
+            "signal": {"levels": [0.0, 1.0]}, "sigma": 1.0,
+            "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
+            "theorems": ["plain_slow", "sqrt_slow"], "events": True,
+            "trials": 64, "seed": 23, "threads": 1}
+GRID_CSV_DIGEST = "db62d55e9216a76059eafb3dd941f2d7a37ad32c75ffe1ee8f550cd67ebbb9ca"
+
+
 def test_grid_csv_golden_digests():
-    # an 8x8 grid cut into two halves, whose dense pseudoinverse blocks and
-    # ADMM solves set every float: one digest pins the trial and boolean
-    # columns, the other the whole CSV
-    side = 8
-    cfg = {"graph": {"family": "grid", "params": {"height": side, "width": side}},
-           "S": [(r - 1) * (side - 1) + side // 2 for r in range(1, side + 1)],
-           "signal": {"levels": [0.0, 1.0]}, "sigma": 1.0,
-           "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
-           "theorems": ["plain_slow", "sqrt_slow"], "events": True,
-           "trials": 64, "seed": 23, "threads": 1}
-    text, _ = experiment_csv(cfg)
+    # one digest pins the trial and boolean columns, the other the whole CSV
+    text, _ = experiment_csv(GRID_CFG)
     rows = list(csv.reader(io.StringIO(text)))
     keep = [k for k, nm in enumerate(rows[0]) if nm in ("trial", "overfit") or nm.endswith("_holds")]
     assert len(rows) == 65 and len(keep) == 10
     flags = "\n".join(",".join(row[k] for k in keep) for row in rows)
     assert hashlib.sha256(flags.encode()).hexdigest() == \
         "1ee086ca796f3f63367bd0f60f7fd192807ecd1b4429941c72e177895305d48a"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "db62d55e9216a76059eafb3dd941f2d7a37ad32c75ffe1ee8f550cd67ebbb9ca"
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_CSV_DIGEST
+
+
+_GRID_CSV_BYTES = """
+import hashlib, json, sys
+from tvgo.experiments import experiment_csv
+print(hashlib.sha256(experiment_csv(json.loads(sys.argv[1]))[0].encode()).hexdigest())
+"""
+
+
+def test_grid_csv_does_not_depend_on_blas_threads():
+    # the dense blocks' LAPACK Cholesky runs on OpenBLAS; at 8x8 the golden
+    # bytes hold under one and two BLAS threads alike
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _GRID_CSV_BYTES, json.dumps(GRID_CFG)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == GRID_CSV_DIGEST, threads
 
 
 def test_run_experiment_sqrt_regime():

@@ -78,7 +78,8 @@ def test_sqrt_batch_warm_start_across_rho_change_matches_single_solves(monkeypat
         return out
 
     monkeypatch.setattr(solvers, "_admm_batch", spy)
-    F, sigma, overfit = solvers.solve_sqrt_analysis_batch(Y, D, lambda0, opts)
+    out = solvers.solve_sqrt_analysis_batch(Y, D, lambda0, opts)
+    F, sigma, overfit = out.F, out.sigma_hat, out.overfit
     monkeypatch.undo()
     # a warm-started batch of several columns changed rho: the state of the
     # columns that had left the batch was carried across the change
@@ -133,7 +134,7 @@ def test_batch_column_equals_single_solve(family, size, cols, lam, seed):
     n = D.shape[1]
     Y = rng.standard_normal((n, cols)) + (np.arange(n) >= n // 2)[:, None]
     opts = SolverOptions(tol=1e-7, certify=False)
-    F = solvers.solve_analysis_batch(Y, D, lam, opts)
+    F = solvers.solve_analysis_batch(Y, D, lam, opts).F
     for j in range(cols):
         single = solvers.solve_analysis(Y[:, j], D, lam, opts)
         obj = float(_objective(Y[:, j:j + 1], F[:, j:j + 1], np.array([lam]), D)[0])

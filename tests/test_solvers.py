@@ -169,7 +169,9 @@ def test_batch_matches_single():
     g = path_graph(40)
     D = incidence(g)
     Y = rng.standard_normal((40, 5))
-    F = solve_analysis_batch(Y, D, 0.2, SolverOptions(certify=False))
+    out = solve_analysis_batch(Y, D, 0.2, SolverOptions(certify=False))
+    assert out.converged.all() and np.array_equal(out.lam, np.full(5, 0.2))
+    F = out.F
     for j in range(5):
         r = solve_analysis(Y[:, j], D, 0.2, SolverOptions(certify=False))
         assert norm_n(F[:, j] - r.f_hat) < 1e-6
@@ -180,21 +182,34 @@ def test_sqrt_batch_matches_single():
     g = path_graph(40)
     D = incidence(g)
     Y = np.where(np.arange(40) < 20, 0.0, 1.0)[:, None] + rng.standard_normal((40, 4))
-    F, sig, ovf = solve_sqrt_analysis_batch(Y, D, 0.05, SolverOptions(certify=False))
-    assert not ovf.any()
+    out = solve_sqrt_analysis_batch(Y, D, 0.05, SolverOptions(certify=False))
+    F, sig, ovf = out.F, out.sigma_hat, out.overfit
+    assert not ovf.any() and out.converged.all()
     for j in range(4):
         r = solve_sqrt_analysis(Y[:, j], D, 0.05, SolverOptions(certify=False))
         assert abs(sig[j] - r.sigma_hat) < 1e-6
         assert norm_n(F[:, j] - r.f_hat) < 1e-5
 
 
-def test_dimension_mismatch_raises():
+P5 = incidence(path_graph(5))
+
+
+@pytest.mark.parametrize("entry,batch", [
+    (solve_analysis, False), (solve_analysis_batch, True),
+    (solve_sqrt_analysis, False), (solve_sqrt_analysis_batch, True),
+], ids=["plain", "plain_batch", "sqrt", "sqrt_batch"])
+@pytest.mark.parametrize("shape,level", [
+    ("short", 0.3),         # 4 rows for a 5-vertex D
+    ("short", 0.0),         # the plain lam = 0 shortcut checks Y as well
+    ("wrong_ndim", 0.3),    # (n,) to a batch, (n, B) to a single solve
+], ids=["short_y", "short_y_level0", "wrong_ndim"])
+def test_dimension_mismatch_raises(entry, batch, shape, level):
+    if shape == "short":
+        Y = np.zeros((4, 2)) if batch else np.zeros(4)
+    else:
+        Y = np.zeros(5) if batch else np.zeros((5, 2))
     with pytest.raises(ValueError, match="dimension"):
-        solve_analysis(np.zeros(3), P2, 0.1)
-    with pytest.raises(ValueError):
-        solve_analysis(Y2, P2, -0.5)
-    with pytest.raises(ValueError):
-        solve_sqrt_analysis(Y2, P2, 0.0)
+        entry(Y, P5, level)
 
 
 def test_penalty_adaptation_that_cycles_is_held():
@@ -224,9 +239,12 @@ def test_penalty_adaptation_that_cycles_is_held():
     (lambda Y: solve_sqrt_analysis_batch(Y, P2, np.inf), "lambda0"),
     (lambda Y: solve_sqrt_analysis_batch(Y, P2, 0.3, SolverOptions(tol=0.0)), "tol"),
     (lambda Y: solve_analysis(Y[:, 0], P2, np.nan), "lam"),
+    (lambda Y: solve_analysis(Y[:, 0], P2, -0.5), "lam"),
+    (lambda Y: solve_sqrt_analysis(Y[:, 0], P2, 0.0), "lambda0"),
     (lambda Y: solve_sqrt_analysis(Y[:, 0], P2, 0.3, SolverOptions(tol=-1.0)), "tol"),
 ], ids=["plain_negative", "plain_nan", "plain_tol0", "plain_tol_negative", "sqrt_zero",
-        "sqrt_negative", "sqrt_inf", "sqrt_tol0", "single_nan", "single_sqrt_tol_negative"])
+        "sqrt_negative", "sqrt_inf", "sqrt_tol0", "single_nan", "single_negative",
+        "single_sqrt_zero", "single_sqrt_tol_negative"])
 def test_bad_penalty_or_tolerance_rejected(call, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         call(np.tile(Y2[:, None], (1, 3)))
