@@ -293,3 +293,49 @@ def test_minimal_tuning_registry_complete():
         assert minimal_tuning(tid, inp) > 0
     with pytest.raises(ValueError, match="unknown theorem"):
         minimal_tuning("nope", inp)
+
+
+def _golden_battery():
+    """Inputs on a path, a cycle, a 4x4 grid and a tree, each at two
+    sigma/eta settings; the grid and the tree take a numeric kappa."""
+    rng = np.random.default_rng(8)
+    cases = [(path_graph(24), [8, 16], "path", {}),
+             (cycle_graph(24), [6, 12, 18, 24], "cycle", {}),
+             (grid_graph(4, 4), [2, 6, 10], "grid",
+              {"kappa_source": "numeric", "kappa_value": 0.7}),
+             (graphs.tree_graph([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10]),
+              [3, 8], "tree", {"kappa_source": "numeric", "kappa_value": 0.4})]
+    for g, S, family, kw in cases:
+        D = incidence(g)
+        a = active_set(g, S)
+        rep = projections.theory_report(D, a)
+        f0 = np.zeros(g.n)
+        for tail, head in (g.edges[k - 1] for k in S):
+            f0[head - 1:] += 1.0
+        f = f0 + 0.05 * rng.standard_normal(g.n)
+        for sigma, eta in ((1.0, 0.5), (0.7, 0.25)):
+            yield f"{family}/{sigma}/{eta}", TheoremInputs(
+                active=a, report=rep, family=family, sigma=sigma, t=1.5, x=2.0,
+                a=1.5, eta=eta, lam=0.3 * sigma, lambda0=0.2, f=f, f0=f0, D=D,
+                grid_constant=1.25, **kw)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ValueError, ArithmeticError) as e:
+        return f"{type(e).__name__}: {e}"
+    return out.to_dict() if isinstance(out, tuning.OracleRHS) else out
+
+
+def test_every_theorem_golden_digest():
+    # every id's RHS value, term breakdown (key order included), probability,
+    # minimal tuning and LHS coefficient, or the error it raises
+    import hashlib
+    import json
+    record = {name: {tid: [_outcome(fn, tid, inp) for fn in (
+        oracle_rhs, minimal_tuning, tuning.lhs_penalty_coefficient)] for tid in THEOREMS}
+        for name, inp in _golden_battery()}
+    assert len(record) == 8 and all(len(v) == 16 for v in record.values())
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == \
+        "42f7def200ae161458eb31f3ab3a60653da2d4c544281982db33a7bcd89785af"
