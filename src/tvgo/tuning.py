@@ -1,17 +1,20 @@
 """Tuning-parameter formulas, assumption checks, and the error-bound
 right-hand sides of every implemented inequality.
 
-All fifteen-plus inequality variants share one engine: a registry maps each
-theorem id to its probability pattern, its minimal tuning value, its penalty
-term, and its stochastic terms.  The generic fast-rate bounds plug in a
-compatibility bound (closed-form for paths/cycles, or the numeric search
-estimate); the family-specific corollaries carry their plugged-in closed
-forms verbatim.
+Each inequality is a kind crossed with a rate form.  The two kinds, PLAIN
+and SQRT, hold all that the square-root estimator changes in a bound: the
+deviation parameter and probability, the penalty coefficient, the kappa
+term, the family-rate scaling and the slow-rate LHS coefficient.  The three
+rate forms are written once: the generic fast rate (a compatibility bound,
+closed-form on paths and cycles or a numeric estimate), the path/cycle fast
+rate (K and weights rates) and the slow rate (noise plus a coefficient times
+||Df||_1).  THEOREMS maps each id to its kind, rate form, minimal tuning
+and hypothesis check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,14 +76,7 @@ class Assumption1Report:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok, "c": self.c,
-            "n_large_enough": self.n_large_enough,
-            "eta_large_enough": self.eta_large_enough,
-            "lambda0_large_enough": self.lambda0_large_enough,
-            "signal_small_enough": self.signal_small_enough,
-            "tv_cap": self.tv_cap, "details": self.details,
-        }
+        return asdict(self)
 
 
 def check_assumption1(n: int, r_S: int, gamma: float, sigma: float, a: float,
@@ -123,8 +119,7 @@ class AdmissibleCaps:
     feasible: bool
 
     def to_dict(self) -> dict:
-        return {"max_r_S": self.max_r_S, "max_gamma": self.max_gamma,
-                "feasible": self.feasible}
+        return asdict(self)
 
 
 def admissible_set_requirements(lambda0: float, a: float, t: float, eta: float,
@@ -152,8 +147,7 @@ class OracleRHS:
     probability: float
 
     def to_dict(self) -> dict:
-        return {"theorem_id": self.theorem_id, "value": self.value,
-                "breakdown": dict(self.breakdown), "probability": self.probability}
+        return asdict(self)
 
 
 @dataclass
@@ -204,17 +198,12 @@ class TheoremInputs:
             if self.kappa_value is None:
                 raise ValueError("kappa_source='numeric' needs kappa_value")
             return math.sqrt(self.active.r_S) / self.kappa_value
-        if self.family == "path":
-            kb = kappa_bound_path(self.active, self.report.weights,
-                                  self.report.gamma)
-        elif self.family == "cycle":
-            kb = kappa_bound_cycle(self.active, self.report.weights,
-                                   self.report.gamma)
-        else:
+        if self.family not in ("path", "cycle"):
             raise TheoremHypothesisError(
                 f"no closed-form compatibility bound for family {self.family!r}; "
                 "pass kappa_source='numeric'")
-        return kb.sqrt_rs_over_kappa_weighted
+        bound = kappa_bound_path if self.family == "path" else kappa_bound_cycle
+        return bound(self.active, self.report.weights, self.report.gamma).sqrt_rs_over_kappa_weighted
 
 
 def _need(inputs: TheoremInputs, *names):
@@ -231,7 +220,8 @@ def _K_cycle(active: ActiveSet) -> float:
     return kappa_bound_cycle(active).K_prime
 
 
-def _check_equal_sizes(active: ActiveSet, even: bool):
+def _check_equal_sizes(inp: TheoremInputs, even: bool = False):
+    active = inp.active
     if active.n_min != active.n_max:
         raise TheoremHypothesisError(
             f"needs n_min = n_max; got {active.n_min} != {active.n_max}")
@@ -239,167 +229,127 @@ def _check_equal_sizes(active: ActiveSet, even: bool):
         raise TheoremHypothesisError(f"needs even component size; got {active.n_max}")
 
 
-def _check_nmin(active: ActiveSet, k: int):
-    if active.n_min < k:
-        raise TheoremHypothesisError(
-            f"needs every component size >= {k}; smallest is {active.n_min}")
-
-
-def _prob_plain(inp: TheoremInputs) -> float:
-    _need(inp, "x")
-    return 1.0 - math.exp(-inp.x) - math.exp(-inp.t)
-
-
-def _prob_sqrt(inp: TheoremInputs) -> float:
-    _need(inp, "a")
-    return 1.0 - 4.0 * math.exp(-inp.a) - math.exp(-inp.t)
+def _check_cycle_nonempty(inp: TheoremInputs):
+    if not inp.active.S:
+        raise TheoremHypothesisError("cycle inequalities need a nonempty active set")
 
 
 def _log2n_t(inp: TheoremInputs) -> float:
     return math.log(2.0 * inp.active.n) + inp.t
 
 
+def _lhs_sqrt(inp: TheoremInputs) -> float:
+    _need(inp, "a", "eta")
+    n = inp.active.n
+    return 2.0 * (1.0 - inp.eta) * math.sqrt(1.0 - math.sqrt(8.0 * inp.a / n)) \
+        * inp.sigma * inp.lambda0
+
+
+def _penalty_intermediate(inp: TheoremInputs, pen_ms: float) -> float:
+    # sharper penalty constant (1+eta)(1+sqrt(4a/n)) before it is rounded up to 4
+    return 4.0 * (1.0 + inp.eta) * (1.0 + math.sqrt(4.0 * inp.a / inp.active.n)) \
+        * inp.sigma * inp.lambda0 * pen_ms
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What an estimator changes in an inequality.  Each square-root bound is
+    its plain twin with x -> a, 4 lam -> 16 sigma lambda0, the kappa term
+    lam sqrt(r_S)/(kappa sigma) -> 4 lambda0 sqrt(r_S)/kappa, and the family
+    rates times 4/(1 - eta) over n - 1 in place of n."""
+
+    name: str             # "plain" | "sqrt"
+    level: str            # the tuning input: "lam" | "lambda0"
+    dev: str              # the deviation parameter: "x" | "a"
+    tuning_needs: tuple   # inputs every minimal tuning of the kind reads
+    dev_weight: float     # probability 1 - dev_weight exp(-dev) - exp(-t)
+    penalty: object       # inputs -> RHS coefficient of ||D f||_1
+    kappa: object         # (inputs, sqrt(r_S)/kappa) -> kappa stochastic term
+    rate: object          # inputs -> multiplier of the family rates ...
+    rate_shift: int       # ... whose denominator is n - rate_shift
+    slow_lhs: object      # inputs -> LHS coefficient of ||D_S fhat||_1 (slow rate)
+    intermediate: object = None  # (inputs, ||D_{-S} f||_1) -> noted sharper penalty
+
+
+PLAIN = _Kind("plain", "lam", "x", (), 1.0,
+              penalty=lambda i: 4.0 * i.lam,
+              kappa=lambda i, sr_k: i.lam * sr_k / i.sigma,
+              rate=lambda i: 1.0, rate_shift=0,
+              slow_lhs=lambda i: 2.0 * i.lam)
+SQRT = _Kind("sqrt", "lambda0", "a", ("eta",), 4.0,
+             penalty=lambda i: 16.0 * i.sigma * i.lambda0,
+             kappa=lambda i, sr_k: 4.0 * i.lambda0 * sr_k,
+             rate=lambda i: 4.0 * (1.0 / (1.0 - i.eta)), rate_shift=1,
+             slow_lhs=_lhs_sqrt, intermediate=_penalty_intermediate)
+
+
 @dataclass(frozen=True)
 class _Thm:
-    kind: str                 # "plain" | "sqrt"
-    prob: object
+    kind: _Kind
     min_tuning: object        # inputs -> minimal lambda or lambda0
-    rhs: object               # inputs -> (value, breakdown)
-    lhs_penalty: object       # inputs -> coefficient of ||D_S fhat||_1 in the LHS
+    rhs: object               # (row, inputs) -> (value, breakdown)
+    needs: tuple = ()         # inputs the row reads beyond its kind's
+    K: object = None          # family rates: active -> K; None for equal even sizes
+    coeff: object = None      # slow rate: closed-form penalty coefficient
     check: object = None      # hypothesis check
+    slow_lhs: bool = False    # the LHS carries kind.slow_lhs * ||D_S fhat||_1
 
 
-def _stochastic(parts: dict, sigma: float) -> tuple[float, dict]:
-    """sigma^2 (sum of sqrt-terms)^2 with the named terms recorded."""
-    tot = sigma * sum(parts.values())
-    bd = {f"stochastic.{k}": sigma * v for k, v in parts.items()}
+def _fast_sum(kind: _Kind, inp: TheoremInputs, rates: dict):
+    """approximation + penalty on D_{-S} f + sigma^2 (sum of the noise terms
+    and the rates)^2, each term recorded in the breakdown."""
+    n = inp.active.n
+    parts = {f"noise_{kind.dev}": math.sqrt(2.0 * getattr(inp, kind.dev) / n),
+             "noise_rs": math.sqrt(inp.active.r_S / n), **rates}
+    tot = inp.sigma * sum(parts.values())
+    bd = {f"stochastic.{k}": inp.sigma * v for k, v in parts.items()}
     bd["stochastic_total"] = tot ** 2
-    return tot ** 2, bd
-
-
-def _rhs_plain_fast(inp: TheoremInputs):
-    _need(inp, "lam", "x")
-    n, r = inp.active.n, inp.active.r_S
     _, _, pen_ms = inp.df_norms()
-    sr_over_k = inp.sqrt_rs_over_kappa()
-    st, bd = _stochastic({
-        "noise_x": math.sqrt(2.0 * inp.x / n),
-        "noise_rs": math.sqrt(r / n),
-        "kappa": inp.lam * sr_over_k / inp.sigma,
-    }, inp.sigma)
     approx = inp.approx_err()
-    pen = 4.0 * inp.lam * pen_ms
+    pen = kind.penalty(inp) * pen_ms
     bd.update(approximation=approx, penalty=pen)
-    return approx + pen + st, bd
+    return approx + pen + tot ** 2, bd, pen_ms
 
 
-def _rhs_plain_slow(inp: TheoremInputs):
-    _need(inp, "lam", "x")
-    n, r = inp.active.n, inp.active.r_S
+def _rhs_fast(thm: _Thm, inp: TheoremInputs):
+    """Generic fast rate: the compatibility constant enters the kappa term."""
+    kind = thm.kind
+    value, bd, pen_ms = _fast_sum(kind, inp, {"kappa": kind.kappa(inp, inp.sqrt_rs_over_kappa())})
+    if kind.intermediate is not None:
+        bd["penalty_intermediate"] = kind.intermediate(inp, pen_ms)
+    return value, bd
+
+
+def _rhs_family_fast(thm: _Thm, inp: TheoremInputs):
+    """Path and cycle fast rates: the kappa term becomes a K rate and a
+    weights rate, both over the kind's denominator."""
+    kind, active = thm.kind, inp.active
+    if thm.K is None:
+        _check_equal_sizes(inp, even=True)
+    if active.n_min < 4:
+        raise TheoremHypothesisError(
+            f"needs every component size >= 4; smallest is {active.n_min}")
+    n, r = active.n, active.r_S
+    denom = n - kind.rate_shift
+    if thm.K is None:
+        rate_K = math.sqrt(4.0 * r * _log2n_t(inp) / denom)
+    else:
+        rate_K = math.sqrt(active.n_max * thm.K(active) * _log2n_t(inp) / denom)
+    rate_w = math.sqrt(10.0 * (r / denom) * _log2n_t(inp) * math.log(n / r))
+    mult = kind.rate(inp)
+    value, bd, _ = _fast_sum(kind, inp, {"rate_K": mult * rate_K, "rate_weights": mult * rate_w})
+    return value, bd
+
+
+def _rhs_slow(thm: _Thm, inp: TheoremInputs):
+    """Slow rate: approximation + noise + coefficient * ||Df||_1, with the
+    row's closed-form coefficient (grids) or the kind's penalty."""
+    kind, n = thm.kind, inp.active.n
     tot, _, _ = inp.df_norms()
     approx = inp.approx_err()
-    noise = inp.sigma ** 2 / n * (math.sqrt(2.0 * inp.x) + math.sqrt(r)) ** 2
-    pen = 4.0 * inp.lam * tot
-    return approx + noise + pen, {"approximation": approx, "noise": noise, "penalty": pen}
-
-
-def _rhs_sqrt_fast(inp: TheoremInputs):
-    _need(inp, "lambda0", "a", "eta")
-    n, r = inp.active.n, inp.active.r_S
-    _, _, pen_ms = inp.df_norms()
-    sr_over_k = inp.sqrt_rs_over_kappa()
-    st, bd = _stochastic({
-        "noise_a": math.sqrt(2.0 * inp.a / n),
-        "noise_rs": math.sqrt(r / n),
-        "kappa": 4.0 * inp.lambda0 * sr_over_k,
-    }, inp.sigma)
-    approx = inp.approx_err()
-    pen = 16.0 * inp.sigma * inp.lambda0 * pen_ms
-    # sharper intermediate penalty constant before rounding (1+eta)(1+sqrt(4a/n)) up to 4
-    inter = 4.0 * (1.0 + inp.eta) * (1.0 + math.sqrt(4.0 * inp.a / n)) \
-        * inp.sigma * inp.lambda0 * pen_ms
-    bd.update(approximation=approx, penalty=pen, penalty_intermediate=inter)
-    return approx + pen + st, bd
-
-
-def _rhs_sqrt_slow(inp: TheoremInputs):
-    _need(inp, "lambda0", "a")
-    n, r = inp.active.n, inp.active.r_S
-    tot, _, _ = inp.df_norms()
-    approx = inp.approx_err()
-    noise = inp.sigma ** 2 / n * (math.sqrt(2.0 * inp.a) + math.sqrt(r)) ** 2
-    pen = 16.0 * inp.sigma * inp.lambda0 * tot
-    return approx + noise + pen, {"approximation": approx, "noise": noise, "penalty": pen}
-
-
-def _rate_K(inp: TheoremInputs, K: float, denom: int) -> float:
-    return math.sqrt(inp.active.n_max * K * _log2n_t(inp) / denom)
-
-
-def _rate_weights(inp: TheoremInputs, denom: int) -> float:
-    n, r = inp.active.n, inp.active.r_S
-    return math.sqrt(10.0 * (r / denom) * _log2n_t(inp) * math.log(n / r))
-
-
-def _rhs_path_fast(inp: TheoremInputs, K_fn, equal: bool):
-    _need(inp, "lam", "x")
-    if equal:
-        _check_equal_sizes(inp.active, even=True)
-    _check_nmin(inp.active, 4)
-    n, r = inp.active.n, inp.active.r_S
-    if equal:
-        rate_K = math.sqrt(4.0 * r * _log2n_t(inp) / n)
-    else:
-        rate_K = _rate_K(inp, K_fn(inp.active), n)
-    st, bd = _stochastic({
-        "noise_x": math.sqrt(2.0 * inp.x / n),
-        "noise_rs": math.sqrt(r / n),
-        "rate_K": rate_K,
-        "rate_weights": _rate_weights(inp, n),
-    }, inp.sigma)
-    approx = inp.approx_err()
-    _, _, pen_ms = inp.df_norms()
-    pen = 4.0 * inp.lam * pen_ms
-    bd.update(approximation=approx, penalty=pen)
-    return approx + pen + st, bd
-
-
-def _rhs_sqrt_path_fast(inp: TheoremInputs, K_fn, equal: bool):
-    _need(inp, "lambda0", "a", "eta")
-    if equal:
-        _check_equal_sizes(inp.active, even=True)
-    _check_nmin(inp.active, 4)
-    n, r = inp.active.n, inp.active.r_S
-    one = 1.0 / (1.0 - inp.eta)
-    if equal:
-        rate_K = 4.0 * one * math.sqrt(4.0 * r * _log2n_t(inp) / (n - 1))
-    else:
-        rate_K = 4.0 * one * _rate_K(inp, K_fn(inp.active), n - 1)
-    st, bd = _stochastic({
-        "noise_a": math.sqrt(2.0 * inp.a / n),
-        "noise_rs": math.sqrt(r / n),
-        "rate_K": rate_K,
-        "rate_weights": 4.0 * one * _rate_weights(inp, n - 1),
-    }, inp.sigma)
-    approx = inp.approx_err()
-    _, _, pen_ms = inp.df_norms()
-    pen = 16.0 * inp.lambda0 * inp.sigma * pen_ms
-    bd.update(approximation=approx, penalty=pen)
-    return approx + pen + st, bd
-
-
-def _rhs_slow_family(inp: TheoremInputs, lam_coeff_fn, sqrt_kind: bool):
-    if sqrt_kind:
-        _need(inp, "a")
-        head = math.sqrt(2.0 * inp.a)
-    else:
-        _need(inp, "x")
-        head = math.sqrt(2.0 * inp.x)
-    n, r = inp.active.n, inp.active.r_S
-    tot, _, _ = inp.df_norms()
-    approx = inp.approx_err()
-    noise = inp.sigma ** 2 / n * (head + math.sqrt(r)) ** 2
-    pen = lam_coeff_fn(inp) * tot
+    head = math.sqrt(2.0 * getattr(inp, kind.dev))
+    noise = inp.sigma ** 2 / n * (head + math.sqrt(inp.active.r_S)) ** 2
+    pen = (thm.coeff or kind.penalty)(inp) * tot
     return approx + noise + pen, {"approximation": approx, "noise": noise, "penalty": pen}
 
 
@@ -416,131 +366,101 @@ def _min_lam_equal(inp: TheoremInputs) -> float:
 
 
 def _min_lam_grid(inp: TheoremInputs) -> float:
-    _need(inp, "grid_constant")
     n = inp.active.n
     return inp.grid_constant * inp.sigma * math.sqrt(math.log(n) * _log2n_t(inp)) / n
 
 
 def _min_lam0_theorem(inp: TheoremInputs) -> float:
-    _need(inp, "eta")
     return lambda0_sqrt(inp.report.gamma, inp.active.n, inp.active.r_S, inp.t, inp.eta)
 
 
 def _min_lam0_family(inp: TheoremInputs) -> float:
-    _need(inp, "eta")
     n = inp.active.n
     return math.sqrt(inp.active.n_max * _log2n_t(inp) / (n * (n - 1))) / (1.0 - inp.eta)
 
 
 def _min_lam0_equal(inp: TheoremInputs) -> float:
-    _need(inp, "eta")
     n = inp.active.n
     return math.sqrt(_log2n_t(inp) / (inp.active.r_S * (n - 1))) / (1.0 - inp.eta)
 
 
 def _min_lam0_grid(inp: TheoremInputs) -> float:
-    _need(inp, "eta", "grid_constant")
     n = inp.active.n
     return inp.grid_constant / (1.0 - inp.eta) * math.sqrt(math.log(n) * _log2n_t(inp) / (n * (n - 1)))
 
 
-def _lhs_plain_slow(inp: TheoremInputs) -> float:
-    return 2.0 * inp.lam
-
-
-def _lhs_sqrt_slow(inp: TheoremInputs) -> float:
-    _need(inp, "a", "eta")
+def _sqrt_grid_coeff(inp: TheoremInputs) -> float:
     n = inp.active.n
-    return 2.0 * (1.0 - inp.eta) * math.sqrt(1.0 - math.sqrt(8.0 * inp.a / n)) \
-        * inp.sigma * inp.lambda0
+    return inp.grid_constant * inp.sigma / (1.0 - inp.eta) \
+        * math.sqrt(math.log(n) * _log2n_t(inp) / (n * (n - 1)))
 
 
-def _zero_lhs(inp: TheoremInputs) -> float:
-    return 0.0
-
-
-def _check_cycle_nonempty(inp: TheoremInputs):
-    if not inp.active.S:
-        raise TheoremHypothesisError("cycle inequalities need a nonempty active set")
-
+_GRID = ("grid_constant",)
 
 THEOREMS: dict[str, _Thm] = {
-    "plain_fast": _Thm("plain", _prob_plain, _min_lam_theorem, _rhs_plain_fast, _zero_lhs),
-    "plain_slow": _Thm("plain", _prob_plain, _min_lam_theorem, _rhs_plain_slow, _lhs_plain_slow),
-    "sqrt_fast": _Thm("sqrt", _prob_sqrt, _min_lam0_theorem, _rhs_sqrt_fast, _zero_lhs),
-    "sqrt_slow": _Thm("sqrt", _prob_sqrt, _min_lam0_theorem, _rhs_sqrt_slow, _lhs_sqrt_slow),
-    "path_fast": _Thm("plain", _prob_plain, _min_lam_family,
-                      lambda i: _rhs_path_fast(i, _K_path, equal=False), _zero_lhs),
-    "path_fast_equal": _Thm("plain", _prob_plain, _min_lam_equal,
-                            lambda i: _rhs_path_fast(i, _K_path, equal=True), _zero_lhs),
-    "sqrt_path_fast": _Thm("sqrt", _prob_sqrt, _min_lam0_family,
-                           lambda i: _rhs_sqrt_path_fast(i, _K_path, equal=False), _zero_lhs),
-    "sqrt_path_fast_equal": _Thm("sqrt", _prob_sqrt, _min_lam0_family,
-                                 lambda i: _rhs_sqrt_path_fast(i, _K_path, equal=True), _zero_lhs),
-    "cycle_fast": _Thm("plain", _prob_plain, _min_lam_family,
-                       lambda i: _rhs_path_fast(i, _K_cycle, equal=False), _zero_lhs,
-                       _check_cycle_nonempty),
-    "sqrt_cycle_fast": _Thm("sqrt", _prob_sqrt, _min_lam0_family,
-                            lambda i: _rhs_sqrt_path_fast(i, _K_cycle, equal=False), _zero_lhs,
-                            _check_cycle_nonempty),
-    "tree_cycle_slow": _Thm("plain", _prob_plain, _min_lam_family,
-                            lambda i: _rhs_slow_family(i, lambda j: 4.0 * j.lam, False),
-                            _zero_lhs),
-    "tree_cycle_slow_equal": _Thm("plain", _prob_plain, _min_lam_equal,
-                                  lambda i: _rhs_slow_family(i, lambda j: 4.0 * j.lam, False),
-                                  _zero_lhs,
-                                  lambda i: _check_equal_sizes(i.active, even=False)),
-    "sqrt_tree_cycle_slow": _Thm("sqrt", _prob_sqrt, _min_lam0_family,
-                                 lambda i: _rhs_slow_family(
-                                     i, lambda j: 16.0 * j.sigma * j.lambda0, True),
-                                 _zero_lhs),
-    "sqrt_tree_cycle_slow_equal": _Thm("sqrt", _prob_sqrt, _min_lam0_equal,
-                                       lambda i: _rhs_slow_family(
-                                           i, lambda j: 16.0 * j.sigma * j.lambda0, True),
-                                       _zero_lhs,
-                                       lambda i: _check_equal_sizes(i.active, even=False)),
-    "grid_slow": _Thm("plain", _prob_plain, _min_lam_grid,
-                      lambda i: _rhs_slow_family(
-                          i, lambda j: j.grid_constant * j.sigma * math.sqrt(
-                              math.log(j.active.n) * _log2n_t(j)) / j.active.n, False),
-                      _zero_lhs),
-    "sqrt_grid_slow": _Thm("sqrt", _prob_sqrt, _min_lam0_grid,
-                           lambda i: _rhs_slow_family(
-                               i, lambda j: j.grid_constant * j.sigma / (1.0 - j.eta)
-                               * math.sqrt(math.log(j.active.n) * _log2n_t(j)
-                                           / (j.active.n * (j.active.n - 1))), True),
-                           _zero_lhs),
+    "plain_fast": _Thm(PLAIN, _min_lam_theorem, _rhs_fast),
+    "plain_slow": _Thm(PLAIN, _min_lam_theorem, _rhs_slow, slow_lhs=True),
+    "sqrt_fast": _Thm(SQRT, _min_lam0_theorem, _rhs_fast, ("eta",)),
+    "sqrt_slow": _Thm(SQRT, _min_lam0_theorem, _rhs_slow, slow_lhs=True),
+    "path_fast": _Thm(PLAIN, _min_lam_family, _rhs_family_fast, K=_K_path),
+    "path_fast_equal": _Thm(PLAIN, _min_lam_equal, _rhs_family_fast),
+    "sqrt_path_fast": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",), K=_K_path),
+    "sqrt_path_fast_equal": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",)),
+    "cycle_fast": _Thm(PLAIN, _min_lam_family, _rhs_family_fast, K=_K_cycle,
+                       check=_check_cycle_nonempty),
+    "sqrt_cycle_fast": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",), K=_K_cycle,
+                            check=_check_cycle_nonempty),
+    "tree_cycle_slow": _Thm(PLAIN, _min_lam_family, _rhs_slow),
+    "tree_cycle_slow_equal": _Thm(PLAIN, _min_lam_equal, _rhs_slow, check=_check_equal_sizes),
+    "sqrt_tree_cycle_slow": _Thm(SQRT, _min_lam0_family, _rhs_slow),
+    "sqrt_tree_cycle_slow_equal": _Thm(SQRT, _min_lam0_equal, _rhs_slow,
+                                       check=_check_equal_sizes),
+    "grid_slow": _Thm(PLAIN, _min_lam_grid, _rhs_slow, _GRID, coeff=_min_lam_grid),
+    "sqrt_grid_slow": _Thm(SQRT, _min_lam0_grid, _rhs_slow, ("eta",) + _GRID,
+                           coeff=_sqrt_grid_coeff),
 }
 
 
+def _row(theorem_id: str) -> _Thm:
+    thm = THEOREMS.get(theorem_id)
+    if thm is None:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    return thm
+
+
 def theorem_kind(theorem_id: str) -> str:
-    return THEOREMS[theorem_id].kind
+    return THEOREMS[theorem_id].kind.name
 
 
 def minimal_tuning(theorem_id: str, inputs: TheoremInputs) -> float:
     """Theorem-minimal lambda (plain ids) or lambda0 (sqrt ids)."""
-    thm = THEOREMS.get(theorem_id)
-    if thm is None:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    thm = _row(theorem_id)
+    _need(inputs, *thm.kind.tuning_needs, *thm.needs)
     return thm.min_tuning(inputs)
 
 
 def lhs_penalty_coefficient(theorem_id: str, inputs: TheoremInputs) -> float:
     """Coefficient of ||D_S f_hat||_1 on the inequality's left-hand side."""
-    return THEOREMS[theorem_id].lhs_penalty(inputs)
+    thm = _row(theorem_id)
+    if not thm.slow_lhs:
+        return 0.0
+    _need(inputs, thm.kind.level)
+    return thm.kind.slow_lhs(inputs)
 
 
 def oracle_rhs(theorem_id: str, inputs: TheoremInputs) -> OracleRHS:
     """Evaluate one inequality's right-hand side with a term breakdown.
 
-    Raises TheoremHypothesisError naming the violated hypothesis if the
-    inputs fall outside the inequality's assumptions.
+    Raises ValueError naming a missing input, and TheoremHypothesisError
+    naming the violated hypothesis if the inputs fall outside the
+    inequality's assumptions.
     """
-    thm = THEOREMS.get(theorem_id)
-    if thm is None:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    thm = _row(theorem_id)
+    kind = thm.kind
+    _need(inputs, kind.level, kind.dev, *thm.needs)
     if thm.check is not None:
         thm.check(inputs)
-    value, breakdown = thm.rhs(inputs)
+    value, breakdown = thm.rhs(thm, inputs)
+    prob = 1.0 - kind.dev_weight * math.exp(-getattr(inputs, kind.dev)) - math.exp(-inputs.t)
     return OracleRHS(theorem_id=theorem_id, value=float(value),
-                     breakdown=breakdown, probability=float(thm.prob(inputs)))
+                     breakdown=breakdown, probability=float(prob))

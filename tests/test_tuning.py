@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -293,6 +294,16 @@ def test_minimal_tuning_registry_complete():
         assert minimal_tuning(tid, inp) > 0
     with pytest.raises(ValueError, match="unknown theorem"):
         minimal_tuning("nope", inp)
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_missing_inputs_raise_value_error(tid):
+    # the kind's level, and a grid id's constant, are checked before any arithmetic
+    _, inp = next(_golden_battery())
+    level = "lam" if tuning.theorem_kind(tid) == "plain" else "lambda0"
+    for name in [level] + ["grid_constant"] * ("grid" in tid):
+        with pytest.raises(ValueError, match=f"theorem needs input '{name}'"):
+            oracle_rhs(tid, dataclasses.replace(inp, **{name: None}))
 
 
 def _golden_battery():
