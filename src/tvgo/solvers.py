@@ -88,7 +88,6 @@ class SolverOptions:
     certify: bool = True         # run the KKT feasibility program on the result
     kkt_tol: float = 1e-6
     fp_tol: float = 1e-9         # relative tolerance of the sigma fixed point
-    track_objective: bool = False
 
 
 @dataclass
@@ -98,8 +97,7 @@ class BatchResult:
     converged[j]: column j met the ADMM stopping test (plain) or its scale
     settled (square root).  lam[j]: the penalty column j was last solved at,
     0 where f = Y.  iterations: inner ADMM iterations of the whole batch.
-    sigma_hat and overfit are set by the square-root estimator only, trace
-    by a plain solve with track_objective.
+    sigma_hat and overfit are set by the square-root estimator only.
     """
 
     F: np.ndarray
@@ -108,7 +106,6 @@ class BatchResult:
     iterations: int
     sigma_hat: np.ndarray | None = None
     overfit: np.ndarray | None = None
-    trace: list | None = None
 
 
 @dataclass
@@ -116,8 +113,7 @@ class EstimateResult:
     """Solution bundle for one estimation problem.
 
     sigma_hat and overfit are set by the square-root solver only.  objective
-    is the attained objective value; objective_trace (optional) records the
-    best objective seen up to each iteration and is non-increasing.
+    is the attained objective value.
     """
 
     f_hat: np.ndarray
@@ -129,7 +125,6 @@ class EstimateResult:
     objective: float
     sigma_hat: float | None = None
     overfit: bool | None = None
-    objective_trace: list | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -289,8 +284,8 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     leaves the batch at the first iteration where it meets the primal/dual
     stopping test; the loop ends when no column is live or at max_iter.
     Returns the best-objective iterates (n, B), the warm-start state, the
-    iteration count, a per-column converged mask (column j met the test) and
-    the trace of the mean best objective.  The state holds each column's
+    iteration count and a per-column converged mask (column j met the
+    test).  The state holds each column's
     iterate at the iteration it left the batch (or the last one), one
     penalty rho and the splitting of D; when given, it is updated in place
     and its splitting is used in place of D.
@@ -316,8 +311,6 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
 
     obj_best = _objective(Y, F, lam, D)
     F_best = F.copy()
-    obj_all = obj_best.copy() if opts.track_objective else None
-    trace = [float(obj_best.mean())] if opts.track_objective else None
     converged = np.zeros(B, dtype=bool)
     # absolute anchors keep the stopping test meaningful for fully fused
     # solutions, where z = 0 and a purely relative test can never fire
@@ -350,9 +343,6 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
         elif better.any():
             obj_best[better] = obj[better]
             Fb[:, better] = F[:, better]
-        if trace is not None:
-            obj_all[live] = obj_best
-            trace.append(float(obj_all.mean()))
 
         # over-relaxed z-update: v = u + alpha Df + (1 - alpha) z; u_new is v
         # clipped to [-k, k] and z_new = v - u_new its soft threshold at k
@@ -414,7 +404,7 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
         state.F[:, live], state.Z[:, live], state.U[:, live] = F, Z, U
 
     state.rho = rho
-    return F_best, state, it, converged, trace
+    return F_best, state, it, converged
 
 
 def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResult:
@@ -436,8 +426,8 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     if level == 0.0:
         return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0)
     lam = np.full(B, float(level))
-    F, _, it, conv, trace = _admm_batch(D, Y, lam, opts)
-    return BatchResult(F, conv, lam, it, trace=trace)
+    F, _, it, conv = _admm_batch(D, Y, lam, opts)
+    return BatchResult(F, conv, lam, it)
 
 
 def solve_analysis(Y: np.ndarray, D: sp.spmatrix, lam: float,
@@ -469,8 +459,7 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
         objective = float(_objective(Y[:, None], out.F, out.lam, D)[0])
     res = EstimateResult(f_hat=f, lambda_used=float(out.lam[0]), residual_norm_n=norm_n(Y - f),
                          kkt_residual=None, iterations=out.iterations,
-                         converged=bool(out.converged[0]), objective=objective,
-                         objective_trace=out.trace)
+                         converged=bool(out.converged[0]), objective=objective)
     if sqrt:
         res.sigma_hat, res.overfit = float(out.sigma_hat[0]), bool(out.overfit[0])
     if opts.certify and (not sqrt or res.converged and not res.overfit):
@@ -526,7 +515,8 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
 
     Each column starts at sigma = ||Y - (componentwise mean of Y)||_n and
     leaves the batch once sigma settles (relative change <= fp_tol with a
-    converged inner solve) or falls to OVERFIT_FLOOR * ||Y||_n.  A column
+    converged inner solve) or falls to OVERFIT_FLOOR * ||Y||_n; sigma moves
+    only on a converged inner solve.  A column
     still live after MAX_OUTER steps is not converged.  Overfit columns carry
     f = Y and sigma_hat = lam = 0; every other column's lam is the last
     penalty it was solved at.
@@ -546,9 +536,11 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
             break
         sig_old = sigma[live]
         lam[live] = 2.0 * lambda0 * sig_old
-        F_new, state, it, conv, _ = _admm_batch(D, Y[:, live], lam[live], opts, state)
+        F_new, state, it, conv = _admm_batch(D, Y[:, live], lam[live], opts, state)
         iterations += it
-        sig_new = np.atleast_1d(norm_n(Y[:, live] - F_new, axis=0))
+        # a column whose inner solve has not converged keeps its scale: its
+        # best iterate may still be Y itself, which is no evidence of overfit
+        sig_new = np.where(conv, norm_n(Y[:, live] - F_new, axis=0), sig_old)
         F[:, live] = F_new
         sigma[live] = sig_new
         hit_floor = sig_new <= floors[live]

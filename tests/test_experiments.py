@@ -265,8 +265,7 @@ def test_nonconverged_trials_are_reported_not_raised(tmp_path, monkeypatch):
         self.solver_opts = dataclasses.replace(self.solver_opts, max_iter=2)
 
     # two iterations per solve and two outer steps leave every column of
-    # both estimators unconverged (after a single iteration the best iterate
-    # is Y itself, which the square-root fixed point takes for an overfit)
+    # both estimators unconverged
     monkeypatch.setattr(experiments.Experiment, "__init__", starved)
     monkeypatch.setattr(solvers, "MAX_OUTER", 2)
     starved_text, starved_summary = experiment_csv(cfg)

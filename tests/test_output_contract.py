@@ -52,7 +52,7 @@ def _dual_mismatch(D, Y, state):
 def test_batch_columns_converge_certify_and_match_single_solves(family):
     D, Y, lam, _, opts = _block(family)
     lams = np.full(B, lam)
-    F, state, it, conv, _ = _admm_batch(D, Y, lams, opts)
+    F, state, it, conv = _admm_batch(D, Y, lams, opts)
     assert conv.all()
     # the columns stopped at different iterations: a shorter run leaves
     # some converged and some not
@@ -99,11 +99,11 @@ def test_sqrt_batch_warm_start_across_rho_change_matches_single_solves(monkeypat
 def test_column_that_converged_early_stays_converged_at_small_max_iter():
     D, Y, lam, _, opts = _block("grid")
     lams = np.full(B, lam)
-    F_full, state_full, it, conv_full, _ = _admm_batch(D, Y, lams, opts)
+    F_full, state_full, it, conv_full = _admm_batch(D, Y, lams, opts)
     assert conv_full.all()
     seen = np.zeros(B, dtype=bool)
     for k in (it // 4, it // 2, 3 * it // 4):
-        F, state, _, conv, _ = _admm_batch(D, Y, lams, SolverOptions(tol=opts.tol, max_iter=k))
+        F, state, _, conv = _admm_batch(D, Y, lams, SolverOptions(tol=opts.tol, max_iter=k))
         # a column that met the test at an earlier max_iter met it again, and
         # left with the same iterate whatever the others did afterwards
         assert conv[seen].all()

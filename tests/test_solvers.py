@@ -74,16 +74,6 @@ def test_matches_coordinate_descent_reference():
         assert r.objective <= objective(Y, f_ref, lam) + 1e-6
 
 
-def test_objective_trace_non_increasing():
-    rng = np.random.default_rng(3)
-    Y = rng.standard_normal(60)
-    D = incidence(path_graph(60))
-    r = solve_analysis(Y, D, 0.15, SolverOptions(track_objective=True, certify=False))
-    trace = np.asarray(r.objective_trace)
-    assert np.all(np.diff(trace) <= 1e-14)
-    assert r.objective == pytest.approx(trace[-1], rel=1e-12)
-
-
 def test_non_convergence_flagged():
     rng = np.random.default_rng(8)
     Y = rng.standard_normal(200)
@@ -118,6 +108,19 @@ def test_sqrt_matches_brute_force_scan():
         r = solve_sqrt_analysis(Y, P2, lam0)
         assert r.sigma_hat == pytest.approx(sig_bf, abs=2e-5)
         assert np.allclose(r.f_hat, f_bf, atol=2e-5)
+
+
+def test_starved_inner_solve_is_not_an_overfit():
+    # one ADMM iteration per outer step: an inner solve that has not converged
+    # keeps its scale, so its best iterate (still Y after one step) does not
+    # count as an overfit, and the warm-started steps reach the fixed point
+    rng = np.random.default_rng(0)
+    D = incidence(path_graph(64))
+    Y = np.repeat([0.0, 1.0], 32)[:, None] + rng.standard_normal((64, 16))
+    out = solve_sqrt_analysis_batch(Y, D, 0.1, SolverOptions(max_iter=1))
+    assert not out.overfit.any() and out.converged.all()
+    ref = solve_sqrt_analysis_batch(Y, D, 0.1, SolverOptions(tol=1e-11))
+    np.testing.assert_allclose(out.sigma_hat, ref.sigma_hat, rtol=1e-5)
 
 
 def test_sqrt_fixed_point_consistency():
@@ -350,8 +353,8 @@ def test_grid_batch_agrees_with_relabelled_grid_on_superlu():
     Y_perm[perm] = Y
     lams = np.full(6, 0.05)
     opts = SolverOptions(tol=1e-7, certify=False)
-    F, _, _, conv, _ = solvers._admm_batch(incidence(g), Y, lams, opts)
-    F_perm, _, _, conv_perm, _ = solvers._admm_batch(incidence(g_perm), Y_perm, lams, opts)
+    F, _, _, conv = solvers._admm_batch(incidence(g), Y, lams, opts)
+    F_perm, _, _, conv_perm = solvers._admm_batch(incidence(g_perm), Y_perm, lams, opts)
     assert conv.all() and conv_perm.all()
     obj = solvers._objective(Y, F, lams, incidence(g))
     obj_perm = solvers._objective(Y_perm, F_perm, lams, incidence(g_perm))
