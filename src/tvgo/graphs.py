@@ -92,26 +92,19 @@ def tree_graph(parents: Sequence[int]) -> DirectedGraph:
     n = len(parents) + 1
     if n < 2:
         raise GraphError("tree graph needs n >= 2")
-    par = {v: int(parents[v - 2]) for v in range(2, n + 1)}
-    for v, p in par.items():
+    par = [int(p) for p in parents]
+    for v, p in enumerate(par, start=2):
         if not (1 <= p <= n):
             raise GraphError(f"parent of vertex {v} out of range: {p}")
         if p == v:
             raise GraphError(f"vertex {v} is its own parent")
-    # every vertex must reach the root without revisiting
-    state = {1: 2}  # 0 = in progress, 2 = done
-    for v0 in range(2, n + 1):
-        chain = []
-        v = v0
-        while state.get(v, -1) != 2:
-            if state.get(v, -1) == 0:
-                raise GraphError(f"cycle detected in parent array at vertex {v}")
-            state[v] = 0
-            chain.append(v)
-            v = par[v]
-        for w in chain:
-            state[w] = 2
-    return DirectedGraph(n, tuple((par[v], v) for v in range(2, n + 1)))
+    # n - 1 parent edges connect all n vertices exactly when they hold no
+    # cycle: a component without the root has as many edges as vertices
+    labels = component_labels(n, np.column_stack([np.asarray(par) - 1, np.arange(1, n)]))
+    if labels.any():
+        v = int(np.argmax(labels > 0)) + 1
+        raise GraphError(f"cycle detected in parent array: vertex {v} does not reach the root")
+    return DirectedGraph(n, tuple(zip(par, range(2, n + 1))))
 
 
 def build_graph(family: str, **params) -> DirectedGraph:
