@@ -285,10 +285,10 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     stopping test; the loop ends when no column is live or at max_iter.
     Returns the best-objective iterates (n, B), the warm-start state, the
     iteration count and a per-column converged mask (column j met the
-    test).  The state holds each column's
-    iterate at the iteration it left the batch (or the last one), one
-    penalty rho and the splitting of D; when given, it is updated in place
-    and its splitting is used in place of D.
+    test).  The state holds each column's iterate at the iteration it left
+    the batch (or the last one), one penalty rho and the splitting of D;
+    when given, it is updated in place and its splitting is used in place
+    of D.
     """
     B = Y.shape[1]
     if state is None:
@@ -516,10 +516,9 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
     Each column starts at sigma = ||Y - (componentwise mean of Y)||_n and
     leaves the batch once sigma settles (relative change <= fp_tol with a
     converged inner solve) or falls to OVERFIT_FLOOR * ||Y||_n; sigma moves
-    only on a converged inner solve.  A column
-    still live after MAX_OUTER steps is not converged.  Overfit columns carry
-    f = Y and sigma_hat = lam = 0; every other column's lam is the last
-    penalty it was solved at.
+    only on a converged inner solve.  A column still live after MAX_OUTER
+    steps is not converged.  Overfit columns carry f = Y and sigma_hat =
+    lam = 0; every other column's lam is the last penalty it was solved at.
     """
     n, B = Y.shape
     labels = graphs.component_labels(n, graphs.edge_endpoints(D))

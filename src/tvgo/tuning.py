@@ -395,8 +395,6 @@ def _sqrt_grid_coeff(inp: TheoremInputs) -> float:
         * math.sqrt(math.log(n) * _log2n_t(inp) / (n * (n - 1)))
 
 
-_GRID = ("grid_constant",)
-
 THEOREMS: dict[str, _Thm] = {
     "plain_fast": _Thm(PLAIN, _min_lam_theorem, _rhs_fast),
     "plain_slow": _Thm(PLAIN, _min_lam_theorem, _rhs_slow, slow_lhs=True),
@@ -415,8 +413,9 @@ THEOREMS: dict[str, _Thm] = {
     "sqrt_tree_cycle_slow": _Thm(SQRT, _min_lam0_family, _rhs_slow),
     "sqrt_tree_cycle_slow_equal": _Thm(SQRT, _min_lam0_equal, _rhs_slow,
                                        check=_check_equal_sizes),
-    "grid_slow": _Thm(PLAIN, _min_lam_grid, _rhs_slow, _GRID, coeff=_min_lam_grid),
-    "sqrt_grid_slow": _Thm(SQRT, _min_lam0_grid, _rhs_slow, ("eta",) + _GRID,
+    "grid_slow": _Thm(PLAIN, _min_lam_grid, _rhs_slow, ("grid_constant",),
+                      coeff=_min_lam_grid),
+    "sqrt_grid_slow": _Thm(SQRT, _min_lam0_grid, _rhs_slow, ("eta", "grid_constant"),
                            coeff=_sqrt_grid_coeff),
 }
 
