@@ -14,6 +14,17 @@ pseudoinverse block at a time (T an `all`, R a `max` over each block's
 directions), so the (m-s, B) correlation matrix is never assembled.  Both
 give the same bits as a column-by-column evaluation.
 
+The event evaluator allocates nothing of a block's size per block of
+trials: each thread keeps its own work arrays on the evaluator, of
+max(n, largest pseudoinverse block) rows, for the gathered rows or prefix
+sums, the correlations and their comparisons, and they go with the
+evaluator.  The projected noise norm comes from the (r_S, B) noise sums of
+the components, one product with an indicator matrix built once, not from a
+projection of the whole block.  T and R keep their arithmetic (|corr|/n
+against the T thresholds; the max of (|corr|/n) / (||d+||_n ||eps||_n)),
+because a single max of |corr| / ||d+||_n for both would round differently
+and can flip a flag that sits at its threshold.
+
 A block of trials is a dict of numpy columns keyed by trial-CSV column name
 (None where a column does not apply); `run_experiment` concatenates the
 blocks, and the summary and the CSV read those columns.  Summary statistics
@@ -24,11 +35,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import betaincinv
 
 from . import graphs, projections, solvers, tuning
 from .graphs import ActiveSet, DirectedGraph
@@ -125,6 +138,9 @@ class EventEvaluator:
     report of the same active set.  T and R are reduced one pseudoinverse
     block at a time (an `all` and a `max` over the block's directions, which
     ignore row order), so the (m-s, B) correlation matrix is never assembled.
+    X, A and A' read the projected noise norm from the per-component noise
+    sums.  Blocks of trials may be evaluated from several threads at once:
+    each thread has its own work arrays (see `_work`).
     """
 
     def __init__(self, report: projections.TheoryReport, active: ActiveSet,
@@ -141,11 +157,30 @@ class EventEvaluator:
         # norms, as (k, 1) columns that broadcast over a block of trials
         self.blocks = [(blk, thr_T[cols, None], col_norms_n[cols, None])
                        for blk, cols in zip(self.pinv.blocks, self.pinv.col_of_block)]
+        # the projection is each component's mean on its vertices, so its
+        # squared norm is the sum over components of (noise sum)^2 / size
+        self.members = projections.component_indicator(active.comp_label)
+        self.sizes = np.asarray(active.comp_sizes, dtype=np.float64)[:, None]
+        # rows of the work buffers: a component with cycles may have more
+        # edges than the graph has vertices
+        self.work_rows = max([n] + [len(thr) for _, thr, _ in self.blocks])
+        self._local = threading.local()
         self.thr_X = math.sqrt(sigma ** 2 / n) * (math.sqrt(r) + math.sqrt(2 * x))
         self.pi_lo = r - 2.0 * math.sqrt(a * r)
         self.pi_hi = r + 2.0 * math.sqrt(a * r) + 2.0 * a
         self.anti_lo = (n - r) - 2.0 * math.sqrt(a * (n - r))
         self.anti_hi = (n - r) + 2.0 * math.sqrt(a * (n - r)) + 2.0 * a
+
+    def _work(self, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The calling thread's work arrays for a block of B trials, each of
+        shape (work_rows, B): prefix sums, correlations and comparisons.
+        They are kept between blocks, and grown when a wider block comes."""
+        size = self.work_rows * B
+        bufs = getattr(self._local, "bufs", None)
+        if bufs is None or bufs[0].size < size:
+            bufs = self._local.bufs = (np.empty(size), np.empty(size),
+                                       np.empty(size, dtype=bool))
+        return tuple(buf[:size].reshape(self.work_rows, B) for buf in bufs)
 
     def flags_batch(self, eps: np.ndarray,
                     eps_sq: np.ndarray | None = None) -> dict[str, np.ndarray]:
@@ -153,25 +188,25 @@ class EventEvaluator:
         of noise columns of shape (n, B); `eps_sq`, the per-trial squared
         noise norms np.sum(eps ** 2, axis=0), is computed when not given."""
         n, B = eps.shape
-        # one (n, B) buffer holds the projection, then the squared noise (when
-        # eps_sq is not given), then each block's prefix sums and R-ratio
-        # denominators: every fresh large array is new memory to fault in on
-        # each block of trials
-        buf = projections.project_nullspace(self.active, eps)
-        proj_sq = np.sum(np.square(buf, out=buf), axis=0)
+        # every array of the block's size is one of this thread's work
+        # arrays, so a block of trials allocates nothing that large
+        work, corr_buf, below_buf = self._work(B)
         if eps_sq is None:
-            eps_sq = np.sum(np.square(eps, out=buf), axis=0)
+            # the squares go through the work array: np.sum sums a one-column
+            # block pairwise, which np.einsum does not, so its bits would move
+            eps_sq = np.sum(np.square(eps, out=work[:n]), axis=0)
+        sums = self.members @ eps   # (r_S, B) noise sum per component
+        proj_sq = np.sum(np.square(sums, out=sums) / self.sizes, axis=0)
         eps_n = np.sqrt(eps_sq / n)
         T = np.ones(B, dtype=bool)
         Rhat = np.full(B, -np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for blk, thr_T, col_norms_n in self.blocks:
-                corr = blk.apply_transpose(eps, work=buf)   # (k, B)
-                np.abs(corr, out=corr)
+                k = len(thr_T)
+                corr = blk.apply_transpose(eps, work, corr_buf[:k], absolute=True)
                 corr /= n
-                T &= np.all(corr <= thr_T, axis=0)
-                k = len(corr)   # a component with cycles may have more edges than n
-                scale = np.multiply(col_norms_n, eps_n, out=buf[:k] if k <= n else None)
+                T &= np.all(np.less_equal(corr, thr_T, out=below_buf[:k]), axis=0)
+                scale = np.multiply(col_norms_n, eps_n, out=work[:k])
                 np.maximum(Rhat, np.max(np.divide(corr, scale, out=scale), axis=0), out=Rhat)
         Rhat = np.where(eps_n == 0.0, 0.0, Rhat)  # zero noise correlates with nothing
         Rflag = self.gamma * Rhat <= self.R
@@ -423,6 +458,7 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
         floor = exp.rhs[tid].probability
         thm_summary[tid] = {
             "holds_fraction": frac,
+            "ci95": clopper_pearson(columns[f"{tid}_holds"]),
             "probability_floor": floor,
             "rhs_value": exp.rhs[tid].value,
             "rhs_breakdown": exp.rhs[tid].breakdown,
@@ -433,7 +469,8 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
         for nm in EVENT_NAMES:
             frac = _frac(columns[f"{nm}_holds"])
             floor = EVENT_FLOORS[nm](params)
-            events[nm] = {"fraction": frac, "floor": floor,
+            events[nm] = {"fraction": frac, "ci95": clopper_pearson(columns[f"{nm}_holds"]),
+                          "floor": floor,
                           "passes_floor": bool(frac >= floor - 3.0 * _binom_se(floor, cfg.trials))}
 
     def stats(arr):
@@ -463,6 +500,17 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
                          for kind in ("plain", "sqrt")},
     }
     return summary
+
+
+def clopper_pearson(holds: np.ndarray, level: float = 0.95) -> list[float]:
+    """Exact (Clopper-Pearson) two-sided interval for the probability that a
+    trial holds, from a boolean column: the beta quantiles at the count of
+    trials that hold, with the ends at 0 and 1 when none or all do."""
+    n, k = len(holds), int(np.count_nonzero(holds))
+    tail = (1.0 - level) / 2.0
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, tail))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - tail))
+    return [lo, hi]
 
 
 def _binom_se(p: float, n: int) -> float:

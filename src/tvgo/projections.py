@@ -10,6 +10,14 @@ the noise correlations of a whole (n, B) block from one prefix sum along the
 preorder, in O(n_i B) array operations without materializing anything
 dense.  Components containing cycles, or parallel edges (which add up in the
 Laplacian), keep a dense block from one Cholesky factor of their Laplacian.
+
+Both kinds of block apply their transpose into caller-owned arrays when
+given them (`work` for the gathered rows or prefix sums, `out` for the
+result), so the noise events of a Monte Carlo run reuse one set of arrays per
+thread instead of allocating block-sized ones per batch of trials; with
+`absolute=True` they return absolute correlations, for which a tree block
+skips its sign pass.  A block's edge order is its own: `PseudoInverse`
+records, per block, the global column of each of the block's edges.
 """
 from __future__ import annotations
 
@@ -32,10 +40,13 @@ class _TreeBlock:
     Column for edge e equals sign_e * (1_B - |B|/n_c) restricted to the
     component, where B is the vertex set cut off from the (local) root by
     deleting e and sign_e is +1 when the edge head lies in B.  B is the
-    subtree of the edge's child vertex, which occupies the preorder positions
-    [lo_e, hi_e), so every subtree sum is a difference of two preorder prefix
-    sums.  The index arrays are built here, never on first use, because the
-    experiment's thread pool shares one block between its workers.
+    subtree of the edge's child vertex, which occupies a contiguous run of
+    preorder positions, so every subtree sum is a difference of two preorder
+    prefix sums.  The block keeps its edges in the preorder of their child
+    vertices (`order` maps them back to the order they were given in), which
+    makes one of the two prefix sums of every edge a plain slice.  The index
+    arrays are built here, never on first use, because the experiment's
+    thread pool shares one block between its workers.
     """
 
     def __init__(self, vertices: np.ndarray, ends_local: np.ndarray):
@@ -64,18 +75,21 @@ class _TreeBlock:
         head_below = parent[head] == tail
         if not np.all(head_below | (parent[tail] == head)):
             raise ValueError("edge does not match tree structure")
-        self.child = np.where(head_below, head, tail)
-        self.sign = np.where(head_below, 1.0, -1.0)
-        self.cut_size = sub[self.child]
-        self.frac = self.cut_size / nc
+        child = np.where(head_below, head, tail)
         tin = np.empty(nc, dtype=np.int64)
         tin[preorder] = np.arange(nc)
-        self.lo = tin[self.child]
-        self.hi = self.lo + self.cut_size
-        # with inclusive prefix sums C, the subtree sums to C[hi-1] - C[lo-1];
-        # a child is never the root, so lo >= 1
-        self.last = self.hi - 1
-        self.before = self.lo - 1
+        # the block's edges in the preorder of their child vertices: every
+        # vertex but the root is the child of one edge, so the edge in
+        # position i cuts off the subtree starting at preorder position i + 1,
+        # and the prefix sum before it is row i of the prefix sums
+        self.order = np.empty(k, dtype=np.int64)
+        self.order[tin[child] - 1] = np.arange(k)
+        child = child[self.order]
+        self.sign = np.where(head_below[self.order], 1.0, -1.0)
+        self.cut_size = sub[child]
+        self.frac = self.cut_size / nc
+        # with inclusive prefix sums C, the subtree sums to C[last] - C[i]
+        self.last = np.arange(k) + self.cut_size
         self.rows = vertices[preorder]
 
     def column_norms_sq(self) -> np.ndarray:
@@ -83,33 +97,39 @@ class _TreeBlock:
         b = self.cut_size.astype(np.float64)
         return b * (self.nc - b) / self.nc
 
-    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        """Column-wise inner products (D+)' V for V of shape (n, B).
+    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
+                        out: np.ndarray | None = None, absolute: bool = False) -> np.ndarray:
+        """Column-wise inner products (D+)' V for V of shape (n, B), or their
+        absolute values.
 
         col_e' v = sign_e * (sum_B v - |B|/n_c * sum_C v), with sum_B v =
-        C[hi_e - 1] - C[lo_e - 1] for the inclusive prefix sums C of v in
-        preorder.  `work`, a C-ordered array of shape (>= n_c, B), holds the
-        prefix sums when given (its contents are overwritten); the result is
-        the only fresh (k, B) array.
+        C[last_e] - C[i] for the inclusive prefix sums C of v in preorder and
+        the block position i of edge e.  `work`, a C-ordered array of shape
+        (>= n_c, B), holds the prefix sums when given (its contents are
+        overwritten), and `out`, of shape (k, B), the result: with both, no
+        array of the block's size is allocated.
         """
-        # gathered, summed and scaled in place: every (n_c, B) temporary is
-        # new memory to fault in on each block of trials
         B = V.shape[1]
+        k = len(self.last)
         C = np.empty((self.nc, B)) if work is None else work[:self.nc]
+        out = np.empty((k, B)) if out is None else out
         np.take(V, self.rows, axis=0, out=C, mode="clip")  # unbuffered; rows are in range
         np.cumsum(C, axis=0, out=C)
-        out = C[self.last]
-        out -= C[self.before]
+        np.take(C, self.last, axis=0, out=out, mode="clip")
+        out -= C[:-1]
         # the k = n_c - 1 rows before the total C[-1] hold its product with frac
         out -= np.multiply(self.frac[:, None], C[-1], out=C[:-1])
+        if absolute:   # |sign_e * x| = |x|, so the signs are not applied
+            return np.abs(out, out=out)
         out *= self.sign[:, None]
         return out
 
     def to_dense(self, n: int) -> np.ndarray:
         """Materialized (n, k) block embedded at the component's vertices."""
-        out = np.zeros((n, len(self.child)), dtype=np.float64)
+        out = np.zeros((n, len(self.last)), dtype=np.float64)
         pos = np.arange(self.nc)[:, None]   # preorder position of each row
-        out[self.rows] = self.sign * (((self.lo <= pos) & (pos < self.hi)) - self.frac)
+        lo = np.arange(1, self.nc)          # the subtree's first position
+        out[self.rows] = self.sign * (((lo <= pos) & (pos <= self.last)) - self.frac)
         return out
 
 
@@ -149,12 +169,20 @@ class _DenseBlock:
         for lo in range(0, len(tail), DENSE_CHUNK):
             pinv_t[lo:lo + DENSE_CHUNK] -= rows[tail[lo:lo + DENSE_CHUNK]]
         self.pinv = pinv_t.T
+        self.order = np.arange(len(tail))
 
     def column_norms_sq(self) -> np.ndarray:
         return np.sum(self.pinv ** 2, axis=0)
 
-    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        return self.pinv.T @ V[self.vertices]   # needs no work array
+    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
+                        out: np.ndarray | None = None, absolute: bool = False) -> np.ndarray:
+        """(D+)' V, or its absolute values; `work` (>= n_c, B) takes the
+        gathered rows of V and `out` (k, B) the result, as in _TreeBlock."""
+        nc = len(self.vertices)
+        G = np.take(V, self.vertices, axis=0, out=None if work is None else work[:nc],
+                    mode="clip")
+        out = np.matmul(self.pinv.T, G, out=out)
+        return np.abs(out, out=out) if absolute else out
 
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros((n, self.pinv.shape[1]), dtype=np.float64)
@@ -221,9 +249,16 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet) -> PseudoInverse:
             continue
         block = _TreeBlock if len(cols) == len(verts) - 1 else _DenseBlock
         blocks.append(block(verts, local[ends[cols]]))
-        col_of_block.append(cols)
+        col_of_block.append(cols[blocks[-1].order])
     return PseudoInverse(n=active.n, n_cols=len(active.inactive),
                          blocks=blocks, col_of_block=col_of_block)
+
+
+def component_indicator(labels: np.ndarray) -> sp.csr_matrix:
+    """(components, n) 0/1 matrix whose product with an (n, B) block sums
+    each component's rows in vertex order, as bincount does."""
+    n = len(labels)
+    return sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(labels.max() + 1, n))
 
 
 def componentwise_mean(labels: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -233,11 +268,8 @@ def componentwise_mean(labels: np.ndarray, v: np.ndarray) -> np.ndarray:
     sizes = np.bincount(labels).astype(np.float64)
     if v.ndim == 1:
         return (np.bincount(labels, weights=v) / sizes)[labels]
-    # the indicator product sums each component's rows in vertex order, as
-    # bincount does, so every column equals its 1-D mean bit for bit
-    n = len(labels)
-    members = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(len(sizes), n))
-    return (members @ v / sizes[:, None])[labels]
+    # every column equals its 1-D mean bit for bit
+    return (component_indicator(labels) @ v / sizes[:, None])[labels]
 
 
 def project_nullspace(active: ActiveSet, v: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -214,6 +218,54 @@ def test_flags_batch_matches_assembled_oracle(case):
     assert ev.flags_batch(blocks["zero column"])["R_holds"][0]
 
 
+def _median_threshold_evaluator(g, S, eps):
+    """Evaluator whose T and R thresholds sit at their medians over the
+    columns of eps, so that both flags hold on some columns only."""
+    act = active_set(g, S)
+    rep = projections.theory_report(incidence(g), act)
+    col_norms_n = rep.omega[np.asarray(act.inactive) - 1][:, None]
+    corr = np.abs(rep.pinv.apply_transpose(eps)) / g.n
+    lam = np.max(corr * rep.gamma / col_norms_n, axis=0)
+    R = np.max(corr / col_norms_n, axis=0) * rep.gamma / np.sqrt(np.sum(eps ** 2, axis=0) / g.n)
+    return rep, EventEvaluator(rep, act, 1.0, float(np.median(lam)), float(np.median(R)),
+                               2.0, 2.0)
+
+
+@pytest.mark.parametrize("case", list(FLAG_CASES))
+def test_flags_batch_reuses_work_buffers(case):
+    # one evaluator keeps its work arrays between blocks: a narrower block
+    # after a wider one, a wider one after a narrower one, and two threads
+    # evaluating at once must all see only their own block's noise
+    g, S = FLAG_CASES[case]
+    rng = np.random.default_rng(7)
+    blocks = [rng.standard_normal((g.n, B)) for B in (64, 1, 37, 64)]
+    rep, ev = _median_threshold_evaluator(g, S, np.hstack(blocks))
+    want = [_assembled_flags(rep, ev, eps) for eps in blocks]
+    got = [ev.flags_batch(eps) for eps in blocks]
+    for w, gt in zip(want, got):
+        assert gt.keys() == w.keys()
+        assert all(np.array_equal(gt[key], w[key]) for key in w)
+    flips = np.concatenate([gt["R_holds"] for gt in got])
+    assert flips.any() and not flips.all()
+
+    start = threading.Barrier(2)
+
+    def worker(_):
+        start.wait()
+        return [ev.flags_batch(eps) for eps in blocks * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(worker, range(2)))
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        for w, gt in zip(want * 3, run):
+            assert all(np.array_equal(gt[key], w[key]) for key in w)
+
+
 BASE_CFG = {
     "graph": {"family": "path", "params": {"n": 64}},
     "S": [32],
@@ -240,6 +292,27 @@ def test_setup_builds_one_pseudoinverse(monkeypatch):
     assert len(calls) == 1
     assert exp.events.pinv is exp.report.pinv
     assert exp.events.gamma == exp.report.gamma
+
+
+@pytest.mark.parametrize("n", [1, 10, 150, 1000])
+def test_clopper_pearson_closed_forms(n):
+    none, every = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    assert experiments.clopper_pearson(none) == pytest.approx([0.0, 1.0 - 0.025 ** (1 / n)],
+                                                              rel=1e-12, abs=0)
+    assert experiments.clopper_pearson(every) == pytest.approx([0.025 ** (1 / n), 1.0],
+                                                               rel=1e-12, abs=0)
+    half = np.arange(10) % 2 == 0
+    assert experiments.clopper_pearson(half) == pytest.approx([0.18709, 0.81291], abs=5e-6)
+
+
+def test_summary_intervals_bracket_the_fractions():
+    summary, columns = run_experiment(dict(BASE_CFG, trials=70))
+    entries = [(s["holds_fraction"], s) for s in summary["theorems"].values()] + \
+        [(s["fraction"], s) for s in summary["events"].values()]
+    assert len(entries) == 7
+    for frac, s in entries:
+        lo, hi = s["ci95"]
+        assert 0.0 <= lo <= frac <= hi <= 1.0 and hi - lo > 0.0, s
 
 
 def test_run_experiment_plain_floors():
@@ -315,6 +388,37 @@ def test_tree_events_csv_identical_across_threads():
         sys.setswitchinterval(interval)
     assert len(csv1.splitlines()) == 1025
     assert csv1 == csv4
+
+
+def test_event_buffers_do_not_outlive_the_experiment():
+    # a 600-vertex tree whose last vertex, a leaf, is cut off alone; 150
+    # trials make blocks of 64, 64 and 22
+    rng = np.random.default_rng(3)
+    n = 600
+    parents = [int(rng.integers(max(1, v - 8), v)) for v in range(2, n + 1)]
+    cfg = experiments.ExperimentConfig.from_dict(
+        {"graph": {"family": "tree", "params": {"parents": parents}},
+         "S": [150, 420, n - 1], "signal": {"levels": [0.0, 1.0, 0.0, 1.0]},
+         "theorems": [], "events": True, "trials": 150, "seed": 17})
+    text, _ = experiment_csv(cfg)
+    assert len(text.splitlines()) == 151
+    assert experiment_csv(dataclasses.replace(cfg, threads=3))[0] == text
+    assert experiment_csv(cfg)[0] == text
+
+    # blocks run in this thread and in a pool's: the work arrays of both
+    # kinds of thread must go with the experiment and its event evaluator
+    exp = experiments.Experiment(cfg)
+    assert min(exp.active.comp_sizes) == 1
+    exp.run_block(0, 0, 64)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(lambda b: exp.run_block(b, 64 * b, min(64 * b + 64, 150)), (1, 2)))
+    refs = [weakref.ref(exp), weakref.ref(exp.events)]
+    gc.disable()   # a reference cycle would keep them alive until a collection
+    try:
+        del exp
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_tree_events_csv_golden_digest():
