@@ -12,7 +12,7 @@ its own key, and chunks of rows are written into the C-ordered (n, B) block
 that the solvers and the event sums read.  The noise events are reduced one
 pseudoinverse block at a time (T an `all`, R a `max` over each block's
 directions), so the (m-s, B) correlation matrix is never assembled.  Both
-give the same bits as a column-by-column evaluation.
+give the same bits as a column-by-column evaluation of T and R.
 
 The event evaluator allocates nothing of a block's size per block of
 trials: each thread keeps its own work arrays on the evaluator, of
@@ -20,10 +20,14 @@ max(n, largest pseudoinverse block) rows, for the gathered rows or prefix
 sums, the correlations and their comparisons, and they go with the
 evaluator.  The projected noise norm comes from the (r_S, B) noise sums of
 the components, one product with an indicator matrix built once, not from a
-projection of the whole block.  T and R keep their arithmetic (|corr|/n
-against the T thresholds; the max of (|corr|/n) / (||d+||_n ||eps||_n)),
-because a single max of |corr| / ||d+||_n for both would round differently
-and can flip a flag that sits at its threshold.
+projection of the whole block.  That norm rounds differently from the sum
+of squares of the projection, so a trial whose X, A or A' statistic sits
+exactly on its threshold could flip; byte identity of the trials CSV for
+these three flags was checked on runs of the benchmark and test
+configurations, not proven.  T and R keep their arithmetic (|corr|/n against
+the T thresholds; the max of (|corr|/n) / (||d+||_n ||eps||_n)): a single max
+of |corr| / ||d+||_n for both was tried and flipped the R flag of a tied
+column that the assembled-oracle test pins.
 
 A block of trials is a dict of numpy columns keyed by trial-CSV column name
 (None where a column does not apply); `run_experiment` concatenates the
@@ -502,14 +506,13 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
     return summary
 
 
-def clopper_pearson(holds: np.ndarray, level: float = 0.95) -> list[float]:
-    """Exact (Clopper-Pearson) two-sided interval for the probability that a
-    trial holds, from a boolean column: the beta quantiles at the count of
-    trials that hold, with the ends at 0 and 1 when none or all do."""
+def clopper_pearson(holds: np.ndarray) -> list[float]:
+    """Exact (Clopper-Pearson) two-sided 95% interval for the probability
+    that a trial holds, from a boolean column: the beta quantiles at the
+    count of trials that hold, with the ends at 0 and 1 when none or all do."""
     n, k = len(holds), int(np.count_nonzero(holds))
-    tail = (1.0 - level) / 2.0
-    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, tail))
-    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - tail))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 0.975))
     return [lo, hi]
 
 
