@@ -55,8 +55,14 @@ not raised.  The batch entry points return them; a single solve is column 0
 of a batch of one.  The one fixed-point loop, _sqrt_fixed_point, retires
 each column once its scale settles or collapses.
 
-Certification never trusts solver convergence alone: kkt_residual solves a
-small linear feasibility program for the best subgradient certificate.
+Certification never trusts solver convergence alone.  kkt_residual solves a
+linear program for the best subgradient certificate.  kkt_bound builds one
+certificate from the solver's own dual (BatchResult.V), made exact on a
+spanning forest of the free edges by subtree sums; it is feasible for that
+program, so its residual bounds the program's optimum from above.  A
+certified single solve reports that bound when it is <= kkt_tol and runs
+the program only otherwise, so EstimateResult.kkt_residual is a dual upper
+bound on the optimum, or the optimum after the fallback.
 """
 from __future__ import annotations
 
@@ -66,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-from scipy.optimize import linprog
 
 from . import graphs, projections
 
@@ -85,7 +91,7 @@ class SolverOptions:
 
     tol: float = 1e-8            # relative residual stopping threshold
     max_iter: int = 100_000
-    certify: bool = True         # run the KKT feasibility program on the result
+    certify: bool = True         # bound the KKT residual from the dual (LP if above kkt_tol)
     kkt_tol: float = 1e-6
     fp_tol: float = 1e-9         # relative tolerance of the sigma fixed point
 
@@ -97,13 +103,18 @@ class BatchResult:
     converged[j]: column j met the ADMM stopping test (plain) or its scale
     settled (square root).  lam[j]: the penalty column j was last solved at,
     0 where f = Y.  iterations: inner ADMM iterations of the whole batch.
-    sigma_hat and overfit are set by the square-root estimator only.
+    V, shape (m, B): column j's scaled ADMM dual rho u / (n lam[j]) clipped
+    to [-1, 1], from the iteration it left the batch (for the square root,
+    of its last inner solve; zero where lam[j] = 0), the dual guess kkt_bound
+    certifies from.  sigma_hat and overfit are set by the square-root
+    estimator only.
     """
 
     F: np.ndarray
     converged: np.ndarray
     lam: np.ndarray
     iterations: int
+    V: np.ndarray
     sigma_hat: np.ndarray | None = None
     overfit: np.ndarray | None = None
 
@@ -113,7 +124,10 @@ class EstimateResult:
     """Solution bundle for one estimation problem.
 
     sigma_hat and overfit are set by the square-root solver only.  objective
-    is the attained objective value.
+    is the attained objective value.  kkt_residual, when certified, is
+    kkt_bound's dual upper bound on kkt_residual's linear-program optimum
+    where that bound is <= kkt_tol, and the optimum itself after the
+    linear-program fallback; None when not certified.
     """
 
     f_hat: np.ndarray
@@ -424,10 +438,19 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
         return _sqrt_fixed_point(Y, D, level, opts)
     B = Y.shape[1]
     if level == 0.0:
-        return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0)
+        return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0,
+                           np.zeros((D.shape[0], B)))
     lam = np.full(B, float(level))
-    F, _, it, conv = _admm_batch(D, Y, lam, opts)
-    return BatchResult(F, conv, lam, it)
+    F, state, it, conv = _admm_batch(D, Y, lam, opts)
+    return BatchResult(F, conv, lam, it, _scaled_dual(state.U, state.rho, n, lam))
+
+
+def _scaled_dual(U: np.ndarray, rho: float, n: int, lam: np.ndarray) -> np.ndarray:
+    """rho U / (n lam) clipped to [-1, 1], in place in U: the multiplier v
+    of (Y - f)/n = lam D'v that the scaled dual U of the splitting stands for
+    (_shrink keeps rho U in [-n lam, n lam] up to rounding)."""
+    U *= rho / (n * lam)
+    return np.clip(U, -1.0, 1.0, out=U)
 
 
 def solve_analysis(Y: np.ndarray, D: sp.spmatrix, lam: float,
@@ -463,17 +486,93 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
     if sqrt:
         res.sigma_hat, res.overfit = float(out.sigma_hat[0]), bool(out.overfit[0])
     if opts.certify and (not sqrt or res.converged and not res.overfit):
-        res.kkt_residual = kkt_residual(Y, f, D, res.lambda_used)
+        # the dual's bound is an upper bound on the linear program's optimum,
+        # so the program runs only when the bound does not pass
+        bound = kkt_bound(Y, f, D, res.lambda_used, out.V[:, 0])
+        res.kkt_residual = (bound if bound <= opts.kkt_tol else
+                            kkt_residual(Y, f, D, res.lambda_used))
     return res
+
+
+def _active_rows(Df: np.ndarray, DY: np.ndarray) -> np.ndarray:
+    """Rows a certificate fixes to sign(Df): |(Df)_i| above ACTIVE_TOL_SCALE
+    times the larger of ||Df||_inf and ||DY||_inf.  The data's scale anchors
+    the threshold as well: at fully fused solutions ||Df||_inf is solver
+    noise and must not define activity."""
+    scale = max(float(np.max(np.abs(Df))), float(np.max(np.abs(DY)))) if Df.size else 0.0
+    if scale > 0:
+        return np.abs(Df) > ACTIVE_TOL_SCALE * scale
+    return np.zeros(len(Df), dtype=bool)
+
+
+def kkt_bound(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
+              v: np.ndarray) -> float:
+    """Upper bound on kkt_residual from the dual guess v (m,), such as a
+    column of BatchResult.V.  D is a graph incidence matrix.
+
+    v is clipped to [-1, 1] and fixed to sign(Df) on the rows kkt_residual
+    calls active.  On a spanning forest of the free edges it is then re-solved
+    by subtree sums, so that lam D'v = (Y - f)/n holds except for each fused
+    component's mean, and clipped again.  The result is feasible for
+    kkt_residual's linear program, so || (Y - f)/n - lam D'v ||_inf, which is
+    returned, is at least the program's optimum.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    f_hat = np.asarray(f_hat, dtype=np.float64)
+    D = sp.csr_matrix(D)
+    g = (Y - f_hat) / Y.shape[0]
+    if lam == 0.0:
+        return float(np.max(np.abs(g)))
+    Df = D @ f_hat
+    act = _active_rows(Df, D @ Y)
+    v = np.clip(v, -1.0, 1.0)
+    v[act] = np.sign(Df[act])
+    free = np.flatnonzero(~act)
+    Dt = D.T
+    if len(free):
+        rows, delta = _forest_step(graphs.edge_endpoints(D)[free], g - lam * (Dt @ v))
+        v[free[rows]] += delta / lam
+        np.clip(v, -1.0, 1.0, out=v)
+    return float(np.max(np.abs(g - lam * (Dt @ v))))
+
+
+def _forest_step(ends: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a spanning forest of the graph with 0-based edge endpoints
+    `ends` on len(r) vertices, and the values delta on them with
+    D_F' delta = r - (componentwise mean of r) for the forest's incidence D_F.
+
+    A virtual root joined to the first vertex of each component makes the
+    forest one tree, so one _TreeBlock takes every subtree sum: delta is the
+    product of its pseudoinverse's transpose with the centred r (zero at the
+    root), and the virtual edges' values, the centred sums, are dropped.
+    """
+    n, k = len(r), len(ends)
+    labels = graphs.component_labels(n, ends)
+    _, roots = np.unique(labels, return_index=True)
+    # tree vertex i + 1 is vertex i, and 0 the root; edges past the first k
+    # are the virtual ones
+    tree_ends = np.concatenate([ends + 1, np.column_stack([np.zeros_like(roots), roots + 1])])
+    # one edge per vertex pair, so that none add up in the adjacency, whose
+    # values are the edges' positions plus one (a zero is no edge)
+    lo, hi = tree_ends.min(axis=1), tree_ends.max(axis=1)
+    _, first = np.unique(lo * (n + 1) + hi, return_index=True)
+    adj = sp.csr_matrix((first + 1.0, tuple(tree_ends[first].T)), shape=(n + 1, n + 1))
+    picked = csgraph.depth_first_tree(adj, 0, directed=False).data.astype(np.int64) - 1
+    block = projections._TreeBlock(np.arange(n + 1), tree_ends[picked])
+    centred = np.concatenate([[0.0], r - projections.componentwise_mean(labels, r)])
+    delta = np.empty(n)
+    delta[block.order] = block.apply_transpose(centred[:, None])[:, 0]
+    real = picked < k
+    return picked[real], delta[real]
 
 
 def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float) -> float:
     """Best-case stationarity violation of a candidate solution.
 
     Searches for a subgradient certificate v with ||v||_inf <= 1, v fixed to
-    the sign of (D f)_i on rows where |(D f)_i| exceeds the activity
-    threshold, minimizing || (Y - f)/n - lam * D'v ||_inf.  Zero at the exact
-    optimum; solved as a linear program.
+    the sign of (D f)_i on the rows _active_rows calls active, minimizing
+    || (Y - f)/n - lam * D'v ||_inf.  Zero at the exact optimum; solved as a
+    linear program (scipy.optimize is imported only when one is solved).
     """
     Y = np.asarray(Y, dtype=np.float64)
     f_hat = np.asarray(f_hat, dtype=np.float64)
@@ -483,17 +582,15 @@ def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float) -
     if lam == 0.0:
         return float(np.max(np.abs(g)))
     Df = D @ f_hat
-    # anchor the activity threshold to the data scale as well: at fully fused
-    # solutions ||Df||_inf is solver noise and must not define activity
-    scale = max(float(np.max(np.abs(Df))) if Df.size else 0.0,
-                float(np.max(np.abs(D @ Y))) if Df.size else 0.0)
-    act = np.abs(Df) > ACTIVE_TOL_SCALE * scale if scale > 0 else np.zeros(len(Df), bool)
+    act = _active_rows(Df, D @ Y)
     c_fixed = g.copy()
     if act.any():
         c_fixed = c_fixed - lam * (D[act].T @ np.sign(Df[act]))
     free = np.flatnonzero(~act)
     if len(free) == 0:
         return float(np.max(np.abs(c_fixed)))
+    from scipy.optimize import linprog   # about 14 MB of RSS, so only when needed
+
     A = (lam * D[free].T).tocsc()  # (n, p)
     p = len(free)
     # variables x = [v (p), r]; minimize r s.t. |c_fixed - A v| <= r, |v| <= 1
@@ -527,6 +624,7 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
     overfit = sigma <= floors
     lam = np.zeros(B)
     F = Y.copy()
+    V = np.zeros((D.shape[0], B))
     live = np.flatnonzero(~overfit)
     state = None
     iterations = 0
@@ -547,16 +645,21 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
         settled = hit_floor | (conv & (np.abs(sig_new - sig_old)
                                        <= opts.fp_tol * np.maximum(sig_old, 1e-300)))
         if settled.any():
+            gone = live[settled]
+            V[:, gone] = _scaled_dual(state.U[:, settled], state.rho, n, lam[gone])
             keep = ~settled
             live = live[keep]
             state = _AdmmState(state.F[:, keep], state.Z[:, keep], state.U[:, keep],
                                 state.rho, state.split)
+    if len(live):   # unsettled after MAX_OUTER steps
+        V[:, live] = _scaled_dual(state.U, state.rho, n, lam[live])
     F[:, overfit] = Y[:, overfit]
+    V[:, overfit] = 0.0
     sigma = np.where(overfit, 0.0, sigma)
     lam[overfit] = 0.0
     settled = np.ones(B, dtype=bool)
     settled[live] = False
-    return BatchResult(F, settled, lam, iterations, sigma_hat=sigma, overfit=overfit)
+    return BatchResult(F, settled, lam, iterations, V, sigma_hat=sigma, overfit=overfit)
 
 
 def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
