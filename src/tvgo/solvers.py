@@ -12,15 +12,21 @@ norm of that solution updates sigma.  The iteration starts at the largest
 attainable residual norm and decreases monotonically, so it lands on the
 largest fixed point; collapse to zero is reported as overfitting.
 
-The splitting, _admm_batch, runs on a batch of columns, and each column
-leaves the batch at the first iteration where it meets the primal/dual
-stopping test, so no column iterates longer than its own test asks;
-converged[j] means that column j met the test.  The warm-start state keeps
-each column's iterate from the iteration it left and one penalty rho: on a
-change of rho the scaled duals of the columns that have left are rescaled
-with the live ones.  rho is held once its adaptation has reversed direction
-twice, which stops the few columns left at the end of a batch (or a single
-column) from cycling between two penalties.
+The splitting, _admm_batch, runs on a batch of columns.  The stopping test
+runs at iteration 1 and every CHECK_EVERY-th iteration after it, the
+iterations at which rho may adapt; each column leaves the batch at the first
+of these where it meets the primal/dual test, with the iterate of that
+iteration, so no column iterates much longer than its own test asks;
+converged[j] means that column j met the test.  Iteration 1 counts because a
+warm-started inner solve of the square-root fixed point often passes there.
+The test's anchors are ||DY|| and the norm of Y minus its componentwise
+mean, so a constant added to a component of Y, which moves the solution by
+that constant, changes neither the test nor the penalty balancing.  The
+warm-start state keeps each column's iterate from the iteration it left and
+one penalty rho: on a change of rho the scaled duals of the columns that
+have left are rescaled with the live ones.  rho is held once its adaptation
+has reversed direction twice, which stops the few columns left at the end of
+a batch (or a single column) from cycling between two penalties.
 
 The f-update solves (I + rho D'D) F = R through one solve factory per D,
 rho -> solve, picked from the structure of D'D.  When D'D is the Laplacian
@@ -39,13 +45,12 @@ Every other graph takes a SuperLU factor per rho.  Paths stay on SuperLU:
 their tridiagonal factor solves faster than the transforms, which made
 mc_path experiments slower.  The warm-start state carries this splitting
 of D (D', D'D, the factory and the last rho's solve), so the outer steps of
-the square-root fixed point refactor only when rho changes.  Each iteration
-does one product with D and two with D': D'z and D'u are carried across
-iterations, and z and u are updated in place: with v = u + alpha Df +
-(1 - alpha) z, u_new is v clipped to [-k, k] and z_new = v - u_new
-(_shrink).  The best iterate is not copied when every live column
-improved: the working best array is rebound to the iterate, which is a
-fresh array each iteration.
+the square-root fixed point refactor only when rho changes; it also holds
+the graph's component labels.  Each iteration does one product with D and
+one with D', for D'(z - u) in the f-update, and updates z and u in place:
+with v = u + alpha Df + (1 - alpha) z, u_new is v clipped to [-k, k] and
+z_new = v - u_new (_shrink).  The residual norms take two more products
+with D', on check iterations only.
 
 Both estimators run through one batched core, _estimate, which makes every
 input check (finite (n, B) observations matching D, a finite level with
@@ -171,6 +176,7 @@ MAX_OUTER = 500         # square-root fixed-point steps before a column counts a
 OVERFIT_FLOOR = 1e-6    # sigma <= OVERFIT_FLOOR * ||Y||_n flags a square-root overfit
 ACTIVE_TOL_SCALE = 1e-6   # KKT: |(Df)_i| above this fraction of the data scale is active
 DCT_MATRIX_MAX_SIDE = 32   # largest grid side solved by DCT-II matrix products
+CHECK_EVERY = 10        # ADMM iterations between stopping tests and between rho adaptations
 
 
 def _grid_shape(DtD: sp.csc_matrix, m: int) -> tuple[int, int] | None:
@@ -250,12 +256,15 @@ def _solve_factory(DtD: sp.csc_matrix, m: int):
 
 class _Splitting:
     """What the f-update needs of D: D', D'D and the solve of (I + rho D'D),
-    with the last penalty's solve kept for the next call at that penalty."""
+    with the last penalty's solve kept for the next call at that penalty, and
+    the connected-component labels of the graph D is the incidence matrix of."""
 
     def __init__(self, D):
         self.D = sp.csr_matrix(D)
         self.Dt = self.D.T   # one CSC transpose
-        self.factory = _solve_factory((self.Dt @ self.D).tocsc(), self.D.shape[0])
+        m, n = self.D.shape
+        self.factory = _solve_factory((self.Dt @ self.D).tocsc(), m)
+        self.labels = graphs.component_labels(n, graphs.edge_endpoints(self.D))
         self._last = (None, None)
 
     def solve(self, rho: float):
@@ -265,10 +274,20 @@ class _Splitting:
 
 
 class _AdmmState:
-    """Warm-startable state of the batched splitting solver, for one D."""
+    """Warm-startable state of the batched splitting solver, for one D: each
+    column's F, Z and U, one penalty rho and the splitting of D.  A new state
+    starts every column of Y at f = Y, z = DY, u = 0, with rho = mean(n lam)."""
 
-    def __init__(self, F, Z, U, rho, split: _Splitting):
-        self.F, self.Z, self.U, self.rho, self.split = F, Z, U, rho, split
+    def __init__(self, split: _Splitting, Y: np.ndarray, lam: np.ndarray):
+        self.split = split
+        self.F = Y.copy()
+        self.Z = split.D @ self.F
+        self.U = np.zeros_like(self.Z)
+        self.rho = max(float(np.mean(Y.shape[0] * lam)), 1e-6)
+
+    def keep(self, cols: np.ndarray) -> None:
+        """Keep only the columns cols (a mask or indices)."""
+        self.F, self.Z, self.U = self.F[:, cols], self.Z[:, cols], self.U[:, cols]
 
 
 def _colsumsq(X: np.ndarray) -> np.ndarray:
@@ -294,48 +313,38 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     """Batched splitting solver.
 
     Y is (n, B) and lam (B,), both float64.  Minimizes (1/2)||f - Y||_2^2 +
-    n*lam*||z||_1 subject to Df = z (the original objective scaled by n/2).  Each column
-    leaves the batch at the first iteration where it meets the primal/dual
-    stopping test; the loop ends when no column is live or at max_iter.
-    Returns the best-objective iterates (n, B), the warm-start state, the
-    iteration count and a per-column converged mask (column j met the
-    test).  The state holds each column's iterate at the iteration it left
-    the batch (or the last one), one penalty rho and the splitting of D;
-    when given, it is updated in place and its splitting is used in place
-    of D.
+    n*lam*||z||_1 subject to Df = z (the original objective scaled by n/2).
+    The stopping test runs at iteration 1 and every CHECK_EVERY-th iteration
+    after it; each column leaves the batch at the first of these where it
+    meets the test, and the loop ends when no column is live or at max_iter.
+    Returns the iterates F (n, B), the warm-start state, the iteration count
+    and a per-column converged mask (column j met the test).  F is the
+    state's F: each column's iterate at the iteration it left the batch (or
+    the last one).  The state also holds those iterations' Z and U, one
+    penalty rho and the splitting of D; when given, it is updated in place
+    and its splitting is used in place of D.
     """
-    B = Y.shape[1]
     if state is None:
-        split = _Splitting(D)
-        m, n = split.D.shape
-        rho = max(float(np.mean(n * lam)), 1e-6)
-        F = Y.copy()
-        state = _AdmmState(F, split.D @ F, np.zeros((m, B)), rho, split)
+        state = _AdmmState(_Splitting(D), Y, lam)
     split, rho = state.split, state.rho
     D, Dt = split.D, split.Dt
-    m, n = D.shape
+    n, B = Y.shape
     thresh_scale = n * lam  # soft threshold numerator in the scaled problem
     solve = split.solve(rho)
     # the working Z and U are updated in place, so they must not alias the
     # state, whose U is rescaled separately on a change of rho
-    F, Z, U = state.F, state.Z.copy(), state.U.copy()
-    # D'z and D'u are carried across iterations: each step then needs one
-    # product with D and two with D', for z_new - z and for u_new
-    DtZ, DtU = Dt @ Z, Dt @ U
-
-    obj_best = _objective(Y, F, lam, D)
-    F_best = F.copy()
+    Z, U = state.Z.copy(), state.U.copy()
     converged = np.zeros(B, dtype=bool)
     # absolute anchors keep the stopping test meaningful for fully fused
-    # solutions, where z = 0 and a purely relative test can never fire
+    # solutions, where z = 0 and a purely relative test can never fire.  A
+    # constant added to a component of Y moves f by that constant and leaves
+    # z, u and both anchors as they are, so the test ignores it
     pri_anchor = np.maximum(np.sqrt(_colsumsq(D @ Y)), 1e-12)
-    dual_anchor = np.maximum(np.sqrt(_colsumsq(Y)), 1e-12)
-    # the working arrays hold the live columns only.  Fb holds the live
-    # columns' best iterates: it starts as F_best, is rebound to F when every
-    # live column improves and is copied into only on a partial improvement,
-    # so every exit writes it back to F_best.  Zn and T are (m, live) buffers.
+    centred = Y - projections.componentwise_mean(split.labels, Y)
+    dual_anchor = np.maximum(np.sqrt(_colsumsq(centred)), 1e-12)
+    # the working arrays hold the live columns only; Zn and T are (m, live)
+    # buffers, and Zn holds the previous z once the new one is in Z
     live = np.arange(B)
-    Fb = F_best
     Zn, T = np.empty_like(Z), np.empty_like(Z)
     # a few columns left to themselves can make the adaptation cycle between
     # two penalties, each change undoing the progress since the last; ADMM
@@ -343,20 +352,14 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
     last_step, reversals = None, 0
     it = 0
     for it in range(1, opts.max_iter + 1):
-        R = DtZ - DtU
+        # f-update: (I + rho D'D) F = Y + rho D'(z - u), the one D' product
+        # an iteration needs
+        np.subtract(Z, U, out=T)
+        R = Dt @ T
         R *= rho
         R += Y
         F = solve(R)
         DF = D @ F
-        np.abs(DF, out=T)
-        obj = _colsumsq(Y - F) / n + 2.0 * lam * np.einsum("ij->j", T)
-        better = obj < obj_best
-        if better.all():
-            # F is a fresh array each iteration and never written in place
-            Fb, obj_best = F, obj
-        elif better.any():
-            obj_best[better] = obj[better]
-            Fb[:, better] = F[:, better]
 
         # over-relaxed z-update: v = u + alpha Df + (1 - alpha) z; u_new is v
         # clipped to [-k, k] and z_new = v - u_new its soft threshold at k
@@ -365,22 +368,20 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
         Zn += T
         Zn += U
         _shrink(Zn, thresh_scale / rho, U)
-
-        DF -= Zn
-        r_norm = np.sqrt(_colsumsq(DF))
-        np.subtract(Zn, Z, out=T)
-        dDtZ = Dt @ T
-        s_norm = rho * np.sqrt(_colsumsq(dDtZ))
-        DtZ += dDtZ
         Z, Zn = Zn, Z
-        DtU = Dt @ U
+        if it > 1 and it % CHECK_EVERY:
+            continue
+
+        DF -= Z
+        r_norm = np.sqrt(_colsumsq(DF))
+        np.subtract(Z, Zn, out=T)
+        s_norm = rho * np.sqrt(_colsumsq(Dt @ T))
         eps_pri = opts.tol * np.maximum(np.sqrt(_colsumsq(Z)), pri_anchor)
-        eps_dual = opts.tol * np.maximum(rho * np.sqrt(_colsumsq(DtU)), dual_anchor)
+        eps_dual = opts.tol * np.maximum(rho * np.sqrt(_colsumsq(Dt @ U)), dual_anchor)
         done = (r_norm <= eps_pri) & (s_norm <= eps_dual)
         if done.any():
             gone = live[done]
             converged[gone] = True
-            F_best[:, gone] = Fb[:, done]
             state.F[:, gone] = F[:, done]
             state.Z[:, gone] = Z[:, done]
             state.U[:, gone] = U[:, done]
@@ -388,14 +389,13 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
             live = live[keep]
             if len(live) == 0:
                 break
-            Y, F, Fb, Z, U = Y[:, keep], F[:, keep], Fb[:, keep], Z[:, keep], U[:, keep]
-            DtZ, DtU = DtZ[:, keep], DtU[:, keep]
+            Y, F, Z, U = Y[:, keep], F[:, keep], Z[:, keep], U[:, keep]
             Zn, T = np.empty_like(Z), np.empty_like(Z)
-            lam, thresh_scale, obj_best = lam[keep], thresh_scale[keep], obj_best[keep]
+            thresh_scale = thresh_scale[keep]
             pri_anchor, dual_anchor = pri_anchor[keep], dual_anchor[keep]
             r_norm, s_norm = r_norm[keep], s_norm[keep]
 
-        if it % 10 == 0 and reversals < MAX_RHO_REVERSALS:
+        if it % CHECK_EVERY == 0 and reversals < MAX_RHO_REVERSALS:
             pr = float(np.linalg.norm(r_norm / pri_anchor))
             # deflating the dual residual biases the balance toward larger
             # penalties, which is where this splitting converges fastest
@@ -407,18 +407,15 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
                 last_step = step
                 rho *= step
                 # the scaled dual u = y/rho of the columns that have left is
-                # rescaled too, so the whole state stays at one rho; a power
-                # of two divides D'u exactly
+                # rescaled too, so the whole state stays at one rho
                 U /= step
-                DtU /= step
                 state.U /= step
                 solve = split.solve(rho)
     if len(live):   # max_iter reached with columns still live
-        F_best[:, live] = Fb
         state.F[:, live], state.Z[:, live], state.U[:, live] = F, Z, U
 
     state.rho = rho
-    return F_best, state, it, converged
+    return state.F, state, it, converged
 
 
 def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResult:
@@ -618,15 +615,16 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
     lam = 0; every other column's lam is the last penalty it was solved at.
     """
     n, B = Y.shape
-    labels = graphs.component_labels(n, graphs.edge_endpoints(D))
-    sigma = np.atleast_1d(norm_n(Y - projections.componentwise_mean(labels, Y), axis=0))
+    split = _Splitting(D)
+    sigma = np.atleast_1d(norm_n(Y - projections.componentwise_mean(split.labels, Y), axis=0))
     floors = OVERFIT_FLOOR * np.atleast_1d(norm_n(Y, axis=0))
     overfit = sigma <= floors
     lam = np.zeros(B)
     F = Y.copy()
     V = np.zeros((D.shape[0], B))
     live = np.flatnonzero(~overfit)
-    state = None
+    if len(live):
+        state = _AdmmState(split, Y[:, live], 2.0 * lambda0 * sigma[live])
     iterations = 0
     for _ in range(MAX_OUTER):
         if len(live) == 0:
@@ -636,7 +634,8 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
         F_new, state, it, conv = _admm_batch(D, Y[:, live], lam[live], opts, state)
         iterations += it
         # a column whose inner solve has not converged keeps its scale: its
-        # best iterate may still be Y itself, which is no evidence of overfit
+        # iterate is not the fit at this scale, so its residual is no evidence
+        # of overfit
         sig_new = np.where(conv, norm_n(Y[:, live] - F_new, axis=0), sig_old)
         F[:, live] = F_new
         sigma[live] = sig_new
@@ -649,8 +648,7 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
             V[:, gone] = _scaled_dual(state.U[:, settled], state.rho, n, lam[gone])
             keep = ~settled
             live = live[keep]
-            state = _AdmmState(state.F[:, keep], state.Z[:, keep], state.U[:, keep],
-                                state.rho, state.split)
+            state.keep(keep)
     if len(live):   # unsettled after MAX_OUTER steps
         V[:, live] = _scaled_dual(state.U, state.rho, n, lam[live])
     F[:, overfit] = Y[:, overfit]

@@ -440,7 +440,7 @@ def test_solver_csv_golden_digest():
     text, _ = experiment_csv(cfg)
     assert len(text.splitlines()) == 71
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "a46fd68df4044f27b2e4ae24f7b4fb304aa53a86f5d3b2eb1c4404b494d544fb"
+        "ce0e141135dc8d65f6631054ba16621e3315df6f8f6335a32cf5a09fc2c5b1f3"
 
 
 # an 8x8 grid cut into two halves, whose dense pseudoinverse blocks and ADMM
@@ -451,7 +451,7 @@ GRID_CFG = {"graph": {"family": "grid", "params": {"height": 8, "width": 8}},
             "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
             "theorems": ["plain_slow", "sqrt_slow"], "events": True,
             "trials": 64, "seed": 23, "threads": 1}
-GRID_CSV_DIGEST = "db62d55e9216a76059eafb3dd941f2d7a37ad32c75ffe1ee8f550cd67ebbb9ca"
+GRID_CSV_DIGEST = "203f8ad662a42312f7dd7f53bfd073e2e2e72ff2753529cfc03523e908ce9c7b"
 
 
 def test_grid_csv_golden_digests():

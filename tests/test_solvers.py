@@ -112,8 +112,8 @@ def test_sqrt_matches_brute_force_scan():
 
 def test_starved_inner_solve_is_not_an_overfit():
     # one ADMM iteration per outer step: an inner solve that has not converged
-    # keeps its scale, so its best iterate (still Y after one step) does not
-    # count as an overfit, and the warm-started steps reach the fixed point
+    # keeps its scale, so its iterate after one step does not count as an
+    # overfit, and the warm-started steps reach the fixed point
     rng = np.random.default_rng(0)
     D = incidence(path_graph(64))
     Y = np.repeat([0.0, 1.0], 32)[:, None] + rng.standard_normal((64, 16))
@@ -192,6 +192,43 @@ def test_sqrt_batch_matches_single():
         r = solve_sqrt_analysis(Y[:, j], D, 0.05, SolverOptions(certify=False))
         assert abs(sig[j] - r.sigma_hat) < 1e-6
         assert norm_n(F[:, j] - r.f_hat) < 1e-5
+
+
+def test_warm_started_inner_solve_does_not_settle_sigma_early():
+    # a warm-started inner solve returns the iterate that met the stopping
+    # test; returning its starting iterate instead left sigma where it was,
+    # and the column settled up to 8e-7 away from the fixed point
+    rng = np.random.default_rng(10)
+    D = incidence(path_graph(40))
+    Y = np.where(np.arange(40) < 20, 0.0, 1.0)[:, None] + rng.standard_normal((40, 4))
+    out = solve_sqrt_analysis_batch(Y, D, 0.05, SolverOptions(certify=False))
+    tight = SolverOptions(tol=1e-12, fp_tol=1e-13, certify=False)
+    for j in range(4):
+        ref = solve_sqrt_analysis(Y[:, j], D, 0.05, tight)
+        single = solve_sqrt_analysis(Y[:, j], D, 0.05, SolverOptions(certify=False))
+        assert ref.converged
+        assert abs(out.sigma_hat[j] - ref.sigma_hat) <= 1e-8
+        assert abs(single.sigma_hat - ref.sigma_hat) <= 1e-8
+
+
+def test_stopping_test_ignores_a_constant_shift():
+    # f(Y + b) = f(Y) + b, and the stopping test and penalty balancing read
+    # Y only through D Y and Y minus its componentwise mean, so a shifted
+    # solve takes the same iterations to the same tolerance
+    rng = np.random.default_rng(0)
+    n = 128
+    D = incidence(path_graph(n))
+    Y = (np.arange(n) >= n // 2) + rng.standard_normal(n)
+    opts = SolverOptions(tol=1e-7, certify=False)
+    base = solve_analysis(Y, D, 0.05, opts)
+    for b in (10.0, 1e3, 1e5):
+        moved = solve_analysis(Y + b, D, 0.05, opts)
+        assert moved.converged and moved.iterations == base.iterations
+        assert np.max(np.abs(moved.f_hat - b - base.f_hat)) <= 1e-6
+    # the objective ignores the shift; the tight reference runs on Y, since
+    # at 1e5 rounding in f keeps the residuals above a 1e-11 test
+    ref = solve_analysis(Y, D, 0.05, SolverOptions(tol=1e-11, certify=False))
+    assert moved.objective <= ref.objective * (1.0 + 1e-5)
 
 
 P5 = incidence(path_graph(5))
