@@ -30,14 +30,9 @@ def _fail(message: str, kind: str = "validation") -> int:
 
 
 def _emit(obj: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        text = _flatten_csv(obj)
-    else:
-        text = json.dumps(obj, indent=2)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    text = _flatten_csv(obj) if args.format == "csv" else json.dumps(obj, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -104,7 +99,15 @@ def _seed(args) -> int:
     env = os.environ.get("TVGO_SEED")
     if env is not None:
         return int(env)
-    return int(getattr(args, "seed", 0) or 0)
+    return args.seed
+
+
+def _graph_setup(args):
+    """(family, D, active set, theory report) of --graph and --S."""
+    graph, family = parse_graph_spec(args.graph)
+    D = graphs.incidence(graph)
+    active = graphs.active_set(graph, parse_set_spec(args.S))
+    return family, D, active, projections.theory_report(D, active)
 
 
 def _cmd_graph(args) -> int:
@@ -119,10 +122,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    graph, _ = parse_graph_spec(args.graph)
-    D = graphs.incidence(graph)
-    active = graphs.active_set(graph, parse_set_spec(args.S))
-    report = projections.theory_report(D, active)
+    _, D, active, report = _graph_setup(args)
     out = report.to_dict()
     out["admissible"] = graphs.is_admissible(D, active)
     _emit(out, args)
@@ -130,10 +130,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    graph, family = parse_graph_spec(args.graph)
-    D = graphs.incidence(graph)
-    active = graphs.active_set(graph, parse_set_spec(args.S))
-    report = projections.theory_report(D, active)
+    family, D, active, report = _graph_setup(args)
     weights = None if args.weights == "identity" else report.weights
     if family == "path":
         kb = compatibility.kappa_bound_path(active, weights, report.gamma)
@@ -170,10 +167,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_tune(args) -> int:
     if args.graph:
-        graph, _ = parse_graph_spec(args.graph)
-        D = graphs.incidence(graph)
-        active = graphs.active_set(graph, parse_set_spec(args.S))
-        report = projections.theory_report(D, active)
+        _, _, active, report = _graph_setup(args)
         n, r_S, gamma = active.n, active.r_S, report.gamma
     else:
         if args.n is None or args.r_S is None or args.gamma is None:
@@ -204,10 +198,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_oracle_rhs(args) -> int:
-    graph, family = parse_graph_spec(args.graph)
-    D = graphs.incidence(graph)
-    active = graphs.active_set(graph, parse_set_spec(args.S))
-    report = projections.theory_report(D, active)
+    family, D, active, report = _graph_setup(args)
     f0 = _read_vector(args.f0) if args.f0 else np.zeros(active.n)
     f = _read_vector(args.f) if args.f else f0
     inputs = tuning.TheoremInputs(
@@ -266,10 +257,8 @@ def _cmd_verify_prob(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, out=True):
-    p.add_argument("--seed", type=int, default=0)
-    if out:
-        p.add_argument("--out", default=None)
+def _add_output(p):
+    p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
@@ -279,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="emit a canonical graph file")
     p.add_argument("--family", required=True, help="path:N | cycle:N | grid:HxW | tree:@parents")
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("theory", help="antiprojection lengths, gamma, weights")
     p.add_argument("--graph", required=True)
     p.add_argument("--S", default="")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("kappa", help="compatibility bounds vs numeric search")
@@ -294,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", choices=["computed", "identity"], default="computed")
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--steps", type=int, default=200)
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("solve", help="solve one estimation problem")
@@ -305,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--no-certify", action="store_true")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("tune", help="tuning parameters, assumption checks, caps")
@@ -321,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--lambda0", type=float, default=None)
     p.add_argument("--norm-df0", dest="norm_df0", type=float, default=0.0)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("oracle-rhs", help="inequality right-hand side breakdown")
@@ -341,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="paper_bound")
     p.add_argument("--grid-constant", type=float, default=None)
     p.add_argument("--budget", type=int, default=10_000)
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle_rhs)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo config")
@@ -350,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None, help="also write the JSON summary here")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify-prob", help="Monte Carlo checks of the tail bounds")
     p.add_argument("--trials", type=int, default=100_000)
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_prob)
 
     return ap

@@ -364,6 +364,9 @@ class Experiment:
         self.events = EventEvaluator(self.report, self.active, cfg.sigma, lam_T, R,
                                      cfg.x, cfg.a) if cfg.events else None
         self.solver_opts = SolverOptions(tol=cfg.solver_tol, certify=False)
+        # one splitting of D for both estimators and every block of trials
+        self.split = (None if self.lam is None and self.lambda0 is None
+                      else solvers.Splitting(self.D))
         self.S_rows = np.asarray(self.active.S, dtype=np.int64) - 1
 
     @staticmethod
@@ -404,13 +407,13 @@ class Experiment:
 
         errors = {}  # estimator kind -> (mse, ||D_S f_hat||_1) columns
         if self.lam is not None:
-            out = solvers.solve_analysis_batch(Y, self.D, self.lam, self.solver_opts)
+            out = solvers.solve_analysis_batch(Y, self.split, self.lam, self.solver_opts)
             errors["plain"] = self._errors(out.F)
             cols.update(mse_plain=errors["plain"][0], plain_converged=out.converged)
         if self.lambda0 is not None:
             # the solver's penalty is 2*lambda0*||Df||_1, so the inequality's
             # lambda0 (penalty coefficient as stated) maps to lambda0/2 here
-            out = solvers.solve_sqrt_analysis_batch(Y, self.D, self.lambda0 / 2.0,
+            out = solvers.solve_sqrt_analysis_batch(Y, self.split, self.lambda0 / 2.0,
                                                     self.solver_opts)
             errors["sqrt"] = self._errors(out.F)
             ratio = out.sigma_hat / np.sqrt(eps_sq / n)

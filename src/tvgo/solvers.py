@@ -12,41 +12,45 @@ norm of that solution updates sigma.  The iteration starts at the largest
 attainable residual norm and decreases monotonically, so it lands on the
 largest fixed point; collapse to zero is reported as overfitting.
 
-The splitting, _admm_batch, runs on a batch of columns.  The stopping test
-runs at iteration 1 and every CHECK_EVERY-th iteration after it, the
-iterations at which rho may adapt; each column leaves the batch at the first
-of these where it meets the primal/dual test, with the iterate of that
-iteration, so no column iterates much longer than its own test asks;
-converged[j] means that column j met the test.  Iteration 1 counts because a
-warm-started inner solve of the square-root fixed point often passes there.
-The test's anchors are ||DY|| and the norm of Y minus its componentwise
-mean, so a constant added to a component of Y, which moves the solution by
-that constant, changes neither the test nor the penalty balancing.  The
-warm-start state keeps each column's iterate from the iteration it left and
-one penalty rho: on a change of rho the scaled duals of the columns that
-have left are rescaled with the live ones.  rho is held once its adaptation
-has reversed direction twice, which stops the few columns left at the end of
-a batch (or a single column) from cycling between two penalties.
+The splitting solver, _admm_batch, runs on a batch of columns from a
+warm-start state its caller builds.  The stopping test runs at iteration 1 and
+every CHECK_EVERY-th iteration after it, the iterations at which rho may
+adapt; each column leaves the batch at the first of these where it meets the
+primal/dual test, with the iterate of that iteration, so no column iterates
+much longer than its own test asks; converged[j] means that column j met the
+test.  Iteration 1 counts because a warm-started inner solve of the
+square-root fixed point often passes there.  The test's anchors are ||DY|| and
+the norm of Y minus its componentwise mean, so a constant added to a
+component of Y, which moves the solution by that constant, changes neither
+the test nor the penalty balancing.  The warm-start state keeps each column's
+iterate from the iteration it left and one penalty rho: on a change of rho
+the scaled duals of the columns that have left are rescaled with the live
+ones.  rho is held once its adaptation has reversed direction twice, which
+stops the few columns left at the end of a batch (or a single column) from
+cycling between two penalties.
 
-The f-update solves (I + rho D'D) F = R through one solve factory per D,
-rho -> solve, picked from the structure of D'D.  When D'D is the Laplacian
-of a row-major h x w grid (h, w >= 2; any edge order or orientation), the
-orthonormal DCT-II over the two grid axes diagonalises it, so the solve is
-exact without a factor and a new rho only rebuilds the diagonal.  On grids
-up to DCT_MATRIX_MAX_SIDE per side the transforms are products with the
-DCT-II matrices C_h and C_w, built once per D: four stacked matmuls over the
-(h, w, B) view of R, each a k x k by k x B product (k = h or w).  At h, w <=
-32 and B <= 64 these stay below OpenBLAS's threading threshold, so they
-never compete with an experiment's threads.  Larger grids keep scipy.fft's
-dctn/idctn, whose cost grows as hw log(hw) where the products' grows as
-hw (h + w).
+Everything the solvers derive from D is held by one Splitting: D', the
+component labels and the f-update's solve factory, rho -> solve of
+(I + rho D'D) F = R, picked from D's edge endpoints, which are read once.
+When the edges are those of a row-major h x w grid (h, w >= 2; any edge
+order or orientation), the orthonormal DCT-II over the two grid axes
+diagonalises D'D, so the solve is exact without a factor and a new rho only
+rebuilds the diagonal.  On grids up to DCT_MATRIX_MAX_SIDE per side the
+transforms are products with the DCT-II matrices C_h and C_w: four stacked
+matmuls over the (h, w, B) view of R, each a k x k by k x B product (k = h
+or w).  At h, w <= 32 and B <= 64 these stay below OpenBLAS's threading
+threshold, so they never compete with an experiment's threads.  Larger
+grids keep scipy.fft's dctn/idctn, whose cost grows as hw log(hw) where the
+products' grows as hw (h + w).
 
 Every other graph takes a SuperLU factor per rho.  Paths stay on SuperLU:
 their tridiagonal factor solves faster than the transforms, which made
-mc_path experiments slower.  The warm-start state carries this splitting
-of D (D', D'D, the factory and the last rho's solve), so the outer steps of
-the square-root fixed point refactor only when rho changes; it also holds
-the graph's component labels.  Each iteration does one product with D and
+mc_path experiments slower.  The Splitting keeps the last rho's solve, so
+the outer steps of the square-root fixed point refactor only when rho
+changes.  An Experiment builds one Splitting for both batch entry points,
+every block and all its threads; the cache is read and written once per
+call, so no thread gets the solve of another's rho.  The entry points wrap
+a plain D in a new Splitting.  Each iteration does one product with D and
 one with D', for D'(z - u) in the f-update, and updates z and u in place:
 with v = u + alpha Df + (1 - alpha) z, u_new is v clipped to [-k, k] and
 z_new = v - u_new (_shrink).  The residual norms take two more products
@@ -179,53 +183,49 @@ DCT_MATRIX_MAX_SIDE = 32   # largest grid side solved by DCT-II matrix products
 CHECK_EVERY = 10        # ADMM iterations between stopping tests and between rho adaptations
 
 
-def _grid_shape(DtD: sp.csc_matrix, m: int) -> tuple[int, int] | None:
-    """(h, w) when DtD is the Laplacian of the row-major h x w grid, h, w >= 2.
+def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
+    """(h, w) when D, with 0-based edge endpoints ends, is an incidence
+    matrix (entries +-1) of the row-major h x w grid, h, w >= 2.
 
     A grid has n = hw vertices and m = 2hw - h - w edges, so h and w are the
-    roots of t^2 - (2n - m) t + n; one sparse comparison then decides.  D'D
-    does not see edge order or orientation, so any incidence matrix of the
-    grid passes, and a relabelling of the vertices does not (unless it maps
-    the grid to itself).  Paths (h = 1) are left out.
+    roots of t^2 - (2n - m) t + n.  m distinct vertex pairs that are all grid
+    edges are then the whole grid: a pair (lo, lo + 1) with lo not at the end
+    of a row, or (lo, lo + w).  Edge order and orientation do not matter, and
+    a relabelling of the vertices fails (unless it maps the grid to itself).
+    Paths (h = 1) are left out.
     """
-    n = DtD.shape[0]
+    m, n = D.shape
     s = 2 * n - m
     r = math.isqrt(max(s * s - 4 * n, 0))
     h, w = (s - r) // 2, (s + r) // 2
-    if s <= 0 or r * r != s * s - 4 * n or h < 2:
+    if s <= 0 or r * r != s * s - 4 * n or h < 2 or np.any(np.abs(D.data) != 1.0):
         return None
+    lo, step = ends.min(axis=1), np.abs(ends[:, 1] - ends[:, 0])
     for shape in ((h, w), (w, h)):
-        if (DtD != _grid_laplacian(*shape)).nnz == 0:
+        down = step == shape[1]
+        right = (step == 1) & (lo % shape[1] != shape[1] - 1)
+        # a grid edge's key, lo or n + lo, is its own, so no key repeats
+        # unless an edge joins the same pair as another
+        if np.all(down | right) and np.bincount(lo + n * down).max() == 1:
             return shape
     return None
 
 
-def _path_laplacian(k: int) -> sp.dia_matrix:
-    deg = np.full(k, 2.0)
-    deg[[0, -1]] = 1.0
-    return sp.diags([-np.ones(k - 1), deg, -np.ones(k - 1)], [-1, 0, 1])
-
-
-def _grid_laplacian(h: int, w: int) -> sp.csc_matrix:
-    """Laplacian of the h x w grid with vertices numbered row-major."""
-    return (sp.kron(_path_laplacian(h), sp.identity(w)) +
-            sp.kron(sp.identity(h), _path_laplacian(w))).tocsc()
-
-
-def _solve_factory(DtD: sp.csc_matrix, m: int):
+def _solve_factory(D: sp.csr_matrix, shape: tuple[int, int] | None):
     """rho -> solve, where solve(R) returns X with (I + rho D'D) X = R.
 
-    On a row-major h x w grid the orthonormal DCT-II along both grid axes
-    diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) + 4 sin^2(pi j / 2w),
-    so the solve is exact without a factor and a new rho only rebuilds the
-    denominator.  Up to DCT_MATRIX_MAX_SIDE per side the transforms are
-    products with the DCT-II matrices, which do not write to R; larger grids
-    take scipy.fft's dctn/idctn, which may overwrite R.  Every other D'D,
-    paths included, takes a SuperLU factor of I + rho D'D per rho: on a path
-    its tridiagonal factor solves faster than the transforms.
+    On the row-major h x w grid, shape = (h, w), the orthonormal DCT-II along
+    both grid axes diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) +
+    4 sin^2(pi j / 2w), so the solve is exact without a factor and a new rho
+    only rebuilds the denominator.  Up to DCT_MATRIX_MAX_SIDE per side the
+    transforms are products with the DCT-II matrices, which do not write to
+    R; larger grids take scipy.fft's dctn/idctn, which may overwrite R.  Every
+    other D (shape None), paths included, takes a SuperLU factor of
+    I + rho D'D per rho: on a path its tridiagonal factor solves faster than
+    the transforms.
     """
-    shape = _grid_shape(DtD, m)
     if shape is None:
+        DtD = (D.T @ D).tocsc()
         eye = sp.identity(DtD.shape[0], format="csc")
         return lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve
     h, w = shape
@@ -254,31 +254,32 @@ def _solve_factory(DtD: sp.csc_matrix, m: int):
     return factory
 
 
-class _Splitting:
-    """What the f-update needs of D: D', D'D and the solve of (I + rho D'D),
-    with the last penalty's solve kept for the next call at that penalty, and
-    the connected-component labels of the graph D is the incidence matrix of."""
+class Splitting:
+    """What the solvers derive from the incidence matrix D, built once per
+    graph (see the module docstring): D', the component labels, the solve
+    factory and the last penalty's solve, a cache that threads may share."""
 
     def __init__(self, D):
         self.D = sp.csr_matrix(D)
         self.Dt = self.D.T   # one CSC transpose
-        m, n = self.D.shape
-        self.factory = _solve_factory((self.Dt @ self.D).tocsc(), m)
-        self.labels = graphs.component_labels(n, graphs.edge_endpoints(self.D))
+        ends = graphs.edge_endpoints(self.D)
+        self.factory = _solve_factory(self.D, _grid_shape(self.D, ends))
+        self.labels = graphs.component_labels(self.D.shape[1], ends)
         self._last = (None, None)
 
     def solve(self, rho: float):
-        if self._last[0] != rho:
-            self._last = (rho, self.factory(rho))
-        return self._last[1]
+        last = self._last
+        if last[0] != rho:
+            last = self._last = (rho, self.factory(rho))
+        return last[1]
 
 
 class _AdmmState:
     """Warm-startable state of the batched splitting solver, for one D: each
-    column's F, Z and U, one penalty rho and the splitting of D.  A new state
+    column's F, Z and U, one penalty rho and the Splitting of D.  A new state
     starts every column of Y at f = Y, z = DY, u = 0, with rho = mean(n lam)."""
 
-    def __init__(self, split: _Splitting, Y: np.ndarray, lam: np.ndarray):
+    def __init__(self, split: Splitting, Y: np.ndarray, lam: np.ndarray):
         self.split = split
         self.F = Y.copy()
         self.Z = split.D @ self.F
@@ -308,24 +309,21 @@ def _objective(Y, F, lam, D) -> np.ndarray:
     return _colsumsq(Y - F) / n + 2.0 * lam * np.einsum("ij->j", np.abs(D @ F))
 
 
-def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
-                opts: SolverOptions, state: _AdmmState | None = None):
-    """Batched splitting solver.
+def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverOptions):
+    """Batched splitting solver, from the warm-start state its caller built.
 
-    Y is (n, B) and lam (B,), both float64.  Minimizes (1/2)||f - Y||_2^2 +
-    n*lam*||z||_1 subject to Df = z (the original objective scaled by n/2).
+    Y is (n, B) and lam (B,), both float64, with B the state's columns.
+    Minimizes (1/2)||f - Y||_2^2 + n*lam*||z||_1 subject to Df = z (the
+    original objective scaled by n/2), with D that of the state's Splitting.
     The stopping test runs at iteration 1 and every CHECK_EVERY-th iteration
     after it; each column leaves the batch at the first of these where it
     meets the test, and the loop ends when no column is live or at max_iter.
-    Returns the iterates F (n, B), the warm-start state, the iteration count
-    and a per-column converged mask (column j met the test).  F is the
-    state's F: each column's iterate at the iteration it left the batch (or
-    the last one).  The state also holds those iterations' Z and U, one
-    penalty rho and the splitting of D; when given, it is updated in place
-    and its splitting is used in place of D.
+    Returns the iterates F (n, B), the state, the iteration count and a
+    per-column converged mask (column j met the test).  F is the state's F:
+    each column's iterate at the iteration it left the batch (or the last
+    one).  The state, updated in place, also holds those iterations' Z and U
+    and the batch's one penalty rho.
     """
-    if state is None:
-        state = _AdmmState(_Splitting(D), Y, lam)
     split, rho = state.split, state.rho
     D, Dt = split.D, split.Dt
     n, B = Y.shape
@@ -420,25 +418,28 @@ def _admm_batch(D: sp.spmatrix, Y: np.ndarray, lam: np.ndarray,
 
 def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResult:
     """The plain (level lam) or, with sqrt, the square-root (level lambda0)
-    estimator on the columns of Y, shape (n, B), after every input check."""
+    estimator on the columns of Y, shape (n, B), after every input check.
+    D is a Splitting or an incidence matrix, which is wrapped in one here;
+    the layers below take the Splitting alone."""
     Y = np.asarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
         raise ValueError("observations contain NaN or inf")
-    D = sp.csr_matrix(D)
-    n = D.shape[1]
+    split = D if isinstance(D, Splitting) else None
+    D = split.D if split else sp.csr_matrix(D)
+    m, n = D.shape
     if Y.ndim != 2 or Y.shape[0] != n:
         raise ValueError(f"dimension mismatch: D has {n} columns, so Y must be ({n},) "
                          f"for one solve or ({n}, B) for a batch")
     check_level("lambda0" if sqrt else "lam", level, zero_ok=not sqrt)
     check_level("tol", opts.tol)
-    if sqrt:
-        return _sqrt_fixed_point(Y, D, level, opts)
     B = Y.shape[1]
-    if level == 0.0:
-        return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0,
-                           np.zeros((D.shape[0], B)))
+    if not sqrt and level == 0.0:
+        return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0, np.zeros((m, B)))
+    split = split or Splitting(D)
+    if sqrt:
+        return _sqrt_fixed_point(Y, split, level, opts)
     lam = np.full(B, float(level))
-    F, state, it, conv = _admm_batch(D, Y, lam, opts)
+    F, state, it, conv = _admm_batch(_AdmmState(split, Y, lam), Y, lam, opts)
     return BatchResult(F, conv, lam, it, _scaled_dual(state.U, state.rho, n, lam))
 
 
@@ -470,8 +471,9 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
     unsettled or overfit square-root fit)."""
     opts = opts or SolverOptions()
     Y = np.asarray(Y, dtype=np.float64)
-    D = sp.csr_matrix(D)
-    out = _estimate(Y[:, None], D, level, opts, sqrt)
+    split = Splitting(D)
+    D = split.D
+    out = _estimate(Y[:, None], split, level, opts, sqrt)
     f = out.F[:, 0]
     if sqrt:
         objective = norm_n(Y - f) + 2.0 * level * float(np.abs(D @ f).sum())
@@ -603,7 +605,7 @@ def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float) -
     return float(sol.fun)
 
 
-def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
+def _sqrt_fixed_point(Y: np.ndarray, split: Splitting, lambda0: float,
                       opts: SolverOptions) -> BatchResult:
     """The square-root fixed point on the columns of Y, shape (n, B).
 
@@ -615,13 +617,12 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
     lam = 0; every other column's lam is the last penalty it was solved at.
     """
     n, B = Y.shape
-    split = _Splitting(D)
     sigma = np.atleast_1d(norm_n(Y - projections.componentwise_mean(split.labels, Y), axis=0))
     floors = OVERFIT_FLOOR * np.atleast_1d(norm_n(Y, axis=0))
     overfit = sigma <= floors
     lam = np.zeros(B)
     F = Y.copy()
-    V = np.zeros((D.shape[0], B))
+    V = np.zeros((split.D.shape[0], B))
     live = np.flatnonzero(~overfit)
     if len(live):
         state = _AdmmState(split, Y[:, live], 2.0 * lambda0 * sigma[live])
@@ -631,7 +632,7 @@ def _sqrt_fixed_point(Y: np.ndarray, D: sp.csr_matrix, lambda0: float,
             break
         sig_old = sigma[live]
         lam[live] = 2.0 * lambda0 * sig_old
-        F_new, state, it, conv = _admm_batch(D, Y[:, live], lam[live], opts, state)
+        F_new, state, it, conv = _admm_batch(state, Y[:, live], lam[live], opts)
         iterations += it
         # a column whose inner solve has not converged keeps its scale: its
         # iterate is not the fit at this scale, so its residual is no evidence
@@ -677,14 +678,17 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
     return _solve_one(Y, D, lambda0, opts, sqrt=True)
 
 
-def solve_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lam: float,
+def solve_analysis_batch(Y: np.ndarray, D: sp.spmatrix | Splitting, lam: float,
                          opts: SolverOptions | None = None) -> BatchResult:
-    """Plain solutions for the columns of Y, shape (n, B), with per-column outcomes."""
+    """Plain solutions for the columns of Y, shape (n, B), with per-column
+    outcomes.  D is the incidence matrix or, for a caller that solves many
+    batches on one graph, its Splitting, built once and reused."""
     return _estimate(Y, D, lam, opts or SolverOptions(), sqrt=False)
 
 
-def solve_sqrt_analysis_batch(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
+def solve_sqrt_analysis_batch(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: float,
                               opts: SolverOptions | None = None) -> BatchResult:
     """Square-root solutions for the columns of Y, shape (n, B), with
-    per-column outcomes: F, converged, lam, sigma_hat and overfit."""
+    per-column outcomes: F, converged, lam, sigma_hat and overfit.  D is the
+    incidence matrix or its Splitting, as for solve_analysis_batch."""
     return _estimate(Y, D, lambda0, opts or SolverOptions(), sqrt=True)

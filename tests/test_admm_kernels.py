@@ -38,7 +38,7 @@ def _pocketfft_solve(R, h, w, rho):
 @pytest.mark.parametrize("rho", [1e-2, 1.0, 1e2])
 def test_grid_solve_matches_pocketfft_oracle(h, w, rho):
     D = incidence(grid_graph(h, w))
-    solve = solvers._solve_factory((D.T @ D).tocsc(), D.shape[0])(rho)
+    solve = solvers.Splitting(D).factory(rho)
     rng = np.random.default_rng(h * 1000 + w)
     for B in (1, 8, 64):
         R = rng.standard_normal((h * w, B))
@@ -59,7 +59,7 @@ from tvgo.graphs import grid_graph, incidence
 digest = hashlib.sha256()
 for h, w, B in [(32, 32, 64), (16, 32, 64), (32, 32, 512)]:
     D = incidence(grid_graph(h, w))
-    solve = solvers._solve_factory((D.T @ D).tocsc(), D.shape[0])(0.7)
+    solve = solvers.Splitting(D).factory(0.7)
     R = np.random.default_rng(h + w + B).standard_normal((h * w, B))
     digest.update(solve(R).tobytes())
 print(digest.hexdigest())

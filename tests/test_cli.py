@@ -259,6 +259,14 @@ def test_csv_format_flag(capsys):
     assert outp.splitlines()[0].startswith("omega,")
 
 
+def test_simulate_rejects_format_flag(tmp_path):
+    # simulate writes the trials CSV and the JSON summary whatever --format
+    # says, so argparse rejects the flag instead of ignoring it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SIM_CFG))
+    assert dispatch(["simulate", "--config", str(cfg), "--format", "csv"]) == 2
+
+
 def test_console_script_installed():
     r = run_cli(["graph", "--family", "path:3"])
     assert r.returncode == 0

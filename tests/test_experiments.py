@@ -294,6 +294,24 @@ def test_setup_builds_one_pseudoinverse(monkeypatch):
     assert exp.events.gamma == exp.report.gamma
 
 
+@pytest.mark.parametrize("theorems,events,builds", [(["plain_fast", "sqrt_slow"], False, 1),
+                                                     ([], True, 0)])
+def test_one_splitting_per_experiment(monkeypatch, theorems, events, builds):
+    # both estimators and every block of trials share one splitting of D; an
+    # events-only experiment runs no solver and builds none
+    calls = []
+    original = solvers.Splitting.__init__
+
+    def counting(self, D):
+        calls.append(D.shape)
+        original(self, D)
+
+    monkeypatch.setattr(solvers.Splitting, "__init__", counting)
+    run_experiment(dict(BASE_CFG, theorems=theorems, events=events,
+                        trials=experiments.BLOCK_SIZE + 6))
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize("n", [1, 10, 150, 1000])
 def test_clopper_pearson_closed_forms(n):
     none, every = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)

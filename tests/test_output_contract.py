@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvgo import experiments, graphs, solvers
-from tvgo.solvers import SolverOptions, _admm_batch, _objective, kkt_residual, norm_n
+from tvgo.solvers import SolverOptions, _objective, kkt_residual, norm_n
 
 B = 24
 SIDE = 6
@@ -41,6 +41,11 @@ def _block(family):
     return exp.D, exp.f0[:, None] + eps, exp.lam, exp.lambda0 / 2.0, exp.solver_opts
 
 
+def _cold_batch(D, Y, lams, opts):
+    """solvers._admm_batch from a cold state: f = Y, z = DY, u = 0."""
+    return solvers._admm_batch(solvers._AdmmState(solvers.Splitting(D), Y, lams), Y, lams, opts)
+
+
 def _dual_mismatch(D, Y, state):
     """Per column ||rho D'u - (Y - f)|| / ||Y - f||: the f-update's optimality
     condition, which a warm-start state meets up to the stopping tolerance."""
@@ -52,11 +57,11 @@ def _dual_mismatch(D, Y, state):
 def test_batch_columns_converge_certify_and_match_single_solves(family):
     D, Y, lam, _, opts = _block(family)
     lams = np.full(B, lam)
-    F, state, it, conv = _admm_batch(D, Y, lams, opts)
+    F, state, it, conv = _cold_batch(D, Y, lams, opts)
     assert conv.all()
     # the columns stopped at different iterations: a shorter run leaves
     # some converged and some not
-    partial = _admm_batch(D, Y, lams, SolverOptions(tol=opts.tol, max_iter=it // 2))[3]
+    partial = _cold_batch(D, Y, lams, SolverOptions(tol=opts.tol, max_iter=it // 2))[3]
     assert 0 < partial.sum() < B
     for j in (0, B // 2, B - 1):
         assert kkt_residual(Y[:, j], F[:, j], D, lam) <= SolverOptions().kkt_tol
@@ -71,10 +76,12 @@ def test_sqrt_batch_warm_start_across_rho_change_matches_single_solves(monkeypat
     calls = []
     inner = solvers._admm_batch
 
-    def spy(D_, Y_, lam_, opts_, state=None):
-        rho_in = None if state is None else state.rho
-        out = inner(D_, Y_, lam_, opts_, state)
-        calls.append((Y_.shape[1], rho_in, out[1].rho, _dual_mismatch(D_, Y_, out[1]).max()))
+    def spy(state, Y_, lam_, opts_):
+        # the first call starts from the fixed point's fresh (cold) state
+        rho_in = state.rho if calls else None
+        out = inner(state, Y_, lam_, opts_)
+        mismatch = _dual_mismatch(state.split.D, Y_, out[1]).max()
+        calls.append((Y_.shape[1], rho_in, out[1].rho, mismatch))
         return out
 
     monkeypatch.setattr(solvers, "_admm_batch", spy)
@@ -99,11 +106,11 @@ def test_sqrt_batch_warm_start_across_rho_change_matches_single_solves(monkeypat
 def test_column_that_converged_early_stays_converged_at_small_max_iter():
     D, Y, lam, _, opts = _block("grid")
     lams = np.full(B, lam)
-    F_full, state_full, it, conv_full = _admm_batch(D, Y, lams, opts)
+    F_full, state_full, it, conv_full = _cold_batch(D, Y, lams, opts)
     assert conv_full.all()
     seen = np.zeros(B, dtype=bool)
     for k in (it // 4, it // 2, 3 * it // 4):
-        F, state, _, conv = _admm_batch(D, Y, lams, SolverOptions(tol=opts.tol, max_iter=k))
+        F, state, _, conv = _cold_batch(D, Y, lams, SolverOptions(tol=opts.tol, max_iter=k))
         # a column that met the test at an earlier max_iter met it again, and
         # left with the same iterate whatever the others did afterwards
         assert conv[seen].all()

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,8 +11,8 @@ from hypothesis import strategies as st
 
 from _reference import brute_force_path2_sqrt, cd_reference_path, objective
 from tvgo import experiments, solvers
-from tvgo.graphs import (DirectedGraph, cycle_graph, grid_graph, incidence, path_graph,
-                         tree_graph)
+from tvgo.graphs import (DirectedGraph, cycle_graph, edge_endpoints, grid_graph, incidence,
+                         path_graph, tree_graph)
 from tvgo.solvers import (SolverOptions, kkt_residual, norm_n,
                           solve_analysis, solve_analysis_batch,
                           solve_sqrt_analysis, solve_sqrt_analysis_batch)
@@ -340,7 +344,7 @@ def _relabelled(g, perm):
 
 def _grid_shape_of(g):
     D = incidence(g)
-    return solvers._grid_shape((D.T @ D).tocsc(), D.shape[0])
+    return solvers._grid_shape(D, edge_endpoints(D))
 
 
 @pytest.mark.parametrize("h,w", [(2, 2), (3, 7), (7, 3), (8, 8), (32, 32)])
@@ -357,9 +361,43 @@ def test_non_grids_take_superlu():
     cut = [e for k, e in enumerate(g.edges) if k % 7 != 3]          # the grid minus 8 edges
     extra = g.edges + ((1, 64),)                                    # one edge too many
     relabelled = _relabelled(g, rng.permutation(64))                # same n and m, other D'D
+    doubled = g.edges[:-1] + (g.edges[0],)          # one edge twice, another gone: same n and m
     for other in [path_graph(12), DirectedGraph(64, tuple(cut)), DirectedGraph(64, extra),
-                  relabelled, cycle_graph(12), tree_graph([1, 1, 2, 2, 3, 3, 4])]:
+                  relabelled, DirectedGraph(64, doubled), cycle_graph(12),
+                  tree_graph([1, 1, 2, 2, 3, 3, 4])]:
         assert _grid_shape_of(other) is None
+
+
+def test_shared_splitting_solves_at_each_calls_own_rho():
+    # an experiment's threads share one Splitting: each call must get the
+    # solve of its own rho, whatever penalty another thread cached last.
+    # More threads than cores and a short switch interval widen the window
+    # between the cache's write and its read
+    D = incidence(path_graph(200))
+    split = solvers.Splitting(D)
+    rhos = (0.5, 2.0)
+    eye = sp.identity(D.shape[1], format="csc")
+    R = np.random.default_rng(3).standard_normal((D.shape[1], 4))
+    refs = {rho: spla.splu((eye + rho * (D.T @ D)).tocsc()).solve(R) for rho in rhos}
+    threads = 4
+    start = threading.Barrier(threads)
+
+    def alternate(first):
+        start.wait()
+        worst = 0.0
+        for k in range(400):
+            rho = rhos[(k + first) % 2]
+            worst = max(worst, np.abs(split.solve(rho)(R) - refs[rho]).max())
+        return worst
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            worst = list(pool.map(alternate, range(threads), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(worst) <= 1e-12
 
 
 @pytest.mark.parametrize("h,w", [(7, 3), (8, 8)])
@@ -368,7 +406,7 @@ def test_spectral_grid_solve_matches_superlu(h, w, rho):
     D = incidence(grid_graph(h, w))
     DtD = (D.T @ D).tocsc()
     lu = spla.splu((sp.identity(h * w, format="csc") + rho * DtD).tocsc())
-    solve = solvers._solve_factory(DtD, D.shape[0])(rho)
+    solve = solvers.Splitting(D).factory(rho)
     rng = np.random.default_rng(int(rho * 1000) + h)
     for B in (1, 5, 64):
         R = rng.standard_normal((h * w, B))
@@ -390,8 +428,10 @@ def test_grid_batch_agrees_with_relabelled_grid_on_superlu():
     Y_perm[perm] = Y
     lams = np.full(6, 0.05)
     opts = SolverOptions(tol=1e-7, certify=False)
-    F, _, _, conv = solvers._admm_batch(incidence(g), Y, lams, opts)
-    F_perm, _, _, conv_perm = solvers._admm_batch(incidence(g_perm), Y_perm, lams, opts)
+    state = solvers._AdmmState(solvers.Splitting(incidence(g)), Y, lams)
+    state_perm = solvers._AdmmState(solvers.Splitting(incidence(g_perm)), Y_perm, lams)
+    F, _, _, conv = solvers._admm_batch(state, Y, lams, opts)
+    F_perm, _, _, conv_perm = solvers._admm_batch(state_perm, Y_perm, lams, opts)
     assert conv.all() and conv_perm.all()
     obj = solvers._objective(Y, F, lams, incidence(g))
     obj_perm = solvers._objective(Y_perm, F_perm, lams, incidence(g_perm))
