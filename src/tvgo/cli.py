@@ -95,11 +95,9 @@ def _read_vector(path: str) -> np.ndarray:
         return np.array([float(line) for line in fh.read().split()])
 
 
-def _seed(args) -> int:
-    env = os.environ.get("TVGO_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+def _seed(args) -> int | None:
+    seed = os.environ.get("TVGO_SEED", args.seed)
+    return None if seed is None else int(seed)
 
 
 def _graph_setup(args):
@@ -223,7 +221,7 @@ def _cmd_oracle_rhs(args) -> int:
         alt = tuning.TheoremInputs(**{**inputs.__dict__, "kappa_source": "paper_bound"})
         try:
             out["value_paper_bound"] = tuning.oracle_rhs(args.theorem, alt).value
-        except tuning.TheoremHypothesisError:
+        except compatibility.HypothesisError:
             out["value_paper_bound"] = None
     _emit(out, args)
     return EXIT_OK
@@ -232,10 +230,9 @@ def _cmd_oracle_rhs(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg_dict = json.load(fh)
-    if os.environ.get("TVGO_SEED") is not None:
-        cfg_dict["seed"] = int(os.environ["TVGO_SEED"])
-    elif args.seed is not None:
-        cfg_dict["seed"] = args.seed
+    seed = _seed(args)
+    if seed is not None:
+        cfg_dict["seed"] = seed
     if args.threads is not None:
         cfg_dict["threads"] = args.threads
     csv_text, summary = experiments.experiment_csv(cfg_dict)
@@ -360,9 +357,7 @@ def dispatch(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (graphs.GraphError, tuning.TheoremHypothesisError,
-            compatibility.HypothesisError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:   # hypothesis, graph and JSON errors included
         return _fail(str(exc), kind=type(exc).__name__)
     except RuntimeError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": "RuntimeError"}) + "\n")

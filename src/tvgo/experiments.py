@@ -92,22 +92,22 @@ def trial_noise(sigma: float, n: int, master_seed: int, trial: int | range) -> n
     """Noise of trial `trial`, bit-reproducible and independent of evaluation
     order (counter-based keying): a vector of length n for one trial index,
     or for a range of trials the C-ordered (n, B) array whose column j is the
-    vector of trial `trial[j]`, bit for bit."""
-    if not isinstance(trial, range):
-        gen = np.random.Generator(np.random.Philox(key=[master_seed, trial]))
-        return sigma * gen.standard_normal(n)
+    vector of trial `trial[j]`, bit for bit.  One trial index is the
+    one-trial range's single column."""
+    one = not isinstance(trial, range)
+    trials = range(trial, trial + 1) if one else trial
     # one generator re-keyed per trial: the state setter writes every field
     # (counter, key, buffer, buffer position, cached half word), so each
     # trial starts from the state of a freshly built Philox([seed, trial])
-    bitgen = np.random.Philox(key=[master_seed, trial.start])
+    bitgen = np.random.Philox(key=[master_seed, trials.start])
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     # trials fill contiguous rows of a small buffer, NOISE_CHUNK at a time,
     # and each chunk is written into the columns of the block in one pass
-    eps = np.empty((n, len(trial)))
+    eps = np.empty((n, len(trials)))
     rows = np.empty((NOISE_CHUNK, n))
-    for j in range(0, len(trial), NOISE_CHUNK):
-        chunk = trial[j:j + NOISE_CHUNK]
+    for j in range(0, len(trials), NOISE_CHUNK):
+        chunk = trials[j:j + NOISE_CHUNK]
         for row, ti in zip(rows, chunk):
             fresh["state"]["key"][1] = ti
             bitgen.state = fresh
@@ -115,7 +115,7 @@ def trial_noise(sigma: float, n: int, master_seed: int, trial: int | range) -> n
         part = rows[:len(chunk)]
         part *= sigma
         eps[:, j:j + len(chunk)] = part.T
-    return eps
+    return eps[:, 0] if one else eps
 
 
 def generate_trial(spec: SignalSpec, D: sp.spmatrix, active: ActiveSet,
@@ -232,6 +232,13 @@ EVENT_FLOORS = dict(zip(EVENT_NAMES, (
 )))
 
 
+# the JSON config schema's keys, at the top level (None) and in each section
+CONFIG_KEYS = {None: set("graph S signal sigma params theorems trials seed lambda lambda0 "
+                         "grid_constant solver_tol threads events kappa_source kappa_value".split()),
+               "graph": {"family", "params"}, "signal": {"levels", "tv_budget"},
+               "params": {"x", "t", "a", "eta"}}
+
+
 @dataclass
 class ExperimentConfig:
     """One Monte Carlo experiment.  Mirrors the JSON config schema."""
@@ -267,6 +274,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        """The config of a JSON dict; ValueError names every key, at the top
+        level or in graph, signal or params, that the schema does not have."""
+        unknown = [key for key in cfg if key not in CONFIG_KEYS[None]] + \
+            [f"{sec}.{key}" for sec in ("graph", "signal", "params")
+             for key in cfg.get(sec, {}) if key not in CONFIG_KEYS[sec]]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         gspec = cfg["graph"]
         family = gspec["family"]
         graph = graphs.build_graph(family, **gspec.get("params", {}))
@@ -486,7 +500,7 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
         return {"mean": float(arr.mean()), "median": float(np.median(arr)),
                 "q10": float(np.quantile(arr, 0.10)), "q90": float(np.quantile(arr, 0.90))}
 
-    summary = {
+    return {
         "config": {
             "family": cfg.family, "n": exp.active.n, "S": list(cfg.S),
             "r_S": exp.active.r_S, "gamma": exp.report.gamma,
@@ -506,7 +520,6 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
                          int(np.count_nonzero(~columns[f"{kind}_converged"]))
                          for kind in ("plain", "sqrt")},
     }
-    return summary
 
 
 def clopper_pearson(holds: np.ndarray) -> list[float]:

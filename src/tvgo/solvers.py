@@ -45,13 +45,14 @@ products' grows as hw (h + w).
 
 Every other graph takes a SuperLU factor per rho.  Paths stay on SuperLU:
 their tridiagonal factor solves faster than the transforms, which made
-mc_path experiments slower.  The Splitting keeps the last rho's solve, so
+mc_path experiments slower.  A Splitting is never written after
+construction; each warm-start state keeps the solve of its current rho, so
 the outer steps of the square-root fixed point refactor only when rho
 changes.  An Experiment builds one Splitting for both batch entry points,
-every block and all its threads; the cache is read and written once per
-call, so no thread gets the solve of another's rho.  The entry points wrap
-a plain D in a new Splitting.  Each iteration does one product with D and
-one with D', for D'(z - u) in the f-update, and updates z and u in place:
+every block and all its threads; a certified solve hands its own to
+kkt_bound, which reads its edge endpoints.  The entry points wrap a plain D
+in a new Splitting.  Each iteration does one product with D and one with
+D', for D'(z - u) in the f-update, and updates z and u in place:
 with v = u + alpha Df + (1 - alpha) z, u_new is v clipped to [-k, k] and
 z_new = v - u_new (_shrink).  The residual norms take two more products
 with D', on check iterations only.
@@ -76,7 +77,7 @@ bound on the optimum, or the optimum after the fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -150,17 +151,7 @@ class EstimateResult:
     overfit: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "f_hat": self.f_hat.tolist(),
-            "lambda_used": self.lambda_used,
-            "residual_norm_n": self.residual_norm_n,
-            "kkt_residual": self.kkt_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "objective": self.objective,
-            "sigma_hat": self.sigma_hat,
-            "overfit": self.overfit,
-        }
+        return {**asdict(self), "f_hat": self.f_hat.tolist()}
 
 
 def check_level(name: str, value: float, zero_ok: bool = False) -> None:
@@ -256,28 +247,23 @@ def _solve_factory(D: sp.csr_matrix, shape: tuple[int, int] | None):
 
 class Splitting:
     """What the solvers derive from the incidence matrix D, built once per
-    graph (see the module docstring): D', the component labels, the solve
-    factory and the last penalty's solve, a cache that threads may share."""
+    graph (see the module docstring): D', the 0-based edge endpoints ends,
+    the component labels and the pure solve factory rho -> solve.  It is
+    never written after construction, so threads may share it."""
 
     def __init__(self, D):
         self.D = sp.csr_matrix(D)
         self.Dt = self.D.T   # one CSC transpose
-        ends = graphs.edge_endpoints(self.D)
-        self.factory = _solve_factory(self.D, _grid_shape(self.D, ends))
-        self.labels = graphs.component_labels(self.D.shape[1], ends)
-        self._last = (None, None)
-
-    def solve(self, rho: float):
-        last = self._last
-        if last[0] != rho:
-            last = self._last = (rho, self.factory(rho))
-        return last[1]
+        self.ends = graphs.edge_endpoints(self.D)
+        self.factory = _solve_factory(self.D, _grid_shape(self.D, self.ends))
+        self.labels = graphs.component_labels(self.D.shape[1], self.ends)
 
 
 class _AdmmState:
     """Warm-startable state of the batched splitting solver, for one D: each
-    column's F, Z and U, one penalty rho and the Splitting of D.  A new state
-    starts every column of Y at f = Y, z = DY, u = 0, with rho = mean(n lam)."""
+    column's F, Z and U, one penalty rho, the f-update solve at that rho and
+    the Splitting of D.  A new state starts every column of Y at f = Y,
+    z = DY, u = 0, with rho = mean(n lam)."""
 
     def __init__(self, split: Splitting, Y: np.ndarray, lam: np.ndarray):
         self.split = split
@@ -285,6 +271,7 @@ class _AdmmState:
         self.Z = split.D @ self.F
         self.U = np.zeros_like(self.Z)
         self.rho = max(float(np.mean(Y.shape[0] * lam)), 1e-6)
+        self.solve = split.factory(self.rho)
 
     def keep(self, cols: np.ndarray) -> None:
         """Keep only the columns cols (a mask or indices)."""
@@ -321,14 +308,13 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverO
     Returns the iterates F (n, B), the state, the iteration count and a
     per-column converged mask (column j met the test).  F is the state's F:
     each column's iterate at the iteration it left the batch (or the last
-    one).  The state, updated in place, also holds those iterations' Z and U
-    and the batch's one penalty rho.
+    one).  The state, updated in place, also holds those iterations' Z and U,
+    the batch's one penalty rho and its solve.
     """
-    split, rho = state.split, state.rho
+    split, rho, solve = state.split, state.rho, state.solve
     D, Dt = split.D, split.Dt
     n, B = Y.shape
     thresh_scale = n * lam  # soft threshold numerator in the scaled problem
-    solve = split.solve(rho)
     # the working Z and U are updated in place, so they must not alias the
     # state, whose U is rescaled separately on a change of rho
     Z, U = state.Z.copy(), state.U.copy()
@@ -408,11 +394,11 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverO
                 # rescaled too, so the whole state stays at one rho
                 U /= step
                 state.U /= step
-                solve = split.solve(rho)
+                solve = split.factory(rho)
     if len(live):   # max_iter reached with columns still live
         state.F[:, live], state.Z[:, live], state.U[:, live] = F, Z, U
 
-    state.rho = rho
+    state.rho, state.solve = rho, solve
     return state.F, state, it, converged
 
 
@@ -487,9 +473,9 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
     if opts.certify and (not sqrt or res.converged and not res.overfit):
         # the dual's bound is an upper bound on the linear program's optimum,
         # so the program runs only when the bound does not pass
-        bound = kkt_bound(Y, f, D, res.lambda_used, out.V[:, 0])
+        bound = kkt_bound(Y, f, split, res.lambda_used, out.V[:, 0])
         res.kkt_residual = (bound if bound <= opts.kkt_tol else
-                            kkt_residual(Y, f, D, res.lambda_used))
+                            kkt_residual(Y, f, split, res.lambda_used))
     return res
 
 
@@ -504,10 +490,12 @@ def _active_rows(Df: np.ndarray, DY: np.ndarray) -> np.ndarray:
     return np.zeros(len(Df), dtype=bool)
 
 
-def kkt_bound(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
+def kkt_bound(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix | Splitting, lam: float,
               v: np.ndarray) -> float:
     """Upper bound on kkt_residual from the dual guess v (m,), such as a
-    column of BatchResult.V.  D is a graph incidence matrix.
+    column of BatchResult.V.  D is a graph incidence matrix or its
+    Splitting, whose edge endpoints the forest step reads; a plain D is
+    wrapped in a new one.
 
     v is clipped to [-1, 1] and fixed to sign(Df) on the rows kkt_residual
     calls active.  On a spanning forest of the free edges it is then re-solved
@@ -518,18 +506,18 @@ def kkt_bound(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float,
     """
     Y = np.asarray(Y, dtype=np.float64)
     f_hat = np.asarray(f_hat, dtype=np.float64)
-    D = sp.csr_matrix(D)
     g = (Y - f_hat) / Y.shape[0]
     if lam == 0.0:
         return float(np.max(np.abs(g)))
+    split = D if isinstance(D, Splitting) else Splitting(D)
+    D, Dt = split.D, split.Dt
     Df = D @ f_hat
     act = _active_rows(Df, D @ Y)
     v = np.clip(v, -1.0, 1.0)
     v[act] = np.sign(Df[act])
     free = np.flatnonzero(~act)
-    Dt = D.T
     if len(free):
-        rows, delta = _forest_step(graphs.edge_endpoints(D)[free], g - lam * (Dt @ v))
+        rows, delta = _forest_step(split.ends[free], g - lam * (Dt @ v))
         v[free[rows]] += delta / lam
         np.clip(v, -1.0, 1.0, out=v)
     return float(np.max(np.abs(g - lam * (Dt @ v))))
@@ -565,17 +553,19 @@ def _forest_step(ends: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return picked[real], delta[real]
 
 
-def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix, lam: float) -> float:
+def kkt_residual(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix | Splitting,
+                 lam: float) -> float:
     """Best-case stationarity violation of a candidate solution.
 
     Searches for a subgradient certificate v with ||v||_inf <= 1, v fixed to
     the sign of (D f)_i on the rows _active_rows calls active, minimizing
     || (Y - f)/n - lam * D'v ||_inf.  Zero at the exact optimum; solved as a
     linear program (scipy.optimize is imported only when one is solved).
+    D is any analysis operator, or a Splitting, of which only D is read.
     """
     Y = np.asarray(Y, dtype=np.float64)
     f_hat = np.asarray(f_hat, dtype=np.float64)
-    D = sp.csr_matrix(D)
+    D = D.D if isinstance(D, Splitting) else sp.csr_matrix(D)
     n = Y.shape[0]
     g = (Y - f_hat) / n
     if lam == 0.0:

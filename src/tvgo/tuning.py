@@ -18,12 +18,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .compatibility import kappa_bound_cycle, kappa_bound_path
+from .compatibility import HypothesisError, kappa_bound_cycle, kappa_bound_path
 from .graphs import ActiveSet
 from .projections import TheoryReport
 
 
-class TheoremHypothesisError(ValueError):
+class TheoremHypothesisError(HypothesisError):
     """A hypothesis of the requested inequality fails for these inputs."""
 
 
@@ -450,9 +450,10 @@ def lhs_penalty_coefficient(theorem_id: str, inputs: TheoremInputs) -> float:
 def oracle_rhs(theorem_id: str, inputs: TheoremInputs) -> OracleRHS:
     """Evaluate one inequality's right-hand side with a term breakdown.
 
-    Raises ValueError naming a missing input, and TheoremHypothesisError
-    naming the violated hypothesis if the inputs fall outside the
-    inequality's assumptions.
+    Raises ValueError naming a missing input, and a
+    compatibility.HypothesisError (a TheoremHypothesisError for the
+    inequality's own) naming the violated hypothesis if the inputs fall
+    outside the inequality's or its compatibility bound's assumptions.
     """
     thm = _row(theorem_id)
     kind = thm.kind

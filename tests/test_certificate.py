@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvgo
-from tvgo import solvers
+from tvgo import graphs, solvers
 from tvgo.graphs import cycle_graph, grid_graph, incidence, path_graph, tree_graph
 from tvgo.solvers import (SolverOptions, kkt_bound, kkt_residual, solve_analysis,
                           solve_analysis_batch, solve_sqrt_analysis_batch)
@@ -122,6 +122,26 @@ def test_single_solve_reports_the_bound_without_the_program(monkeypatch):
     r = solve_analysis(Y, D, 0.05)
     out = solve_analysis_batch(Y[:, None], D, 0.05)
     assert r.kkt_residual == kkt_bound(Y, out.F[:, 0], D, 0.05, out.V[:, 0]) <= KKT_TOL
+
+
+@pytest.mark.parametrize("solve,level", [(solvers.solve_analysis, 0.05),
+                                         (solvers.solve_sqrt_analysis, 0.1)],
+                         ids=["plain", "sqrt"])
+def test_certified_solve_reads_the_edges_once(monkeypatch, solve, level):
+    # the certificate's forest step takes the edge endpoints the solve's
+    # Splitting already read
+    calls = []
+    original = graphs.edge_endpoints
+
+    def counting(D):
+        calls.append(D.shape)
+        return original(D)
+
+    monkeypatch.setattr(graphs, "edge_endpoints", counting)
+    D, Y = _problem("grid", 6)
+    r = solve(Y, D, level)
+    assert r.converged and r.kkt_residual is not None and r.kkt_residual <= KKT_TOL
+    assert calls == [D.shape]
 
 
 def test_bound_above_tolerance_falls_back_to_the_program(monkeypatch):

@@ -281,3 +281,14 @@ def test_oracle_rhs_numeric_shows_both(tmp_path):
     res = json.loads(out.read_text())
     # the numeric search under-finds the supremum, so its bound is tighter
     assert res["value"] <= res["value_paper_bound"] + 1e-9
+
+
+def test_oracle_rhs_numeric_without_a_closed_form_comparison(tmp_path):
+    # S = {1} leaves a one-vertex first component, outside the closed-form
+    # path bound's hypothesis; the numeric RHS is still reported
+    out = tmp_path / "rhs.json"
+    assert dispatch(["oracle-rhs", "--theorem", "plain_fast", "--graph", "path:12",
+                     "--S", "1", "--kappa-source", "numeric", "--budget", "200",
+                     "--out", str(out)]) == 0
+    res = json.loads(out.read_text())
+    assert res["value_paper_bound"] is None and math.isfinite(res["value"])

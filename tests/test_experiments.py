@@ -312,6 +312,46 @@ def test_one_splitting_per_experiment(monkeypatch, theorems, events, builds):
     assert len(calls) == builds
 
 
+def test_config_typos_are_rejected(tmp_path):
+    cfg = dict(BASE_CFG, lamda=5.0, params={"x": 2, "etaa": 0.9},
+               graph={"family": "path", "params": {"n": 64}, "famly": "grid"},
+               signal={"levels": [0.0, 1.0], "tv_budgett": 1.0})
+    with pytest.raises(ValueError) as err:
+        run_experiment(cfg)
+    for key in ("lamda", "params.etaa", "graph.famly", "signal.tv_budgett"):
+        assert key in str(err.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_splitting_is_not_written_by_solves_or_threads(monkeypatch):
+    # batches at several penalties, then a two-thread experiment sharing the
+    # same Splitting, leave every attribute bound to the object it had
+    cfg = dict(BASE_CFG, theorems=["plain_fast", "sqrt_slow"], trials=3 * experiments.BLOCK_SIZE,
+               threads=2)
+    split = solvers.Splitting(incidence(experiments.ExperimentConfig.from_dict(cfg).graph))
+    before = dict(vars(split))
+    Y = np.random.default_rng(4).standard_normal((split.D.shape[1], 5))
+    for level in (0.01, 0.05, 0.3):
+        solvers.solve_analysis_batch(Y, split, level)
+        solvers.solve_sqrt_analysis_batch(Y, split, level)
+    _, expected = run_experiment(cfg)
+    original = experiments.Experiment.__init__
+
+    def sharing(self, config):
+        original(self, config)
+        self.split = split
+
+    monkeypatch.setattr(experiments.Experiment, "__init__", sharing)
+    _, columns = run_experiment(cfg)
+    after = vars(split)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+    for name, col in expected.items():
+        assert col is None and columns[name] is None or np.array_equal(col, columns[name])
+
+
 @pytest.mark.parametrize("n", [1, 10, 150, 1000])
 def test_clopper_pearson_closed_forms(n):
     none, every = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)

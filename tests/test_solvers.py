@@ -1,7 +1,3 @@
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -366,38 +362,6 @@ def test_non_grids_take_superlu():
                   relabelled, DirectedGraph(64, doubled), cycle_graph(12),
                   tree_graph([1, 1, 2, 2, 3, 3, 4])]:
         assert _grid_shape_of(other) is None
-
-
-def test_shared_splitting_solves_at_each_calls_own_rho():
-    # an experiment's threads share one Splitting: each call must get the
-    # solve of its own rho, whatever penalty another thread cached last.
-    # More threads than cores and a short switch interval widen the window
-    # between the cache's write and its read
-    D = incidence(path_graph(200))
-    split = solvers.Splitting(D)
-    rhos = (0.5, 2.0)
-    eye = sp.identity(D.shape[1], format="csc")
-    R = np.random.default_rng(3).standard_normal((D.shape[1], 4))
-    refs = {rho: spla.splu((eye + rho * (D.T @ D)).tocsc()).solve(R) for rho in rhos}
-    threads = 4
-    start = threading.Barrier(threads)
-
-    def alternate(first):
-        start.wait()
-        worst = 0.0
-        for k in range(400):
-            rho = rhos[(k + first) % 2]
-            worst = max(worst, np.abs(split.solve(rho)(R) - refs[rho]).max())
-        return worst
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            worst = list(pool.map(alternate, range(threads), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert max(worst) <= 1e-12
 
 
 @pytest.mark.parametrize("h,w", [(7, 3), (8, 8)])
