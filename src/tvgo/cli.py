@@ -62,23 +62,19 @@ def _flatten_csv(obj: dict, prefix: str = "") -> str:
 
 
 def parse_graph_spec(spec: str) -> tuple[graphs.DirectedGraph, str]:
-    """'path:8', 'cycle:5', 'grid:3x4', 'tree:@parents.txt', or a graph file path."""
-    if ":" in spec:
-        family, arg = spec.split(":", 1)
-        if family == "path":
-            return graphs.path_graph(int(arg)), "path"
-        if family == "cycle":
-            return graphs.cycle_graph(int(arg)), "cycle"
-        if family == "grid":
-            h, w = arg.lower().split("x")
-            return graphs.grid_graph(int(h), int(w)), "grid"
-        if family == "tree":
-            fname = arg[1:] if arg.startswith("@") else arg
-            with open(fname) as fh:
-                parents = [int(tok) for tok in fh.read().split()]
-            return graphs.tree_graph(parents), "tree"
-        raise graphs.GraphError(f"unknown graph family {family!r}")
-    return graphs.read_graph(spec), "file"
+    """'path:8', 'cycle:5', 'grid:3x4', 'tree:@parents.txt', or a graph file
+    path; a family spec names the parameters of graphs.build_graph."""
+    if ":" not in spec:
+        return graphs.read_graph(spec), "file"
+    family, arg = spec.split(":", 1)
+    if family == "tree":
+        with open(arg.removeprefix("@")) as fh:
+            params = {"parents": [int(tok) for tok in fh.read().split()]}
+    elif family == "grid":
+        params = dict(zip(("height", "width"), arg.lower().split("x", 1)))
+    else:
+        params = {"n": arg}
+    return graphs.build_graph(family, **params), family
 
 
 def parse_set_spec(spec: str | None) -> tuple[int, ...]:
@@ -130,12 +126,7 @@ def _cmd_theory(args) -> int:
 def _cmd_kappa(args) -> int:
     family, D, active, report = _graph_setup(args)
     weights = None if args.weights == "identity" else report.weights
-    if family == "path":
-        kb = compatibility.kappa_bound_path(active, weights, report.gamma)
-    elif family == "cycle":
-        kb = compatibility.kappa_bound_cycle(active, weights, report.gamma)
-    else:
-        return _fail(f"closed-form compatibility bounds exist for paths and cycles, not {family!r}")
+    kb = compatibility.kappa_bound(family, active, weights, report.gamma)
     kappa_num = compatibility.kappa_numeric(D, active, weights,
                                             search_budget=args.budget,
                                             steps=args.steps, seed=_seed(args))
@@ -203,12 +194,7 @@ def _cmd_oracle_rhs(args) -> int:
         active=active, report=report, family=family, sigma=args.sigma,
         t=args.t, x=args.x, a=args.a, eta=args.eta, f=f, f0=f0, D=D,
         kappa_source=args.kappa_source, grid_constant=args.grid_constant)
-    inputs.lam = args.lam if args.lam is not None else \
-        tuning.minimal_tuning(args.theorem, inputs) \
-        if tuning.theorem_kind(args.theorem) == "plain" else None
-    inputs.lambda0 = args.lambda0 if args.lambda0 is not None else \
-        tuning.minimal_tuning(args.theorem, inputs) \
-        if tuning.theorem_kind(args.theorem) == "sqrt" else None
+    inputs.lam, inputs.lambda0 = tuning.levels([args.theorem], inputs, args.lam, args.lambda0)
     if args.kappa_source == "numeric":
         inputs.kappa_value = compatibility.kappa_numeric(
             D, active, report.weights, search_budget=args.budget, seed=_seed(args))
@@ -216,7 +202,7 @@ def _cmd_oracle_rhs(args) -> int:
     out = rhs.to_dict()
     out["lambda"] = inputs.lam
     out["lambda0"] = inputs.lambda0
-    if args.kappa_source == "numeric" and family in ("path", "cycle"):
+    if args.kappa_source == "numeric" and family in compatibility.CLOSED_FORMS:
         # closed-form comparison value alongside the numeric-kappa one
         alt = tuning.TheoremInputs(**{**inputs.__dict__, "kappa_source": "paper_bound"})
         try:
@@ -254,98 +240,76 @@ def _cmd_verify_prob(args) -> int:
     return EXIT_OK
 
 
-def _add_output(p):
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+# each flag that several subcommands take, declared once: its
+# add_argument options by flag name
+_SHARED_FLAGS = {
+    "graph": dict(required=True), "S": dict(default=""),
+    "out": dict(default=None, help="output file (stdout if omitted)"),
+    "format": dict(choices=["json", "csv"], default="json"),
+    "seed": dict(type=int, default=0), "budget": dict(type=int, default=10_000),
+    "lambda": dict(dest="lam", type=float, default=None),
+    "lambda0": dict(type=float, default=None),
+    **{name: dict(type=float, default=value) for name, value in
+       (("sigma", 1.0), ("t", 2.0), ("x", 2.0), ("a", 2.0), ("eta", 0.5))},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tvgo", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graph", help="emit a canonical graph file")
+    def command(name, func, shared, help):
+        """A subcommand running func, with the shared flags named in shared."""
+        p = sub.add_parser(name, help=help)
+        for flag in shared.split():
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("graph", _cmd_graph, "out", "emit a canonical graph file")
     p.add_argument("--family", required=True, help="path:N | cycle:N | grid:HxW | tree:@parents")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("theory", help="antiprojection lengths, gamma, weights")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--S", default="")
-    _add_output(p)
-    p.set_defaults(func=_cmd_theory)
+    command("theory", _cmd_theory, "graph S out format", "antiprojection lengths, gamma, weights")
 
-    p = sub.add_parser("kappa", help="compatibility bounds vs numeric search")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--S", default="")
+    p = command("kappa", _cmd_kappa, "graph S budget out format seed",
+                "compatibility bounds vs numeric search")
     p.add_argument("--weights", choices=["computed", "identity"], default="computed")
-    p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--steps", type=int, default=200)
-    _add_output(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_kappa)
 
-    p = sub.add_parser("solve", help="solve one estimation problem")
-    p.add_argument("--graph", required=True)
+    p = command("solve", _cmd_solve, "graph lambda lambda0 out format",
+                "solve one estimation problem")
     p.add_argument("--y", required=True, help="CSV file, one value per line")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda0", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--no-certify", action="store_true")
-    _add_output(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("tune", help="tuning parameters, assumption checks, caps")
+    p = command("tune", _cmd_tune, "S sigma t x a eta lambda0 out format",
+                "tuning parameters, assumption checks, caps")
     p.add_argument("--graph", default=None)
-    p.add_argument("--S", default="")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r-S", dest="r_S", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=2.0)
-    p.add_argument("--x", type=float, default=2.0)
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--lambda0", type=float, default=None)
     p.add_argument("--norm-df0", dest="norm_df0", type=float, default=0.0)
-    _add_output(p)
-    p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser("oracle-rhs", help="inequality right-hand side breakdown")
+    p = command("oracle-rhs", _cmd_oracle_rhs,
+                "graph S sigma t x a eta lambda lambda0 budget out format seed",
+                "inequality right-hand side breakdown")
     p.add_argument("--theorem", required=True, choices=sorted(tuning.THEOREMS))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--S", default="")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=2.0)
-    p.add_argument("--x", type=float, default=2.0)
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda0", type=float, default=None)
     p.add_argument("--f0", default=None, help="true signal file (defaults to zero)")
     p.add_argument("--f", default=None, help="candidate signal file (defaults to f0)")
-    p.add_argument("--kappa-source", choices=["paper_bound", "numeric"],
-                   default="paper_bound")
+    p.add_argument("--kappa-source", choices=tuning.KAPPA_SOURCES, default="paper_bound")
     p.add_argument("--grid-constant", type=float, default=None)
-    p.add_argument("--budget", type=int, default=10_000)
-    _add_output(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_oracle_rhs)
 
-    p = sub.add_parser("simulate", help="run a Monte Carlo config")
+    # the config's own seed unless --seed (or TVGO_SEED) overrides it
+    p = command("simulate", _cmd_simulate, "out seed", "run a Monte Carlo config")
+    p.set_defaults(seed=None)
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="trials CSV path (stdout if omitted)")
     p.add_argument("--summary", default=None, help="also write the JSON summary here")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify-prob", help="Monte Carlo checks of the tail bounds")
+    p = command("verify-prob", _cmd_verify_prob, "out format seed",
+                "Monte Carlo checks of the tail bounds")
     p.add_argument("--trials", type=int, default=100_000)
-    _add_output(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_prob)
-
     return ap
 
 

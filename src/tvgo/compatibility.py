@@ -14,7 +14,7 @@ upper estimate (the search only ever under-finds the supremum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,17 +43,7 @@ class KappaBounds:
     numeric_kappa_estimate: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "K": self.K,
-            "K_prime": self.K_prime,
-            "sqrt_rs_over_kappa_identity": self.sqrt_rs_over_kappa_identity,
-            "weight_increment_sq": self.weight_increment_sq,
-            "sqrt_rs_over_kappa_weighted": self.sqrt_rs_over_kappa_weighted,
-            "increment_bound_rhs": self.increment_bound_rhs,
-            "increment_bound_ok": self.increment_bound_ok,
-            "numeric_kappa_estimate": self.numeric_kappa_estimate,
-        }
+        return asdict(self)
 
 
 class HypothesisError(ValueError):
@@ -75,12 +65,22 @@ def _weight_increments_cycle(weights: np.ndarray, n: int) -> float:
     return float(np.sum((np.roll(w, -1) - w) ** 2))
 
 
-def _increment_lemma(active: ActiveSet, incr_sq: float, gamma: float | None):
-    """Weight-increment bound (5/gamma^2)(r_S/n)log(n/r_S); needs all n_i >= 4."""
-    if gamma is None or active.n_min < 4 or active.r_S >= active.n:
-        return None, None
-    rhs = (5.0 / gamma ** 2) * (active.r_S / active.n) * math.log(active.n / active.r_S)
-    return rhs, bool(incr_sq <= rhs)
+def _bounds(family: str, active: ActiveSet, K: float, incr_sq: float,
+            gamma: float | None) -> KappaBounds:
+    """The identity bound sqrt(nK), the weighted bound that adds the weight
+    increments' sqrt(n incr_sq), and the weight-increment bound
+    (5/gamma^2)(r_S/n)log(n/r_S), which needs all n_i >= 4."""
+    identity = math.sqrt(active.n * K)
+    rhs = ok = None
+    if gamma is not None and active.n_min >= 4 and active.r_S < active.n:
+        rhs = (5.0 / gamma ** 2) * (active.r_S / active.n) * math.log(active.n / active.r_S)
+        ok = bool(incr_sq <= rhs)
+    return KappaBounds(family=family, K=K if family == "path" else None,
+                       K_prime=K if family == "cycle" else None,
+                       sqrt_rs_over_kappa_identity=identity,
+                       weight_increment_sq=incr_sq,
+                       sqrt_rs_over_kappa_weighted=identity + math.sqrt(active.n * incr_sq),
+                       increment_bound_rhs=rhs, increment_bound_ok=ok)
 
 
 def kappa_bound_path(active: ActiveSet, weights: np.ndarray | None = None,
@@ -104,18 +104,8 @@ def kappa_bound_path(active: ActiveSet, weights: np.ndarray | None = None,
         K += 1.0 / (sizes[i] // 2) + 1.0 / ((sizes[i] + 1) // 2)
     if r > 1:
         K += 1.0 / sizes[-1]
-    identity = math.sqrt(active.n * K)
-    if weights is None:
-        incr_sq = 0.0
-    else:
-        incr_sq = _weight_increments_path(weights, active.n)
-    weighted = identity + math.sqrt(active.n * incr_sq)
-    rhs, ok = _increment_lemma(active, incr_sq, gamma)
-    return KappaBounds(family="path", K=K, K_prime=None,
-                       sqrt_rs_over_kappa_identity=identity,
-                       weight_increment_sq=incr_sq,
-                       sqrt_rs_over_kappa_weighted=weighted,
-                       increment_bound_rhs=rhs, increment_bound_ok=ok)
+    incr_sq = 0.0 if weights is None else _weight_increments_path(weights, active.n)
+    return _bounds("path", active, K, incr_sq, gamma)
 
 
 def kappa_bound_cycle(active: ActiveSet, weights: np.ndarray | None = None,
@@ -126,18 +116,23 @@ def kappa_bound_cycle(active: ActiveSet, weights: np.ndarray | None = None,
     if active.n_min < 4:
         raise HypothesisError(f"a component has {active.n_min} < 4 vertices")
     K_prime = sum(1.0 / (ni // 2) + 1.0 / ((ni + 1) // 2) for ni in active.comp_sizes)
-    identity = math.sqrt(active.n * K_prime)
-    if weights is None:
-        incr_sq = 0.0
-    else:
-        incr_sq = _weight_increments_cycle(weights, active.n)
-    weighted = identity + math.sqrt(active.n * incr_sq)
-    rhs, ok = _increment_lemma(active, incr_sq, gamma)
-    return KappaBounds(family="cycle", K=None, K_prime=K_prime,
-                       sqrt_rs_over_kappa_identity=identity,
-                       weight_increment_sq=incr_sq,
-                       sqrt_rs_over_kappa_weighted=weighted,
-                       increment_bound_rhs=rhs, increment_bound_ok=ok)
+    incr_sq = 0.0 if weights is None else _weight_increments_cycle(weights, active.n)
+    return _bounds("cycle", active, K_prime, incr_sq, gamma)
+
+
+# the graph families with closed-form bounds, and each family's bound
+CLOSED_FORMS = {"path": kappa_bound_path, "cycle": kappa_bound_cycle}
+
+
+def kappa_bound(family: str, active: ActiveSet, weights: np.ndarray | None = None,
+                gamma: float | None = None) -> KappaBounds:
+    """The closed-form bounds of the graph family: HypothesisError for a
+    family that has none."""
+    bound = CLOSED_FORMS.get(family)
+    if bound is None:
+        raise HypothesisError(f"no closed-form compatibility bound for family {family!r}: "
+                              "paths and cycles only")
+    return bound(active, weights, gamma)
 
 
 def _deterministic_starts(active: ActiveSet) -> np.ndarray:

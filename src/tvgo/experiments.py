@@ -237,6 +237,10 @@ CONFIG_KEYS = {None: set("graph S signal sigma params theorems trials seed lambd
                          "grid_constant solver_tol threads events kappa_source kappa_value".split()),
                "graph": {"family", "params"}, "signal": {"levels", "tv_budget"},
                "params": {"x", "t", "a", "eta"}}
+# config values converted on reading, by field; the others are taken as given
+CONFIG_TYPES = {"sigma": float, "x": float, "t": float, "a": float, "eta": float,
+                "theorems": tuple, "trials": int, "seed": int, "solver_tol": float,
+                "threads": int, "events": bool}
 
 
 @dataclass
@@ -271,38 +275,43 @@ class ExperimentConfig:
                                      ("solver_tol", self.solver_tol, False)):
             if value is not None:
                 solvers.check_level(name, value, zero_ok)
+        if self.kappa_source not in tuning.KAPPA_SOURCES:
+            raise ValueError(f"kappa_source must be one of {', '.join(tuning.KAPPA_SOURCES)}; "
+                             f"got {self.kappa_source!r}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        """The config of a JSON dict; ValueError names every key, at the top
-        level or in graph, signal or params, that the schema does not have."""
+        """The config of a JSON dict, with each key it lacks at its field's
+        default.  ValueError names a section that is not an object, every
+        key, at the top level or in graph, signal or params, that the schema
+        does not have, and a missing graph family."""
+        _section(cfg, "the config")
+        sections = {sec: _section(cfg.get(sec, {}), f"config section {sec!r}")
+                    for sec in ("graph", "signal", "params")}
         unknown = [key for key in cfg if key not in CONFIG_KEYS[None]] + \
-            [f"{sec}.{key}" for sec in ("graph", "signal", "params")
-             for key in cfg.get(sec, {}) if key not in CONFIG_KEYS[sec]]
+            [f"{sec}.{key}" for sec, body in sections.items()
+             for key in body if key not in CONFIG_KEYS[sec]]
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        gspec = cfg["graph"]
-        family = gspec["family"]
-        graph = graphs.build_graph(family, **gspec.get("params", {}))
-        sig = cfg.get("signal", {})
+        gspec, sig = sections["graph"], sections["signal"]
+        if "family" not in gspec:
+            raise ValueError("config needs a graph family (graph.family)")
+        params = _section(gspec.get("params", {}), "config section 'graph.params'")
+        graph = graphs.build_graph(gspec["family"], **params)
         spec = SignalSpec(levels=tuple(sig["levels"]) if "levels" in sig else None,
                           tv_budget=sig.get("tv_budget"))
-        params = cfg.get("params", {})
-        return cls(
-            graph=graph, family=family, S=tuple(cfg.get("S", ())), signal=spec,
-            sigma=float(cfg.get("sigma", 1.0)),
-            x=float(params.get("x", 2.0)), t=float(params.get("t", 2.0)),
-            a=float(params.get("a", 2.0)), eta=float(params.get("eta", 0.5)),
-            theorems=tuple(cfg.get("theorems", ())),
-            trials=int(cfg.get("trials", 1000)), seed=int(cfg.get("seed", 0)),
-            lam=cfg.get("lambda"), lambda0=cfg.get("lambda0"),
-            grid_constant=cfg.get("grid_constant"),
-            solver_tol=float(cfg.get("solver_tol", 1e-7)),
-            threads=int(cfg.get("threads", 1)),
-            events=bool(cfg.get("events", True)),
-            kappa_source=cfg.get("kappa_source", "paper_bound"),
-            kappa_value=cfg.get("kappa_value"),
-        )
+        given = {("lam" if key == "lambda" else key): CONFIG_TYPES.get(key, lambda v: v)(value)
+                 for key, value in {**cfg, **sections["params"]}.items()
+                 if key not in ("graph", "S", "signal", "params")}
+        return cls(graph=graph, family=gspec["family"], S=tuple(cfg.get("S", ())), signal=spec,
+                   **given)
+
+
+def _section(body, where: str):
+    """body, when it is a JSON object; otherwise ValueError naming where."""
+    if not isinstance(body, dict):
+        raise ValueError(f"{where} must be an object, got {body!r}")
+    return body
 
 
 CSV_BASE_COLUMNS = ["trial", "mse_plain", "mse_sqrt", "sigma_hat", "ratio_eps",
@@ -350,9 +359,6 @@ class Experiment:
         self.f0 = cfg.signal.build(self.D, self.active)
         self.norm_Df0 = float(np.abs(self.D @ self.f0).sum())
 
-        self.plain_ids = [tid for tid in cfg.theorems if tuning.theorem_kind(tid) == "plain"]
-        self.sqrt_ids = [tid for tid in cfg.theorems if tuning.theorem_kind(tid) == "sqrt"]
-
         base = TheoremInputs(active=self.active, report=self.report,
                              family=cfg.family, sigma=cfg.sigma, t=cfg.t,
                              x=cfg.x, a=cfg.a, eta=cfg.eta, f=self.f0,
@@ -360,11 +366,8 @@ class Experiment:
                              kappa_source=cfg.kappa_source,
                              kappa_value=cfg.kappa_value,
                              grid_constant=cfg.grid_constant)
-        self.lam = cfg.lam if cfg.lam is not None else self._shared_minimal(self.plain_ids, base)
-        self.lambda0 = cfg.lambda0 if cfg.lambda0 is not None else \
-            self._shared_minimal(self.sqrt_ids, base)
-        base.lam = self.lam
-        base.lambda0 = self.lambda0
+        self.lam, self.lambda0 = base.lam, base.lambda0 = \
+            tuning.levels(cfg.theorems, base, cfg.lam, cfg.lambda0)
         self.inputs = base
 
         # theorem RHS values do not vary across trials when the candidate is f0
@@ -372,8 +375,7 @@ class Experiment:
         self.lhs_coeff = {tid: tuning.lhs_penalty_coefficient(tid, base)
                           for tid in cfg.theorems}
 
-        lam_T = self.lam if self.lam is not None else tuning.lambda_plain(
-            self.report.gamma, cfg.sigma, self.active.n, self.active.r_S, cfg.t)
+        lam_T = self.lam if self.lam is not None else tuning.minimal_tuning("plain_fast", base)
         R = tuning.sqrt_R_min(self.report.gamma, self.active.n, self.active.r_S, cfg.t)
         self.events = EventEvaluator(self.report, self.active, cfg.sigma, lam_T, R,
                                      cfg.x, cfg.a) if cfg.events else None
@@ -382,17 +384,6 @@ class Experiment:
         self.split = (None if self.lam is None and self.lambda0 is None
                       else solvers.Splitting(self.D))
         self.S_rows = np.asarray(self.active.S, dtype=np.int64) - 1
-
-    @staticmethod
-    def _shared_minimal(ids, base) -> float | None:
-        vals = [tuning.minimal_tuning(tid, base) for tid in ids]
-        if not vals:
-            return None
-        if max(vals) - min(vals) > 1e-12 * max(vals):
-            raise ValueError(
-                "requested theorems disagree on the minimal tuning value; "
-                "run them in separate experiments or fix the tuning explicitly")
-        return vals[0]
 
     def _errors(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-column mean squared error against f0 and ||D_S F||_1."""
@@ -449,7 +440,7 @@ def run_experiment(cfg: ExperimentConfig | dict):
     """Run the Monte Carlo experiment; returns (summary dict, columns): one
     numpy array per CSV column and per converged-flag column over all trials
     in order, or None for a column that does not apply."""
-    if isinstance(cfg, dict):
+    if not isinstance(cfg, ExperimentConfig):
         cfg = ExperimentConfig.from_dict(cfg)
     exp = Experiment(cfg)
     blocks = [(b, lo, min(lo + BLOCK_SIZE, cfg.trials))
@@ -470,29 +461,27 @@ def _frac(col) -> float | None:
     return None if col is None else float(np.mean(col))
 
 
+def _holding(holds: np.ndarray, trials: int, frac_key: str, floor_key: str, floor: float,
+             **extra) -> dict:
+    """Summary entry of a boolean column against its probability floor: the
+    fraction that holds, its 95% interval, the floor, any extra entries, and
+    whether the fraction passes the floor less three binomial standard errors."""
+    frac = _frac(holds)
+    return {frac_key: frac, "ci95": clopper_pearson(holds), floor_key: floor, **extra,
+            "passes_floor": bool(frac >= floor - 3.0 * _binom_se(floor, trials))}
+
+
 def _summarize(exp: Experiment, columns: dict) -> dict:
     cfg = exp.cfg
     params = {"x": cfg.x, "t": cfg.t, "a": cfg.a, "eta": cfg.eta}
-    thm_summary = {}
-    for tid in cfg.theorems:
-        frac = _frac(columns[f"{tid}_holds"])
-        floor = exp.rhs[tid].probability
-        thm_summary[tid] = {
-            "holds_fraction": frac,
-            "ci95": clopper_pearson(columns[f"{tid}_holds"]),
-            "probability_floor": floor,
-            "rhs_value": exp.rhs[tid].value,
-            "rhs_breakdown": exp.rhs[tid].breakdown,
-            "passes_floor": bool(frac >= floor - 3.0 * _binom_se(floor, cfg.trials)),
-        }
-    events = {}
-    if exp.events is not None:
-        for nm in EVENT_NAMES:
-            frac = _frac(columns[f"{nm}_holds"])
-            floor = EVENT_FLOORS[nm](params)
-            events[nm] = {"fraction": frac, "ci95": clopper_pearson(columns[f"{nm}_holds"]),
-                          "floor": floor,
-                          "passes_floor": bool(frac >= floor - 3.0 * _binom_se(floor, cfg.trials))}
+    thm_summary = {tid: _holding(columns[f"{tid}_holds"], cfg.trials, "holds_fraction",
+                                 "probability_floor", exp.rhs[tid].probability,
+                                 rhs_value=exp.rhs[tid].value,
+                                 rhs_breakdown=exp.rhs[tid].breakdown)
+                   for tid in cfg.theorems}
+    events = {} if exp.events is None else {
+        nm: _holding(columns[f"{nm}_holds"], cfg.trials, "fraction", "floor",
+                     EVENT_FLOORS[nm](params)) for nm in EVENT_NAMES}
 
     def stats(arr):
         if arr is None:
@@ -539,7 +528,7 @@ def _binom_se(p: float, n: int) -> float:
 
 def experiment_csv(cfg: ExperimentConfig | dict) -> tuple[str, dict]:
     """Run and render the trials CSV; returns (csv text, summary)."""
-    if isinstance(cfg, dict):
+    if not isinstance(cfg, ExperimentConfig):
         cfg = ExperimentConfig.from_dict(cfg)
     summary, columns = run_experiment(cfg)
     buf = io.StringIO()

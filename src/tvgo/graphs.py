@@ -107,17 +107,23 @@ def tree_graph(parents: Sequence[int]) -> DirectedGraph:
     return DirectedGraph(n, tuple(zip(par, range(2, n + 1))))
 
 
+# each family's builder and its parameters, with the conversion of each
+_FAMILIES = {"path": (path_graph, {"n": int}), "cycle": (cycle_graph, {"n": int}),
+             "grid": (grid_graph, {"height": int, "width": int}),
+             "tree": (tree_graph, {"parents": list})}
+
+
 def build_graph(family: str, **params) -> DirectedGraph:
-    """Build a canonical graph. family is one of path, cycle, grid, tree."""
-    if family == "path":
-        return path_graph(int(params["n"]))
-    if family == "cycle":
-        return cycle_graph(int(params["n"]))
-    if family == "grid":
-        return grid_graph(int(params["height"]), int(params["width"]))
-    if family == "tree":
-        return tree_graph(list(params["parents"]))
-    raise GraphError(f"unknown graph family: {family!r}")
+    """Build a canonical graph. family is one of path, cycle, grid, tree;
+    GraphError names an unknown family or a missing or unknown parameter."""
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise GraphError(f"unknown graph family {family!r}")
+    builder, convert = _FAMILIES[family]
+    bad = [f"missing parameter {k!r}" for k in convert if k not in params] + \
+        [f"unknown parameter {k!r}" for k in params if k not in convert]
+    if bad:
+        raise GraphError(f"{family} graph: {', '.join(bad)}")
+    return builder(*(conv(params[k]) for k, conv in convert.items()))
 
 
 def _ends(graph: DirectedGraph) -> np.ndarray:

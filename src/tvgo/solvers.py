@@ -437,14 +437,15 @@ def _scaled_dual(U: np.ndarray, rho: float, n: int, lam: np.ndarray) -> np.ndarr
     return np.clip(U, -1.0, 1.0, out=U)
 
 
-def solve_analysis(Y: np.ndarray, D: sp.spmatrix, lam: float,
+def solve_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lam: float,
                    opts: SolverOptions | None = None) -> EstimateResult:
     """Solve the penalized least squares problem for one observation vector.
 
     Parameters
     ----------
     Y : (n,) observation vector.
-    D : (m, n) sparse analysis operator (graph incidence matrix).
+    D : (m, n) sparse analysis operator (graph incidence matrix), or its
+        Splitting.
     lam : penalty level, >= 0.
     opts : solver options; defaults are tuned for certification-grade runs.
     """
@@ -457,7 +458,7 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
     unsettled or overfit square-root fit)."""
     opts = opts or SolverOptions()
     Y = np.asarray(Y, dtype=np.float64)
-    split = Splitting(D)
+    split = D if isinstance(D, Splitting) else Splitting(D)
     D = split.D
     out = _estimate(Y[:, None], split, level, opts, sqrt)
     f = out.F[:, 0]
@@ -651,7 +652,7 @@ def _sqrt_fixed_point(Y: np.ndarray, split: Splitting, lambda0: float,
     return BatchResult(F, settled, lam, iterations, V, sigma_hat=sigma, overfit=overfit)
 
 
-def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
+def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: float,
                         opts: SolverOptions | None = None) -> EstimateResult:
     """Solve the square-root variant by a fixed point on the residual scale.
 
@@ -663,7 +664,7 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix, lambda0: float,
     estimator is flagged as overfitting and Y itself is returned, with
     sigma_hat = lambda_used = 0 (there the stationarity certificate does not
     exist).  A scale that has not settled after MAX_OUTER steps is returned
-    with converged=False.
+    with converged=False.  D is the incidence matrix or its Splitting.
     """
     return _solve_one(Y, D, lambda0, opts, sqrt=True)
 

@@ -18,9 +18,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .compatibility import HypothesisError, kappa_bound_cycle, kappa_bound_path
+from .compatibility import HypothesisError, kappa_bound
 from .graphs import ActiveSet
 from .projections import TheoryReport
+
+
+# where a fast rate's compatibility constant comes from: the closed-form
+# bound of the graph family, or a numeric search value
+KAPPA_SOURCES = ("paper_bound", "numeric")
 
 
 class TheoremHypothesisError(HypothesisError):
@@ -198,26 +203,14 @@ class TheoremInputs:
             if self.kappa_value is None:
                 raise ValueError("kappa_source='numeric' needs kappa_value")
             return math.sqrt(self.active.r_S) / self.kappa_value
-        if self.family not in ("path", "cycle"):
-            raise TheoremHypothesisError(
-                f"no closed-form compatibility bound for family {self.family!r}; "
-                "pass kappa_source='numeric'")
-        bound = kappa_bound_path if self.family == "path" else kappa_bound_cycle
-        return bound(self.active, self.report.weights, self.report.gamma).sqrt_rs_over_kappa_weighted
+        return kappa_bound(self.family, self.active, self.report.weights,
+                           self.report.gamma).sqrt_rs_over_kappa_weighted
 
 
 def _need(inputs: TheoremInputs, *names):
     for nm in names:
         if getattr(inputs, nm) is None:
             raise ValueError(f"theorem needs input {nm!r}")
-
-
-def _K_path(active: ActiveSet) -> float:
-    return kappa_bound_path(active).K
-
-
-def _K_cycle(active: ActiveSet) -> float:
-    return kappa_bound_cycle(active).K_prime
 
 
 def _check_equal_sizes(inp: TheoremInputs, even: bool = False):
@@ -289,7 +282,8 @@ class _Thm:
     min_tuning: object        # inputs -> minimal lambda or lambda0
     rhs: object               # (row, inputs) -> (value, breakdown)
     needs: tuple = ()         # inputs the row reads beyond its kind's
-    K: object = None          # family rates: active -> K; None for equal even sizes
+    K: str | None = None      # family rates: the family of the closed-form K; None
+                              # for equal even sizes
     coeff: object = None      # slow rate: closed-form penalty coefficient
     check: object = None      # hypothesis check
     slow_lhs: bool = False    # the LHS carries kind.slow_lhs * ||D_S fhat||_1
@@ -334,7 +328,9 @@ def _rhs_family_fast(thm: _Thm, inp: TheoremInputs):
     if thm.K is None:
         rate_K = math.sqrt(4.0 * r * _log2n_t(inp) / denom)
     else:
-        rate_K = math.sqrt(active.n_max * thm.K(active) * _log2n_t(inp) / denom)
+        kb = kappa_bound(thm.K, active)
+        K = kb.K if kb.K is not None else kb.K_prime
+        rate_K = math.sqrt(active.n_max * K * _log2n_t(inp) / denom)
     rate_w = math.sqrt(10.0 * (r / denom) * _log2n_t(inp) * math.log(n / r))
     mult = kind.rate(inp)
     value, bd, _ = _fast_sum(kind, inp, {"rate_K": mult * rate_K, "rate_weights": mult * rate_w})
@@ -400,13 +396,13 @@ THEOREMS: dict[str, _Thm] = {
     "plain_slow": _Thm(PLAIN, _min_lam_theorem, _rhs_slow, slow_lhs=True),
     "sqrt_fast": _Thm(SQRT, _min_lam0_theorem, _rhs_fast, ("eta",)),
     "sqrt_slow": _Thm(SQRT, _min_lam0_theorem, _rhs_slow, slow_lhs=True),
-    "path_fast": _Thm(PLAIN, _min_lam_family, _rhs_family_fast, K=_K_path),
+    "path_fast": _Thm(PLAIN, _min_lam_family, _rhs_family_fast, K="path"),
     "path_fast_equal": _Thm(PLAIN, _min_lam_equal, _rhs_family_fast),
-    "sqrt_path_fast": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",), K=_K_path),
+    "sqrt_path_fast": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",), K="path"),
     "sqrt_path_fast_equal": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",)),
-    "cycle_fast": _Thm(PLAIN, _min_lam_family, _rhs_family_fast, K=_K_cycle,
+    "cycle_fast": _Thm(PLAIN, _min_lam_family, _rhs_family_fast, K="cycle",
                        check=_check_cycle_nonempty),
-    "sqrt_cycle_fast": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",), K=_K_cycle,
+    "sqrt_cycle_fast": _Thm(SQRT, _min_lam0_family, _rhs_family_fast, ("eta",), K="cycle",
                             check=_check_cycle_nonempty),
     "tree_cycle_slow": _Thm(PLAIN, _min_lam_family, _rhs_slow),
     "tree_cycle_slow_equal": _Thm(PLAIN, _min_lam_equal, _rhs_slow, check=_check_equal_sizes),
@@ -428,7 +424,7 @@ def _row(theorem_id: str) -> _Thm:
 
 
 def theorem_kind(theorem_id: str) -> str:
-    return THEOREMS[theorem_id].kind.name
+    return _row(theorem_id).kind.name
 
 
 def minimal_tuning(theorem_id: str, inputs: TheoremInputs) -> float:
@@ -436,6 +432,23 @@ def minimal_tuning(theorem_id: str, inputs: TheoremInputs) -> float:
     thm = _row(theorem_id)
     _need(inputs, *thm.kind.tuning_needs, *thm.needs)
     return thm.min_tuning(inputs)
+
+
+def levels(theorem_ids, inputs: TheoremInputs, lam: float | None = None,
+           lambda0: float | None = None) -> tuple[float | None, float | None]:
+    """(lam, lambda0), each level not given set to the minimal tuning that
+    the requested theorems of its kind share (None when none is of that
+    kind).  ValueError names an unknown id, or says that theorems disagree."""
+    kinds = [_row(tid).kind for tid in theorem_ids]
+    out = {"lam": lam, "lambda0": lambda0}
+    for kind in (PLAIN, SQRT):
+        vals = [minimal_tuning(tid, inputs) for tid, k in zip(theorem_ids, kinds)
+                if k is kind and out[kind.level] is None]
+        if vals and max(vals) - min(vals) > 1e-12 * max(vals):
+            raise ValueError("requested theorems disagree on the minimal tuning value; "
+                             "run them in separate experiments or fix the tuning explicitly")
+        out[kind.level] = vals[0] if vals else out[kind.level]
+    return out["lam"], out["lambda0"]
 
 
 def lhs_penalty_coefficient(theorem_id: str, inputs: TheoremInputs) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from tvgo import experiments, graphs
-from tvgo.cli import dispatch, parse_graph_spec, parse_set_spec
+from tvgo.cli import build_parser, dispatch, parse_graph_spec, parse_set_spec
 
 
 def run_cli(args, **kw):
@@ -23,6 +24,13 @@ def test_parse_graph_specs():
     assert fam == "grid" and g.n == 6
     assert parse_set_spec("3,1,7") == (1, 3, 7)
     assert parse_set_spec("") == ()
+
+
+@pytest.mark.parametrize("spec,missing", [("grid:3", "'width'"), ("grid:", "'width'")])
+def test_graph_spec_names_a_missing_parameter(capsys, spec, missing):
+    assert dispatch(["theory", "--graph", spec]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["type"] == "GraphError" and f"missing parameter {missing}" in payload["error"]
 
 
 def test_graph_round_trip(tmp_path):
@@ -292,3 +300,65 @@ def test_oracle_rhs_numeric_without_a_closed_form_comparison(tmp_path):
                      "--out", str(out)]) == 0
     res = json.loads(out.read_text())
     assert res["value_paper_bound"] is None and math.isfinite(res["value"])
+
+
+# every subcommand's flags and defaults ("required" for a required flag); a
+# subcommand rejects every flag it does not read
+CLI_SURFACE = {
+    "graph": {"--family": "required", "--out": None},
+    "theory": {"--graph": "required", "--S": "", "--out": None, "--format": "json"},
+    "kappa": {"--graph": "required", "--S": "", "--weights": "computed", "--budget": 10000,
+              "--steps": 200, "--out": None, "--format": "json", "--seed": 0},
+    "solve": {"--graph": "required", "--y": "required", "--lambda": None, "--lambda0": None,
+              "--tol": 1e-08, "--max-iter": 100000, "--no-certify": False, "--out": None,
+              "--format": "json"},
+    "tune": {"--graph": None, "--S": "", "--n": None, "--r-S": None, "--gamma": None,
+             "--sigma": 1.0, "--t": 2.0, "--x": 2.0, "--a": 2.0, "--eta": 0.5, "--lambda0": None,
+             "--norm-df0": 0.0, "--out": None, "--format": "json"},
+    "oracle-rhs": {"--theorem": "required", "--graph": "required", "--S": "", "--sigma": 1.0,
+                   "--t": 2.0, "--x": 2.0, "--a": 2.0, "--eta": 0.5, "--lambda": None,
+                   "--lambda0": None, "--f0": None, "--f": None, "--kappa-source": "paper_bound",
+                   "--grid-constant": None, "--budget": 10000, "--out": None, "--format": "json",
+                   "--seed": 0},
+    "simulate": {"--config": "required", "--out": None, "--summary": None, "--threads": None,
+                 "--seed": None},
+    "verify-prob": {"--trials": 100000, "--out": None, "--format": "json", "--seed": 0},
+}
+
+
+def test_cli_surface():
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(CLI_SURFACE)
+    for name, parser in sub.choices.items():
+        flags = {opt: "required" if action.required else parser.get_default(action.dest)
+                 for action in parser._actions for opt in action.option_strings
+                 if opt not in ("-h", "--help")}
+        assert flags == CLI_SURFACE[name], name
+    choices = {name: {opt: action.choices for action in parser._actions
+                      for opt in action.option_strings if action.choices}
+               for name, parser in sub.choices.items()}
+    assert choices["oracle-rhs"]["--kappa-source"] == ("paper_bound", "numeric")
+    assert choices["kappa"]["--weights"] == ["computed", "identity"]
+    assert all(c["--format"] == ["json", "csv"] for c in choices.values() if "--format" in c)
+
+
+@pytest.mark.parametrize("cfg,named", [
+    (dict(SIM_CFG, params=None), "'params'"),
+    (dict(SIM_CFG, signal=[0.0, 1.0]), "'signal'"),
+    (dict(SIM_CFG, graph={"family": "path", "params": {"m": 16}}), "'n'"),
+    (dict(SIM_CFG, graph={"family": "path", "params": None}), "'graph.params'"),
+    (dict(SIM_CFG, graph={"family": "moebius", "params": {"n": 16}}), "'moebius'"),
+    ({k: v for k, v in SIM_CFG.items() if k != "graph"}, "graph.family"),
+    (dict(SIM_CFG, theorems=["nope"]), "'nope'"),
+    (dict(SIM_CFG, kappa_source="nope"), "'nope'"),
+    ([SIM_CFG], "the config"),
+], ids=["params-null", "signal-list", "graph-params-typo", "graph-params-null",
+        "unknown-family", "no-graph", "unknown-theorem", "kappa-source-typo", "not-an-object"])
+def test_simulate_malformed_config_exits_2_naming_it(tmp_path, capsys, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert named in json.loads(err)["error"]

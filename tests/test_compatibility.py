@@ -63,6 +63,19 @@ def test_hypothesis_errors_name_component():
         kappa_bound_cycle(active_set(cycle_graph(8), [2, 4]))
 
 
+def test_kappa_bound_dispatches_on_the_family():
+    g = path_graph(16)
+    a = active_set(g, [8])
+    rep = projections.theory_report(incidence(g), a)
+    assert compatibility.kappa_bound("path", a, rep.weights, rep.gamma) == \
+        kappa_bound_path(a, rep.weights, rep.gamma)
+    c = active_set(cycle_graph(16), [4, 12])
+    assert compatibility.kappa_bound("cycle", c) == kappa_bound_cycle(c)
+    for family in ("grid", "tree", "file"):
+        with pytest.raises(HypothesisError, match=f"family '{family}'"):
+            compatibility.kappa_bound(family, a)
+
+
 def test_identity_weights_no_increment():
     a = active_set(path_graph(8), [4])
     kb = kappa_bound_path(a, weights=None)

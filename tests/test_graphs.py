@@ -205,3 +205,9 @@ def test_build_graph_dispatch():
     assert build_graph("tree", parents=[1, 2]).m == 2
     with pytest.raises(GraphError):
         build_graph("hypercube", n=4)
+    with pytest.raises(GraphError, match="missing parameter 'n', unknown parameter 'm'"):
+        build_graph("path", m=16)
+    with pytest.raises(GraphError, match="missing parameter 'width'"):
+        build_graph("grid", height=3)
+    with pytest.raises(GraphError, match="unknown graph family None"):
+        build_graph(None)

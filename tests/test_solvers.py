@@ -194,6 +194,17 @@ def test_sqrt_batch_matches_single():
         assert norm_n(F[:, j] - r.f_hat) < 1e-5
 
 
+@pytest.mark.parametrize("solve,level", [(solve_analysis, 0.05), (solve_sqrt_analysis, 0.02)])
+def test_single_solve_takes_a_splitting(solve, level):
+    # a 5x6 grid takes the spectral solve, and certification runs on both
+    D = incidence(grid_graph(5, 6))
+    Y = np.where(np.arange(30) < 15, 0.0, 1.0) + np.random.default_rng(11).standard_normal(30)
+    expected = solve(Y, D, level).to_dict()
+    got = solve(Y, solvers.Splitting(D), level).to_dict()
+    assert expected["kkt_residual"] is not None
+    assert got.pop("f_hat") == expected.pop("f_hat") and got == expected
+
+
 def test_warm_started_inner_solve_does_not_settle_sigma_early():
     # a warm-started inner solve returns the iterate that met the stopping
     # test; returning its starting iterate instead left sigma where it was,

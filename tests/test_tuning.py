@@ -296,6 +296,23 @@ def test_minimal_tuning_registry_complete():
         minimal_tuning("nope", inp)
 
 
+def test_levels_fill_only_what_is_not_given():
+    inp = _inputs(path_graph(16), [8], "path")
+    lam, lam0 = minimal_tuning("plain_fast", inp), minimal_tuning("sqrt_slow", inp)
+    assert tuning.levels(["plain_fast", "plain_slow", "sqrt_slow"], inp) == (lam, lam0)
+    assert tuning.levels(["plain_fast"], inp) == (lam, None)
+    assert tuning.levels(["plain_fast"], inp, 0.3, 0.2) == (0.3, 0.2)
+    assert tuning.levels([], inp, None, 0.2) == (None, 0.2)
+    # a given level skips its kind's minimal tuning, which would need C here
+    assert tuning.levels(["grid_slow"], inp, lam=0.3) == (0.3, None)
+    with pytest.raises(ValueError, match="disagree"):
+        tuning.levels(["plain_fast", "path_fast"], inp)
+    with pytest.raises(ValueError, match="unknown theorem id 'nope'"):
+        tuning.levels(["nope"], inp, 0.3, 0.2)
+    with pytest.raises(ValueError, match="unknown theorem id 'nope'"):
+        tuning.theorem_kind("nope")
+
+
 @pytest.mark.parametrize("tid", sorted(THEOREMS))
 def test_missing_inputs_raise_value_error(tid):
     # the kind's level, and a grid id's constant, are checked before any arithmetic
