@@ -20,9 +20,9 @@ primal/dual test, with the iterate of that iteration, so no column iterates
 much longer than its own test asks; converged[j] means that column j met the
 test.  Iteration 1 counts because a warm-started inner solve of the
 square-root fixed point often passes there.  The test's anchors are ||DY|| and
-the norm of Y minus its componentwise mean, so a constant added to a
-component of Y, which moves the solution by that constant, changes neither
-the test nor the penalty balancing.  The warm-start state keeps each column's
+the norm of Y minus its componentwise mean, taken once per warm-start state,
+so a constant added to a component of Y, which moves the solution by that
+constant, changes neither the test nor the penalty balancing.  The warm-start state keeps each column's
 iterate from the iteration it left and one penalty rho: on a change of rho
 the scaled duals of the columns that have left are rescaled with the live
 ones.  rho is held once its adaptation has reversed direction twice, which
@@ -261,21 +261,30 @@ class Splitting:
 
 class _AdmmState:
     """Warm-startable state of the batched splitting solver, for one D: each
-    column's F, Z and U, one penalty rho, the f-update solve at that rho and
-    the Splitting of D.  A new state starts every column of Y at f = Y,
-    z = DY, u = 0, with rho = mean(n lam)."""
+    column's F, Z and U and its two stopping-test anchors, one penalty rho,
+    the f-update solve at that rho and the Splitting of D.  A new state
+    starts every column of Y at f = Y, z = DY, u = 0, with rho = mean(n lam);
+    centred is Y minus its componentwise mean, which the caller holds."""
 
-    def __init__(self, split: Splitting, Y: np.ndarray, lam: np.ndarray):
+    def __init__(self, split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.ndarray):
         self.split = split
         self.F = Y.copy()
         self.Z = split.D @ self.F
         self.U = np.zeros_like(self.Z)
         self.rho = max(float(np.mean(Y.shape[0] * lam)), 1e-6)
         self.solve = split.factory(self.rho)
+        # absolute anchors keep the stopping test meaningful for fully fused
+        # solutions, where z = 0 and a purely relative test can never fire.  A
+        # constant added to a component of Y moves f by that constant and
+        # leaves z, u and both anchors as they are, so the test ignores it.
+        # Y never changes, so neither do they
+        self.pri_anchor = np.maximum(np.sqrt(_colsumsq(self.Z)), 1e-12)
+        self.dual_anchor = np.maximum(np.sqrt(_colsumsq(centred)), 1e-12)
 
     def keep(self, cols: np.ndarray) -> None:
         """Keep only the columns cols (a mask or indices)."""
         self.F, self.Z, self.U = self.F[:, cols], self.Z[:, cols], self.U[:, cols]
+        self.pri_anchor, self.dual_anchor = self.pri_anchor[cols], self.dual_anchor[cols]
 
 
 def _colsumsq(X: np.ndarray) -> np.ndarray:
@@ -319,13 +328,7 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverO
     # state, whose U is rescaled separately on a change of rho
     Z, U = state.Z.copy(), state.U.copy()
     converged = np.zeros(B, dtype=bool)
-    # absolute anchors keep the stopping test meaningful for fully fused
-    # solutions, where z = 0 and a purely relative test can never fire.  A
-    # constant added to a component of Y moves f by that constant and leaves
-    # z, u and both anchors as they are, so the test ignores it
-    pri_anchor = np.maximum(np.sqrt(_colsumsq(D @ Y)), 1e-12)
-    centred = Y - projections.componentwise_mean(split.labels, Y)
-    dual_anchor = np.maximum(np.sqrt(_colsumsq(centred)), 1e-12)
+    pri_anchor, dual_anchor = state.pri_anchor, state.dual_anchor
     # the working arrays hold the live columns only; Zn and T are (m, live)
     # buffers, and Zn holds the previous z once the new one is in Z
     live = np.arange(B)
@@ -425,7 +428,8 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     if sqrt:
         return _sqrt_fixed_point(Y, split, level, opts)
     lam = np.full(B, float(level))
-    F, state, it, conv = _admm_batch(_AdmmState(split, Y, lam), Y, lam, opts)
+    centred = Y - projections.componentwise_mean(split.labels, Y)
+    F, state, it, conv = _admm_batch(_AdmmState(split, Y, lam, centred), Y, lam, opts)
     return BatchResult(F, conv, lam, it, _scaled_dual(state.U, state.rho, n, lam))
 
 
@@ -608,7 +612,8 @@ def _sqrt_fixed_point(Y: np.ndarray, split: Splitting, lambda0: float,
     lam = 0; every other column's lam is the last penalty it was solved at.
     """
     n, B = Y.shape
-    sigma = np.atleast_1d(norm_n(Y - projections.componentwise_mean(split.labels, Y), axis=0))
+    centred = Y - projections.componentwise_mean(split.labels, Y)
+    sigma = np.atleast_1d(norm_n(centred, axis=0))
     floors = OVERFIT_FLOOR * np.atleast_1d(norm_n(Y, axis=0))
     overfit = sigma <= floors
     lam = np.zeros(B)
@@ -616,7 +621,7 @@ def _sqrt_fixed_point(Y: np.ndarray, split: Splitting, lambda0: float,
     V = np.zeros((split.D.shape[0], B))
     live = np.flatnonzero(~overfit)
     if len(live):
-        state = _AdmmState(split, Y[:, live], 2.0 * lambda0 * sigma[live])
+        state = _AdmmState(split, Y[:, live], 2.0 * lambda0 * sigma[live], centred[:, live])
     iterations = 0
     for _ in range(MAX_OUTER):
         if len(live) == 0:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvgo import experiments, graphs, solvers
+from tvgo import experiments, graphs, projections, solvers
 from tvgo.solvers import SolverOptions, _objective, kkt_residual, norm_n
 
 B = 24
@@ -43,7 +43,9 @@ def _block(family):
 
 def _cold_batch(D, Y, lams, opts):
     """solvers._admm_batch from a cold state: f = Y, z = DY, u = 0."""
-    return solvers._admm_batch(solvers._AdmmState(solvers.Splitting(D), Y, lams), Y, lams, opts)
+    split = solvers.Splitting(D)
+    centred = Y - projections.componentwise_mean(split.labels, Y)
+    return solvers._admm_batch(solvers._AdmmState(split, Y, lams, centred), Y, lams, opts)
 
 
 def _dual_mismatch(D, Y, state):

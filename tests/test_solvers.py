@@ -403,8 +403,9 @@ def test_grid_batch_agrees_with_relabelled_grid_on_superlu():
     Y_perm[perm] = Y
     lams = np.full(6, 0.05)
     opts = SolverOptions(tol=1e-7, certify=False)
-    state = solvers._AdmmState(solvers.Splitting(incidence(g)), Y, lams)
-    state_perm = solvers._AdmmState(solvers.Splitting(incidence(g_perm)), Y_perm, lams)
+    state, state_perm = (solvers._AdmmState(split, Y_, lams, Y_ - Y_.mean(axis=0))
+                         for split, Y_ in ((solvers.Splitting(incidence(g)), Y),
+                                           (solvers.Splitting(incidence(g_perm)), Y_perm)))
     F, _, _, conv = solvers._admm_batch(state, Y, lams, opts)
     F_perm, _, _, conv_perm = solvers._admm_batch(state_perm, Y_perm, lams, opts)
     assert conv.all() and conv_perm.all()
