@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--no-certify", action="store_true")
 
-    p = command("tune", _cmd_tune, "S sigma t x a eta lambda0 out format",
+    p = command("tune", _cmd_tune, "S sigma t a eta lambda0 out format",
                 "tuning parameters, assumption checks, caps")
     p.add_argument("--graph", default=None)
     p.add_argument("--n", type=int, default=None)

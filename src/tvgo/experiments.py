@@ -237,10 +237,29 @@ CONFIG_KEYS = {None: set("graph S signal sigma params theorems trials seed lambd
                          "grid_constant solver_tol threads events kappa_source kappa_value".split()),
                "graph": {"family", "params"}, "signal": {"levels", "tv_budget"},
                "params": {"x", "t", "a", "eta"}}
-# config values converted on reading, by field; the others are taken as given
-CONFIG_TYPES = {"sigma": float, "x": float, "t": float, "a": float, "eta": float,
+
+
+def _float_or_none(value):
+    return None if value is None else float(value)
+
+
+# config values converted on reading, by key; the others are taken as given
+CONFIG_TYPES = {"S": tuple, "sigma": float, "x": float, "t": float, "a": float, "eta": float,
                 "theorems": tuple, "trials": int, "seed": int, "solver_tol": float,
-                "threads": int, "events": bool}
+                "threads": int, "events": bool, "lambda": _float_or_none,
+                "lambda0": _float_or_none, "grid_constant": _float_or_none,
+                "kappa_value": _float_or_none, "signal.levels": tuple,
+                "signal.tv_budget": _float_or_none}
+
+
+def _convert(key: str, value):
+    """value converted as CONFIG_TYPES says for key; ValueError naming the
+    key when the value has the wrong JSON type (null for a number, a number
+    for a list)."""
+    try:
+        return CONFIG_TYPES.get(key, lambda v: v)(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
 
 
 @dataclass
@@ -284,7 +303,8 @@ class ExperimentConfig:
         """The config of a JSON dict, with each key it lacks at its field's
         default.  ValueError names a section that is not an object, every
         key, at the top level or in graph, signal or params, that the schema
-        does not have, and a missing graph family."""
+        does not have, a value of the wrong type and a missing graph
+        family."""
         _section(cfg, "the config")
         sections = {sec: _section(cfg.get(sec, {}), f"config section {sec!r}")
                     for sec in ("graph", "signal", "params")}
@@ -298,13 +318,11 @@ class ExperimentConfig:
             raise ValueError("config needs a graph family (graph.family)")
         params = _section(gspec.get("params", {}), "config section 'graph.params'")
         graph = graphs.build_graph(gspec["family"], **params)
-        spec = SignalSpec(levels=tuple(sig["levels"]) if "levels" in sig else None,
-                          tv_budget=sig.get("tv_budget"))
-        given = {("lam" if key == "lambda" else key): CONFIG_TYPES.get(key, lambda v: v)(value)
-                 for key, value in {**cfg, **sections["params"]}.items()
-                 if key not in ("graph", "S", "signal", "params")}
-        return cls(graph=graph, family=gspec["family"], S=tuple(cfg.get("S", ())), signal=spec,
-                   **given)
+        spec = SignalSpec(**{key: _convert(f"signal.{key}", value) for key, value in sig.items()})
+        given = {("lam" if key == "lambda" else key): _convert(key, value)
+                 for key, value in {"S": (), **cfg, **sections["params"]}.items()
+                 if key not in ("graph", "signal", "params")}
+        return cls(graph=graph, family=gspec["family"], signal=spec, **given)
 
 
 def _section(body, where: str):

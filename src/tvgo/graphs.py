@@ -115,7 +115,8 @@ _FAMILIES = {"path": (path_graph, {"n": int}), "cycle": (cycle_graph, {"n": int}
 
 def build_graph(family: str, **params) -> DirectedGraph:
     """Build a canonical graph. family is one of path, cycle, grid, tree;
-    GraphError names an unknown family or a missing or unknown parameter."""
+    GraphError names an unknown family, a missing or unknown parameter, or
+    one of the wrong type."""
     if not isinstance(family, str) or family not in _FAMILIES:
         raise GraphError(f"unknown graph family {family!r}")
     builder, convert = _FAMILIES[family]
@@ -123,7 +124,14 @@ def build_graph(family: str, **params) -> DirectedGraph:
         [f"unknown parameter {k!r}" for k in params if k not in convert]
     if bad:
         raise GraphError(f"{family} graph: {', '.join(bad)}")
-    return builder(*(conv(params[k]) for k, conv in convert.items()))
+    values = []
+    for k, conv in convert.items():
+        try:
+            values.append(conv(params[k]))
+        except (TypeError, ValueError):
+            raise GraphError(f"{family} graph: parameter {k!r} must be {conv.__name__}, "
+                             f"got {params[k]!r}") from None
+    return builder(*values)
 
 
 def _ends(graph: DirectedGraph) -> np.ndarray:

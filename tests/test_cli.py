@@ -313,7 +313,7 @@ CLI_SURFACE = {
               "--tol": 1e-08, "--max-iter": 100000, "--no-certify": False, "--out": None,
               "--format": "json"},
     "tune": {"--graph": None, "--S": "", "--n": None, "--r-S": None, "--gamma": None,
-             "--sigma": 1.0, "--t": 2.0, "--x": 2.0, "--a": 2.0, "--eta": 0.5, "--lambda0": None,
+             "--sigma": 1.0, "--t": 2.0, "--a": 2.0, "--eta": 0.5, "--lambda0": None,
              "--norm-df0": 0.0, "--out": None, "--format": "json"},
     "oracle-rhs": {"--theorem": "required", "--graph": "required", "--S": "", "--sigma": 1.0,
                    "--t": 2.0, "--x": 2.0, "--a": 2.0, "--eta": 0.5, "--lambda": None,
@@ -353,8 +353,12 @@ def test_cli_surface():
     (dict(SIM_CFG, theorems=["nope"]), "'nope'"),
     (dict(SIM_CFG, kappa_source="nope"), "'nope'"),
     ([SIM_CFG], "the config"),
+    (dict(SIM_CFG, S=8), "'S'"),
+    (dict(SIM_CFG, sigma=None), "'sigma'"),
+    (dict(SIM_CFG, graph={"family": "path", "params": {"n": None}}), "'n'"),
 ], ids=["params-null", "signal-list", "graph-params-typo", "graph-params-null",
-        "unknown-family", "no-graph", "unknown-theorem", "kappa-source-typo", "not-an-object"])
+        "unknown-family", "no-graph", "unknown-theorem", "kappa-source-typo", "not-an-object",
+        "S-number", "sigma-null", "graph-n-null"])
 def test_simulate_malformed_config_exits_2_naming_it(tmp_path, capsys, cfg, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
