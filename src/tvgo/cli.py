@@ -24,9 +24,9 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
 
 
-def _fail(message: str, kind: str = "validation") -> int:
+def _fail(message: str, kind: str = "validation", code: int = EXIT_VALIDATION) -> int:
     sys.stderr.write(json.dumps({"error": message, "type": kind}) + "\n")
-    return EXIT_VALIDATION
+    return code
 
 
 def _emit(obj: dict, args) -> None:
@@ -70,10 +70,10 @@ def parse_graph_spec(spec: str) -> tuple[graphs.DirectedGraph, str]:
     if family == "tree":
         with open(arg.removeprefix("@")) as fh:
             params = {"parents": [int(tok) for tok in fh.read().split()]}
-    elif family == "grid":
-        params = dict(zip(("height", "width"), arg.lower().split("x", 1)))
-    else:
-        params = {"n": arg}
+    else:   # N or HxW; a token that is no decimal stays a string, which build_graph rejects
+        names, toks = (("height", "width"), arg.lower().split("x", 1)) if family == "grid" \
+            else (("n",), [arg])
+        params = {k: int(tok) if tok.isdecimal() else tok for k, tok in zip(names, toks)}
     return graphs.build_graph(family, **params), family
 
 
@@ -108,10 +108,8 @@ def _cmd_graph(args) -> int:
     graph, _ = parse_graph_spec(args.family)
     if args.out:
         graphs.write_graph(graph, args.out)
-    else:
-        sys.stdout.write(f"{graph.n} {graph.m}\n")
-        for u, v in graph.edges:
-            sys.stdout.write(f"{u} {v}\n")
+    else:   # the format of graphs.write_graph
+        sys.stdout.write("".join(f"{u} {v}\n" for u, v in ((graph.n, graph.m), *graph.edges)))
     return EXIT_OK
 
 
@@ -169,12 +167,10 @@ def _cmd_tune(args) -> int:
         "t_max_sqrt": tuning.t_max_sqrt(n, r_S),
     }
     try:
-        lam0 = tuning.lambda0_sqrt(gamma, n, r_S, args.t, args.eta)
-        out["lambda0_sqrt"] = lam0
+        out["lambda0_sqrt"] = lam0 = tuning.lambda0_sqrt(gamma, n, r_S, args.t, args.eta)
     except ValueError as exc:
-        out["lambda0_sqrt"] = None
+        out["lambda0_sqrt"] = lam0 = None
         out["lambda0_error"] = str(exc)
-        lam0 = None
     use_lam0 = args.lambda0 if args.lambda0 is not None else lam0
     if use_lam0 is not None and n > 8 * args.a:
         out["assumption1"] = tuning.check_assumption1(
@@ -216,11 +212,9 @@ def _cmd_oracle_rhs(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg_dict = json.load(fh)
-    seed = _seed(args)
-    if seed is not None:
-        cfg_dict["seed"] = seed
-    if args.threads is not None:
-        cfg_dict["threads"] = args.threads
+    overrides = {"seed": _seed(args), "threads": args.threads}
+    if isinstance(cfg_dict, dict):   # from_dict names a config that is not an object
+        cfg_dict.update({key: value for key, value in overrides.items() if value is not None})
     csv_text, summary = experiments.experiment_csv(cfg_dict)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -249,8 +243,8 @@ _SHARED_FLAGS = {
     "seed": dict(type=int, default=0), "budget": dict(type=int, default=10_000),
     "lambda": dict(dest="lam", type=float, default=None),
     "lambda0": dict(type=float, default=None),
-    **{name: dict(type=float, default=value) for name, value in
-       (("sigma", 1.0), ("t", 2.0), ("x", 2.0), ("a", 2.0), ("eta", 0.5))},
+    **{name: dict(type=float, default=getattr(experiments.ExperimentConfig, name))
+       for name in ("sigma", "t", "x", "a", "eta")},
 }
 
 
@@ -279,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("solve", _cmd_solve, "graph lambda lambda0 out format",
                 "solve one estimation problem")
     p.add_argument("--y", required=True, help="CSV file, one value per line")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=solvers.SolverOptions.tol)
+    p.add_argument("--max-iter", type=int, default=solvers.SolverOptions.max_iter)
     p.add_argument("--no-certify", action="store_true")
 
     p = command("tune", _cmd_tune, "S sigma t a eta lambda0 out format",
@@ -324,8 +318,7 @@ def dispatch(argv=None) -> int:
     except (ValueError, OSError) as exc:   # hypothesis, graph and JSON errors included
         return _fail(str(exc), kind=type(exc).__name__)
     except RuntimeError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "type": "RuntimeError"}) + "\n")
-        return EXIT_NONCONVERGED
+        return _fail(str(exc), "RuntimeError", EXIT_NONCONVERGED)
 
 
 def main() -> None:

@@ -40,8 +40,9 @@ import csv
 import io
 import math
 import threading
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -232,39 +233,16 @@ EVENT_FLOORS = dict(zip(EVENT_NAMES, (
 )))
 
 
-# the JSON config schema's keys, at the top level (None) and in each section
-CONFIG_KEYS = {None: set("graph S signal sigma params theorems trials seed lambda lambda0 "
-                         "grid_constant solver_tol threads events kappa_source kappa_value".split()),
-               "graph": {"family", "params"}, "signal": {"levels", "tv_budget"},
-               "params": {"x", "t", "a", "eta"}}
-
-
-def _float_or_none(value):
-    return None if value is None else float(value)
-
-
-# config values converted on reading, by key; the others are taken as given
-CONFIG_TYPES = {"S": tuple, "sigma": float, "x": float, "t": float, "a": float, "eta": float,
-                "theorems": tuple, "trials": int, "seed": int, "solver_tol": float,
-                "threads": int, "events": bool, "lambda": _float_or_none,
-                "lambda0": _float_or_none, "grid_constant": _float_or_none,
-                "kappa_value": _float_or_none, "signal.levels": tuple,
-                "signal.tv_budget": _float_or_none}
-
-
-def _convert(key: str, value):
-    """value converted as CONFIG_TYPES says for key; ValueError naming the
-    key when the value has the wrong JSON type (null for a number, a number
-    for a list)."""
-    try:
-        return CONFIG_TYPES.get(key, lambda v: v)(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
+# the ExperimentConfig fields in the config's section params, and the JSON
+# key of each field whose key is not its name
+_PARAMS = ("x", "t", "a", "eta")
+_KEY = {"lam": "lambda"}
 
 
 @dataclass
 class ExperimentConfig:
-    """One Monte Carlo experiment.  Mirrors the JSON config schema."""
+    """One Monte Carlo experiment.  Its fields' annotations, with
+    SignalSpec's, are the JSON config's keys and types (see from_dict)."""
 
     graph: DirectedGraph
     family: str
@@ -300,29 +278,46 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        """The config of a JSON dict, with each key it lacks at its field's
-        default.  ValueError names a section that is not an object, every
-        key, at the top level or in graph, signal or params, that the schema
-        does not have, a value of the wrong type and a missing graph
-        family."""
+        """The config of a JSON dict: a key it lacks takes its field's
+        default, and a value it has must be of its field's annotated type
+        (graphs.json_value).  ValueError names a section that is not an
+        object, every key that config_keys lacks, a value of the wrong type
+        and a missing graph family."""
         _section(cfg, "the config")
         sections = {sec: _section(cfg.get(sec, {}), f"config section {sec!r}")
                     for sec in ("graph", "signal", "params")}
-        unknown = [key for key in cfg if key not in CONFIG_KEYS[None]] + \
+        keys = config_keys()
+        unknown = [key for key in cfg if key not in keys[None]] + \
             [f"{sec}.{key}" for sec, body in sections.items()
-             for key in body if key not in CONFIG_KEYS[sec]]
+             for key in body if key not in keys[sec]]
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        gspec, sig = sections["graph"], sections["signal"]
+        gspec = sections["graph"]
         if "family" not in gspec:
             raise ValueError("config needs a graph family (graph.family)")
         params = _section(gspec.get("params", {}), "config section 'graph.params'")
         graph = graphs.build_graph(gspec["family"], **params)
-        spec = SignalSpec(**{key: _convert(f"signal.{key}", value) for key, value in sig.items()})
-        given = {("lam" if key == "lambda" else key): _convert(key, value)
-                 for key, value in {"S": (), **cfg, **sections["params"]}.items()
-                 if key not in ("graph", "signal", "params")}
-        return cls(graph=graph, family=gspec["family"], signal=spec, **given)
+        spec = SignalSpec(**_read_fields(SignalSpec, sections["signal"], "signal."))
+        top = {key: value for key, value in cfg.items() if key not in sections}
+        return cls(graph=graph, family=gspec["family"], signal=spec,
+                   **_read_fields(cls, {"S": (), **top, **sections["params"]}))
+
+
+def config_keys() -> dict[str | None, set[str]]:
+    """The JSON config's keys at the top level (None) and by section: the
+    fields', with family in graph, _PARAMS in params and SignalSpec's in signal."""
+    top = {_KEY.get(f.name, f.name) for f in fields(ExperimentConfig)}
+    return {None: top - {"family", *_PARAMS} | {"params"}, "graph": {"family", "params"},
+            "signal": {f.name for f in fields(SignalSpec)}, "params": set(_PARAMS)}
+
+
+def _read_fields(cls, body: dict, prefix: str = "") -> dict:
+    """The fields of cls that the JSON object body gives by key, each value
+    read as its annotation says; ValueError names a key of the wrong type."""
+    hints = typing.get_type_hints(cls)
+    field = {_KEY.get(name, name): name for name in hints}
+    return {field[key]: graphs.json_value(hints[field[key]], value, f"config key {prefix + key!r}")
+            for key, value in body.items()}
 
 
 def _section(body, where: str):
@@ -491,7 +486,7 @@ def _holding(holds: np.ndarray, trials: int, frac_key: str, floor_key: str, floo
 
 def _summarize(exp: Experiment, columns: dict) -> dict:
     cfg = exp.cfg
-    params = {"x": cfg.x, "t": cfg.t, "a": cfg.a, "eta": cfg.eta}
+    params = {key: getattr(cfg, key) for key in _PARAMS}
     thm_summary = {tid: _holding(columns[f"{tid}_holds"], cfg.trials, "holds_fraction",
                                  "probability_floor", exp.rhs[tid].probability,
                                  rhs_value=exp.rhs[tid].value,

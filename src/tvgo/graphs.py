@@ -7,6 +7,7 @@ order of the incidence matrix.
 """
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,31 +108,41 @@ def tree_graph(parents: Sequence[int]) -> DirectedGraph:
     return DirectedGraph(n, tuple(zip(par, range(2, n + 1))))
 
 
-# each family's builder and its parameters, with the conversion of each
+def json_value(kind, value, name: str, error: type[ValueError] = ValueError):
+    """value read as a JSON value of the annotation kind: float takes any
+    number (as a float), int an integer, bool true or false, str a string,
+    X | None null or X, and tuple[X, ...] a list of X (as a tuple).  Any
+    other value raises error naming name."""
+    args = typing.get_args(kind)
+    if type(None) in args:    # X | None
+        return None if value is None else json_value(args[0], value, name, error)
+    if typing.get_origin(kind) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(json_value(args[0], item, name, error) for item in value)
+    elif type(value) in ((int, float) if kind is float else (kind,)):   # exact: true is no int
+        return kind(value)
+    raise error(f"{name} has a value of the wrong type: {value!r}")
+
+
+# each family's builder and its parameters, with the type of each
 _FAMILIES = {"path": (path_graph, {"n": int}), "cycle": (cycle_graph, {"n": int}),
              "grid": (grid_graph, {"height": int, "width": int}),
-             "tree": (tree_graph, {"parents": list})}
+             "tree": (tree_graph, {"parents": tuple[int, ...]})}
 
 
 def build_graph(family: str, **params) -> DirectedGraph:
     """Build a canonical graph. family is one of path, cycle, grid, tree;
     GraphError names an unknown family, a missing or unknown parameter, or
-    one of the wrong type."""
+    one of the wrong type (see json_value)."""
     if not isinstance(family, str) or family not in _FAMILIES:
         raise GraphError(f"unknown graph family {family!r}")
-    builder, convert = _FAMILIES[family]
-    bad = [f"missing parameter {k!r}" for k in convert if k not in params] + \
-        [f"unknown parameter {k!r}" for k in params if k not in convert]
+    builder, kinds = _FAMILIES[family]
+    bad = [f"missing parameter {k!r}" for k in kinds if k not in params] + \
+        [f"unknown parameter {k!r}" for k in params if k not in kinds]
     if bad:
         raise GraphError(f"{family} graph: {', '.join(bad)}")
-    values = []
-    for k, conv in convert.items():
-        try:
-            values.append(conv(params[k]))
-        except (TypeError, ValueError):
-            raise GraphError(f"{family} graph: parameter {k!r} must be {conv.__name__}, "
-                             f"got {params[k]!r}") from None
-    return builder(*values)
+    return builder(*(json_value(kind, params[k], f"{family} graph: parameter {k!r}", GraphError)
+                     for k, kind in kinds.items()))
 
 
 def _ends(graph: DirectedGraph) -> np.ndarray:

@@ -601,8 +601,8 @@ def kkt_bound(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix | Splitting, lam:
               v: np.ndarray) -> float:
     """Upper bound on kkt_residual from the dual guess v (m,), such as a
     column of BatchResult.V.  D is a graph incidence matrix or its
-    Splitting, whose edge endpoints the forest step reads; a plain D is
-    wrapped in a new one.
+    Splitting, whose edge endpoints the forest step reads; of a plain D
+    only the endpoints are read, with no solver factor built.
 
     v is clipped to [-1, 1] and fixed to sign(Df) on the rows kkt_residual
     calls active.  On a spanning forest of the free edges it is then re-solved
@@ -616,15 +616,15 @@ def kkt_bound(Y: np.ndarray, f_hat: np.ndarray, D: sp.spmatrix | Splitting, lam:
     g = (Y - f_hat) / Y.shape[0]
     if lam == 0.0:
         return float(np.max(np.abs(g)))
-    split = D if isinstance(D, Splitting) else Splitting(D)
-    D, Dt = split.D, split.Dt
+    D, Dt, ends = (D.D, D.Dt, D.ends) if isinstance(D, Splitting) else \
+        (sp.csr_matrix(D), sp.csr_matrix(D).T, graphs.edge_endpoints(D))
     Df = D @ f_hat
     act = _active_rows(Df, D @ Y)
     v = np.clip(v, -1.0, 1.0)
     v[act] = np.sign(Df[act])
     free = np.flatnonzero(~act)
     if len(free):
-        rows, delta = _forest_step(split.ends[free], g - lam * (Dt @ v))
+        rows, delta = _forest_step(ends[free], g - lam * (Dt @ v))
         v[free[rows]] += delta / lam
         np.clip(v, -1.0, 1.0, out=v)
     return float(np.max(np.abs(g - lam * (Dt @ v))))

@@ -144,6 +144,22 @@ def test_certified_solve_reads_the_edges_once(monkeypatch, solve, level):
     assert calls == [D.shape]
 
 
+@pytest.mark.parametrize("family,size", [("path", 128), ("cycle", 128), ("tree", 200)])
+def test_bound_of_a_plain_D_builds_no_factor(monkeypatch, family, size):
+    # a plain D gives kkt_bound its edge endpoints alone, without the SuperLU
+    # factor a Splitting builds for the fusion screen, and the same bits
+    D, Y = _problem(family, size)
+    out = solve_analysis_batch(Y[:, None], D, 0.05)
+    f, v = out.F[:, 0], out.V[:, 0]
+    factors = []
+    splu = solvers.spla.splu
+    monkeypatch.setattr(solvers.spla, "splu", lambda *a, **kw: factors.append(1) or splu(*a, **kw))
+    split = solvers.Splitting(D)
+    assert factors == [1]
+    assert kkt_bound(Y, f, D, 0.05, v) == kkt_bound(Y, f, split, 0.05, v)
+    assert factors == [1]
+
+
 def test_bound_above_tolerance_falls_back_to_the_program(monkeypatch):
     # three iterations leave the dual far from certifying, so the solve runs
     # the program and reports its optimum, which is below the bound

@@ -33,6 +33,15 @@ def test_graph_spec_names_a_missing_parameter(capsys, spec, missing):
     assert payload["type"] == "GraphError" and f"missing parameter {missing}" in payload["error"]
 
 
+@pytest.mark.parametrize("spec,named", [("grid:3xk", "'width'"), ("path:eight", "'n'"),
+                                        ("cycle:-3", "'n'")])
+def test_graph_spec_names_a_token_that_is_no_integer(capsys, spec, named):
+    assert dispatch(["theory", "--graph", spec]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["type"] == "GraphError"
+    assert f"parameter {named} has a value of the wrong type" in payload["error"]
+
+
 def test_graph_round_trip(tmp_path):
     out = tmp_path / "g.txt"
     assert dispatch(["graph", "--family", "cycle:5", "--out", str(out)]) == 0
@@ -356,9 +365,22 @@ def test_cli_surface():
     (dict(SIM_CFG, S=8), "'S'"),
     (dict(SIM_CFG, sigma=None), "'sigma'"),
     (dict(SIM_CFG, graph={"family": "path", "params": {"n": None}}), "'n'"),
+    # values are checked against their fields' types, not converted
+    (dict(SIM_CFG, S=[None]), "'S'"),
+    (dict(SIM_CFG, S="12"), "'S'"),
+    (dict(SIM_CFG, S=[8.5]), "'S'"),
+    (dict(SIM_CFG, events="false"), "'events'"),
+    (dict(SIM_CFG, trials=10.7), "'trials'"),
+    (dict(SIM_CFG, trials="12"), "'trials'"),
+    (dict(SIM_CFG, seed=True), "'seed'"),
+    (dict(SIM_CFG, theorems="plain_slow"), "'theorems'"),
+    (dict(SIM_CFG, graph={"family": "tree", "params": {"parents": [1, None]}}), "'parents'"),
+    (dict(SIM_CFG, signal={"levels": [0.0, None]}), "'signal.levels'"),
 ], ids=["params-null", "signal-list", "graph-params-typo", "graph-params-null",
         "unknown-family", "no-graph", "unknown-theorem", "kappa-source-typo", "not-an-object",
-        "S-number", "sigma-null", "graph-n-null"])
+        "S-number", "sigma-null", "graph-n-null", "S-null-element", "S-string",
+        "S-float-element", "events-string", "trials-float", "trials-string", "seed-bool",
+        "theorems-string", "tree-parent-null", "signal-level-null"])
 def test_simulate_malformed_config_exits_2_naming_it(tmp_path, capsys, cfg, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -366,3 +388,73 @@ def test_simulate_malformed_config_exits_2_naming_it(tmp_path, capsys, cfg, name
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert named in json.loads(err)["error"]
+
+
+def test_simulate_override_of_a_config_that_is_no_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([SIM_CFG]))
+    assert dispatch(["simulate", "--config", str(path), "--seed", "3", "--threads", "2"]) == 2
+    assert "the config must be an object" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_graph_file_tree_parents_and_active_set_file(tmp_path, capsys):
+    # a path is the tree whose every vertex hangs from the one before it
+    gfile, parents, sfile = tmp_path / "g.txt", tmp_path / "parents.txt", tmp_path / "S.txt"
+    assert dispatch(["graph", "--family", "path:12", "--out", str(gfile)]) == 0
+    parents.write_text("\n".join(str(v) for v in range(1, 12)))
+    graphs.write_active_set([4, 8], str(sfile))
+    reports = []
+    for spec in ("path:12", str(gfile), f"tree:@{parents}"):
+        for S in ("8,4", f"@{sfile}"):
+            assert dispatch(["theory", "--graph", spec, "--S", S]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["r_S"] == 3 and all(rep == reports[0] for rep in reports)
+
+
+def test_graph_command_writes_stdout(capsys):
+    assert dispatch(["graph", "--family", "cycle:3"]) == 0
+    assert capsys.readouterr().out == "3 3\n1 2\n2 3\n3 1\n"
+
+
+def test_tune_from_n_r_S_and_gamma(capsys):
+    # the three numbers stand in for the graph they describe
+    assert dispatch(["tune", "--graph", "path:400", "--S", "200"]) == 0
+    from_graph = json.loads(capsys.readouterr().out)
+    assert dispatch(["tune", "--n", "400", "--r-S", "2",
+                     "--gamma", repr(from_graph["gamma"])]) == 0
+    assert json.loads(capsys.readouterr().out) == from_graph
+
+
+@pytest.mark.parametrize("missing", ["--n", "--r-S", "--gamma"])
+def test_tune_without_a_graph_needs_all_three(capsys, missing):
+    given = {"--n": "400", "--r-S": "2", "--gamma": "0.05"}
+    del given[missing]
+    assert dispatch(["tune", *[tok for flag in given.items() for tok in flag]]) == 2
+    assert "--n, --r-S, --gamma" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_tune_reports_a_t_past_the_square_root_range(capsys):
+    assert dispatch(["tune", "--n", "16", "--r-S", "2", "--gamma", "0.3", "--t", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0 < out["t_max_sqrt"] < 10 and out["lambda_plain"] > 0
+    assert out["lambda0_sqrt"] is None and "t must lie in" in out["lambda0_error"]
+    assert "assumption1" not in out and "admissible_caps" not in out
+
+
+def test_simulate_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "t.csv"
+    cfg.write_text(json.dumps(SIM_CFG))
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert dispatch(["simulate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_runtime_error_exits_3(monkeypatch, capsys):
+    def fail(**kw):
+        raise RuntimeError("did not converge")
+
+    monkeypatch.setattr(experiments, "verify_probability_lemmas", fail)
+    assert dispatch(["verify-prob", "--trials", "10"]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "did not converge",
+                                                   "type": "RuntimeError"}

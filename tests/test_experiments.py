@@ -11,6 +11,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +324,32 @@ def test_config_typos_are_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert dispatch(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_readme_config_schema_matches_the_code():
+    # README's "Simulation config schema" parses, and names every key the
+    # schema accepts, at the top level and in each section
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Simulation config schema", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json", 1)[1].split("```", 1)[0]
+    cfg = experiments.ExperimentConfig.from_dict(json.loads(example))
+    assert cfg.family == "path" and cfg.S == (64,) and cfg.theorems == ("plain_fast", "plain_slow")
+    keys = experiments.config_keys()
+    assert {"kappa_source", "kappa_value", "lambda"} <= keys[None]
+    missing = [key for sec in keys.values() for key in sec
+               if f"`{key}`" not in section and f'"{key}"' not in section]
+    assert missing == []
+
+
+def test_config_keys_follow_the_fields():
+    # every ExperimentConfig field but graph and family (the graph section
+    # holds family), and every SignalSpec field, has a key
+    keys = experiments.config_keys()
+    fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    named = keys[None] | keys["params"] | keys["graph"]
+    assert {"lam" if key == "lambda" else key for key in named} - {"params"} == fields
+    assert keys["signal"] == {f.name for f in dataclasses.fields(SignalSpec)}
+    assert keys["params"] == {"x", "t", "a", "eta"}
 
 
 def test_splitting_is_not_written_by_solves_or_threads(monkeypatch):

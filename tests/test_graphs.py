@@ -199,6 +199,28 @@ def test_active_set_file_round_trip(tmp_path):
     assert read_active_set(str(p)) == (2, 4, 9)
 
 
+@pytest.mark.parametrize("kind,value,expected", [
+    (float, 2, 2.0), (float, 2.5, 2.5), (int, 3, 3), (bool, False, False), (str, "a", "a"),
+    (float | None, None, None), (float | None, 1, 1.0),
+    (tuple[int, ...], [1, 2], (1, 2)), (tuple[int, ...], [], ()),
+    (tuple[float, ...] | None, [0, 1.5], (0.0, 1.5)),
+])
+def test_json_value_reads_each_annotation(kind, value, expected):
+    got = graphs.json_value(kind, value, "k")
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("kind,value", [
+    (float, None), (float, "1.0"), (float, True), (int, 10.7), (int, "12"), (int, True),
+    (bool, "false"), (bool, 0), (str, 5), (float | None, "x"), (tuple[int, ...], "12"),
+    (tuple[int, ...], 8), (tuple[int, ...], [None]), (tuple[int, ...], [8.5]),
+    (tuple[float, ...] | None, [0.0, None]),
+])
+def test_json_value_rejects_a_wrong_type(kind, value):
+    with pytest.raises(GraphError, match="'k' has a value of the wrong type"):
+        graphs.json_value(kind, value, "'k'", GraphError)
+
+
 def test_build_graph_dispatch():
     assert build_graph("path", n=4).m == 3
     assert build_graph("cycle", n=4).m == 4
@@ -211,3 +233,7 @@ def test_build_graph_dispatch():
         build_graph("grid", height=3)
     with pytest.raises(GraphError, match="unknown graph family None"):
         build_graph(None)
+    with pytest.raises(GraphError, match="tree graph: parameter 'parents' has a value of"):
+        build_graph("tree", parents=[1, None])
+    with pytest.raises(GraphError, match="grid graph: parameter 'width' has a value of the wrong"):
+        build_graph("grid", height=3, width="4")
