@@ -68,8 +68,7 @@ def parse_graph_spec(spec: str) -> tuple[graphs.DirectedGraph, str]:
         return graphs.read_graph(spec), "file"
     family, arg = spec.split(":", 1)
     if family == "tree":
-        with open(arg.removeprefix("@")) as fh:
-            params = {"parents": [int(tok) for tok in fh.read().split()]}
+        params = {"parents": graphs.read_numbers(arg.removeprefix("@"), int)}
     else:   # N or HxW; a token that is no decimal stays a string, which build_graph rejects
         names, toks = (("height", "width"), arg.lower().split("x", 1)) if family == "grid" \
             else (("n",), [arg])
@@ -83,17 +82,16 @@ def parse_set_spec(spec: str | None) -> tuple[int, ...]:
         return ()
     if spec.startswith("@"):
         return graphs.read_active_set(spec[1:])
-    return tuple(sorted(set(int(tok) for tok in spec.split(",") if tok.strip())))
+    return tuple(sorted(set(graphs.read_numbers("--S", int, spec.replace(",", " ").split()))))
 
 
 def _read_vector(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return np.array([float(line) for line in fh.read().split()])
+    return np.array(graphs.read_numbers(path, float))
 
 
 def _seed(args) -> int | None:
-    seed = os.environ.get("TVGO_SEED", args.seed)
-    return None if seed is None else int(seed)
+    env = os.environ.get("TVGO_SEED")
+    return args.seed if env is None else graphs.read_numbers("TVGO_SEED", int, [env])[0]
 
 
 def _graph_setup(args):
@@ -125,13 +123,10 @@ def _cmd_kappa(args) -> int:
     family, D, active, report = _graph_setup(args)
     weights = None if args.weights == "identity" else report.weights
     kb = compatibility.kappa_bound(family, active, weights, report.gamma)
-    kappa_num = compatibility.kappa_numeric(D, active, weights,
-                                            search_budget=args.budget,
-                                            steps=args.steps, seed=_seed(args))
-    out = kb.to_dict()
-    out["numeric_kappa_estimate"] = kappa_num
-    out["sqrt_rs_over_kappa_numeric"] = math.sqrt(active.r_S) / kappa_num
-    out["kappa_paper_lower_bound"] = math.sqrt(active.r_S) / kb.sqrt_rs_over_kappa_weighted
+    kappa = compatibility.kappa_numeric(D, active, weights)
+    out = {**kb.to_dict(), "numeric_kappa_estimate": kappa,
+           "sqrt_rs_over_kappa_numeric": math.sqrt(active.r_S) / kappa,
+           "kappa_paper_lower_bound": math.sqrt(active.r_S) / kb.sqrt_rs_over_kappa_weighted}
     _emit(out, args)
     return EXIT_OK
 
@@ -192,8 +187,7 @@ def _cmd_oracle_rhs(args) -> int:
         kappa_source=args.kappa_source, grid_constant=args.grid_constant)
     inputs.lam, inputs.lambda0 = tuning.levels([args.theorem], inputs, args.lam, args.lambda0)
     if args.kappa_source == "numeric":
-        inputs.kappa_value = compatibility.kappa_numeric(
-            D, active, report.weights, search_budget=args.budget, seed=_seed(args))
+        inputs.kappa_value = compatibility.kappa_numeric(D, active, report.weights)
     rhs = tuning.oracle_rhs(args.theorem, inputs)
     out = rhs.to_dict()
     out["lambda"] = inputs.lam
@@ -240,7 +234,7 @@ _SHARED_FLAGS = {
     "graph": dict(required=True), "S": dict(default=""),
     "out": dict(default=None, help="output file (stdout if omitted)"),
     "format": dict(choices=["json", "csv"], default="json"),
-    "seed": dict(type=int, default=0), "budget": dict(type=int, default=10_000),
+    "seed": dict(type=int, default=0),
     "lambda": dict(dest="lam", type=float, default=None),
     "lambda0": dict(type=float, default=None),
     **{name: dict(type=float, default=getattr(experiments.ExperimentConfig, name))
@@ -265,10 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("theory", _cmd_theory, "graph S out format", "antiprojection lengths, gamma, weights")
 
-    p = command("kappa", _cmd_kappa, "graph S budget out format seed",
-                "compatibility bounds vs numeric search")
+    p = command("kappa", _cmd_kappa, "graph S out format",
+                "compatibility bounds vs the exact kappa")
     p.add_argument("--weights", choices=["computed", "identity"], default="computed")
-    p.add_argument("--steps", type=int, default=200)
 
     p = command("solve", _cmd_solve, "graph lambda lambda0 out format",
                 "solve one estimation problem")
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-df0", dest="norm_df0", type=float, default=0.0)
 
     p = command("oracle-rhs", _cmd_oracle_rhs,
-                "graph S sigma t x a eta lambda lambda0 budget out format seed",
+                "graph S sigma t x a eta lambda lambda0 out format",
                 "inequality right-hand side breakdown")
     p.add_argument("--theorem", required=True, choices=sorted(tuning.THEOREMS))
     p.add_argument("--f0", default=None, help="true signal file (defaults to zero)")

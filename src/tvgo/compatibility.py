@@ -1,15 +1,9 @@
-"""Closed-form bounds on the weighted weak compatibility constant for paths
-and cycles, plus an independent multi-start numeric estimate for small
-instances.
+"""Compatibility constants kappa(S, W): closed-form bounds for paths and
+cycles, and the exact value on any graph.
 
-The compatibility constant kappa(S, W) enters the fast-rate error bounds via
-sqrt(r_S)/kappa; the closed forms below bound that ratio from above.  The
-numeric search maximizes the homogeneous ratio
-
-    (||D_S f||_1 - ||W_{-S} D_{-S} f||_1)_+   over   ||f||_n = 1,
-
-whose supremum equals sqrt(r_S)/kappa, so the returned kappa estimate is an
-upper estimate (the search only ever under-finds the supremum).
+kappa(S, W) enters the fast-rate error bounds through sqrt(r_S)/kappa, the
+supremum of ||D_S f||_1 - ||W D_{-S} f||_1 over ||f||_n = 1.  The closed
+forms below bound that ratio from above; kappa_numeric computes it.
 """
 from __future__ import annotations
 
@@ -19,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import ActiveSet
+from .graphs import ActiveSet, edge_endpoints
 
 
 @dataclass(frozen=True)
@@ -40,7 +34,6 @@ class KappaBounds:
     sqrt_rs_over_kappa_weighted: float
     increment_bound_rhs: float | None = None
     increment_bound_ok: bool | None = None
-    numeric_kappa_estimate: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -135,102 +128,63 @@ def kappa_bound(family: str, active: ActiveSet, weights: np.ndarray | None = Non
     return bound(active, weights, gamma)
 
 
-def _deterministic_starts(active: ActiveSet) -> np.ndarray:
-    """Structured candidate maximizers: alternating component constants and
-    componentwise half-splits (the shapes behind the tight path bound)."""
-    n, r = active.n, active.r_S
-    lab = active.comp_label
-    starts = []
-    signs = np.where(np.arange(r) % 2 == 0, 1.0, -1.0)
-    starts.append(signs[lab])
-    half = np.zeros(n)
-    for c, verts in enumerate(active.component_vertices()):
-        v = np.sort(verts)
-        cut = len(v) // 2
-        half[v[:cut]] = -signs[c]
-        half[v[cut:]] = signs[c]
-    starts.append(half)
-    return np.array(starts)
+MAX_S = 16   # the largest |S| whose 2^(|S|-1) sign patterns kappa_numeric enumerates
+
+
+def _min_sq(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    """min over |u| <= w of ||b - A u||_2^2 by bounded-variable least squares;
+    RuntimeError unless the duality gap w'|g| - u'g, g = A'(b - Au), closes
+    (BVLS stops early when a step barely changes the cost)."""
+    from scipy.optimize import lsq_linear   # about 14 MB of RSS, so only when needed
+
+    u = lsq_linear(A, b, bounds=(-w, w), method="bvls", tol=1e-15).x if len(w) else w
+    r = b - A @ u
+    g = A.T @ r
+    if w @ np.abs(g) - u @ g > 1e-10 * (b @ b):
+        raise RuntimeError("bounded least squares stopped short of its minimum")
+    return float(r @ r)
 
 
 def kappa_numeric(D: sp.spmatrix, active: ActiveSet,
-                  weights: np.ndarray | None = None,
-                  search_budget: int = 10_000, steps: int = 200,
-                  seed: int = 0) -> float:
-    """Numeric upper estimate of kappa(S, W) by multi-start subgradient ascent.
+                  weights: np.ndarray | None = None) -> float:
+    """Exact kappa(S, W) for weights in [0, 1] (length m, identity if None;
+    the entries on S are ignored).
 
-    Parameters
-    ----------
-    D : sparse incidence matrix (m, n).
-    active : ActiveSet for S.
-    weights : length-m weight vector (identity if None); entries on S are
-        ignored (treated as the required identity block).
-    search_budget : number of random restarts; for a fixed seed the result is
-        non-decreasing in the budget.
-    steps : subgradient steps per restart batch.
-    seed : RNG seed; restarts are counter-seeded so runs are reproducible.
-
-    Returns
-    -------
-    float
-        sqrt(r_S) / sup_found; an upper estimate of kappa since the search
-        can only under-estimate the supremum.
+    For signs s on S, the supremum over f with sign(D_S f) = s is
+    sqrt(n) min over |u| <= w of ||D_S's - D_{-S}'u||_2, and the maximum
+    over s is sqrt(r_S)/kappa.  The minimum splits over the components of
+    G - S, each part depending only on the signs of the S edges the
+    component touches: one BVLS per component and local sign pattern with
+    its first sign +1.  ValueError when |S| > MAX_S or kappa is infinite.
     """
     if not active.S:
         raise ValueError("denominator never positive: S is empty")
-    n, m = active.n, active.m
-    D = sp.csr_matrix(D)
-    S_idx = np.asarray(active.S, dtype=np.int64) - 1
-    mS_idx = np.asarray(active.inactive, dtype=np.int64) - 1
-    DS = D[S_idx]
-    DmS = D[mS_idx]
-    if weights is None:
-        w = np.ones(len(mS_idx))
-    else:
-        w = np.asarray(weights, dtype=np.float64)[mS_idx]
+    if active.s > MAX_S:
+        raise ValueError(f"|S| = {active.s} is above {MAX_S}: too many sign patterns")
+    w = np.ones(active.m) if weights is None else np.asarray(weights, dtype=np.float64)
     if np.any(w < 0) or np.any(w > 1 + 1e-12):
         raise ValueError("weights must lie in [0, 1]")
-
-    DS_T = DS.T.tocsr()
-    DmS_T = DmS.T.tocsr()
-    sqrt_n = math.sqrt(n)
-
-    def normalize(F: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(F, axis=1, keepdims=True) / sqrt_n
-        norms[norms == 0] = 1.0
-        return F / norms
-
-    def value(F: np.ndarray) -> np.ndarray:
-        A = (DS @ F.T).T
-        B = (DmS @ F.T).T
-        return np.abs(A).sum(axis=1) - (np.abs(B) * w).sum(axis=1)
-
-    best = -np.inf
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    det = normalize(_deterministic_starts(active))
-    block = 2048
-    done = 0
-    first = True
-    while done < search_budget or first:
-        take = min(block, max(search_budget - done, 0))
-        F = rng.standard_normal((take, n)) if take else np.empty((0, n))
-        if first:
-            F = np.vstack([det, F])
-            first = False
-        done += take
-        if F.shape[0] == 0:
-            break
-        F = normalize(F)
-        best = max(best, float(value(F).max()))
-        for k in range(1, steps + 1):
-            A = (DS @ F.T).T
-            B = (DmS @ F.T).T
-            G = (DS_T @ np.sign(A).T).T - (DmS_T @ (np.sign(B) * w).T).T
-            gn = np.linalg.norm(G, axis=1, keepdims=True)
-            gn[gn == 0] = 1.0
-            F = normalize(F + (1.0 / math.sqrt(k)) * G / gn)
-            best = max(best, float(value(F).max()))
-    if best <= 0:
-        raise ValueError("denominator never positive: no f with "
-                         "||D_S f||_1 > ||W D_{-S} f||_1 found")
+    D = sp.csr_matrix(D)
+    S_idx = np.asarray(active.S) - 1
+    edge_comp = active.comp_label[edge_endpoints(D)[:, 0]]
+    free = np.isin(np.arange(active.m), S_idx, invert=True) & (w > 1e-12)   # w = 0: u = 0
+    # every sign pattern of S with s_1 = +1, one row each
+    bits = (np.arange(2 ** (active.s - 1))[:, None] >> np.arange(active.s - 1)) & 1
+    patterns = np.hstack([np.ones((len(bits), 1), dtype=np.int64), 1 - 2 * bits])
+    total = np.zeros(len(patterns))
+    for c, verts in enumerate(active.component_vertices()):
+        Dc = D[:, verts]      # D' restricted to the component is Dc's transpose
+        B = Dc[S_idx].T.toarray()
+        touch = np.flatnonzero(np.abs(B).sum(axis=0))
+        if touch.size:
+            rows = np.flatnonzero(free & (edge_comp == c))
+            A, k = Dc[rows].T.toarray(), len(touch)
+            parts = np.array([_min_sq(A, B[:, touch] @ p, w[rows])
+                              for p in patterns[:2 ** (k - 1), :k]])
+            # each pattern's local signs, flipped to a first sign of +1, index parts
+            flip = patterns[:, touch] * patterns[:, touch[:1]] < 0
+            total += parts[flip[:, 1:] @ (1 << np.arange(k - 1))]
+    best = math.sqrt(active.n * total.max())
+    if best <= 1e-9 * math.sqrt(active.n * active.s):
+        raise ValueError("denominator never positive: kappa is infinite")
     return math.sqrt(active.r_S) / best

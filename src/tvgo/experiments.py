@@ -266,15 +266,20 @@ class ExperimentConfig:
     kappa_value: float | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        for name, value, zero_ok in (("lambda", self.lam, True), ("lambda0", self.lambda0, False),
-                                     ("solver_tol", self.solver_tol, False)):
+        for name in ("trials", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, value, zero_ok in (("sigma", self.sigma, False), ("lambda", self.lam, True),
+                                     ("lambda0", self.lambda0, False),
+                                     ("solver_tol", self.solver_tol, False),
+                                     ("kappa_value", self.kappa_value, False)):
             if value is not None:
                 solvers.check_level(name, value, zero_ok)
         if self.kappa_source not in tuning.KAPPA_SOURCES:
             raise ValueError(f"kappa_source must be one of {', '.join(tuning.KAPPA_SOURCES)}; "
                              f"got {self.kappa_source!r}")
+        if self.kappa_value is not None and self.kappa_source != "numeric":
+            raise ValueError(f"kappa_value needs kappa_source 'numeric', got {self.kappa_source!r}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":

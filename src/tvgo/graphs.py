@@ -288,6 +288,23 @@ def is_admissible(D: sp.spmatrix, active: ActiveSet) -> bool:
     return True
 
 
+def read_numbers(source: str, kind: type, tokens: Iterable[str] | None = None) -> list:
+    """tokens, by default the whitespace-separated tokens of the file named
+    source, each read as kind (int or float); ValueError names source (a
+    flag, a file or a variable) and the first token that is not one."""
+    if tokens is None:
+        with open(source) as fh:
+            tokens = fh.read().split()
+    out = []
+    for tok in tokens:
+        try:
+            out.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"{source}: {tok!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}") from None
+    return out
+
+
 def write_graph(graph: DirectedGraph, path: str) -> None:
     """Write the plain-text graph format: 'n m' then one 'tail head' per edge."""
     with open(path, "w") as fh:
@@ -298,22 +315,18 @@ def write_graph(graph: DirectedGraph, path: str) -> None:
 
 def read_graph(path: str) -> DirectedGraph:
     """Read the plain-text graph format written by :func:`write_graph`."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
+    vals = read_numbers(path, int)
+    if len(vals) < 2:
         raise GraphError(f"{path}: missing 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
-        raise GraphError(f"{path}: expected {m} edges, found {(len(tokens) - 2) // 2}")
-    vals = [int(t) for t in tokens[2:]]
-    edges = tuple((vals[2 * i], vals[2 * i + 1]) for i in range(m))
-    return DirectedGraph(n, edges)
+    n, m, *vals = vals
+    if len(vals) != 2 * m:
+        raise GraphError(f"{path}: expected {m} edges, found {len(vals) // 2}")
+    return DirectedGraph(n, tuple(zip(vals[::2], vals[1::2])))
 
 
 def read_active_set(path: str) -> tuple[int, ...]:
     """Read an active-set file: one 1-based edge index per line."""
-    with open(path) as fh:
-        return tuple(int(line) for line in fh.read().split())
+    return tuple(read_numbers(path, int))
 
 
 def write_active_set(S: Iterable[int], path: str) -> None:

@@ -6,7 +6,7 @@ and SQRT, hold all that the square-root estimator changes in a bound: the
 deviation parameter and probability, the penalty coefficient, the kappa
 term, the family-rate scaling and the slow-rate LHS coefficient.  The three
 rate forms are written once: the generic fast rate (a compatibility bound,
-closed-form on paths and cycles or a numeric estimate), the path/cycle fast
+closed-form on paths and cycles or the exact kappa), the path/cycle fast
 rate (K and weights rates) and the slow rate (noise plus a coefficient times
 ||Df||_1).  THEOREMS maps each id to its kind, rate form, minimal tuning
 and hypothesis check.
@@ -24,7 +24,7 @@ from .projections import TheoryReport
 
 
 # where a fast rate's compatibility constant comes from: the closed-form
-# bound of the graph family, or a numeric search value
+# bound of the graph family, or a kappa value (compatibility.kappa_numeric's)
 KAPPA_SOURCES = ("paper_bound", "numeric")
 
 
@@ -161,8 +161,8 @@ class TheoremInputs:
 
     f is the oracle candidate (defaults to f0); norms of Df, D_S f and
     D_{-S} f are derived from it.  kappa_source selects between the
-    closed-form compatibility bound and a numeric search value passed in
-    kappa_value.
+    closed-form compatibility bound and a kappa passed in kappa_value (the
+    exact one of compatibility.kappa_numeric, say).
     """
 
     active: ActiveSet

@@ -93,3 +93,37 @@ def brute_force_path2_sqrt(Y: np.ndarray, lam0: float, grid: int = 400_001):
     k = int(np.argmin(vals))
     f = np.array([f0[k], f1[k]])
     return f, float(np.sqrt(np.sum((Y - f) ** 2) / 2.0))
+
+
+def kappa_brute(D, active, weights=None) -> tuple[float, float]:
+    """kappa(S, W) by enumeration of every sign pattern s of S on the whole
+    graph: sqrt(r_S) / (sqrt(n) max_s min_{|u| <= w} ||D_S's - D_{-S}'u||_2),
+    each minimum a trust-region least squares (inf when the maximum is 0).
+    Also returns the primal objective ||D_S f||_1 - ||W D_{-S} f||_1 at the
+    recovered maximiser f = sqrt(n) r / ||r||_2, r the residual of the best
+    pattern, which equals sqrt(r_S)/kappa at the optimum."""
+    from itertools import product
+
+    from scipy.optimize import lsq_linear
+
+    D = D.toarray()
+    n = D.shape[1]
+    S = np.asarray(active.S) - 1
+    rest = np.asarray(active.inactive, dtype=np.int64) - 1
+    w = np.ones(D.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    free = rest[w[rest] > 0]
+    best, best_r = -1.0, None
+    for tail in product((1.0, -1.0), repeat=len(S) - 1):
+        c = D[S].T @ np.array((1.0, *tail))
+        if free.size:
+            fit = lsq_linear(D[free].T, c, bounds=(-w[free], w[free]), method="trf",
+                             tol=1e-15, lsmr_tol=None, max_iter=10_000)
+            r = c - D[free].T @ fit.x
+        else:
+            r = c
+        if np.linalg.norm(r) > best:
+            best, best_r = float(np.linalg.norm(r)), r
+    sup = np.sqrt(n) * best
+    f = np.sqrt(n) * best_r / best if best > 0 else best_r
+    primal = np.abs(D[S] @ f).sum() - (w[rest] * np.abs(D[rest] @ f)).sum()
+    return float(np.sqrt(active.r_S) / sup) if sup > 0 else np.inf, float(primal)

@@ -98,8 +98,7 @@ def test_criterion_3_path_column_norms():
 def test_criterion_4_compatibility_tightness():
     g = path_graph(8)
     a = active_set(g, [4])
-    kappa = compatibility.kappa_numeric(incidence(g), a, None,
-                                        search_budget=10_000, steps=200, seed=1)
+    kappa = compatibility.kappa_numeric(incidence(g), a)
     sup = math.sqrt(a.r_S) / kappa
     ok = abs(sup - 2.0) <= 0.05 * 2.0
     _report(4, ok, f"numeric sqrt(r_S)/kappa = {sup:.6f} vs sqrt(nK) = 2 (within 5%)")

@@ -139,11 +139,35 @@ def test_oracle_rhs_command(tmp_path):
 def test_kappa_command(tmp_path):
     out = tmp_path / "kappa.json"
     assert dispatch(["kappa", "--graph", "path:8", "--S", "4", "--weights",
-                     "identity", "--budget", "2000", "--steps", "100",
-                     "--out", str(out)]) == 0
+                     "identity", "--out", str(out)]) == 0
     res = json.loads(out.read_text())
     assert res["K"] == pytest.approx(0.5)
     assert res["sqrt_rs_over_kappa_numeric"] == pytest.approx(2.0, rel=0.05)
+    assert res["kappa_paper_lower_bound"] <= res["numeric_kappa_estimate"]
+
+
+@pytest.mark.parametrize("graph,S", [("path:40", "10,20,30"), ("path:64", "16"),
+                                     ("cycle:40", "5,20,33"), ("path:12", "4,8")])
+@pytest.mark.parametrize("weights", ["identity", "computed"])
+def test_kappa_command_is_exact_and_above_the_paper_bound(capsys, graph, S, weights):
+    # the closed forms bound kappa from below; on paths with identity
+    # weights they are tight
+    assert dispatch(["kappa", "--graph", graph, "--S", S, "--weights", weights]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["kappa_paper_lower_bound"] <= res["numeric_kappa_estimate"] * (1 + 1e-12)
+    if weights == "identity" and graph.startswith("path"):
+        assert res["sqrt_rs_over_kappa_numeric"] == pytest.approx(
+            res["sqrt_rs_over_kappa_identity"], rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--budget", "100"], ["kappa", "--steps", "100"], ["kappa", "--seed", "1"],
+    ["oracle-rhs", "--theorem", "plain_fast", "--budget", "100"],
+    ["oracle-rhs", "--theorem", "plain_fast", "--seed", "1"]])
+def test_kappa_has_no_search_flags(capsys, argv):
+    # kappa is exact: no budget, steps or seed to set
+    assert dispatch([*argv, "--graph", "path:8", "--S", "4"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 SIM_CFG = {
@@ -231,8 +255,69 @@ def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
                        "type": "ValueError"}
 
 
+@pytest.mark.parametrize("override", [{"threads": 0}, {}])
+def test_simulate_rejects_threads_below_one(tmp_path, capsys, override):
+    # the config's threads or --threads; 0 used to run on one thread
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SIM_CFG, **override)))
+    flag = [] if override else ["--threads", "0"]
+    assert dispatch(["simulate", "--config", str(cfg), *flag,
+                     "--out", str(tmp_path / "t.csv")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "threads must be at least 1, got 0",
+                                                   "type": "ValueError"}
+
+
+@pytest.mark.parametrize("graph", [SIM_CFG["graph"],
+                                   {"family": "tree", "params": {"parents": list(range(1, 48))}}])
+def test_simulate_rejects_kappa_value_without_the_numeric_source(tmp_path, capsys, graph):
+    # the value used to be ignored: the path RHS was the closed-form one, and
+    # the tree failed on its missing closed form
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SIM_CFG, graph=graph, kappa_value=0.01)))
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "kappa_value" in json.loads(err)["error"] and "kappa_source" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("text,argv,token", [
+    ("1\nx\n", ["theory", "--graph", "tree:@{file}"], "'x'"),
+    ("4\nx\n", ["theory", "--graph", "path:8", "--S", "@{file}"], "'x'"),
+    ("3 2\n1 2\n2 x\n", ["theory", "--graph", "{file}"], "'x'"),
+    ("0\nz\n", ["solve", "--graph", "path:2", "--y", "{file}", "--lambda", "0.1"], "'z'"),
+    ("0\nz\n", ["oracle-rhs", "--theorem", "plain_slow", "--graph", "path:2", "--f0", "{file}"],
+     "'z'"),
+], ids=["tree-parents", "S-file", "graph-file", "y", "f0"])
+def test_bad_number_in_a_file_names_the_file_and_token(tmp_path, capsys, text, argv, token):
+    path = tmp_path / "numbers.txt"
+    path.write_text(text)
+    assert dispatch([tok.format(file=path) for tok in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"{path}: {token} is not " + \
+        ("a number" if token == "'z'" else "an integer")
+
+
+def test_bad_number_in_S_names_the_flag_and_token(capsys):
+    assert dispatch(["theory", "--graph", "path:8", "--S", "4,x"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "--S: 'x' is not an integer"
+
+
+@pytest.mark.parametrize("command", ["verify-prob", "simulate"])
+def test_bad_env_seed_names_the_variable_and_token(tmp_path, capsys, monkeypatch, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SIM_CFG))
+    monkeypatch.setenv("TVGO_SEED", "abc")
+    assert dispatch([command, *{"verify-prob": ["--trials", "10"],
+                                "simulate": ["--config", str(cfg)]}[command]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "TVGO_SEED: 'abc' is not an integer"
+
+
 @pytest.mark.parametrize("key,value", [("lambda", -0.05), ("lambda", float("nan")),
-                                       ("lambda0", 0.0), ("solver_tol", 0.0)])
+                                       ("lambda0", 0.0), ("solver_tol", 0.0),
+                                       ("sigma", 0.0), ("sigma", -1.0)])
 def test_simulate_rejects_bad_penalty_or_tolerance(tmp_path, capsys, key, value):
     # a NaN lambda used to exit 3 on a singular factor, a negative one ran
     cfg = tmp_path / "cfg.json"
@@ -294,9 +379,10 @@ def test_oracle_rhs_numeric_shows_both(tmp_path):
     out = tmp_path / "rhs.json"
     assert dispatch(["oracle-rhs", "--theorem", "plain_fast", "--graph",
                      "path:16", "--S", "8", "--kappa-source", "numeric",
-                     "--budget", "1000", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     res = json.loads(out.read_text())
-    # the numeric search under-finds the supremum, so its bound is tighter
+    # the exact kappa is at least the closed-form lower bound, so its bound
+    # is no larger
     assert res["value"] <= res["value_paper_bound"] + 1e-9
 
 
@@ -305,7 +391,7 @@ def test_oracle_rhs_numeric_without_a_closed_form_comparison(tmp_path):
     # path bound's hypothesis; the numeric RHS is still reported
     out = tmp_path / "rhs.json"
     assert dispatch(["oracle-rhs", "--theorem", "plain_fast", "--graph", "path:12",
-                     "--S", "1", "--kappa-source", "numeric", "--budget", "200",
+                     "--S", "1", "--kappa-source", "numeric",
                      "--out", str(out)]) == 0
     res = json.loads(out.read_text())
     assert res["value_paper_bound"] is None and math.isfinite(res["value"])
@@ -316,8 +402,8 @@ def test_oracle_rhs_numeric_without_a_closed_form_comparison(tmp_path):
 CLI_SURFACE = {
     "graph": {"--family": "required", "--out": None},
     "theory": {"--graph": "required", "--S": "", "--out": None, "--format": "json"},
-    "kappa": {"--graph": "required", "--S": "", "--weights": "computed", "--budget": 10000,
-              "--steps": 200, "--out": None, "--format": "json", "--seed": 0},
+    "kappa": {"--graph": "required", "--S": "", "--weights": "computed", "--out": None,
+              "--format": "json"},
     "solve": {"--graph": "required", "--y": "required", "--lambda": None, "--lambda0": None,
               "--tol": 1e-08, "--max-iter": 100000, "--no-certify": False, "--out": None,
               "--format": "json"},
@@ -327,8 +413,7 @@ CLI_SURFACE = {
     "oracle-rhs": {"--theorem": "required", "--graph": "required", "--S": "", "--sigma": 1.0,
                    "--t": 2.0, "--x": 2.0, "--a": 2.0, "--eta": 0.5, "--lambda": None,
                    "--lambda0": None, "--f0": None, "--f": None, "--kappa-source": "paper_bound",
-                   "--grid-constant": None, "--budget": 10000, "--out": None, "--format": "json",
-                   "--seed": 0},
+                   "--grid-constant": None, "--out": None, "--format": "json"},
     "simulate": {"--config": "required", "--out": None, "--summary": None, "--threads": None,
                  "--seed": None},
     "verify-prob": {"--trials": 100000, "--out": None, "--format": "json", "--seed": 0},

@@ -678,7 +678,8 @@ def test_user_lambda_without_theorems():
 
 @pytest.mark.parametrize("key,value", [("lambda", -0.05), ("lambda", math.nan), ("lambda", math.inf),
                                        ("lambda0", 0.0), ("lambda0", -0.1), ("lambda0", math.nan),
-                                       ("solver_tol", 0.0), ("solver_tol", -1.0)])
+                                       ("solver_tol", 0.0), ("solver_tol", -1.0),
+                                       ("sigma", 0.0), ("sigma", -1.0)])
 def test_bad_penalty_or_tolerance_rejected(key, value):
     # a negative lambda used to run, a NaN one failed as a singular factor,
     # and a tolerance <= 0 spun to max_iter
@@ -692,6 +693,25 @@ def test_trials_below_one_rejected(trials):
         experiments.ExperimentConfig.from_dict(dict(BASE_CFG, trials=trials))
     with pytest.raises(ValueError, match="trials must be at least 1"):
         run_experiment(dict(BASE_CFG, trials=trials))
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_rejected(threads):
+    # run_experiment used to run these on one thread
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        experiments.ExperimentConfig.from_dict(dict(BASE_CFG, threads=threads))
+
+
+def test_kappa_value_needs_the_numeric_source_and_a_positive_value():
+    with pytest.raises(ValueError, match="kappa_value needs kappa_source 'numeric'"):
+        experiments.ExperimentConfig.from_dict(dict(BASE_CFG, kappa_value=0.01))
+    for value in (0.0, -0.3, math.inf):
+        with pytest.raises(ValueError, match="kappa_value must be finite and > 0"):
+            experiments.ExperimentConfig.from_dict(
+                dict(BASE_CFG, kappa_source="numeric", kappa_value=value))
+    cfg = experiments.ExperimentConfig.from_dict(
+        dict(BASE_CFG, kappa_source="numeric", kappa_value=0.3))
+    assert cfg.kappa_value == 0.3
 
 
 def test_verify_probability_lemmas_small():
