@@ -240,6 +240,8 @@ _SHARED_FLAGS = {
     **{name: dict(type=float, default=getattr(experiments.ExperimentConfig, name))
        for name in ("sigma", "t", "x", "a", "eta")},
 }
+# shared flags whose parsed value is checked before a subcommand runs
+_SHARED_CHECKS = {"sigma": lambda value: solvers.check_level("--sigma", value)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,6 +309,9 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
+        for flag, check in _SHARED_CHECKS.items():
+            if flag in vars(args):
+                check(getattr(args, flag))
         return args.func(args)
     except (ValueError, OSError) as exc:   # hypothesis, graph and JSON errors included
         return _fail(str(exc), kind=type(exc).__name__)

@@ -32,7 +32,8 @@ of a batch (or a single column) from cycling between two penalties.
 Everything the solvers derive from D is held by one Splitting: D', the
 component labels, the f-update's solve factory, rho -> solve of
 (I + rho D'D) F = R, and the screen's Laplacian solve, both picked from D's
-edge endpoints, which are read once.
+edge endpoints, which are read once.  Splitting.subgraph builds the same
+fields, as a Subgraph, for the fused edges of a polished column.
 When the edges are those of a row-major h x w grid (h, w >= 2; any edge
 order or orientation), the orthonormal DCT-II over the two grid axes
 diagonalises D'D, so the solve is exact without a factor and a new rho only
@@ -66,28 +67,51 @@ not raised.  The batch entry points return them; a single solve is column 0
 of a batch of one.  The one fixed-point loop, _sqrt_fixed_point, retires
 each column once its scale settles or collapses.
 
-Before any ADMM iteration the core screens every column for full fusion
-(_fused_screen): f = Ybar, the componentwise mean of Y, is optimal at lam
-exactly when some v has D'v = Y - Ybar and |v| <= n lam, the KKT condition
-whose least bound is the generalized lasso's lambda_max (Tibshirani &
-Taylor, Ann. Statist. 2011).  The screen starts from the minimum-norm such
-v, D L^+ (Y - Ybar) with L = D'D, the only one on a forest.  The Splitting
-applies L^+: on the DCT grids by the transforms it already holds, divided
-by the Laplacian eigenvalues with the zero mode dropped, and on every other
-graph by one SuperLU factor of D'D grounded at one vertex per component,
-built with the Splitting.  On a graph with a cycle (more than n minus the
-number of components edges) a column that misses the bound by at most
-SCREEN_GIVE_UP times takes up to SCREEN_STEPS alternating projections:
-clip v to a box SCREEN_BOX times the bound, project back onto
-{D'v = Y - Ybar} with the same L^+.  A column with max|v| <= n lam leaves
-with F = Ybar, converged, no iteration and the exact dual v / (n lam), so
-kkt_bound certifies it to rounding.  The square-root estimator screens
-once, at sigma0 = ||Y - Ybar||_n and lam = 2 lambda0 sigma0: a column
-fused there has residual norm sigma0, so sigma0, the largest attainable
-scale, is its largest fixed point; and fusion at lam implies fusion at every
-larger lam, while lam only falls along the iteration, so a column not fused
-at sigma0 is fused at no later step.  Every other column runs the ADMM
-batch or the fixed point as it would without the screen.
+Plain solutions are polished onto their fused groups (Tibshirani & Taylor,
+"The solution path of the generalized lasso", Ann. Statist. 2011; the
+polishing step of OSQP, Stellato et al., Math. Prog. Comp. 2020).  The
+solution is fixed by its fused groups, the components of the edges with
+Df = 0, and by the signs s of Df on the other, boundary, edges: it is
+constant on each group g, with c_g = mean_g(Y - n lam D_b's) (D_b keeps D's
+boundary rows), and it is optimal exactly when sign(Dc) = s on the boundary
+and some group dual w on the fused edges F has D_F'w = Y - c - n lam D_b's
+and |w| <= n lam.  _fused_screen seeks that w on the fused-edge subgraph,
+whose components are the groups: from a guess v0 it takes
+v0 + D_F L_F^+ (r - D_F'v0), L_F = D_F'D_F, the nearest point of
+{D_F'w = r}, the minimum-norm one for v0 = 0 and the only one on a forest;
+on a subgraph with a cycle a column that misses the bound by at most a
+give-up ratio then takes a few alternating projections, clipping w to a box
+inside the bound and projecting back.  L_F^+ comes from a Cholesky factor
+of L_F grounded at one vertex per component (_grounded_solve): banded in
+reverse Cuthill-McKee order when the band is at most BAND_MAX wide, SuperLU
+otherwise; on the DCT grids the Splitting applies L^+ by its transforms,
+divided by the Laplacian eigenvalues with the zero mode dropped.
+
+Full fusion is the polish's one-group-per-component case: no boundary edge,
+c = Ybar, the componentwise mean, and w a dual of D'w = Y - Ybar, the KKT
+condition whose least bound is the generalized lasso's lambda_max.  Before
+any ADMM iteration the core screens every column for it from v0 = 0, with
+SCREEN_STEPS projections into a box SCREEN_BOX times the bound and the
+give-up ratio SCREEN_GIVE_UP.  A column with max|w| <= n lam leaves with
+F = Ybar, converged and certified, no iteration and the exact dual
+w / (n lam), so kkt_bound certifies it to rounding.  The square-root
+estimator screens once, at sigma0 = ||Y - Ybar||_n and lam = 2 lambda0
+sigma0: a column fused there has residual norm sigma0, so sigma0, the
+largest attainable scale, is its largest fixed point; and fusion at lam
+implies fusion at every larger lam, while lam only falls along the
+iteration, so a column not fused at sigma0 is fused at no later step.
+Every other square-root column runs the fixed point as it would without
+the screen.  Every other plain column runs ADMM only to POLISH_TOL (or
+opts.tol if looser) and is polished (_polish): its fused edges are those
+with |Df| <= FUSE_TOL max(||Df||_inf, ||DY||_inf), its dual guess the ADMM
+dual, with POLISH_STEPS projections into a box POLISH_BOX times the bound,
+and a last check bounds the KKT residual by POLISH_KKT ||Y||_inf.  A
+certified column returns the candidate c and the exact dual; the subgraph
+factors are cached per pattern of fused edges for the batch call, and never
+on the Splitting.  The columns the polish does not certify run on from
+their ADMM state to opts.tol and are polished once more; a column that
+fails again keeps its ADMM iterate.  So every certified plain column is the
+exact solution, whatever tolerance its groups and signs were read at.
 
 Certification never trusts solver convergence alone.  kkt_residual solves a
 linear program for the best subgradient certificate.  kkt_bound builds one
@@ -101,10 +125,12 @@ bound on the optimum, or the optimum after the fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -134,17 +160,18 @@ class SolverOptions:
 class BatchResult:
     """Per-column outcomes of one estimator on the columns of Y, shape (n, B).
 
-    converged[j]: column j met the ADMM stopping test (plain) or its scale
-    settled (square root).  lam[j]: the penalty column j was last solved at,
+    converged[j]: column j met the ADMM stopping test or was certified
+    (plain), or its scale settled (square root).  lam[j]: the penalty column j was last solved at,
     0 where f = Y.  iterations: inner ADMM iterations of the whole batch.
     V, shape (m, B): column j's scaled ADMM dual rho u / (n lam[j]) clipped
     to [-1, 1], from the iteration it left the batch (for the square root,
     of its last inner solve; zero where lam[j] = 0), the dual guess kkt_bound
-    certifies from.  sigma_hat and overfit are set by the square-root
-    estimator only.  A column the full-fusion screen certifies (see the
-    module docstring) takes no iteration: its F is the componentwise mean of
-    Y, converged[j] is true and V[:, j] is an exact dual; iterations is 0
-    when the screen certifies every column.
+    certifies from.  certified[j]: the full-fusion screen or the polish (see
+    the module docstring) produced column j's exact solution and an exact
+    dual, which V[:, j] then holds, and converged[j] is true.  sigma_hat and
+    overfit are set by the square-root estimator only.  A column the screen
+    certifies takes no iteration: its F is the componentwise mean of Y;
+    iterations is 0 when the screen certifies every column.
     """
 
     F: np.ndarray
@@ -152,6 +179,7 @@ class BatchResult:
     lam: np.ndarray
     iterations: int
     V: np.ndarray
+    certified: np.ndarray
     sigma_hat: np.ndarray | None = None
     overfit: np.ndarray | None = None
 
@@ -200,11 +228,17 @@ MAX_OUTER = 500         # square-root fixed-point steps before a column counts a
 OVERFIT_FLOOR = 1e-6    # sigma <= OVERFIT_FLOOR * ||Y||_n flags a square-root overfit
 ACTIVE_TOL_SCALE = 1e-6   # KKT: |(Df)_i| above this fraction of the data scale is active
 DCT_MATRIX_MAX_SIDE = 32   # largest grid side solved by DCT-II matrix products
+BAND_MAX = 64           # widest reverse Cuthill-McKee band of a banded Laplacian factor
 CHECK_EVERY = 10        # ADMM iterations between stopping tests and between rho adaptations
 # alternating projections of the full-fusion screen (_fused_screen), on graphs with a cycle:
 SCREEN_STEPS = 40       # mc_grid square-root columns certified: 974 of 1024 at 10 steps, 1015 at 40
 SCREEN_BOX = 0.95       # clip to 5% inside the bound, so a projected v can land within it
 SCREEN_GIVE_UP = 1.25   # leave past 1.25 n lam: certified columns start at 0.90-1.06, plain 1.9+
+POLISH_TOL = 1e-4       # plain ADMM tolerance before the polish (_polish), or opts.tol if looser
+FUSE_TOL = 1e-3         # polish: |Df| <= FUSE_TOL max(||Df||, ||DY||) (sup norms) reads as fused
+POLISH_STEPS = 4        # polish: alternating projections (rescues past 4 steps were ~1 in 20)
+POLISH_BOX = 0.99       # polish: the ADMM dual starts near the bound, so clip closer to it
+POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to ||Y||_inf
 
 
 def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
@@ -250,23 +284,13 @@ def _solve_factory(D: sp.csr_matrix, shape: tuple[int, int] | None, labels: np.n
     grids take scipy.fft's dctn/idctn.  Every other D (shape None), paths
     included, takes a SuperLU factor of I + rho D'D per rho (on a path its
     tridiagonal factor solves faster than the transforms) and, for
-    lap_solve, one factor of D'D grounded at the first vertex of each
-    component: X is zero there, and the dropped rows hold because R sums to
-    zero over each component.
+    lap_solve, _grounded_solve's factor of D'D.
     """
     if shape is None:
         DtD = (D.T @ D).tocsc()
         eye = sp.identity(DtD.shape[0], format="csc")
-        grounded = np.ones(len(labels), dtype=bool)
-        grounded[np.unique(labels, return_index=True)[1]] = False
-        lu = spla.splu(DtD[grounded][:, grounded].tocsc()) if grounded.any() else None
-
-        def lap_solve(R):
-            X = np.zeros_like(R)
-            if lu is not None:
-                X[grounded] = lu.solve(R[grounded])
-            return X
-        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), lap_solve
+        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), \
+            _grounded_solve(DtD, labels)
     h, w = shape
     eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in shape]
     if max(shape) > DCT_MATRIX_MAX_SIDE:
@@ -295,6 +319,50 @@ def _solve_factory(D: sp.csr_matrix, shape: tuple[int, int] | None, labels: np.n
     return factory, lambda R: divide(R, lap_denom)
 
 
+def _grounded_solve(L: sp.spmatrix, labels: np.ndarray):
+    """lap_solve of the Laplacian L with 0-based component labels: X with
+    L X = R for R with zero mean on every component, from one Cholesky factor
+    of L grounded at the first vertex of each component (X is zero there,
+    and the dropped rows hold because R sums to zero over each component).
+
+    The grounded rows take the reverse Cuthill-McKee order of L.  When that
+    leaves a band of at most BAND_MAX diagonals below the main one, as on
+    paths, cycles and the near-grid subgraphs the polish factors, the factor
+    is LAPACK's banded Cholesky, whose few numpy arrays keep the heap of a
+    long run compact; a wider band (a bushy tree) takes SuperLU, whose
+    ordering keeps such graphs free of fill.
+    """
+    L = L.tocsr()
+    n = len(labels)
+    grounded = np.ones(n, dtype=bool)
+    grounded[np.unique(labels, return_index=True)[1]] = False
+    order = csgraph.reverse_cuthill_mckee(L, symmetric_mode=True)
+    rows = order[grounded[order]]
+    pos = np.full(n, -1)
+    pos[rows] = np.arange(len(rows))
+    r, c = pos[np.repeat(np.arange(n), np.diff(L.indptr))], pos[L.indices]
+    lower = (c >= 0) & (r >= c)
+    r, c, data = r[lower], c[lower], L.data[lower]
+    width = int(np.max(r - c, initial=0))
+    if width <= BAND_MAX:
+        band = np.zeros((width + 1, len(rows)))
+        band[r - c, c] = data
+        factor = (sla.cholesky_banded(band, lower=True, check_finite=False), True)
+
+        def solve(R):
+            return sla.cho_solve_banded(factor, R, check_finite=False)
+    else:
+        A = sp.coo_matrix((data, (r, c)), shape=(len(rows),) * 2)
+        solve = spla.splu((A + sp.tril(A, -1).T).tocsc()).solve
+
+    def lap_solve(R):
+        X = np.zeros_like(R)
+        if len(rows):
+            X[rows] = solve(R[rows])
+        return X
+    return lap_solve
+
+
 class Splitting:
     """What the solvers derive from the incidence matrix D, built once per
     graph (see the module docstring): D', the 0-based edge endpoints ends,
@@ -313,6 +381,26 @@ class Splitting:
                                                       self.labels)
         # a forest has m = n - (number of components) edges; more means a cycle
         self.cyclic = m > n - len(np.unique(self.labels))
+
+    def subgraph(self, rows: np.ndarray) -> Subgraph:
+        """What _fused_screen reads of the graph on the same vertices with
+        the edges rows (indices) alone."""
+        D = self.D[rows]
+        labels = graphs.component_labels(D.shape[1], self.ends[rows])
+        return Subgraph(D, D.T, labels, _grounded_solve(D.T @ D, labels),
+                        len(rows) > D.shape[1] - labels.max() - 1)
+
+
+class Subgraph(NamedTuple):
+    """The incidence matrix D of some of a graph's edges, on all its
+    vertices, with D', the component labels, lap_solve and whether it has a
+    cycle, as a Splitting holds them for the whole graph."""
+
+    D: sp.csr_matrix
+    Dt: sp.csc_matrix
+    labels: np.ndarray
+    lap_solve: Callable
+    cyclic: bool
 
 
 class _AdmmState:
@@ -461,31 +549,38 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverO
     return state.F, state, it, converged
 
 
-def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray):
-    """Columns of Y whose solution at per-column penalty bound = n lam > 0 is
-    fully fused, f = componentwise mean of Y, and their exact duals.
+def _fused_screen(split: Splitting | Subgraph, centred: np.ndarray, bound: np.ndarray,
+                  guess: np.ndarray | None = None, steps: int = SCREEN_STEPS,
+                  box: float = SCREEN_BOX):
+    """Columns of centred, shape (n, B), that some group dual v fits: v on
+    split's edges with D'v = centred and |v| <= bound, the per-column
+    penalty n lam > 0; and those duals.
 
-    centred, shape (n, B), is Y minus its componentwise mean.  f is fused
-    exactly when some v has D'v = centred and |v| <= bound.  The screen
-    starts from the minimum-norm one, D (D'D)^+ centred, which on a forest is
-    the only one.  On a graph with a cycle a column that misses the bound,
-    but by at most SCREEN_GIVE_UP times, takes up to SCREEN_STEPS
-    alternating projections: v is clipped to SCREEN_BOX times the bound and
-    projected back onto {D'v = centred} with the same (D'D)^+.  A column
-    leaves at the first v within the bound (certified) or past the give-up
-    ratio.  Returns the certified mask (B,) and their scaled duals
-    v / bound, in [-1, 1], shape (m, certified).
+    Each column of centred sums to zero over each component of split, whose
+    components are the groups: the whole graph's for full fusion (centred is
+    then Y minus its componentwise mean), the fused-edge subgraph's for the
+    polish.  v starts as the point of {D'v = centred} nearest the guess
+    (m, B), or the minimum-norm one, D (D'D)^+ centred, when there is none;
+    on a forest it is the only one.  On a graph with a cycle a column that
+    misses the bound, but by at most SCREEN_GIVE_UP times, takes up to steps
+    alternating projections: v is clipped to box times the bound and
+    projected back with the same (D'D)^+.  A column leaves at the first v
+    within the bound (certified) or past the give-up ratio.  Returns the
+    certified mask (B,) and their scaled duals v / bound, in [-1, 1], shape
+    (m, certified).
     """
     D, Dt, lap_solve = split.D, split.Dt, split.lap_solve
-    V = D @ lap_solve(centred.copy())
+    V = D @ lap_solve(centred.copy() if guess is None else centred - Dt @ guess)
+    if guess is not None:
+        V += guess
     peak = np.max(np.abs(V), axis=0, initial=0.0)
     fused = peak <= bound
     live = np.flatnonzero(~fused & (peak <= SCREEN_GIVE_UP * bound))
-    for _ in range(SCREEN_STEPS if split.cyclic else 0):
+    for _ in range(steps if split.cyclic else 0):
         if len(live) == 0:
             break
-        box = SCREEN_BOX * bound[live]
-        W = np.clip(V[:, live], -box, box)
+        clip = box * bound[live]
+        W = np.clip(V[:, live], -clip, clip)
         R = Dt @ W
         R -= centred[:, live]
         W -= D @ lap_solve(R)
@@ -495,6 +590,109 @@ def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray):
         fused[live[ok]] = True
         live = live[~ok & (peak <= SCREEN_GIVE_UP * bound[live])]
     return fused, V[:, fused] / bound[fused]
+
+
+def _groups_and_signs(D: sp.csr_matrix, Y: np.ndarray, F: np.ndarray):
+    """The fused-edge mask of the iterates F, |DF| <= FUSE_TOL times
+    max(||DF||_inf, ||DY||_inf) per column, and the signs of DF, zero on the
+    fused edges; both (m, B)."""
+    DF = D @ F
+    S = np.sign(DF)
+    np.abs(DF, out=DF)
+    DY = D @ Y
+    scale = np.maximum(np.max(DF, axis=0, initial=0.0),
+                       np.max(np.abs(DY, out=DY), axis=0, initial=0.0))
+    fused = DF <= FUSE_TOL * scale
+    S[fused] = 0.0
+    return fused, S
+
+
+def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray, lam: np.ndarray,
+            subgraphs: dict) -> np.ndarray:
+    """Polish the plain iterates F of Y's columns, both (n, B), at per-column
+    penalties lam onto exact solutions, with the scaled duals V (m, B) as
+    the guess; returns the mask (B,) of certified columns, whose F and V it
+    overwrites with the exact solution and dual.
+
+    Column j's fused edges are those with |(DF)_e| <= FUSE_TOL times
+    max(||DF_j||_inf, ||DY_j||_inf); its groups are the components of the
+    fused-edge subgraph and s = sign(DF_j) on the other, boundary, edges.
+    The candidate is constant on each group g, c_g = mean_g(Y) -
+    n lam (D_b's)_g / |g| = mean_g(Y - n lam D_b's) with D_b the boundary
+    rows of D: the one f with these groups and signs that the KKT conditions
+    allow.  It is certified when sign(Dc) is s on every boundary edge and 0
+    on every fused one, and a group dual w on the fused edges with
+    D_F'w = Y - c - n lam D_b's and |w| <= n lam exists: _fused_screen seeks
+    it on the fused-edge subgraph, from the guess's fused rows, and a last
+    check bounds the KKT residual ||(Y - c)/n - lam D'v||_inf of the dual v
+    (s on the boundary, w / (n lam) on the fused edges) by
+    POLISH_KKT ||Y||_inf.  subgraphs caches the
+    fused-edge Subgraph, with its grounded Laplacian factor, per pattern of
+    fused edges; a pattern whose columns all certify is dropped, since none
+    of them is polished again.
+    """
+    D, Dt = split.D, split.Dt
+    n, B = Y.shape
+    fused, S = _groups_and_signs(D, Y, F)
+    bound = n * lam
+    DtS = Dt @ S
+    patterns = {}
+    for j, key in enumerate(np.packbits(fused, axis=0).T):
+        patterns.setdefault(key.tobytes(), []).append(j)
+    C, ok = np.empty_like(Y), np.zeros(B, dtype=bool)
+    for key, cols in patterns.items():
+        cols = np.asarray(cols)
+        rows = np.flatnonzero(fused[:, cols[0]])
+        if key not in subgraphs:
+            subgraphs[key] = split.subgraph(rows)
+        sub = subgraphs[key]
+        T = Y[:, cols] - bound[cols] * DtS[:, cols]
+        C[:, cols] = projections.componentwise_mean(sub.labels, T)
+        signs = np.all(np.sign(D @ C[:, cols]) == S[:, cols], axis=0)
+        if not signs.any():
+            continue
+        cols = cols[signs]
+        T = T[:, signs] - C[:, cols]
+        good, W = _fused_screen(sub, T, bound[cols], V[np.ix_(rows, cols)] * bound[cols],
+                                POLISH_STEPS, POLISH_BOX)
+        ok[cols[good]] = True
+        S[np.ix_(rows, cols[good])] = W
+    R = Y - C
+    R /= n
+    R -= lam * (Dt @ S)
+    ok &= np.max(np.abs(R), axis=0, initial=0.0) <= POLISH_KKT * np.max(np.abs(Y), axis=0)
+    for key, cols in patterns.items():
+        if ok[cols].all():
+            del subgraphs[key]
+    F[:, ok], V[:, ok] = C[:, ok], S[:, ok]
+    return ok
+
+
+def _plain_batch(split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.ndarray,
+                 opts: SolverOptions):
+    """The plain estimator on the columns of Y, shape (n, B), none of them
+    fully fused: ADMM to the looser of POLISH_TOL and opts.tol, then the
+    polish.  The columns it does not certify run on from their ADMM state to
+    opts.tol and are polished once more; a column that fails again keeps its
+    ADMM iterate and dual.  Returns (F, converged, certified, V, iterations)."""
+    n = Y.shape[0]
+    subgraphs = {}   # fused-edge pattern -> its Subgraph, for this call only
+    loose = max(POLISH_TOL, opts.tol)
+    F, state, it, conv = _admm_batch(_AdmmState(split, Y, lam, centred), Y, lam,
+                                     replace(opts, tol=loose))
+    V = _scaled_dual(state.U.copy(), state.rho, n, lam)
+    cert = _polish(split, Y, F, V, lam, subgraphs)
+    rest = np.flatnonzero(~cert)
+    if len(rest) and opts.tol < loose and it < opts.max_iter:
+        state.keep(rest)
+        Y, lam = Y[:, rest], lam[rest]
+        F_r, state, k, conv[rest] = _admm_batch(state, Y, lam,
+                                                replace(opts, max_iter=opts.max_iter - it))
+        it += k
+        V_r = _scaled_dual(state.U, state.rho, n, lam)
+        cert[rest] = _polish(split, Y, F_r, V_r, lam, subgraphs)
+        F[:, rest], V[:, rest] = F_r, V_r
+    return F, conv | cert, cert, V, it
 
 
 def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResult:
@@ -515,7 +713,8 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     check_level("tol", opts.tol)
     B = Y.shape[1]
     if not sqrt and level == 0.0:
-        return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0, np.zeros((m, B)))
+        return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0, np.zeros((m, B)),
+                           np.ones(B, dtype=bool))
     split = split or Splitting(D)
     mean = projections.componentwise_mean(split.labels, Y)
     centred = Y - mean
@@ -523,16 +722,13 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
         return _sqrt_fixed_point(Y, mean, centred, split, level, opts)
     lam = np.full(B, float(level))
     fused, V_fused = _fused_screen(split, centred, n * lam)
-    F, V, conv, it = mean, np.empty((m, B)), np.ones(B, dtype=bool), 0
+    F, V, conv, cert, it = mean, np.empty((m, B)), np.ones(B, dtype=bool), fused, 0
     V[:, fused] = V_fused
     rest = np.flatnonzero(~fused)
     if len(rest):
-        Y, lam_r = Y[:, rest], lam[rest]
-        F_r, state, it, conv_r = _admm_batch(_AdmmState(split, Y, lam_r, centred[:, rest]),
-                                             Y, lam_r, opts)
-        F[:, rest], conv[rest] = F_r, conv_r
-        V[:, rest] = _scaled_dual(state.U, state.rho, n, lam_r)
-    return BatchResult(F, conv, lam, it, V)
+        F[:, rest], conv[rest], cert[rest], V[:, rest], it = _plain_batch(
+            split, Y[:, rest], lam[rest], centred[:, rest], opts)
+    return BatchResult(F, conv, lam, it, V, cert)
 
 
 def _scaled_dual(U: np.ndarray, rho: float, n: int, lam: np.ndarray) -> np.ndarray:
@@ -728,6 +924,8 @@ def _sqrt_fixed_point(Y: np.ndarray, mean: np.ndarray, centred: np.ndarray, spli
     live = np.flatnonzero(~overfit)
     lam[live] = 2.0 * lambda0 * sigma[live]
     fused, V_fused = _fused_screen(split, centred[:, live], n * lam[live])
+    certified = np.zeros(B, dtype=bool)
+    certified[live[fused]] = True
     F[:, live[fused]], V[:, live[fused]] = mean[:, live[fused]], V_fused
     live = live[~fused]
     if len(live):
@@ -764,7 +962,8 @@ def _sqrt_fixed_point(Y: np.ndarray, mean: np.ndarray, centred: np.ndarray, spli
     lam[overfit] = 0.0
     settled = np.ones(B, dtype=bool)
     settled[live] = False
-    return BatchResult(F, settled, lam, iterations, V, sigma_hat=sigma, overfit=overfit)
+    return BatchResult(F, settled, lam, iterations, V, certified, sigma_hat=sigma,
+                       overfit=overfit)
 
 
 def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: float,

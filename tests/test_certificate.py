@@ -6,6 +6,7 @@ optimum from above; a certified single solve reports it when it passes
 kkt_tol and runs the program only otherwise, so scipy.optimize is imported
 only for that fallback.
 """
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from tvgo import graphs, solvers
 from tvgo.graphs import cycle_graph, grid_graph, incidence, path_graph, tree_graph
 from tvgo.solvers import (SolverOptions, kkt_bound, kkt_residual, solve_analysis,
                           solve_analysis_batch, solve_sqrt_analysis_batch)
+
+from test_experiments import GRID_CFG
 
 KKT_TOL = SolverOptions().kkt_tol
 HIGHS_FEAS_TOL = 1e-7   # HiGHS's default feasibility tolerance: its optimum is good to this
@@ -84,9 +87,10 @@ def test_bound_is_above_program_and_passes_on_converged_solves(family, size, sqr
 
 def test_certified_solves_and_experiments_leave_the_lp_unloaded():
     # scipy.optimize adds about 14 MB of RSS to a process, so it is loaded
-    # only by the linear-program fallback, which none of these need
+    # only by the linear-program fallback, which none of these need: nor
+    # does the polish of a grid experiment or of a 32x32 grid batch
     script = """
-import sys
+import json, sys
 import numpy as np
 from tvgo import experiments, solvers
 from tvgo.graphs import cycle_graph, grid_graph, incidence, path_graph, tree_graph
@@ -102,13 +106,18 @@ experiments.experiment_csv({
     "graph": {"family": "path", "params": {"n": 48}}, "S": [24],
     "signal": {"levels": [0.0, 1.0]}, "theorems": ["plain_slow", "sqrt_slow"],
     "trials": 16, "seed": 5, "events": True})
+experiments.experiment_csv(json.loads(sys.argv[1]))
+g = grid_graph(32, 32)
+Y = rng.standard_normal((g.n, 8)) + (np.arange(g.n) % 32 >= 16)[:, None]
+assert solvers.solve_analysis_batch(Y, incidence(g), 0.004).certified.any()
 print("scipy.optimize" in sys.modules)
 D = incidence(path_graph(6))
 solvers.kkt_residual(np.arange(6.0), np.full(6, 2.5), D, 0.05)   # every row free
 print("scipy.optimize" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(tvgo.__file__).parents[1]))
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(GRID_CFG)], capture_output=True,
+                       text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "True"]
 
@@ -146,14 +155,15 @@ def test_certified_solve_reads_the_edges_once(monkeypatch, solve, level):
 
 @pytest.mark.parametrize("family,size", [("path", 128), ("cycle", 128), ("tree", 200)])
 def test_bound_of_a_plain_D_builds_no_factor(monkeypatch, family, size):
-    # a plain D gives kkt_bound its edge endpoints alone, without the SuperLU
-    # factor a Splitting builds for the fusion screen, and the same bits
+    # a plain D gives kkt_bound its edge endpoints alone, without the grounded
+    # Laplacian factor a Splitting builds for the fusion screen, and the same bits
     D, Y = _problem(family, size)
     out = solve_analysis_batch(Y[:, None], D, 0.05)
     f, v = out.F[:, 0], out.V[:, 0]
     factors = []
-    splu = solvers.spla.splu
-    monkeypatch.setattr(solvers.spla, "splu", lambda *a, **kw: factors.append(1) or splu(*a, **kw))
+    factor = solvers._grounded_solve
+    monkeypatch.setattr(solvers, "_grounded_solve",
+                        lambda *a: factors.append(1) or factor(*a))
     split = solvers.Splitting(D)
     assert factors == [1]
     assert kkt_bound(Y, f, D, 0.05, v) == kkt_bound(Y, f, split, 0.05, v)

@@ -303,6 +303,19 @@ def test_bad_number_in_S_names_the_flag_and_token(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "--S: 'x' is not an integer"
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle-rhs", "--theorem", "plain_fast", "--graph", "path:16", "--S", "8", "--sigma", "0"],
+    ["tune", "--graph", "path:16", "--S", "8", "--sigma", "-1"],
+], ids=["oracle-rhs-zero", "tune-negative"])
+def test_bad_sigma_flag_exits_2_naming_it(capsys, argv):
+    # a zero sigma used to exit 1 with a ZeroDivisionError traceback, and a
+    # negative one printed a value
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith("--sigma must be finite and > 0")
+
+
 @pytest.mark.parametrize("command", ["verify-prob", "simulate"])
 def test_bad_env_seed_names_the_variable_and_token(tmp_path, capsys, monkeypatch, command):
     cfg = tmp_path / "cfg.json"

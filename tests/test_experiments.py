@@ -528,7 +528,7 @@ def test_solver_csv_golden_digest():
     text, _ = experiment_csv(cfg)
     assert len(text.splitlines()) == 71
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "a7d67c26801ed681181c6c67e9f3b8df8b0abd282225ad229916dda5a4f8d856"
+        "eda4a703d9e9f84fab7844e13cfad3af89075fe9c10db4915435d5cd09459607"
 
 
 # an 8x8 grid cut into two halves, whose dense pseudoinverse blocks and ADMM
@@ -539,7 +539,7 @@ GRID_CFG = {"graph": {"family": "grid", "params": {"height": 8, "width": 8}},
             "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
             "theorems": ["plain_slow", "sqrt_slow"], "events": True,
             "trials": 64, "seed": 23, "threads": 1}
-GRID_CSV_DIGEST = "995bfee819cd50d681a12f68e89c78c5729bd3263a45f74f57de245d7cf20e5e"
+GRID_CSV_DIGEST = "8fba1336023b73a4940c229be1d317cdb3e09c64b7d336a7dcfad5fe6353ff00"
 
 
 def test_grid_csv_golden_digests():

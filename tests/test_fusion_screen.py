@@ -79,12 +79,19 @@ def test_screen_certifies_only_at_or_above_lam_max(name):
             assert fused.all(), s
 
 
+BUSHY_TREE = tree_graph([int(np.random.default_rng(400).integers(1, v)) for v in range(2, 401)])
+
+
 @pytest.mark.parametrize("g", [grid_graph(6, 7), grid_graph(33, 34), RELABELLED_GRID,
-                               DirectedGraph(7, ((1, 2), (2, 3), (3, 1), (5, 6)))],
-                         ids=["grid-matrices", "grid-pocketfft", "superlu", "disconnected"])
+                               DirectedGraph(7, ((1, 2), (2, 3), (3, 1), (5, 6))), BUSHY_TREE],
+                         ids=["grid-matrices", "grid-pocketfft", "superlu", "disconnected",
+                              "bushy-tree"])
 def test_laplacian_solve_inverts_dtd_on_centred_data(g):
-    # the DCT branches drop the zero mode; SuperLU grounds one vertex per
-    # component (here a triangle, an edge and two isolated vertices)
+    # the DCT branches drop the zero mode; the grounded factor grounds one
+    # vertex per component (here a triangle, an edge and two isolated
+    # vertices).  It is banded on the relabelled grid, whose reverse
+    # Cuthill-McKee band is narrow, and SuperLU on the bushy tree, whose band
+    # is wider than BAND_MAX
     D = incidence(g)
     split = solvers.Splitting(D)
     R = np.random.default_rng(g.n).standard_normal((g.n, 3))
