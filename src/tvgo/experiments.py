@@ -411,14 +411,16 @@ class Experiment:
 
     def run_block(self, block_index: int, lo: int, hi: int) -> dict:
         """Trials lo..hi-1 as numpy columns keyed by CSV column name, plus each
-        estimator's per-trial converged and certified flags (not CSV
+        estimator's per-trial converged and certified flags and its inner
+        ADMM iteration count over the block, a one-element array (not CSV
         columns); a column that does not apply to this experiment is None."""
         cfg = self.cfg
         n = self.active.n
         idx = np.arange(lo, hi)
         cols = dict.fromkeys(trial_columns(cfg.theorems) + [f"{kind}_{flag}"
                                                             for kind in ("plain", "sqrt")
-                                                            for flag in ("converged", "certified")])
+                                                            for flag in ("converged", "certified",
+                                                                         "iterations")])
         cols["trial"] = idx
         eps = trial_noise(cfg.sigma, n, cfg.seed, range(lo, hi))
         eps_sq = None   # per-trial squared noise norms, for the events and sigma_hat
@@ -435,7 +437,7 @@ class Experiment:
             out = solvers.solve_analysis_batch(Y, self.split, self.lam, self.solver_opts)
             errors["plain"] = self._errors(out.F)
             cols.update(mse_plain=errors["plain"][0], plain_converged=out.converged,
-                        plain_certified=out.certified)
+                        plain_certified=out.certified, plain_iterations=np.array([out.iterations]))
         if self.lambda0 is not None:
             # the solver's penalty is 2*lambda0*||Df||_1, so the inequality's
             # lambda0 (penalty coefficient as stated) maps to lambda0/2 here
@@ -445,7 +447,8 @@ class Experiment:
             ratio = out.sigma_hat / np.sqrt(eps_sq / n)
             cols.update(mse_sqrt=errors["sqrt"][0], sigma_hat=out.sigma_hat, ratio_eps=ratio,
                         overfit=out.overfit, nonoverfit_holds=np.abs(ratio - 1.0) <= cfg.eta,
-                        sqrt_converged=out.converged, sqrt_certified=out.certified)
+                        sqrt_converged=out.converged, sqrt_certified=out.certified,
+                        sqrt_iterations=np.array([out.iterations]))
 
         for tid in cfg.theorems:
             mse, pen = errors[tuning.theorem_kind(tid)]
@@ -460,7 +463,8 @@ class Experiment:
 def run_experiment(cfg: ExperimentConfig | dict):
     """Run the Monte Carlo experiment; returns (summary dict, columns): one
     numpy array per CSV column and per solver-flag column over all trials
-    in order, or None for a column that does not apply."""
+    in order, per estimator one of its inner iteration counts over the
+    blocks in order, or None for a column that does not apply."""
     if not isinstance(cfg, ExperimentConfig):
         cfg = ExperimentConfig.from_dict(cfg)
     exp = Experiment(cfg)
@@ -504,10 +508,14 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
         nm: _holding(columns[f"{nm}_holds"], cfg.trials, "fraction", "floor",
                      EVENT_FLOORS[nm](params)) for nm in EVENT_NAMES}
 
+    def per_estimator(name, count):
+        """count of each estimator's column name; None if it did not run."""
+        return {kind: None if columns[f"{kind}_{name}"] is None else
+                int(count(columns[f"{kind}_{name}"])) for kind in ("plain", "sqrt")}
+
     def failures(flag):
-        """Per estimator, the trials whose flag is false; None if not run."""
-        return {kind: None if columns[f"{kind}_{flag}"] is None else
-                int(np.count_nonzero(~columns[f"{kind}_{flag}"])) for kind in ("plain", "sqrt")}
+        """Per estimator, the trials whose flag is false."""
+        return per_estimator(flag, lambda col: np.count_nonzero(~col))
 
     def stats(arr):
         if arr is None:
@@ -533,6 +541,7 @@ def _summarize(exp: Experiment, columns: dict) -> dict:
         "nonoverfit_fraction": _frac(columns["nonoverfit_holds"]),
         "nonconverged": failures("converged"),
         "uncertified": failures("certified"),
+        "iterations": per_estimator("iterations", np.sum),
     }
 
 

@@ -187,7 +187,13 @@ def component_labels(n: int, ends: np.ndarray) -> np.ndarray:
     """0-based connected-component id per vertex of the graph on n vertices
     with 0-based edge endpoints `ends` (shape (k, 2)).  Component ids follow
     the smallest vertex in each component."""
-    adj = sp.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    return adjacency_labels(sp.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                                          shape=(n, n)))
+
+
+def adjacency_labels(adj: sp.spmatrix) -> np.ndarray:
+    """component_labels of the graph whose edges are the stored entries of
+    the square sparse matrix adj, in either direction."""
     k, labels = csgraph.connected_components(adj, directed=False)
     _, first = np.unique(labels, return_index=True)
     rank = np.empty(k, dtype=np.int64)

@@ -101,17 +101,29 @@ largest attainable scale, is its largest fixed point; and fusion at lam
 implies fusion at every larger lam, while lam only falls along the
 iteration, so a column not fused at sigma0 is fused at no later step.
 Every other square-root column runs the fixed point as it would without
-the screen.  Every other plain column runs ADMM only to POLISH_TOL (or
-opts.tol if looser) and is polished (_polish): its fused edges are those
-with |Df| <= FUSE_TOL max(||Df||_inf, ||DY||_inf), its dual guess the ADMM
-dual, with POLISH_STEPS projections into a box POLISH_BOX times the bound,
-and a last check bounds the KKT residual by POLISH_KKT ||Y||_inf.  A
-certified column returns the candidate c and the exact dual; the subgraph
-factors are cached per pattern of fused edges for the batch call, and never
-on the Splitting.  The columns the polish does not certify run on from
-their ADMM state to opts.tol and are polished once more; a column that
-fails again keeps its ADMM iterate.  So every certified plain column is the
-exact solution, whatever tolerance its groups and signs were read at.
+the screen.  Every other plain column runs ADMM down a ladder of
+tolerances on one warm state (_plain_batch): POLISH_LADDER's rungs looser
+than opts.tol, 3e-2 to 1e-4 in steps of about sqrt(10) and then decades,
+and last opts.tol itself, with max_iter a budget over the whole ladder.
+After each rung the live columns are polished (_polish) and the certified
+ones leave the state; a column still uncertified after the last rung keeps
+its ADMM iterate and dual.  Each column's fused edges are read at a gap
+(_groups_and_signs): with a = |Df| / max(||Df||_inf, ||DY||_inf) sorted,
+the cut is the largest ratio between neighbours whose lower end is below
+GAP_CAP, the scale itself closing the list, so a true jump of any size
+below the cap reads as a jump once the ADMM noise on the fused edges lies
+well below it, and a column with no a below the cap reads no fused edge.
+One pass forms every column's groups and candidate (_group_means: one
+component labelling of the union of the columns' fused-edge subgraphs, and
+bincount means that sum in the order componentwise_mean does) and checks
+the signs; only the columns whose signs hold take a subgraph factor, one
+per pattern of fused edges, built for that polish call alone and never
+kept on the Splitting.  Their dual guess is the ADMM dual, with
+POLISH_STEPS projections into a box POLISH_BOX times the bound, and a last
+check bounds the KKT residual by POLISH_KKT ||Y||_inf.  A certified column
+returns the candidate c and the exact dual.  So every certified plain
+column is the exact solution, whatever rung its groups and signs were read
+at.
 
 Certification never trusts solver convergence alone.  kkt_residual solves a
 linear program for the best subgradient certificate.  kkt_bound builds one
@@ -234,8 +246,10 @@ CHECK_EVERY = 10        # ADMM iterations between stopping tests and between rho
 SCREEN_STEPS = 40       # mc_grid square-root columns certified: 974 of 1024 at 10 steps, 1015 at 40
 SCREEN_BOX = 0.95       # clip to 5% inside the bound, so a projected v can land within it
 SCREEN_GIVE_UP = 1.25   # leave past 1.25 n lam: certified columns start at 0.90-1.06, plain 1.9+
-POLISH_TOL = 1e-4       # plain ADMM tolerance before the polish (_polish), or opts.tol if looser
-FUSE_TOL = 1e-3         # polish: |Df| <= FUSE_TOL max(||Df||, ||DY||) (sup norms) reads as fused
+# plain ADMM tolerances the polish (_polish) runs at, from the loosest, then opts.tol
+POLISH_LADDER = (3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4) + tuple(10.0 ** -k for k in range(5, 13))
+GAP_CAP = 1e-2          # polish: fused edges are cut at a gap of |Df| below this fraction of the scale
+GAP_FLOOR = 1e-16       # polish: |Df| relative to the scale is floored here, at rounding
 POLISH_STEPS = 4        # polish: alternating projections (rescues past 4 steps were ~1 in 20)
 POLISH_BOX = 0.99       # polish: the ADMM dual starts near the bound, so clip closer to it
 POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to ||Y||_inf
@@ -377,16 +391,20 @@ class Splitting:
         self.ends = graphs.edge_endpoints(self.D)
         m, n = self.D.shape
         self.labels = graphs.component_labels(n, self.ends)
+        # the edges in the order of their first endpoint, and where each
+        # vertex's start: the CSR pattern of the adjacency _group_means tiles
+        self.by_tail = np.argsort(self.ends[:, 0], kind="stable")
+        self.tail_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.ends[:, 0], minlength=n))])
         self.factory, self.lap_solve = _solve_factory(self.D, _grid_shape(self.D, self.ends),
                                                       self.labels)
         # a forest has m = n - (number of components) edges; more means a cycle
         self.cyclic = m > n - len(np.unique(self.labels))
 
-    def subgraph(self, rows: np.ndarray) -> Subgraph:
+    def subgraph(self, rows: np.ndarray, labels: np.ndarray) -> Subgraph:
         """What _fused_screen reads of the graph on the same vertices with
-        the edges rows (indices) alone."""
+        the edges rows (indices) alone, whose component labels the caller
+        holds."""
         D = self.D[rows]
-        labels = graphs.component_labels(D.shape[1], self.ends[rows])
         return Subgraph(D, D.T, labels, _grounded_solve(D.T @ D, labels),
                         len(rows) > D.shape[1] - labels.max() - 1)
 
@@ -593,77 +611,111 @@ def _fused_screen(split: Splitting | Subgraph, centred: np.ndarray, bound: np.nd
 
 
 def _groups_and_signs(D: sp.csr_matrix, Y: np.ndarray, F: np.ndarray):
-    """The fused-edge mask of the iterates F, |DF| <= FUSE_TOL times
-    max(||DF||_inf, ||DY||_inf) per column, and the signs of DF, zero on the
-    fused edges; both (m, B)."""
+    """The fused-edge mask of the iterates F and the signs of DF, zero on the
+    fused edges; both (m, B).
+
+    Per column, a = |DF| / max(||DF||_inf, ||DY||_inf) is sorted, with the
+    scale itself, 1, as a last entry, and the fused edges are those with a at
+    most the lower end of the largest ratio between neighbours (gap in
+    log a) whose lower end is below GAP_CAP: a true jump of any size below
+    that cap reads as a jump once the iterate's noise on the fused edges
+    lies well below it.  A column with no a below GAP_CAP reads no fused
+    edge; on a graph of one edge the one gap runs to the scale.  Ratios
+    divide by a floored at GAP_FLOOR, the rounding level, so exact zeros
+    keep them finite.
+    """
     DF = D @ F
     S = np.sign(DF)
-    np.abs(DF, out=DF)
-    DY = D @ Y
-    scale = np.maximum(np.max(DF, axis=0, initial=0.0),
-                       np.max(np.abs(DY, out=DY), axis=0, initial=0.0))
-    fused = DF <= FUSE_TOL * scale
+    A = np.abs(DF, out=DF)
+    scale = np.maximum(np.max(A, axis=0, initial=0.0),
+                       np.max(np.abs(D @ Y), axis=0, initial=0.0))
+    A /= np.where(scale > 0.0, scale, 1.0)
+    low = np.sort(A.T, axis=1)                         # (B, m), each row ascending
+    ratio = np.ones_like(low)
+    ratio[:, :-1] = low[:, 1:]
+    ratio /= np.maximum(low, GAP_FLOOR)
+    ratio[low >= GAP_CAP] = 0.0
+    cut = np.take_along_axis(low, np.argmax(ratio, axis=1)[:, None], axis=1)[:, 0]
+    fused = A <= np.where(low[:, 0] < GAP_CAP, cut, -1.0)
     S[fused] = 0.0
     return fused, S
 
 
-def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray, lam: np.ndarray,
-            subgraphs: dict) -> np.ndarray:
+def _group_means(split: Splitting, fused: np.ndarray, T: np.ndarray):
+    """The mean of each column of T (n, B) over each of its groups, the
+    components of the column's fused edges (fused, (m, B), of split's
+    graph), replicated on the group's vertices.
+
+    One component labelling of the union of the B fused-edge subgraphs,
+    column j's vertices offset by j n, gives every column's groups; its
+    adjacency tiles the Splitting's CSR pattern (by_tail, tail_ptr) and
+    keeps the fused entries.  The bincount sums take each group's vertices
+    in vertex order, as projections.componentwise_mean does, so the means
+    are the same bits.  Returns the means (n, B) and the labels (B, n): row
+    j holds column j's group labels as graphs.component_labels numbers
+    them, from 0 in the order of each group's smallest vertex."""
+    n, B = T.shape
+    m = len(split.ends)
+    keep = fused[split.by_tail].T.ravel()
+    heads = (split.ends[split.by_tail, 1] + (np.arange(B) * n)[:, None]).ravel()[keep]
+    kept = np.concatenate([[0], np.cumsum(keep)])   # entries kept before each slot
+    indptr = np.concatenate([[0], kept[(np.arange(B)[:, None] * m + split.tail_ptr[1:]).ravel()]])
+    labels = graphs.adjacency_labels(sp.csr_matrix((np.ones(len(heads)), heads, indptr),
+                                                   shape=(n * B, n * B)))
+    means = np.bincount(labels, weights=T.T.ravel()) / np.bincount(labels)
+    labels = labels.reshape(B, n)
+    # ids follow the smallest vertex, so column j's start at that of vertex j n
+    return means[labels].T, labels - labels[:, :1]
+
+
+def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
+            lam: np.ndarray) -> np.ndarray:
     """Polish the plain iterates F of Y's columns, both (n, B), at per-column
     penalties lam onto exact solutions, with the scaled duals V (m, B) as
     the guess; returns the mask (B,) of certified columns, whose F and V it
     overwrites with the exact solution and dual.
 
-    Column j's fused edges are those with |(DF)_e| <= FUSE_TOL times
-    max(||DF_j||_inf, ||DY_j||_inf); its groups are the components of the
-    fused-edge subgraph and s = sign(DF_j) on the other, boundary, edges.
-    The candidate is constant on each group g, c_g = mean_g(Y) -
-    n lam (D_b's)_g / |g| = mean_g(Y - n lam D_b's) with D_b the boundary
-    rows of D: the one f with these groups and signs that the KKT conditions
-    allow.  It is certified when sign(Dc) is s on every boundary edge and 0
-    on every fused one, and a group dual w on the fused edges with
-    D_F'w = Y - c - n lam D_b's and |w| <= n lam exists: _fused_screen seeks
-    it on the fused-edge subgraph, from the guess's fused rows, and a last
-    check bounds the KKT residual ||(Y - c)/n - lam D'v||_inf of the dual v
-    (s on the boundary, w / (n lam) on the fused edges) by
-    POLISH_KKT ||Y||_inf.  subgraphs caches the
-    fused-edge Subgraph, with its grounded Laplacian factor, per pattern of
-    fused edges; a pattern whose columns all certify is dropped, since none
-    of them is polished again.
+    Column j's fused edges are read off DF_j by _groups_and_signs; its
+    groups are the components of the fused-edge subgraph and s = sign(DF_j)
+    on the other, boundary, edges.  The candidate is constant on each group
+    g, c_g = mean_g(Y) - n lam (D_b's)_g / |g| = mean_g(Y - n lam D_b's)
+    with D_b the boundary rows of D: the one f with these groups and signs
+    that the KKT conditions allow.  Every column's candidate comes from one
+    _group_means call.  A column is certified when sign(Dc) is s on every
+    boundary edge and 0 on every fused one, and a group dual w on the fused
+    edges with D_F'w = Y - c - n lam D_b's and |w| <= n lam exists:
+    _fused_screen seeks it, for the columns whose signs hold only, on the
+    fused-edge subgraph, from the guess's fused rows, and a last check
+    bounds the KKT residual ||(Y - c)/n - lam D'v||_inf of the dual v (s on
+    the boundary, w / (n lam) on the fused edges) by POLISH_KKT ||Y||_inf.
+    The fused-edge Subgraph, with its grounded Laplacian factor, is built
+    once per pattern of fused edges among those columns, for this call only.
     """
     D, Dt = split.D, split.Dt
     n, B = Y.shape
     fused, S = _groups_and_signs(D, Y, F)
     bound = n * lam
-    DtS = Dt @ S
+    T = Y - bound * (Dt @ S)
+    C, labels = _group_means(split, fused, T)
+    ok = np.zeros(B, dtype=bool)
+    signs = np.flatnonzero(np.all(np.sign(D @ C) == S, axis=0))
     patterns = {}
-    for j, key in enumerate(np.packbits(fused, axis=0).T):
+    for j, key in zip(signs, np.packbits(fused[:, signs], axis=0).T):
         patterns.setdefault(key.tobytes(), []).append(j)
-    C, ok = np.empty_like(Y), np.zeros(B, dtype=bool)
-    for key, cols in patterns.items():
+    for cols in patterns.values():
         cols = np.asarray(cols)
         rows = np.flatnonzero(fused[:, cols[0]])
-        if key not in subgraphs:
-            subgraphs[key] = split.subgraph(rows)
-        sub = subgraphs[key]
-        T = Y[:, cols] - bound[cols] * DtS[:, cols]
-        C[:, cols] = projections.componentwise_mean(sub.labels, T)
-        signs = np.all(np.sign(D @ C[:, cols]) == S[:, cols], axis=0)
-        if not signs.any():
-            continue
-        cols = cols[signs]
-        T = T[:, signs] - C[:, cols]
-        good, W = _fused_screen(sub, T, bound[cols], V[np.ix_(rows, cols)] * bound[cols],
+        good, W = _fused_screen(split.subgraph(rows, labels[cols[0]]), T[:, cols] - C[:, cols],
+                                bound[cols], V[np.ix_(rows, cols)] * bound[cols],
                                 POLISH_STEPS, POLISH_BOX)
         ok[cols[good]] = True
         S[np.ix_(rows, cols[good])] = W
-    R = Y - C
+    cols = np.flatnonzero(ok)
+    R = Y[:, cols] - C[:, cols]
     R /= n
-    R -= lam * (Dt @ S)
-    ok &= np.max(np.abs(R), axis=0, initial=0.0) <= POLISH_KKT * np.max(np.abs(Y), axis=0)
-    for key, cols in patterns.items():
-        if ok[cols].all():
-            del subgraphs[key]
+    R -= lam[cols] * (Dt @ S[:, cols])
+    ok[cols] = (np.max(np.abs(R), axis=0, initial=0.0)
+                <= POLISH_KKT * np.max(np.abs(Y[:, cols]), axis=0, initial=0.0))
     F[:, ok], V[:, ok] = C[:, ok], S[:, ok]
     return ok
 
@@ -671,27 +723,31 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray, lam: 
 def _plain_batch(split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.ndarray,
                  opts: SolverOptions):
     """The plain estimator on the columns of Y, shape (n, B), none of them
-    fully fused: ADMM to the looser of POLISH_TOL and opts.tol, then the
-    polish.  The columns it does not certify run on from their ADMM state to
-    opts.tol and are polished once more; a column that fails again keeps its
-    ADMM iterate and dual.  Returns (F, converged, certified, V, iterations)."""
-    n = Y.shape[0]
-    subgraphs = {}   # fused-edge pattern -> its Subgraph, for this call only
-    loose = max(POLISH_TOL, opts.tol)
-    F, state, it, conv = _admm_batch(_AdmmState(split, Y, lam, centred), Y, lam,
-                                     replace(opts, tol=loose))
-    V = _scaled_dual(state.U.copy(), state.rho, n, lam)
-    cert = _polish(split, Y, F, V, lam, subgraphs)
-    rest = np.flatnonzero(~cert)
-    if len(rest) and opts.tol < loose and it < opts.max_iter:
-        state.keep(rest)
-        Y, lam = Y[:, rest], lam[rest]
-        F_r, state, k, conv[rest] = _admm_batch(state, Y, lam,
-                                                replace(opts, max_iter=opts.max_iter - it))
+    fully fused: ADMM runs on one warm state down the tolerances of
+    POLISH_LADDER looser than opts.tol, then opts.tol.  After each rung the
+    live columns are polished, and the certified ones leave the state; the
+    last rung's uncertified columns keep their ADMM iterate and dual.
+    max_iter bounds the iterations of the whole ladder; a column is
+    converged when it met the test at opts.tol or was certified.  Returns
+    (F, converged, certified, V, iterations)."""
+    n, B = Y.shape
+    F, V = np.empty_like(Y), np.empty((split.D.shape[0], B))
+    conv, cert = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
+    state, live, it = _AdmmState(split, Y, lam, centred), np.arange(B), 0
+    for tol in [t for t in POLISH_LADDER if t > opts.tol] + [opts.tol]:
+        Y_l, lam_l = Y[:, live], lam[live]
+        F_l, state, k, conv_l = _admm_batch(state, Y_l, lam_l,
+                                            replace(opts, tol=tol, max_iter=opts.max_iter - it))
         it += k
-        V_r = _scaled_dual(state.U, state.rho, n, lam)
-        cert[rest] = _polish(split, Y, F_r, V_r, lam, subgraphs)
-        F[:, rest], V[:, rest] = F_r, V_r
+        V_l = _scaled_dual(state.U.copy(), state.rho, n, lam_l)
+        ok = _polish(split, Y_l, F_l, V_l, lam_l)
+        F[:, live], V[:, live], cert[live] = F_l, V_l, ok
+        if tol == opts.tol:
+            conv[live] = conv_l
+        if ok.all() or tol == opts.tol or it >= opts.max_iter:
+            break
+        live = live[~ok]
+        state.keep(~ok)
     return F, conv | cert, cert, V, it
 
 

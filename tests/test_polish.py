@@ -1,12 +1,15 @@
 """The polish of the plain ADMM batch: exact solutions read off a loose solve.
 
-The plain estimator runs ADMM to solvers.POLISH_TOL, reads each column's
-fused groups and boundary signs, and takes the one candidate the KKT
-conditions allow for them.  A column is certified only with an exact dual,
-so every certified column is the exact solution for its groups and signs:
-the polish of a loose iterate and that of a much tighter one agree bit for
-bit whenever both read the same groups and signs.
+The plain estimator runs ADMM down the tolerances of solvers.POLISH_LADDER
+to the requested one and, after each, reads each live column's fused groups
+(at the largest gap of its sorted |Df|) and boundary signs, and takes the
+one candidate the KKT conditions allow for them.  A column is certified
+only with an exact dual, so every certified column is the exact solution
+for its groups and signs: the polish of a loose iterate and that of a much
+tighter one agree bit for bit whenever both read the same groups and signs.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,7 +56,7 @@ def test_polished_grid_columns_equal_the_polish_of_a_tight_solve(seed):
     out = solve_analysis_batch(Y, split, lam, opts)
     assert out.converged.all() and out.certified.sum() >= 60
     F, V, lams = _admm(split, Y, lam, 1e-11)
-    tight = solvers._polish(split, Y, F, V, lams, {})
+    tight = solvers._polish(split, Y, F, V, lams)
     assert (out.certified <= tight).all()
     assert np.array_equal(out.F[:, out.certified], F[:, out.certified])
     for j in np.flatnonzero(out.certified)[::8]:
@@ -62,9 +65,12 @@ def test_polished_grid_columns_equal_the_polish_of_a_tight_solve(seed):
 
 @pytest.mark.parametrize("family", list(CONTRACT_FAMILIES))
 def test_loose_state_meets_the_warm_start_check(monkeypatch, family):
-    # the state of the loose pass, from which uncertified columns run on,
-    # agrees with its iterates as output_contract asks of a full solve
+    # the state of every rung of the ladder, from which uncertified columns
+    # run on, agrees with its iterates as output_contract asks of a full solve
     D, Y, lam, _, opts = _contract_block(family)
+    # to within ten times the rung's tolerance: the mismatch follows the
+    # stopping test, about 1.3e-2 after the 3e-2 rung, so a fixed 1e-3 holds
+    # from the 1e-4 rung on, where the bound is the 1e-3 it was there
     passes, inner = [], solvers._admm_batch
 
     def spy(state, Y_, lam_, opts_):
@@ -74,41 +80,39 @@ def test_loose_state_meets_the_warm_start_check(monkeypatch, family):
 
     monkeypatch.setattr(solvers, "_admm_batch", spy)
     assert solve_analysis_batch(Y, D, lam, opts).converged.all()
-    assert passes[0][0] == solvers.POLISH_TOL
-    assert max(mismatch for _, mismatch in passes) <= 1e-3
+    assert passes[0][0] == solvers.POLISH_LADDER[0]
+    assert all(mismatch <= 10.0 * tol for tol, mismatch in passes)
+    assert all(mismatch <= 1e-3 for tol, mismatch in passes if tol <= 1e-4)
 
 
 def _moving_first_columns(monkeypatch):
     """Make every polish move one vertex of its candidate by 1e-3 in the
-    first column of each pattern of fused edges (where componentwise_mean
-    forms the candidate); returns the list of moved columns' T inputs."""
-    mean, real, moved = projections.componentwise_mean, solvers._polish, []
+    first column of each pattern of fused edges (where _group_means forms
+    the candidates); returns the list of each call's moved columns."""
+    real, moved = solvers._group_means, []
 
-    def wrong(labels, T):
-        C = mean(labels, T)
-        C[len(labels) // 3, 0] += 1e-3
-        moved.append(T[:, 0])
-        return C
+    def wrong(split, fused, T):
+        C, labels = real(split, fused, T)
+        first = np.unique(fused.T, axis=0, return_index=True)[1]
+        C[len(C) // 3, first] += 1e-3
+        moved.append(first)
+        return C, labels
 
-    def polish(*args):
-        with monkeypatch.context() as m:
-            m.setattr(projections, "componentwise_mean", wrong)
-            return real(*args)
-
-    monkeypatch.setattr(solvers, "_polish", polish)
+    monkeypatch.setattr(solvers, "_group_means", wrong)
     return moved
 
 
 def test_moved_candidate_is_not_certified(monkeypatch):
     split, Y, lam, _ = _mc_grid_block(0)
-    F, V, lams = _admm(split, Y, lam, solvers.POLISH_TOL)
-    clean = solvers._polish(split, Y, F.copy(), V.copy(), lams, {})
+    F, V, lams = _admm(split, Y, lam, 1e-4)
+    clean = solvers._polish(split, Y, F.copy(), V.copy(), lams)
     fused, _ = solvers._groups_and_signs(split.D, Y, F)
     first = np.unique(fused.T, axis=0, return_index=True)[1]
     moved = _moving_first_columns(monkeypatch)
     F_out, V_out = F.copy(), V.copy()
-    ok = solvers._polish(split, Y, F_out, V_out, lams, {})
-    assert len(moved) == len(first) > 1 and clean[first].sum() > 1
+    ok = solvers._polish(split, Y, F_out, V_out, lams)
+    assert len(moved) == 1 and np.array_equal(moved[0], first)
+    assert len(first) > 1 and clean[first].sum() > 1
     assert not ok[first].any()
     rest = np.setdiff1d(np.arange(Y.shape[1]), first)
     assert np.array_equal(ok[rest], clean[rest])
@@ -152,9 +156,8 @@ def _sweep_problem(k):
 def test_group_dual_certifies_wherever_the_program_does():
     # every certified column passes the program; of the columns the program
     # accepts at kkt_tol (it reads 0 on every solve here), the polish leaves
-    # out only those whose exact solution has a jump of at most FUSE_TOL of
-    # the data scale, which the fused-edge threshold reads as fused: 10 of
-    # 240, all with a jump of 2e-4 to 9e-4 of the scale
+    # out only those whose exact solution fuses no edge but has a jump below
+    # GAP_CAP of the data scale, which the gap rule reads as fused: 4 of 240
     missed = []
     for k in range(240):
         split, Y, lam = _sweep_problem(k)
@@ -166,8 +169,93 @@ def test_group_dual_certifies_wherever_the_program_does():
             continue
         missed.append(k)
         F, V, lams = _admm(split, Y[:, None], lam, 1e-13)
-        assert not solvers._polish(split, Y[:, None], F, V, lams, {})[0]
+        assert not solvers._polish(split, Y[:, None], F, V, lams)[0]
         jumps = np.abs(split.D @ F[:, 0])
         jumps /= max(jumps.max(), np.abs(split.D @ Y).max())
-        assert np.any((jumps > 1e-8) & (jumps <= solvers.FUSE_TOL))
-    assert len(missed) <= 10
+        assert 1e-8 < jumps.min() < solvers.GAP_CAP
+    assert len(missed) <= 4
+
+
+def test_small_true_jump_is_certified():
+    # the exact solution of sweep problem 204, a 53-vertex path, has a jump
+    # of 4.7e-4 of the data scale, which a fixed threshold of 1e-3 read as
+    # fused; the gap rule reads it, and the estimate is the polish of a
+    # tol=1e-11 solve bit for bit
+    split, Y, lam = _sweep_problem(204)
+    out = solve_analysis_batch(Y[:, None], split, lam, SolverOptions(tol=1e-7))
+    assert out.certified[0]
+    F, V, lams = _admm(split, Y[:, None], lam, 1e-11)
+    assert solvers._polish(split, Y[:, None], F, V, lams)[0]
+    assert np.array_equal(out.F, F)
+    jumps = np.abs(split.D @ F[:, 0]) / np.abs(split.D @ Y).max()
+    assert np.any((jumps > 4e-4) & (jumps < 6e-4))
+
+
+def test_gap_rule_reads_fused_edges_below_the_largest_gap_only():
+    # columns of a path's iterates with jumps (relative to the scale) of
+    # noise at 1e-9 to 1e-8 and true jumps of 5e-4 and 1: the cut falls in
+    # the one large gap; a column of jumps all above GAP_CAP reads none
+    D = graphs.incidence(graphs.path_graph(7))
+    steps = np.array([[1e-9, 5e-4, 3e-9, 1.0, 1e-8, 2e-9],
+                      [0.5, 0.02, 0.3, 1.0, 0.011, 0.2],
+                      [1e-9, 2e-9, 0.0, 1.0, 3e-9, 1e-9],
+                      [0.5, 0.02, 0.3, 1.0, 0.005, 0.25]]).T
+    F = np.vstack([np.zeros(4), np.cumsum(steps, axis=0)])
+    fused, S = solvers._groups_and_signs(D, F, F)
+    assert np.array_equal(fused[:, 0], steps[:, 0] < 1e-7)
+    assert not fused[:, 1].any() and np.array_equal(S[:, 1], np.ones(6))
+    assert np.array_equal(fused[:, 2], steps[:, 2] < 1e-7)
+    # the gap from 0.02 to 0.3 is larger, but only a gap below the cap cuts
+    assert np.array_equal(fused[:, 3], steps[:, 3] < 0.01)
+    assert np.array_equal(S[~fused], np.ones((~fused).sum()))
+
+
+def test_group_means_equal_each_columns_componentwise_mean():
+    # the one labelling of the union numbers each column's groups as
+    # component_labels does, and the means are componentwise_mean's bits
+    split = solvers.Splitting(graphs.incidence(graphs.grid_graph(6, 7)))
+    rng = np.random.default_rng(4)
+    fused = rng.random((split.D.shape[0], 9)) < np.linspace(0.3, 1.0, 9)
+    fused[:, 0] = False
+    T = rng.standard_normal((split.D.shape[1], 9))
+    C, labels = solvers._group_means(split, fused, T)
+    for j in range(9):
+        own = graphs.component_labels(split.D.shape[1], split.ends[fused[:, j]])
+        assert np.array_equal(labels[j], own)
+        assert np.array_equal(C[:, j], projections.componentwise_mean(own, T[:, j]))
+
+
+def test_one_edge_graph_is_polished():
+    # path(2), the closed-form case of acceptance criterion 1: f moves each
+    # value 2 lam toward the other, or to the mean; the one gap of |Df|
+    # runs to the scale, so a jump above GAP_CAP of |DY| reads as a jump
+    # and is certified exact, and one below it reads as fused and is not
+    D = graphs.incidence(graphs.path_graph(2))
+    for jump, certified in ((3.0, True), (0.4 + 2e-3, False)):
+        Y = np.array([[0.2], [0.2 + jump]])
+        out = solve_analysis_batch(Y, D, 0.1, SolverOptions(tol=1e-10))
+        exact = Y[:, 0] + np.array([0.2, -0.2])
+        assert out.converged[0] and out.certified[0] == certified
+        assert np.allclose(out.F[:, 0], exact, rtol=0, atol=1e-12 if certified else 1e-7)
+        if certified:
+            assert kkt_bound(Y[:, 0], out.F[:, 0], D, 0.1, out.V[:, 0]) <= 1e-15
+
+
+def test_max_iter_is_one_budget_over_the_ladder(monkeypatch):
+    # each rung gets what the rungs before it left of max_iter; a column the
+    # ladder leaves uncertified before opts.tol's rung is not converged
+    split, Y, lam, opts = _mc_grid_block(0)
+    calls, inner = [], solvers._admm_batch
+
+    def spy(state, Y_, lam_, opts_):
+        out = inner(state, Y_, lam_, opts_)
+        calls.append((opts_.max_iter, out[2]))
+        return out
+
+    monkeypatch.setattr(solvers, "_admm_batch", spy)
+    out = solve_analysis_batch(Y, split, lam, replace(opts, max_iter=50))
+    spent = np.cumsum([0] + [k for _, k in calls])
+    assert [budget for budget, _ in calls] == list(50 - spent[:-1])
+    assert out.iterations == spent[-1] <= 50 and len(calls) < len(solvers.POLISH_LADDER)
+    assert 0 < out.certified.sum() < Y.shape[1]
+    assert np.array_equal(out.converged, out.certified)
