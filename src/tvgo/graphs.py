@@ -163,15 +163,17 @@ def edge_endpoints(D: sp.spmatrix) -> np.ndarray:
     """Recover 0-based (tail, head) pairs from an incidence matrix.
 
     Returns an (m, 2) int array; column 0 is the -1 position, column 1 the +1.
-    Raises GraphError unless every row has exactly two nonzeros, one
-    negative and one positive.
+    Raises GraphError unless every row has exactly two nonzeros, a -1 and a
+    +1: every caller builds from the endpoints alone what D would give (the
+    pseudoinverse blocks, the solvers' Laplacians D'D, the certificate's
+    forest step), which holds for those entries only.
     """
     D = sp.csr_matrix(D)
     m = D.shape[0]
     rows = np.repeat(np.arange(m), np.diff(D.indptr))
     nz = D.data != 0
     rows, idx, val = rows[nz], D.indices[nz], D.data[nz]
-    neg, pos = val < 0, val > 0
+    neg, pos = val == -1.0, val == 1.0
     bad = ((np.bincount(rows, minlength=m) != 2)
            | (np.bincount(rows[neg], minlength=m) != 1)
            | (np.bincount(rows[pos], minlength=m) != 1))

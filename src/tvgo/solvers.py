@@ -82,10 +82,11 @@ v0 + D_F L_F^+ (r - D_F'v0), L_F = D_F'D_F, the nearest point of
 on a subgraph with a cycle a column that misses the bound by at most a
 give-up ratio then takes a few alternating projections, clipping w to a box
 inside the bound and projecting back.  L_F^+ comes from a Cholesky factor
-of L_F grounded at one vertex per component (_grounded_solve): banded in
-reverse Cuthill-McKee order when the band is at most BAND_MAX wide, SuperLU
-otherwise; on the DCT grids the Splitting applies L^+ by its transforms,
-divided by the Laplacian eigenvalues with the zero mode dropped.
+of L_F grounded at one vertex per component (_grounded_solve), with L_F
+built from F's edge endpoints by numpy: banded in reverse Cuthill-McKee
+order when the band is at most BAND_MAX wide, SuperLU otherwise; on the DCT
+grids the Splitting applies L^+ by its transforms, divided by the Laplacian
+eigenvalues with the zero mode dropped.
 
 Full fusion is the polish's one-group-per-component case: no boundary edge,
 c = Ybar, the componentwise mean, and w a dual of D'w = Y - Ybar, the KKT
@@ -117,13 +118,16 @@ One pass forms every column's groups and candidate (_group_means: one
 component labelling of the union of the columns' fused-edge subgraphs, and
 bincount means that sum in the order componentwise_mean does) and checks
 the signs; only the columns whose signs hold take a subgraph factor, one
-per pattern of fused edges, built for that polish call alone and never
-kept on the Splitting.  Their dual guess is the ADMM dual, with
-POLISH_STEPS projections into a box POLISH_BOX times the bound, and a last
-check bounds the KKT residual by POLISH_KKT ||Y||_inf.  A certified column
-returns the candidate c and the exact dual.  So every certified plain
-column is the exact solution, whatever rung its groups and signs were read
-at.
+per pattern of fused edges per _plain_batch call: the rungs share one dict
+from the fused-edge mask to its Subgraph, which stays off the Splitting.
+The mask alone fixes the subgraph's edges, its groups' labels and so the
+factor, so a factor held from an earlier rung is the one a new build would
+give, bit for bit.  A screened column's dual guess is the ADMM dual,
+with POLISH_STEPS projections into a box POLISH_BOX times the bound, and a
+last check bounds the KKT residual by POLISH_KKT ||Y||_inf.  A certified
+column returns the candidate c and the exact dual.  So every certified
+plain column is the exact solution, whatever rung its groups and signs
+were read at.
 
 Certification never trusts solver convergence alone.  kkt_residual solves a
 linear program for the best subgradient certificate.  kkt_bound builds one
@@ -256,8 +260,9 @@ POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to ||Y
 
 
 def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
-    """(h, w) when D, with 0-based edge endpoints ends, is an incidence
-    matrix (entries +-1) of the row-major h x w grid, h, w >= 2.
+    """(h, w) when D, with 0-based edge endpoints ends (so entries +-1,
+    which graphs.edge_endpoints checks), is an incidence matrix of the
+    row-major h x w grid, h, w >= 2.
 
     A grid has n = hw vertices and m = 2hw - h - w edges, so h and w are the
     roots of t^2 - (2n - m) t + n.  m distinct vertex pairs that are all grid
@@ -270,7 +275,7 @@ def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
     s = 2 * n - m
     r = math.isqrt(max(s * s - 4 * n, 0))
     h, w = (s - r) // 2, (s + r) // 2
-    if s <= 0 or r * r != s * s - 4 * n or h < 2 or np.any(np.abs(D.data) != 1.0):
+    if s <= 0 or r * r != s * s - 4 * n or h < 2:
         return None
     lo, step = ends.min(axis=1), np.abs(ends[:, 1] - ends[:, 0])
     for shape in ((h, w), (w, h)):
@@ -283,28 +288,30 @@ def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def _solve_factory(D: sp.csr_matrix, shape: tuple[int, int] | None, labels: np.ndarray):
-    """(factory, lap_solve): factory maps rho to solve, where solve(R) returns
-    X with (I + rho D'D) X = R, and lap_solve(R), for R with zero mean on
-    every component of the 0-based vertex labels, returns an X with
-    D'D X = R.  Both may overwrite R.
+def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
+    """(factory, lap_solve) of D, whose 0-based edge endpoints are ends:
+    factory maps rho to solve, where solve(R) returns X with
+    (I + rho D'D) X = R, and lap_solve(R), for R with zero mean on every
+    component of the 0-based vertex labels, returns an X with D'D X = R.
+    Both may overwrite R.
 
-    On the row-major h x w grid, shape = (h, w), the orthonormal DCT-II along
+    On the row-major h x w grid (_grid_shape), the orthonormal DCT-II along
     both grid axes diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) +
     4 sin^2(pi j / 2w), so the solve is exact without a factor and a new rho
     only rebuilds the denominator; lap_solve divides by the eigenvalues and
     drops the zero mode.  Up to DCT_MATRIX_MAX_SIDE per side the transforms
     are products with the DCT-II matrices, which do not write to R; larger
-    grids take scipy.fft's dctn/idctn.  Every other D (shape None), paths
-    included, takes a SuperLU factor of I + rho D'D per rho (on a path its
-    tridiagonal factor solves faster than the transforms) and, for
-    lap_solve, _grounded_solve's factor of D'D.
+    grids take scipy.fft's dctn/idctn.  Every other D, paths included,
+    takes a SuperLU factor of I + rho D'D per rho (on a path its tridiagonal
+    factor solves faster than the transforms) and, for lap_solve,
+    _grounded_solve's factor of D'D, built from the endpoints.
     """
+    shape = _grid_shape(D, ends)
     if shape is None:
         DtD = (D.T @ D).tocsc()
         eye = sp.identity(DtD.shape[0], format="csc")
         return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), \
-            _grounded_solve(DtD, labels)
+            _grounded_solve(ends, labels)
     h, w = shape
     eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in shape]
     if max(shape) > DCT_MATRIX_MAX_SIDE:
@@ -333,45 +340,65 @@ def _solve_factory(D: sp.csr_matrix, shape: tuple[int, int] | None, labels: np.n
     return factory, lambda R: divide(R, lap_denom)
 
 
-def _grounded_solve(L: sp.spmatrix, labels: np.ndarray):
-    """lap_solve of the Laplacian L with 0-based component labels: X with
-    L X = R for R with zero mean on every component, from one Cholesky factor
-    of L grounded at the first vertex of each component (X is zero there,
-    and the dropped rows hold because R sums to zero over each component).
+def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
+    """lap_solve of the Laplacian L = D'D of the graph with 0-based edge
+    endpoints ends (parallel edges add up) on len(labels) vertices with
+    0-based component labels: X with L X = R for R with zero mean on every
+    component, from one Cholesky factor of L grounded at the first vertex of
+    each component (X is zero there, and the dropped rows hold because R
+    sums to zero over each component).
 
-    The grounded rows take the reverse Cuthill-McKee order of L.  When that
+    L is built from the endpoints with numpy, with no sparse product: the
+    degrees (bincount) on the diagonal and -1 per edge at its endpoints'
+    positions.  The grounded rows take the reverse Cuthill-McKee order of
+    the graph's adjacency, one entry per joined vertex pair with sorted
+    columns; L's own pattern adds only the diagonal, which changes no
+    comparison of degrees, so the order is the one L would give.  When that
     leaves a band of at most BAND_MAX diagonals below the main one, as on
     paths, cycles and the near-grid subgraphs the polish factors, the factor
     is LAPACK's banded Cholesky, whose few numpy arrays keep the heap of a
     long run compact; a wider band (a bushy tree) takes SuperLU, whose
     ordering keeps such graphs free of fill.
     """
-    L = L.tocsr()
     n = len(labels)
     grounded = np.ones(n, dtype=bool)
     grounded[np.unique(labels, return_index=True)[1]] = False
-    order = csgraph.reverse_cuthill_mckee(L, symmetric_mode=True)
+    # the adjacency's entries as keys row n + column, sorted, each once
+    pairs = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
+    pairs.sort()
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    indptr = np.searchsorted(pairs, n * np.arange(n + 1))
+    adj = sp.csr_matrix((np.ones(len(pairs)), pairs % n, indptr), shape=(n, n))
+    order = csgraph.reverse_cuthill_mckee(adj, symmetric_mode=True)
     rows = order[grounded[order]]
+    k = len(rows)
     pos = np.full(n, -1)
-    pos[rows] = np.arange(len(rows))
-    r, c = pos[np.repeat(np.arange(n), np.diff(L.indptr))], pos[L.indices]
-    lower = (c >= 0) & (r >= c)
-    r, c, data = r[lower], c[lower], L.data[lower]
-    width = int(np.max(r - c, initial=0))
+    pos[rows] = np.arange(k)
+    # each edge between two rows kept, at (hi, lo) below the diagonal
+    a, b = pos[ends[:, 0]], pos[ends[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = lo[lo >= 0], hi[lo >= 0]
+    diag = np.bincount(ends.ravel(), minlength=n)[rows].astype(np.float64)
+    width = int(np.max(hi - lo, initial=0))
     if width <= BAND_MAX:
-        band = np.zeros((width + 1, len(rows)))
-        band[r - c, c] = data
+        band = np.zeros((width + 1, k))
+        band[0] = diag
+        np.subtract.at(band, (hi - lo, lo), 1.0)
         factor = (sla.cholesky_banded(band, lower=True, check_finite=False), True)
 
         def solve(R):
             return sla.cho_solve_banded(factor, R, check_finite=False)
     else:
-        A = sp.coo_matrix((data, (r, c)), shape=(len(rows),) * 2)
-        solve = spla.splu((A + sp.tril(A, -1).T).tocsc()).solve
+        idx = np.arange(k)
+        off = -np.ones(len(lo))
+        solve = spla.splu(sp.csc_matrix((np.concatenate([diag, off, off]),
+                                         (np.concatenate([idx, hi, lo]),
+                                          np.concatenate([idx, lo, hi]))),
+                                        shape=(k, k))).solve
 
     def lap_solve(R):
         X = np.zeros_like(R)
-        if len(rows):
+        if k:
             X[rows] = solve(R[rows])
         return X
     return lap_solve
@@ -395,17 +422,16 @@ class Splitting:
         # vertex's start: the CSR pattern of the adjacency _group_means tiles
         self.by_tail = np.argsort(self.ends[:, 0], kind="stable")
         self.tail_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.ends[:, 0], minlength=n))])
-        self.factory, self.lap_solve = _solve_factory(self.D, _grid_shape(self.D, self.ends),
-                                                      self.labels)
+        self.factory, self.lap_solve = _solve_factory(self.D, self.ends, self.labels)
         # a forest has m = n - (number of components) edges; more means a cycle
         self.cyclic = m > n - len(np.unique(self.labels))
 
     def subgraph(self, rows: np.ndarray, labels: np.ndarray) -> Subgraph:
         """What _fused_screen reads of the graph on the same vertices with
         the edges rows (indices) alone, whose component labels the caller
-        holds."""
+        holds; its Laplacian factor is built from those edges' endpoints."""
         D = self.D[rows]
-        return Subgraph(D, D.T, labels, _grounded_solve(D.T @ D, labels),
+        return Subgraph(D, D.T, labels, _grounded_solve(self.ends[rows], labels),
                         len(rows) > D.shape[1] - labels.max() - 1)
 
 
@@ -669,7 +695,7 @@ def _group_means(split: Splitting, fused: np.ndarray, T: np.ndarray):
 
 
 def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
-            lam: np.ndarray) -> np.ndarray:
+            lam: np.ndarray, subgraphs: dict[bytes, Subgraph] | None = None) -> np.ndarray:
     """Polish the plain iterates F of Y's columns, both (n, B), at per-column
     penalties lam onto exact solutions, with the scaled duals V (m, B) as
     the guess; returns the mask (B,) of certified columns, whose F and V it
@@ -688,8 +714,12 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     fused-edge subgraph, from the guess's fused rows, and a last check
     bounds the KKT residual ||(Y - c)/n - lam D'v||_inf of the dual v (s on
     the boundary, w / (n lam) on the fused edges) by POLISH_KKT ||Y||_inf.
-    The fused-edge Subgraph, with its grounded Laplacian factor, is built
-    once per pattern of fused edges among those columns, for this call only.
+    The fused-edge Subgraph, with its grounded Laplacian factor, is taken
+    from subgraphs, a dict keyed by the packed fused-edge mask, and built
+    and added there for a mask it does not hold yet: the mask alone fixes
+    the subgraph's rows, its groups' labels and the factor, so a Subgraph
+    held from an earlier call is the one this call would build.  Without
+    subgraphs, each pattern's Subgraph serves this call alone.
     """
     D, Dt = split.D, split.Dt
     n, B = Y.shape
@@ -699,13 +729,16 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     C, labels = _group_means(split, fused, T)
     ok = np.zeros(B, dtype=bool)
     signs = np.flatnonzero(np.all(np.sign(D @ C) == S, axis=0))
+    subgraphs = {} if subgraphs is None else subgraphs
     patterns = {}
     for j, key in zip(signs, np.packbits(fused[:, signs], axis=0).T):
         patterns.setdefault(key.tobytes(), []).append(j)
-    for cols in patterns.values():
+    for key, cols in patterns.items():
         cols = np.asarray(cols)
         rows = np.flatnonzero(fused[:, cols[0]])
-        good, W = _fused_screen(split.subgraph(rows, labels[cols[0]]), T[:, cols] - C[:, cols],
+        if key not in subgraphs:
+            subgraphs[key] = split.subgraph(rows, labels[cols[0]])
+        good, W = _fused_screen(subgraphs[key], T[:, cols] - C[:, cols],
                                 bound[cols], V[np.ix_(rows, cols)] * bound[cols],
                                 POLISH_STEPS, POLISH_BOX)
         ok[cols[good]] = True
@@ -728,19 +761,22 @@ def _plain_batch(split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.n
     live columns are polished, and the certified ones leave the state; the
     last rung's uncertified columns keep their ADMM iterate and dual.
     max_iter bounds the iterations of the whole ladder; a column is
-    converged when it met the test at opts.tol or was certified.  Returns
-    (F, converged, certified, V, iterations)."""
+    converged when it met the test at opts.tol or was certified.  Every
+    rung's polish shares one dict of fused-edge Subgraphs, so each pattern's
+    factor is built once per call.  Returns (F, converged, certified, V,
+    iterations)."""
     n, B = Y.shape
     F, V = np.empty_like(Y), np.empty((split.D.shape[0], B))
     conv, cert = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
     state, live, it = _AdmmState(split, Y, lam, centred), np.arange(B), 0
+    subgraphs = {}
     for tol in [t for t in POLISH_LADDER if t > opts.tol] + [opts.tol]:
         Y_l, lam_l = Y[:, live], lam[live]
         F_l, state, k, conv_l = _admm_batch(state, Y_l, lam_l,
                                             replace(opts, tol=tol, max_iter=opts.max_iter - it))
         it += k
         V_l = _scaled_dual(state.U.copy(), state.rho, n, lam_l)
-        ok = _polish(split, Y_l, F_l, V_l, lam_l)
+        ok = _polish(split, Y_l, F_l, V_l, lam_l, subgraphs)
         F[:, live], V[:, live], cert[live] = F_l, V_l, ok
         if tol == opts.tol:
             conv[live] = conv_l

@@ -4,17 +4,25 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvgo
 from tvgo import experiments, graphs
 from tvgo.cli import build_parser, dispatch, parse_graph_spec, parse_set_spec
 
+# the directory the tested tvgo was imported from, so the CLI's subprocess
+# runs this copy and not another one that happens to be installed
+SRC = str(Path(tvgo.__file__).resolve().parent.parent)
 
-def run_cli(args, **kw):
+
+def run_cli(args, env=None, **kw):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "tvgo.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=env, **kw)
 
 
 def test_parse_graph_specs():

@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from tvgo import experiments, projections, solvers
+from tvgo import experiments, graphs, projections, solvers
 from tvgo.graphs import (DirectedGraph, cycle_graph, grid_graph, incidence, path_graph,
                          tree_graph)
 from tvgo.solvers import (SolverOptions, kkt_bound, kkt_residual, norm_n, solve_analysis_batch,
@@ -98,6 +98,50 @@ def test_laplacian_solve_inverts_dtd_on_centred_data(g):
     R -= projections.componentwise_mean(split.labels, R)
     X = split.lap_solve(R.copy())
     assert np.abs(D.T @ (D @ X) - R).max() <= 1e-12 * np.abs(R).max()
+
+
+def _grid_halves_rows():
+    """Edges of the 32x32 grid kept when the edges between its columns 16
+    and 17 are cut, and four more edges elsewhere."""
+    ends = graphs.edge_endpoints(incidence(grid_graph(32, 32)))
+    cut = (ends[:, 1] - ends[:, 0] == 1) & (ends[:, 0] % 32 == 15)
+    cut[np.random.default_rng(32).choice(np.flatnonzero(~cut), 4, replace=False)] = True
+    return grid_graph(32, 32), np.flatnonzero(~cut)
+
+
+# a triangle 1-2-3 whose edge (2, 3) appears three times, once reversed, and
+# a path 4-5-6 whose edge (5, 6) appears twice, once reversed; vertex 7 has
+# no edge.  The grounded vertices are 1 and 4, so the parallel edges join
+# rows the factor keeps
+PARALLEL = DirectedGraph(7, ((1, 2), (2, 3), (3, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 5)))
+SUBGRAPHS = {
+    "grid-halves": (*_grid_halves_rows(), False),
+    "parallel-edges": (PARALLEL, np.arange(PARALLEL.m), False),
+    # the edges to the tree's last three vertices, all leaves, cut
+    "bushy-tree": (BUSHY_TREE, np.arange(BUSHY_TREE.m - 3), True),
+    # every edge at vertices 8, 20 and 41 cut: they are isolated
+    "isolated-vertices": (grid_graph(6, 7), np.flatnonzero(~np.isin(
+        graphs.edge_endpoints(incidence(grid_graph(6, 7))), [8, 20, 41]).any(axis=1)), False),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBGRAPHS))
+def test_subgraph_laplacian_solve_inverts_its_dtd_on_centred_data(monkeypatch, name):
+    # the polish's factor, built from the kept edges' endpoints: banded in
+    # reverse Cuthill-McKee order, or SuperLU on the bushy tree, whose band
+    # is wider than BAND_MAX; parallel edges add up in D_F'D_F
+    g, rows, superlu = SUBGRAPHS[name]
+    split = solvers.Splitting(incidence(g))
+    labels = graphs.component_labels(g.n, split.ends[rows])
+    splus, splu = [], solvers.spla.splu
+    monkeypatch.setattr(solvers.spla, "splu", lambda A: splus.append(1) or splu(A))
+    sub = split.subgraph(rows, labels)
+    assert len(splus) == superlu
+    R = np.random.default_rng(g.n).standard_normal((g.n, 3))
+    R -= projections.componentwise_mean(labels, R)
+    X = sub.lap_solve(R.copy())
+    D_F = split.D[rows]
+    assert np.abs(D_F.T @ (D_F @ X) - R).max() <= 1e-12 * np.abs(R).max()
 
 
 def test_shared_laplacian_factor_solves_alike_from_many_threads():

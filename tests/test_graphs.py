@@ -143,7 +143,8 @@ def test_r_S_matches_rank_nullity(g):
 @pytest.mark.parametrize("bad_row", [[0.0, 1.0, 1.0],     # two +1 entries
                                      [0.0, 0.0, 1.0],     # a single entry
                                      [-1.0, 1.0, 1.0],    # three entries
-                                     [0.0, 0.0, 0.0]])    # an empty row
+                                     [0.0, 0.0, 0.0],     # an empty row
+                                     [0.0, -0.5, 0.5]])   # a scaled edge
 def test_edge_endpoints_rejects_non_incidence_rows(bad_row):
     D = sp.csr_matrix(np.array([[-1.0, 1.0, 0.0], bad_row]))
     with pytest.raises(GraphError, match="row 2 is not an incidence row"):

@@ -259,3 +259,43 @@ def test_max_iter_is_one_budget_over_the_ladder(monkeypatch):
     assert out.iterations == spent[-1] <= 50 and len(calls) < len(solvers.POLISH_LADDER)
     assert 0 < out.certified.sum() < Y.shape[1]
     assert np.array_equal(out.converged, out.certified)
+
+
+def test_each_fused_edge_pattern_is_factored_once_per_batch(monkeypatch):
+    # every rung's polish shares one dict of Subgraphs, so a mask of fused
+    # edges screened at several rungs is factored once; the Splitting is
+    # prebuilt, so every _grounded_solve call is a Subgraph's
+    split, Y, lam, opts = _mc_grid_block(2101)
+    builds, screened = [], []
+    grounded, screen = solvers._grounded_solve, solvers._fused_screen
+
+    def spy(sub, *args):
+        if isinstance(sub, solvers.Subgraph):
+            screened.append(graphs.edge_endpoints(sub.D).tobytes())
+        return screen(sub, *args)
+
+    monkeypatch.setattr(solvers, "_grounded_solve", lambda *a: builds.append(1) or grounded(*a))
+    monkeypatch.setattr(solvers, "_fused_screen", spy)
+    solve_analysis_batch(Y, split, lam, opts)
+    # one screen per pattern and rung, so their count is the per-rung sum
+    assert len(builds) == len(set(screened)) < len(screened)
+
+
+def test_shared_subgraphs_polish_as_fresh_ones(monkeypatch):
+    # each rung's polish with the batch's dict gives the bits of a polish
+    # with a dict of its own
+    split, Y, lam, opts = _mc_grid_block(2101)
+    polish, held = solvers._polish, []
+
+    def both(split_, Y_, F, V, lam_, subgraphs):
+        F_own, V_own = F.copy(), V.copy()
+        own = polish(split_, Y_, F_own, V_own, lam_, {})
+        held.append(len(subgraphs))
+        ok = polish(split_, Y_, F, V, lam_, subgraphs)
+        assert np.array_equal(ok, own)
+        assert np.array_equal(F, F_own) and np.array_equal(V, V_own)
+        return ok
+
+    monkeypatch.setattr(solvers, "_polish", both)
+    assert solve_analysis_batch(Y, split, lam, opts).certified.all()
+    assert len(held) > 1 and held[0] == 0 < held[-1]
