@@ -32,7 +32,8 @@ of a batch (or a single column) from cycling between two penalties.
 Everything the solvers derive from D is held by one Splitting: D', the
 component labels, the f-update's solve factory, rho -> solve of
 (I + rho D'D) F = R, and the screen's Laplacian solve, both picked from D's
-edge endpoints, which are read once.  Splitting.subgraph builds the same
+edge endpoints, which are read once; on the DCT grids, also float32 copies
+of D and D' and a float32 solve factory.  Splitting.subgraph builds the same
 fields, as a Subgraph, for the fused edges of a polished column.
 When the edges are those of a row-major h x w grid (h, w >= 2; any edge
 order or orientation), the orthonormal DCT-II over the two grid axes
@@ -106,6 +107,28 @@ the screen.  Every other plain column runs ADMM down a ladder of
 tolerances on one warm state (_plain_batch): POLISH_LADDER's rungs looser
 than opts.tol, 3e-2 to 1e-4 in steps of about sqrt(10) and then decades,
 and last opts.tol itself, with max_iter a budget over the whole ladder.
+The state holds the centred columns, Y minus its componentwise mean, and
+each iterate is read back as F + mean.  On the DCT grids the rungs at or
+above SINGLE_TOL (3e-2 to 1e-3) run on a float32 state, whose every kernel
+(the D and D' products, the solve, the shrinkage) costs about half its
+float64 one on the 32 x 32 grid; the state switches once to float64 for
+the tighter rungs and always for opts.tol, so converged still means the
+float64 test; the square-root fixed point keeps a float64 state on Y.
+Those loose rungs only reveal each column's groups, signs and dual guess,
+and a certificate is built from Y in float64, exact whatever iterate it
+started from.  The centring keeps float32 from losing Y: at Y + 1e6
+float32's spacing is 0.0625, while the centred columns, and so the state,
+do not see the shift.  A float32 state cannot meet a test near its own
+rounding, which is set by the size of the centred data, not by the
+tolerance: it leaves about eps32 max|centred_j| sqrt(m) in the primal
+residual of column j, against tol ||DY_j||_2.  So the ladder leaves
+float32 at the first rung whose tol lies within SINGLE_HEADROOM of that
+floor for some live column (so a long trend, whose centred data are large
+against its differences, keeps to float64 wherever float32 could not meet
+the test), and after a float32 rung that spends SINGLE_MAX_ITER
+iterations.  Other graphs run the whole ladder
+in float64: a float32 SuperLU factor goes singular at large rho, and on
+paths and trees float32 rungs saved only 1-3% of a solve.
 After each rung the live columns are polished (_polish) and the certified
 ones leave the state; a column still uncertified after the last rung keeps
 its ADMM iterate and dual.  Each column's fused edges are read at a gap
@@ -114,6 +137,11 @@ the cut is the largest ratio between neighbours whose lower end is below
 GAP_CAP, the scale itself closing the list, so a true jump of any size
 below the cap reads as a jump once the ADMM noise on the fused edges lies
 well below it, and a column with no a below the cap reads no fused edge.
+||DY||_inf is taken once per _plain_batch call.  The ratios floor a at
+the iterate's own rounding, half an ulp of max|f| relative to the scale
+(and at least GAP_FLOOR): a float32 iterate's rounding leaves exact zeros
+among the noise of its fused edges, and a lower floor would read the step
+from those zeros to the noise as the largest gap.
 One pass forms every column's groups and candidate (_group_means: one
 component labelling of the union of the columns' fused-edge subgraphs, and
 bincount means that sum in the order componentwise_mean does) and checks
@@ -253,7 +281,11 @@ SCREEN_GIVE_UP = 1.25   # leave past 1.25 n lam: certified columns start at 0.90
 # plain ADMM tolerances the polish (_polish) runs at, from the loosest, then opts.tol
 POLISH_LADDER = (3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4) + tuple(10.0 ** -k for k in range(5, 13))
 GAP_CAP = 1e-2          # polish: fused edges are cut at a gap of |Df| below this fraction of the scale
-GAP_FLOOR = 1e-16       # polish: |Df| relative to the scale is floored here, at rounding
+GAP_FLOOR = 1e-16       # polish: least floor of |Df| relative to the scale (see _groups_and_signs)
+# float32 rungs of the plain ladder, on the DCT grids (_plain_batch):
+SINGLE_TOL = 1e-3       # rungs at or above this may run in float32
+SINGLE_HEADROOM = 300   # only while the live float32 residual floor lies this far below the tol
+SINGLE_MAX_ITER = 500   # a float32 rung that takes this many iterations hands over to float64
 POLISH_STEPS = 4        # polish: alternating projections (rescues past 4 steps were ~1 in 20)
 POLISH_BOX = 0.99       # polish: the ADMM dual starts near the bound, so clip closer to it
 POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to ||Y||_inf
@@ -289,11 +321,12 @@ def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
 
 
 def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
-    """(factory, lap_solve) of D, whose 0-based edge endpoints are ends:
-    factory maps rho to solve, where solve(R) returns X with
-    (I + rho D'D) X = R, and lap_solve(R), for R with zero mean on every
-    component of the 0-based vertex labels, returns an X with D'D X = R.
-    Both may overwrite R.
+    """(factory, factory32, lap_solve) of D, whose 0-based edge endpoints are
+    ends: factory maps rho to solve, where solve(R) returns X with
+    (I + rho D'D) X = R, factory32 does the same in float32 on the DCT grids
+    and is None on every other D, and lap_solve(R), for R with zero mean on
+    every component of the 0-based vertex labels, returns an X with
+    D'D X = R.  All may overwrite R.
 
     On the row-major h x w grid (_grid_shape), the orthonormal DCT-II along
     both grid axes diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) +
@@ -304,13 +337,17 @@ def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
     grids take scipy.fft's dctn/idctn.  Every other D, paths included,
     takes a SuperLU factor of I + rho D'D per rho (on a path its tridiagonal
     factor solves faster than the transforms) and, for lap_solve,
-    _grounded_solve's factor of D'D, built from the endpoints.
+    _grounded_solve's factor of D'D, built from the endpoints.  A float32
+    solve takes float32 DCT-II matrices or transforms.  There is no float32
+    factor: in float32, 1 + 2 rho rounds to 2 rho from rho of about 1e7, so
+    I + rho D'D loses its identity, and SuperLU finds it singular from
+    rho = 1e8 on (a path of 200,000 vertices reached that in float32).
     """
     shape = _grid_shape(D, ends)
     if shape is None:
         DtD = (D.T @ D).tocsc()
         eye = sp.identity(DtD.shape[0], format="csc")
-        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), \
+        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), None, \
             _grounded_solve(ends, labels)
     h, w = shape
     eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in shape]
@@ -322,22 +359,26 @@ def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
             X /= denom
             return sfft.idctn(X, norm="ortho", axes=(0, 1), overwrite_x=True).reshape(h * w, -1)
     else:
-        Ch, Cw = (sfft.dct(np.eye(k), norm="ortho", axis=0) for k in shape)
+        mats = {np.dtype(np.float64): [sfft.dct(np.eye(k), norm="ortho", axis=0) for k in shape]}
+        mats[np.dtype(np.float32)] = [C.astype(np.float32) for C in mats[np.dtype(np.float64)]]
         eig = eig[1][:, None] + eig[0][None, :]   # (w, h), the layout X has when divided
 
         def divide(R, denom):
+            Ch, Cw = mats[denom.dtype]
             X = np.matmul(Cw, R.reshape(h, w, -1))          # along w: (h, w, B)
             X = np.matmul(Ch, X.transpose(1, 0, 2))         # along h: (w, h, B)
             X /= denom
             X = np.matmul(Ch.T, X)
             return np.matmul(Cw.T, X.transpose(1, 0, 2)).reshape(h * w, -1)
 
-    def factory(rho):
-        denom = (1.0 + rho * eig)[:, :, None]
-        return lambda R: divide(R, denom)
+    def factory(dtype):
+        def at(rho):
+            denom = (1.0 + rho * eig)[:, :, None].astype(dtype, copy=False)
+            return lambda R: divide(R, denom)
+        return at
     lap_denom = eig[:, :, None].copy()
     lap_denom[0, 0] = np.inf   # the zero mode, the constant on the one component
-    return factory, lambda R: divide(R, lap_denom)
+    return factory(np.float64), factory(np.float32), lambda R: divide(R, lap_denom)
 
 
 def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
@@ -409,8 +450,11 @@ class Splitting:
     graph (see the module docstring): D', the 0-based edge endpoints ends,
     the component labels, the pure solve factory rho -> solve, the
     Laplacian solve lap_solve that applies (D'D)^+ up to the nullspace, and
-    whether the graph has a cycle.  It is never written after construction,
-    so threads may share it."""
+    whether the graph has a cycle; on the DCT grids, single holds the
+    float32 operators of the plain ladder's loose rungs (a read-only float32
+    copy of D, its transpose and the float32 solve factory), and is None on
+    every other graph.  It is never written after construction, so threads
+    may share it."""
 
     def __init__(self, D):
         self.D = sp.csr_matrix(D)
@@ -422,9 +466,19 @@ class Splitting:
         # vertex's start: the CSR pattern of the adjacency _group_means tiles
         self.by_tail = np.argsort(self.ends[:, 0], kind="stable")
         self.tail_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.ends[:, 0], minlength=n))])
-        self.factory, self.lap_solve = _solve_factory(self.D, self.ends, self.labels)
+        self.factory, factory32, self.lap_solve = _solve_factory(self.D, self.ends, self.labels)
+        self.single = None
+        if factory32 is not None:
+            D32 = self.D.astype(np.float32)
+            D32.data.flags.writeable = False
+            self.single = (D32, D32.T, factory32)
         # a forest has m = n - (number of components) edges; more means a cycle
         self.cyclic = m > n - len(np.unique(self.labels))
+
+    def operators(self, dtype) -> tuple:
+        """(D, D', rho -> solve) in dtype: float64, or float32 on the graphs
+        whose single holds them."""
+        return (self.D, self.Dt, self.factory) if dtype == np.float64 else self.single
 
     def subgraph(self, rows: np.ndarray, labels: np.ndarray) -> Subgraph:
         """What _fused_screen reads of the graph on the same vertices with
@@ -449,25 +503,34 @@ class Subgraph(NamedTuple):
 
 class _AdmmState:
     """Warm-startable state of the batched splitting solver, for one D: each
-    column's F, Z and U and its two stopping-test anchors, one penalty rho,
-    the f-update solve at that rho and the Splitting of D.  A new state
-    starts every column of Y at f = Y, z = DY, u = 0, with rho = mean(n lam);
-    centred is Y minus its componentwise mean, which the caller holds."""
+    column's F, Z and U, in one float dtype, and its two stopping-test
+    anchors, one penalty rho, the f-update solve at that rho and dtype and
+    the Splitting of D.  A new state starts every column of Y at f = Y,
+    z = DY, u = 0, with rho = mean(n lam); centred is Y minus its
+    componentwise mean, which the caller holds."""
 
-    def __init__(self, split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.ndarray):
+    def __init__(self, split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.ndarray,
+                 dtype=np.float64):
         self.split = split
-        self.F = Y.copy()
-        self.Z = split.D @ self.F
+        self.F = Y.astype(dtype, order="C")
+        DY = split.D @ Y
+        self.Z = DY.astype(dtype, copy=False)
         self.U = np.zeros_like(self.Z)
         self.rho = max(float(np.mean(Y.shape[0] * lam)), 1e-6)
-        self.solve = split.factory(self.rho)
+        self.solve = split.operators(dtype)[2](self.rho)
         # absolute anchors keep the stopping test meaningful for fully fused
         # solutions, where z = 0 and a purely relative test can never fire.  A
         # constant added to a component of Y moves f by that constant and
         # leaves z, u and both anchors as they are, so the test ignores it.
         # Y never changes, so neither do they
-        self.pri_anchor = np.maximum(np.sqrt(_colsumsq(self.Z)), 1e-12)
+        self.pri_anchor = np.maximum(np.sqrt(_colsumsq(DY)), 1e-12)
         self.dual_anchor = np.maximum(np.sqrt(_colsumsq(centred)), 1e-12)
+
+    def astype(self, dtype) -> None:
+        """Hold F, Z, U and the solve in dtype from now on."""
+        if self.F.dtype != dtype:
+            self.F, self.Z, self.U = (X.astype(dtype) for X in (self.F, self.Z, self.U))
+            self.solve = self.split.operators(dtype)[2](self.rho)
 
     def keep(self, cols: np.ndarray) -> None:
         """Keep only the columns cols (a mask or indices)."""
@@ -496,7 +559,9 @@ def _objective(Y, F, lam, D) -> np.ndarray:
 def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverOptions):
     """Batched splitting solver, from the warm-start state its caller built.
 
-    Y is (n, B) and lam (B,), both float64, with B the state's columns.
+    Y is (n, B), in the dtype of the state's F, Z and U, and lam (B,), with
+    B the state's columns; the iteration runs in that dtype, on the
+    Splitting's operators of it (Splitting.operators) and the state's solve.
     Minimizes (1/2)||f - Y||_2^2 + n*lam*||z||_1 subject to Df = z (the
     original objective scaled by n/2), with D that of the state's Splitting.
     The stopping test runs at iteration 1 and every CHECK_EVERY-th iteration
@@ -509,9 +574,10 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverO
     the batch's one penalty rho and its solve.
     """
     split, rho, solve = state.split, state.rho, state.solve
-    D, Dt = split.D, split.Dt
+    dtype = state.F.dtype
+    D, Dt, factory = split.operators(dtype)
     n, B = Y.shape
-    thresh_scale = n * lam  # soft threshold numerator in the scaled problem
+    thresh_scale = (n * lam).astype(dtype)  # soft threshold numerator in the scaled problem
     # the working Z and U are updated in place, so they must not alias the
     # state, whose U is rescaled separately on a change of rho
     Z, U = state.Z.copy(), state.U.copy()
@@ -585,7 +651,7 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts: SolverO
                 # rescaled too, so the whole state stays at one rho
                 U /= step
                 state.U /= step
-                solve = split.factory(rho)
+                solve = factory(rho)
     if len(live):   # max_iter reached with columns still live
         state.F[:, live], state.Z[:, live], state.U[:, live] = F, Z, U
 
@@ -636,9 +702,10 @@ def _fused_screen(split: Splitting | Subgraph, centred: np.ndarray, bound: np.nd
     return fused, V[:, fused] / bound[fused]
 
 
-def _groups_and_signs(D: sp.csr_matrix, Y: np.ndarray, F: np.ndarray):
-    """The fused-edge mask of the iterates F and the signs of DF, zero on the
-    fused edges; both (m, B).
+def _groups_and_signs(D: sp.csr_matrix, dy: np.ndarray, F: np.ndarray):
+    """The fused-edge mask of the iterates F, float64 or float32, and the
+    signs of DF, zero on the fused edges; both (m, B).  dy (B,) holds each
+    column's ||DY||_inf for the data Y.
 
     Per column, a = |DF| / max(||DF||_inf, ||DY||_inf) is sorted, with the
     scale itself, 1, as a last entry, and the fused edges are those with a at
@@ -647,19 +714,26 @@ def _groups_and_signs(D: sp.csr_matrix, Y: np.ndarray, F: np.ndarray):
     that cap reads as a jump once the iterate's noise on the fused edges
     lies well below it.  A column with no a below GAP_CAP reads no fused
     edge; on a graph of one edge the one gap runs to the scale.  Ratios
-    divide by a floored at GAP_FLOOR, the rounding level, so exact zeros
-    keep them finite.
+    divide by a floored at half an ulp of F_j's largest entry relative to
+    the scale, u max|F_j| / scale with u the unit roundoff of F's precision,
+    and at least at GAP_FLOOR, so exact zeros keep them finite: rounding
+    leaves exact zeros among the noise of a float32 iterate's fused edges,
+    noise of at most an ulp of F's entries, 2u max|F_j|, and a lower floor
+    would read the step from the zeros to the noise as the largest gap.  DF
+    is formed with the float64 D.
     """
     DF = D @ F
     S = np.sign(DF)
     A = np.abs(DF, out=DF)
-    scale = np.maximum(np.max(A, axis=0, initial=0.0),
-                       np.max(np.abs(D @ Y), axis=0, initial=0.0))
-    A /= np.where(scale > 0.0, scale, 1.0)
+    scale = np.maximum(np.max(A, axis=0, initial=0.0), dy)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    A /= scale
+    peak = np.maximum(np.max(F, axis=0), -np.min(F, axis=0))
+    floor = np.maximum(np.finfo(F.dtype).eps / 2 * peak / scale, GAP_FLOOR)
     low = np.sort(A.T, axis=1)                         # (B, m), each row ascending
     ratio = np.ones_like(low)
     ratio[:, :-1] = low[:, 1:]
-    ratio /= np.maximum(low, GAP_FLOOR)
+    ratio /= np.maximum(low, floor[:, None])
     ratio[low >= GAP_CAP] = 0.0
     cut = np.take_along_axis(low, np.argmax(ratio, axis=1)[:, None], axis=1)[:, 0]
     fused = A <= np.where(low[:, 0] < GAP_CAP, cut, -1.0)
@@ -695,15 +769,17 @@ def _group_means(split: Splitting, fused: np.ndarray, T: np.ndarray):
 
 
 def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
-            lam: np.ndarray, subgraphs: dict[bytes, Subgraph] | None = None) -> np.ndarray:
+            lam: np.ndarray, fused: np.ndarray, S: np.ndarray,
+            subgraphs: dict[bytes, Subgraph] | None = None) -> np.ndarray:
     """Polish the plain iterates F of Y's columns, both (n, B), at per-column
     penalties lam onto exact solutions, with the scaled duals V (m, B) as
     the guess; returns the mask (B,) of certified columns, whose F and V it
     overwrites with the exact solution and dual.
 
-    Column j's fused edges are read off DF_j by _groups_and_signs; its
-    groups are the components of the fused-edge subgraph and s = sign(DF_j)
-    on the other, boundary, edges.  The candidate is constant on each group
+    fused and S (m, B) are the fused-edge masks and signs the caller read
+    off the iterates with _groups_and_signs; S is overwritten.  Column j's
+    groups are the components of its fused-edge subgraph and s = S_j on the
+    other, boundary, edges.  The candidate is constant on each group
     g, c_g = mean_g(Y) - n lam (D_b's)_g / |g| = mean_g(Y - n lam D_b's)
     with D_b the boundary rows of D: the one f with these groups and signs
     that the KKT conditions allow.  Every column's candidate comes from one
@@ -723,7 +799,6 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     """
     D, Dt = split.D, split.Dt
     n, B = Y.shape
-    fused, S = _groups_and_signs(D, Y, F)
     bound = n * lam
     T = Y - bound * (Dt @ S)
     C, labels = _group_means(split, fused, T)
@@ -753,30 +828,59 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     return ok
 
 
-def _plain_batch(split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.ndarray,
-                 opts: SolverOptions):
+def _plain_batch(split: Splitting, Y: np.ndarray, lam: np.ndarray, mean: np.ndarray,
+                 centred: np.ndarray, opts: SolverOptions):
     """The plain estimator on the columns of Y, shape (n, B), none of them
-    fully fused: ADMM runs on one warm state down the tolerances of
-    POLISH_LADDER looser than opts.tol, then opts.tol.  After each rung the
-    live columns are polished, and the certified ones leave the state; the
+    fully fused, whose componentwise mean and centred Y (Y minus that mean)
+    the caller holds: ADMM runs on one warm state of the centred columns
+    down the tolerances of POLISH_LADDER looser than opts.tol, then
+    opts.tol.  After each rung the live columns' iterates, read back as
+    F + mean, are polished, and the certified ones leave the state; the
     last rung's uncertified columns keep their ADMM iterate and dual.
     max_iter bounds the iterations of the whole ladder; a column is
     converged when it met the test at opts.tol or was certified.  Every
     rung's polish shares one dict of fused-edge Subgraphs, so each pattern's
-    factor is built once per call.  Returns (F, converged, certified, V,
-    iterations)."""
+    factor is built once per call, and reads the groups against ||DY||_inf,
+    taken once.  Returns (F, converged, certified, V, iterations).
+
+    The state is float32 from the first rung while the Splitting has
+    float32 operators (the DCT grids), the rung's tol is at least
+    SINGLE_TOL and the live columns' float32 residual floor lies
+    SINGLE_HEADROOM below it; it is float64 from the first rung where one
+    of these fails, and after a float32 rung that took SINGLE_MAX_ITER
+    iterations, and always at opts.tol.  The floor: float32 rounds each
+    entry of F by about eps max|F_j|, with max|F_j| about max|centred_j|, so
+    over the m edges it leaves about eps max|centred_j| sqrt(m) in
+    ||DF_j - z_j||, which the primal test holds to tol ||DY_j||_2 or more.
+    """
     n, B = Y.shape
-    F, V = np.empty_like(Y), np.empty((split.D.shape[0], B))
+    m = split.D.shape[0]
+    F, V = np.empty_like(Y), np.empty((m, B))
     conv, cert = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
-    state, live, it = _AdmmState(split, Y, lam, centred), np.arange(B), 0
-    subgraphs = {}
+    DY = split.D @ Y
+    dy = np.max(np.abs(DY), axis=0, initial=0.0)
+    floor = np.finfo(np.float32).eps * np.sqrt(m) * np.max(np.abs(centred), axis=0) \
+        / np.maximum(np.sqrt(_colsumsq(DY)), 1e-12)
+    live, it, subgraphs, state = np.arange(B), 0, {}, None
+    single = split.single is not None
     for tol in [t for t in POLISH_LADDER if t > opts.tol] + [opts.tol]:
-        Y_l, lam_l = Y[:, live], lam[live]
-        F_l, state, k, conv_l = _admm_batch(state, Y_l, lam_l,
-                                            replace(opts, tol=tol, max_iter=opts.max_iter - it))
+        # once float64, float64 to the end
+        single = single and tol >= SINGLE_TOL and tol != opts.tol \
+            and SINGLE_HEADROOM * np.max(floor[live]) <= tol
+        dtype = np.float32 if single else np.float64
+        if state is None:
+            state = _AdmmState(split, centred, lam, centred, dtype)
+        state.astype(dtype)
+        budget = opts.max_iter - it
+        Yc_l, lam_l = centred[:, live].astype(dtype, copy=False), lam[live]
+        F_l, state, k, conv_l = _admm_batch(state, Yc_l, lam_l, replace(
+            opts, tol=tol, max_iter=min(budget, SINGLE_MAX_ITER) if single else budget))
         it += k
-        V_l = _scaled_dual(state.U.copy(), state.rho, n, lam_l)
-        ok = _polish(split, Y_l, F_l, V_l, lam_l, subgraphs)
+        single = single and k < SINGLE_MAX_ITER
+        fused, S = _groups_and_signs(split.D, dy[live], F_l)
+        F_l = F_l + mean[:, live]
+        V_l = _scaled_dual(state.U.astype(np.float64), state.rho, n, lam_l)
+        ok = _polish(split, Y[:, live], F_l, V_l, lam_l, fused, S, subgraphs)
         F[:, live], V[:, live], cert[live] = F_l, V_l, ok
         if tol == opts.tol:
             conv[live] = conv_l
@@ -819,7 +923,7 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     rest = np.flatnonzero(~fused)
     if len(rest):
         F[:, rest], conv[rest], cert[rest], V[:, rest], it = _plain_batch(
-            split, Y[:, rest], lam[rest], centred[:, rest], opts)
+            split, Y[:, rest], lam[rest], mean[:, rest], centred[:, rest], opts)
     return BatchResult(F, conv, lam, it, V, cert)
 
 

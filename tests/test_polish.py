@@ -50,13 +50,24 @@ def _admm(split, Y, lam, tol):
     return F.copy(), solvers._scaled_dual(state.U.copy(), state.rho, Y.shape[0], lams), lams
 
 
+def _dy(split, Y):
+    """Each column's ||DY||_inf, the scale term of the gap rule."""
+    return np.max(np.abs(split.D @ Y), axis=0)
+
+
+def _polish(split, Y, F, V, lams):
+    """solvers._polish of the groups and signs read off the iterates F."""
+    return solvers._polish(split, Y, F, V, lams,
+                           *solvers._groups_and_signs(split.D, _dy(split, Y), F))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2101])
 def test_polished_grid_columns_equal_the_polish_of_a_tight_solve(seed):
     split, Y, lam, opts = _mc_grid_block(seed)
     out = solve_analysis_batch(Y, split, lam, opts)
     assert out.converged.all() and out.certified.sum() >= 60
     F, V, lams = _admm(split, Y, lam, 1e-11)
-    tight = solvers._polish(split, Y, F, V, lams)
+    tight = _polish(split, Y, F, V, lams)
     assert (out.certified <= tight).all()
     assert np.array_equal(out.F[:, out.certified], F[:, out.certified])
     for j in np.flatnonzero(out.certified)[::8]:
@@ -105,12 +116,12 @@ def _moving_first_columns(monkeypatch):
 def test_moved_candidate_is_not_certified(monkeypatch):
     split, Y, lam, _ = _mc_grid_block(0)
     F, V, lams = _admm(split, Y, lam, 1e-4)
-    clean = solvers._polish(split, Y, F.copy(), V.copy(), lams)
-    fused, _ = solvers._groups_and_signs(split.D, Y, F)
+    clean = _polish(split, Y, F.copy(), V.copy(), lams)
+    fused, _ = solvers._groups_and_signs(split.D, _dy(split, Y), F)
     first = np.unique(fused.T, axis=0, return_index=True)[1]
     moved = _moving_first_columns(monkeypatch)
     F_out, V_out = F.copy(), V.copy()
-    ok = solvers._polish(split, Y, F_out, V_out, lams)
+    ok = _polish(split, Y, F_out, V_out, lams)
     assert len(moved) == 1 and np.array_equal(moved[0], first)
     assert len(first) > 1 and clean[first].sum() > 1
     assert not ok[first].any()
@@ -169,7 +180,7 @@ def test_group_dual_certifies_wherever_the_program_does():
             continue
         missed.append(k)
         F, V, lams = _admm(split, Y[:, None], lam, 1e-13)
-        assert not solvers._polish(split, Y[:, None], F, V, lams)[0]
+        assert not _polish(split, Y[:, None], F, V, lams)[0]
         jumps = np.abs(split.D @ F[:, 0])
         jumps /= max(jumps.max(), np.abs(split.D @ Y).max())
         assert 1e-8 < jumps.min() < solvers.GAP_CAP
@@ -185,7 +196,7 @@ def test_small_true_jump_is_certified():
     out = solve_analysis_batch(Y[:, None], split, lam, SolverOptions(tol=1e-7))
     assert out.certified[0]
     F, V, lams = _admm(split, Y[:, None], lam, 1e-11)
-    assert solvers._polish(split, Y[:, None], F, V, lams)[0]
+    assert _polish(split, Y[:, None], F, V, lams)[0]
     assert np.array_equal(out.F, F)
     jumps = np.abs(split.D @ F[:, 0]) / np.abs(split.D @ Y).max()
     assert np.any((jumps > 4e-4) & (jumps < 6e-4))
@@ -201,7 +212,7 @@ def test_gap_rule_reads_fused_edges_below_the_largest_gap_only():
                       [1e-9, 2e-9, 0.0, 1.0, 3e-9, 1e-9],
                       [0.5, 0.02, 0.3, 1.0, 0.005, 0.25]]).T
     F = np.vstack([np.zeros(4), np.cumsum(steps, axis=0)])
-    fused, S = solvers._groups_and_signs(D, F, F)
+    fused, S = solvers._groups_and_signs(D, np.max(np.abs(D @ F), axis=0), F)
     assert np.array_equal(fused[:, 0], steps[:, 0] < 1e-7)
     assert not fused[:, 1].any() and np.array_equal(S[:, 1], np.ones(6))
     assert np.array_equal(fused[:, 2], steps[:, 2] < 1e-7)
@@ -261,6 +272,130 @@ def test_max_iter_is_one_budget_over_the_ladder(monkeypatch):
     assert np.array_equal(out.converged, out.certified)
 
 
+def _spy_rungs(monkeypatch, split):
+    """Record each rung's (tol, state dtype, budget, iterations, float32
+    floor): the floor is the largest over the rung's live columns of
+    eps32 sqrt(m) max|centred_j| / ||D centred_j||_2, which _plain_batch
+    holds to SINGLE_HEADROOM below a float32 rung's tol."""
+    rungs, inner = [], solvers._admm_batch
+    eps, m = np.finfo(np.float32).eps, split.D.shape[0]
+
+    def spy(state, Y_, lam_, opts_):
+        assert Y_.dtype == state.F.dtype == state.Z.dtype == state.U.dtype
+        Yc = Y_.astype(np.float64)
+        floor = np.max(eps * np.sqrt(m) * np.max(np.abs(Yc), axis=0)
+                       / np.linalg.norm(split.D @ Yc, axis=0))
+        out = inner(state, Y_, lam_, opts_)
+        rungs.append((opts_.tol, state.F.dtype, opts_.max_iter, out[2], floor))
+        return out
+
+    monkeypatch.setattr(solvers, "_admm_batch", spy)
+    return rungs
+
+
+def _switches_once(dtypes):
+    """float32 rungs, if any, then float64 ones, the last among them."""
+    k = dtypes.count(np.float32)
+    return dtypes == [np.float32] * k + [np.float64] * (len(dtypes) - k) and k < len(dtypes)
+
+
+def test_loose_rungs_run_in_float32_and_the_rest_in_float64(monkeypatch):
+    # candidates moved off the exact solution never certify, so the ladder
+    # runs to opts.tol: float32 exactly at the rungs at or above SINGLE_TOL
+    # (the float32 floor of mc_grid's columns lies far below them), float64
+    # from the first rung below it, with max_iter one budget of which a
+    # float32 rung may take SINGLE_MAX_ITER
+    split, Y, lam, opts = _mc_grid_block(0)
+    _moving_first_columns(monkeypatch)
+    rungs = _spy_rungs(monkeypatch, split)
+    out = solve_analysis_batch(Y, split, lam, opts)
+    assert [tol for tol, *_ in rungs] == [t for t in solvers.POLISH_LADDER if t > opts.tol] + [
+        opts.tol]
+    assert [dtype for _, dtype, *_ in rungs] == [
+        np.float32 if tol >= solvers.SINGLE_TOL and tol != opts.tol else np.float64
+        for tol, *_ in rungs]
+    assert max(floor for *_, floor in rungs) * solvers.SINGLE_HEADROOM < solvers.SINGLE_TOL
+    spent = np.cumsum([0] + [k for _, _, _, k, _ in rungs])
+    assert [budget for _, _, budget, _, _ in rungs] == [
+        min(left, solvers.SINGLE_MAX_ITER) if dtype == np.float32 else left
+        for (_, dtype, *_), left in zip(rungs, opts.max_iter - spent[:-1])]
+    assert out.iterations == spent[-1] and not out.certified.all() and out.converged.all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2101])
+def test_float32_rungs_keep_their_headroom_above_the_float32_floor(monkeypatch, seed):
+    # with SINGLE_TOL lowered to 1e-6, a float32 state cannot meet the
+    # tightest rungs (at seed 0 the 1e-6 rung took 99,780 iterations without
+    # the headroom); the ladder hands over to float64 at the first rung
+    # within SINGLE_HEADROOM of the live columns' float32 floor
+    monkeypatch.setattr(solvers, "SINGLE_TOL", 1e-6)
+    split, Y, lam, opts = _mc_grid_block(seed)
+    rungs = _spy_rungs(monkeypatch, split)
+    out = solve_analysis_batch(Y, split, lam, opts)
+    dtypes = [dtype for _, dtype, *_ in rungs]
+    assert _switches_once(dtypes) and np.float32 in dtypes
+    first64 = rungs[dtypes.index(np.float64)]
+    assert first64[0] > 1e-6 and solvers.SINGLE_HEADROOM * first64[4] > first64[0]
+    assert all(solvers.SINGLE_HEADROOM * floor <= tol
+               for tol, dtype, *_, floor in rungs if dtype == np.float32)
+    assert out.converged.all() and out.iterations < 1000
+
+
+def test_a_stalled_float32_rung_hands_over_to_float64(monkeypatch):
+    # with every rung allowed float32 and no headroom, the float32 rung at
+    # 1e-6 stalls at float32's rounding; it stops at SINGLE_MAX_ITER and the
+    # ladder goes on in float64 down to a tol of 1e-9
+    monkeypatch.setattr(solvers, "SINGLE_TOL", 0.0)
+    monkeypatch.setattr(solvers, "SINGLE_HEADROOM", 0.0)
+    split, Y, lam, opts = _mc_grid_block(0)
+    rungs = _spy_rungs(monkeypatch, split)
+    out = solve_analysis_batch(Y, split, lam, replace(opts, tol=1e-9))
+    dtypes = [dtype for _, dtype, *_ in rungs]
+    assert _switches_once(dtypes)
+    k = dtypes.count(np.float32)
+    assert rungs[k - 1][0] == 1e-6 and rungs[k - 1][3] == solvers.SINGLE_MAX_ITER
+    assert rungs[k][0] > 1e-9
+    assert out.converged.all() and out.iterations < 3 * solvers.SINGLE_MAX_ITER
+
+
+def test_a_long_trend_path_runs_in_float64(monkeypatch):
+    # paths have no float32 operators: a float32 factor of I + rho D'D went
+    # singular on this path once a float32 residual floor had driven rho
+    # past 1e8, where the float64 ladder certifies at its first rung
+    n = 200_000
+    D = graphs.incidence(graphs.path_graph(n))
+    split = solvers.Splitting(D)
+    rungs = _spy_rungs(monkeypatch, split)
+    out = solvers.solve_analysis(np.arange(n, dtype=float), split, 1e-4)
+    assert {dtype for _, dtype, *_ in rungs} == {np.dtype(np.float64)}
+    assert out.converged and out.iterations == 20 and out.kkt_residual <= KKT_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 2101])
+def test_a_large_shift_certifies_the_same_columns(seed):
+    # the ladder runs on the centred columns, so Y + 1e6, whose float32
+    # rounding (a spacing of 0.0625) would lose Y, certifies the same
+    # columns, and each estimate moves by the shift alone
+    split, Y, lam, opts = _mc_grid_block(seed)
+    out = solve_analysis_batch(Y, split, lam, opts)
+    moved = solve_analysis_batch(Y + 1e6, split, lam, opts)
+    assert out.certified.sum() >= 60 and np.array_equal(moved.certified, out.certified)
+    assert np.max(np.abs(moved.F - 1e6 - out.F)) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2101])
+def test_float32_rounding_of_a_tight_iterate_reads_the_same_groups(seed):
+    # rounding to float32 leaves exact zeros among the noise of the fused
+    # edges; the float32 floor, GAP_FLOOR[float32], reads them as no gap,
+    # where float64's would cut between the zeros and the rest
+    split, Y, lam, _ = _mc_grid_block(seed)
+    F, _, _ = _admm(split, Y, lam, 1e-11)
+    dy = _dy(split, Y)
+    fused, S = solvers._groups_and_signs(split.D, dy, F)
+    fused32, S32 = solvers._groups_and_signs(split.D, dy, F.astype(np.float32))
+    assert np.array_equal(fused32, fused) and np.array_equal(S32, S)
+
+
 def test_each_fused_edge_pattern_is_factored_once_per_batch(monkeypatch):
     # every rung's polish shares one dict of Subgraphs, so a mask of fused
     # edges screened at several rungs is factored once; the Splitting is
@@ -287,11 +422,11 @@ def test_shared_subgraphs_polish_as_fresh_ones(monkeypatch):
     split, Y, lam, opts = _mc_grid_block(2101)
     polish, held = solvers._polish, []
 
-    def both(split_, Y_, F, V, lam_, subgraphs):
+    def both(split_, Y_, F, V, lam_, fused, S, subgraphs):
         F_own, V_own = F.copy(), V.copy()
-        own = polish(split_, Y_, F_own, V_own, lam_, {})
+        own = polish(split_, Y_, F_own, V_own, lam_, fused, S.copy(), {})
         held.append(len(subgraphs))
-        ok = polish(split_, Y_, F, V, lam_, subgraphs)
+        ok = polish(split_, Y_, F, V, lam_, fused, S, subgraphs)
         assert np.array_equal(ok, own)
         assert np.array_equal(F, F_own) and np.array_equal(V, V_own)
         return ok
