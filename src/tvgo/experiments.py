@@ -156,7 +156,7 @@ class EventEvaluator:
         self.pinv = report.pinv
         self.gamma = report.gamma
         n, r = active.n, active.r_S
-        col_norms_n = report.omega[np.asarray(active.inactive) - 1]  # ||d_i^+||_n
+        col_norms_n = report.omega[active.inactive_rows]  # ||d_i^+||_n
         thr_T = lam * col_norms_n / self.gamma
         # per pseudoinverse block: the block, its T thresholds and its column
         # norms, as (k, 1) columns that broadcast over a block of trials
@@ -369,11 +369,14 @@ class Experiment:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        # the graph's edge endpoints, read once when it was built, serve every
+        # stage below that would otherwise read them back from D
+        ends = cfg.graph.ends
         self.D = graphs.incidence(cfg.graph)
         self.active = graphs.active_set(cfg.graph, cfg.S)
-        if not graphs.is_admissible(self.D, self.active):
+        if not graphs.is_admissible(self.D, self.active, ends):
             raise ValueError(f"active set {list(cfg.S)} is not admissible on this graph")
-        self.report = projections.theory_report(self.D, self.active)
+        self.report = projections.theory_report(self.D, self.active, ends)
         self.f0 = cfg.signal.build(self.D, self.active)
         self.norm_Df0 = float(np.abs(self.D @ self.f0).sum())
 
@@ -400,7 +403,7 @@ class Experiment:
         self.solver_opts = SolverOptions(tol=cfg.solver_tol, certify=False)
         # one splitting of D for both estimators and every block of trials
         self.split = (None if self.lam is None and self.lambda0 is None
-                      else solvers.Splitting(self.D))
+                      else solvers.Splitting(self.D, ends))
         self.S_rows = np.asarray(self.active.S, dtype=np.int64) - 1
 
     def _errors(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

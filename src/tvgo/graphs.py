@@ -7,8 +7,9 @@ order of the incidence matrix.
 """
 from __future__ import annotations
 
+import itertools
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,19 +31,47 @@ class DirectedGraph:
         Number of vertices.
     edges : tuple[tuple[int, int], ...]
         Ordered list of (tail, head) pairs, 1-indexed, no self-loops.
+
+    The graph is hashable and compares by (n, edges).  Validating the edges
+    reads them into ends, the read-only (m, 2) int64 array of their 0-based
+    (tail, head) pairs, which every array-side consumer of the graph
+    (incidence, active_set, an experiment's set-up) reads instead of the
+    tuple.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("vertex count must be >= 1")
-        for k, (u, v) in enumerate(self.edges, start=1):
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64)
+        except OverflowError:   # an endpoint past int64 is out of range
+            flat = None
+        if flat is None or (self.m and set(map(len, self.edges)) != {2}):
+            self._raise_first_bad_edge()
+        ends = flat.reshape(-1, 2)
+        if self.m and (flat.min() < 1 or flat.max() > self.n or (ends[:, 0] == ends[:, 1]).any()):
+            self._raise_first_bad_edge()
+        ends -= 1
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
+
+    def _raise_first_bad_edge(self):
+        """Raise the GraphError naming the first edge that is not a pair of
+        distinct vertices in 1..n.  Where every edge is one, numpy read a
+        non-integer endpoint as an integer that made it look otherwise."""
+        for k, edge in enumerate(self.edges, start=1):
+            if len(edge) != 2:
+                raise GraphError(f"edge {k} is not a (tail, head) pair: {edge!r}")
+            u, v = edge
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise GraphError(f"edge {k} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise GraphError(f"edge {k} is a self-loop at vertex {u}")
+        raise GraphError("edge endpoints must be integers")
 
     @property
     def m(self) -> int:
@@ -145,18 +174,13 @@ def build_graph(family: str, **params) -> DirectedGraph:
                      for k, kind in kinds.items()))
 
 
-def _ends(graph: DirectedGraph) -> np.ndarray:
-    """0-based (tail, head) pairs of the graph's edges, shape (m, 2)."""
-    return np.asarray(graph.edges, dtype=np.int64).reshape(graph.m, 2) - 1
-
-
 def incidence(graph: DirectedGraph) -> sp.csr_matrix:
     """Incidence matrix of the graph: row i has -1 at the tail of edge i
     and +1 at its head.  Shape (m, n), dtype float64, CSR."""
     m, n = graph.m, graph.n
     rows = np.repeat(np.arange(m), 2)
     data = np.tile([-1.0, 1.0], m)
-    return sp.csr_matrix((data, (rows, _ends(graph).ravel())), shape=(m, n))
+    return sp.csr_matrix((data, (rows, graph.ends.ravel())), shape=(m, n))
 
 
 def edge_endpoints(D: sp.spmatrix) -> np.ndarray:
@@ -222,6 +246,9 @@ class ActiveSet:
     inactive : tuple[int, ...]
         Sorted edges not in S; position k of this tuple is row k of the
         reduced operator (the index map i*).
+    inactive_rows : np.ndarray
+        The same edges as a 0-based int64 array: the rows of the incidence
+        matrix that the reduced operator keeps.
     """
 
     S: tuple[int, ...]
@@ -230,6 +257,7 @@ class ActiveSet:
     comp_label: np.ndarray
     comp_sizes: tuple[int, ...]
     inactive: tuple[int, ...]
+    inactive_rows: np.ndarray = field(repr=False, compare=False)
 
     @property
     def s(self) -> int:
@@ -249,7 +277,7 @@ class ActiveSet:
 
     def i_star(self, i: int) -> int:
         """0-based row index of (1-based) edge i within the reduced operator."""
-        k = int(np.searchsorted(np.asarray(self.inactive), i))
+        k = int(np.searchsorted(self.inactive_rows, i - 1))
         if k >= len(self.inactive) or self.inactive[k] != i:
             raise ValueError(f"edge {i} is active; i* is defined on -S only")
         return k
@@ -269,31 +297,28 @@ def active_set(graph: DirectedGraph, S: Iterable[int]) -> ActiveSet:
             raise GraphError(f"active edge index {i} outside 1..{graph.m}")
     inactive_mask = np.ones(graph.m, dtype=bool)
     inactive_mask[np.asarray(S_sorted, dtype=np.int64) - 1] = False
-    labels = component_labels(graph.n, _ends(graph)[inactive_mask])
-    sizes = tuple(int(c) for c in np.bincount(labels))
-    inactive = tuple(int(i) for i in np.flatnonzero(inactive_mask) + 1)
+    rows = np.flatnonzero(inactive_mask)
+    labels = component_labels(graph.n, graph.ends[rows])
     return ActiveSet(S=S_sorted, n=graph.n, m=graph.m, comp_label=labels,
-                     comp_sizes=sizes, inactive=inactive)
+                     comp_sizes=tuple(np.bincount(labels).tolist()),
+                     inactive=tuple((rows + 1).tolist()), inactive_rows=rows)
 
 
-def is_admissible(D: sp.spmatrix, active: ActiveSet) -> bool:
+def is_admissible(D: sp.spmatrix, active: ActiveSet, ends: np.ndarray | None = None) -> bool:
     """Whether S is realizable as the exact support of Df for some f.
 
     S is realizable iff for every i in S the projection of row d_i onto the
     nullspace of the reduced operator is nonzero.  For an incidence matrix
     that projection is the componentwise mean of d_i, which vanishes exactly
     when both endpoints of edge i fall in the same component; the test below
-    evaluates that projection criterion exactly.
+    evaluates that projection criterion exactly.  ends, D's 0-based edge
+    endpoints, are read from D when not given.
     """
     if not active.S:
         return True
-    ends = edge_endpoints(D)
-    lab = active.comp_label
-    for i in active.S:
-        u, v = ends[i - 1]
-        if lab[u] == lab[v]:
-            return False
-    return True
+    ends = edge_endpoints(D) if ends is None else ends
+    lab = active.comp_label[ends[np.subtract(active.S, 1)]]
+    return not (lab[:, 0] == lab[:, 1]).any()
 
 
 def read_numbers(source: str, kind: type, tokens: Iterable[str] | None = None) -> list:

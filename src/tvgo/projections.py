@@ -34,6 +34,27 @@ from .graphs import ActiveSet, edge_endpoints
 DENSE_CHUNK = 256   # tail columns gathered at once when building a dense block
 
 
+def _preorder(nc: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-first preorder from vertex 0 of the graph on nc vertices with
+    the given 0-based edges, and each vertex's parent (negative at the root
+    and at vertices not reached), as scipy's undirected search of their
+    COO adjacency gives them.
+
+    That search takes a vertex's out-neighbours by ascending id, then its
+    in-neighbours by ascending id.  The symmetric adjacency built here lists
+    each row's entries in that order, by one sorted int64 key
+    src * 2 nc + (0 out, 1 in) * nc + dst, so a directed search of it visits
+    the same vertices in the same order, without scipy's COO conversion and
+    transposed copy.
+    """
+    key = np.concatenate([tail * (2 * nc) + head, head * (2 * nc) + (nc + tail)])
+    key.sort()
+    indptr = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=nc) + np.bincount(head, minlength=nc), out=indptr[1:])
+    adj = sp.csr_matrix((np.ones(len(key)), key % nc, indptr), shape=(nc, nc))
+    return csgraph.depth_first_order(adj, 0, directed=True, return_predecessors=True)
+
+
 class _TreeBlock:
     """Pseudoinverse block of a tree component, kept in implicit form.
 
@@ -57,11 +78,7 @@ class _TreeBlock:
         if k != nc - 1:
             raise ValueError("tree block must have n_c - 1 edges")
         tail, head = ends_local[:, 0], ends_local[:, 1]
-        adj = sp.coo_matrix((np.ones(k), (tail, head)), shape=(nc, nc))
-        # preorder and parent pointers from local root 0 (the root's parent
-        # is negative)
-        preorder, parent = csgraph.depth_first_order(
-            adj, 0, directed=False, return_predecessors=True)
+        preorder, parent = _preorder(nc, tail, head)
         if len(preorder) != nc:
             raise ValueError("component is not connected")
         # subtree sizes by reverse preorder accumulation
@@ -224,12 +241,14 @@ class PseudoInverse:
         return out
 
 
-def pseudoinverse(D: sp.spmatrix, active: ActiveSet) -> PseudoInverse:
+def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
+                  ends: np.ndarray | None = None) -> PseudoInverse:
     """Blockwise pseudoinverse of the reduced operator D with the rows in S
-    removed: a _TreeBlock for each tree component, a _DenseBlock for the rest."""
+    removed: a _TreeBlock for each tree component, a _DenseBlock for the
+    rest.  ends, D's 0-based edge endpoints, are read from D when not given."""
     if len(active.inactive) == 0:
         raise ValueError("no rows to invert: every edge is active")
-    ends = edge_endpoints(D)[np.asarray(active.inactive) - 1]
+    ends = (edge_endpoints(D) if ends is None else ends)[active.inactive_rows]
     comp_vertices = active.component_vertices()
     # local vertex index within each component
     local = np.empty(active.n, dtype=np.int64)
@@ -315,11 +334,13 @@ class TheoryReport:
         }
 
 
-def theory_report(D: sp.spmatrix, active: ActiveSet) -> TheoryReport:
-    """Compute omega, gamma and the weight vector for (D, S)."""
-    pinv = pseudoinverse(D, active)
+def theory_report(D: sp.spmatrix, active: ActiveSet,
+                  ends: np.ndarray | None = None) -> TheoryReport:
+    """Compute omega, gamma and the weight vector for (D, S); ends, D's
+    0-based edge endpoints, are read from D when not given."""
+    pinv = pseudoinverse(D, active, ends)
     omega = np.zeros(active.m)
-    omega[np.asarray(active.inactive) - 1] = pinv.column_norms() / math.sqrt(active.n)
+    omega[active.inactive_rows] = pinv.column_norms() / math.sqrt(active.n)
     gamma = float(omega.max())
     if gamma <= 0.0:
         raise ValueError("inverse scaling factor is zero; reduced operator is degenerate")

@@ -454,12 +454,13 @@ class Splitting:
     float32 operators of the plain ladder's loose rungs (a read-only float32
     copy of D, its transpose and the float32 solve factory), and is None on
     every other graph.  It is never written after construction, so threads
-    may share it."""
+    may share it.  ends, when given, are D's endpoints as the caller holds
+    them (an experiment reads them from its graph); else they are read from D."""
 
-    def __init__(self, D):
+    def __init__(self, D, ends: np.ndarray | None = None):
         self.D = sp.csr_matrix(D)
         self.Dt = self.D.T   # one CSC transpose
-        self.ends = graphs.edge_endpoints(self.D)
+        self.ends = graphs.edge_endpoints(self.D) if ends is None else ends
         m, n = self.D.shape
         self.labels = graphs.component_labels(n, self.ends)
         # the edges in the order of their first endpoint, and where each
@@ -1027,16 +1028,24 @@ def _forest_step(ends: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     `ends` on len(r) vertices, and the values delta on them with
     D_F' delta = r - (componentwise mean of r) for the forest's incidence D_F.
 
-    A virtual root joined to the first vertex of each component makes the
-    forest one tree, so one _TreeBlock takes every subtree sum: delta is the
-    product of its pseudoinverse's transpose with the centred r (zero at the
-    root), and the virtual edges' values, the centred sums, are dropped.
+    Only the vertices the edges cover take part: any other vertex is a
+    component of its own, where the centred r is zero and no edge is
+    solved for.  A virtual root joined to the first covered vertex of each
+    component makes the forest one tree, so one _TreeBlock takes every
+    subtree sum: delta is the product of its pseudoinverse's transpose with
+    the centred r (zero at the root), and the virtual edges' values, the
+    centred sums, are dropped.  The root so has one neighbour per component
+    that holds an edge, not one per vertex: scipy's depth-first search is
+    quadratic in a vertex's degree.
     """
+    covered, ends = np.unique(ends, return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    r = r[covered]
     n, k = len(r), len(ends)
     labels = graphs.component_labels(n, ends)
     _, roots = np.unique(labels, return_index=True)
-    # tree vertex i + 1 is vertex i, and 0 the root; edges past the first k
-    # are the virtual ones
+    # tree vertex i + 1 is covered vertex i, and 0 the root; edges past the
+    # first k are the virtual ones
     tree_ends = np.concatenate([ends + 1, np.column_stack([np.zeros_like(roots), roots + 1])])
     # one edge per vertex pair, so that none add up in the adjacency, whose
     # values are the edges' positions plus one (a zero is no edge)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvgo import experiments, graphs, projections, solvers
+from tvgo import compatibility, experiments, graphs, projections, solvers
 from tvgo.cli import dispatch
 from tvgo.experiments import (EventEvaluator, SignalSpec,
                               experiment_csv, generate_trial, run_experiment,
@@ -283,9 +283,9 @@ def test_setup_builds_one_pseudoinverse(monkeypatch):
     calls = []
     original = projections.pseudoinverse
 
-    def counting(D, active):
+    def counting(D, active, *ends):
         calls.append(active.S)
-        return original(D, active)
+        return original(D, active, *ends)
 
     monkeypatch.setattr(projections, "pseudoinverse", counting)
     cfg = experiments.ExperimentConfig.from_dict(dict(BASE_CFG, events=True))
@@ -303,9 +303,9 @@ def test_one_splitting_per_experiment(monkeypatch, theorems, events, builds):
     calls = []
     original = solvers.Splitting.__init__
 
-    def counting(self, D):
+    def counting(self, D, *ends):
         calls.append(D.shape)
-        original(self, D)
+        original(self, D, *ends)
 
     monkeypatch.setattr(solvers.Splitting, "__init__", counting)
     run_experiment(dict(BASE_CFG, theorems=theorems, events=events,
@@ -571,6 +571,42 @@ def test_grid_csv_does_not_depend_on_blas_threads():
         out = subprocess.run([sys.executable, "-c", _GRID_CSV_BYTES, json.dumps(GRID_CFG)],
                              env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == GRID_CSV_DIGEST, threads
+
+
+# a random tree whose vertex v draws its parent from the 8 vertices before it,
+# cut by 3 edges, with the noise events only
+_TREE_PARENTS = [int(p) for p in _random_tree(300, 4).ends[:, 0] + 1]
+TREE_EVENTS_CFG = {"graph": {"family": "tree", "params": {"parents": _TREE_PARENTS}},
+                   "S": [40, 150, 260], "signal": {"levels": [0.0, 1.0, 0.0, 1.0]},
+                   "theorems": [], "events": True, "trials": 8, "seed": 5}
+
+
+@pytest.mark.parametrize("cfg", [TREE_EVENTS_CFG, GRID_CFG], ids=["tree_events", "grid"])
+def test_setup_derives_the_edge_endpoints_once(monkeypatch, cfg):
+    # building the graph reads its edges into endpoints; the incidence
+    # matrix, the active set, the admissibility test, the pseudoinverse and
+    # the solvers' splitting all read those, and none reads them back from D
+    calls = []
+    read_from_D, check_edges = graphs.edge_endpoints, graphs.DirectedGraph.__post_init__
+
+    def counting(D):
+        calls.append("D")
+        return read_from_D(D)
+
+    def counting_graph(graph):
+        calls.append("graph")
+        check_edges(graph)
+
+    for module in (graphs, projections, compatibility):
+        monkeypatch.setattr(module, "edge_endpoints", counting)
+    monkeypatch.setattr(graphs.DirectedGraph, "__post_init__", counting_graph)
+    cfg = experiments.ExperimentConfig.from_dict(cfg)
+    exp = experiments.Experiment(cfg)
+    assert calls == ["graph"]
+    monkeypatch.undo()
+    assert np.array_equal(cfg.graph.ends, graphs.edge_endpoints(exp.D))
+    if exp.split is not None:
+        assert exp.split.ends is cfg.graph.ends
 
 
 def test_run_experiment_sqrt_regime():

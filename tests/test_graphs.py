@@ -57,6 +57,30 @@ def test_tree_cycle_detected():
         tree_graph([2])
 
 
+@pytest.mark.parametrize("edges,message", [
+    (((1, 2), (2, 4), (3, 3)), "edge 2 endpoint out of range: (2, 4)"),
+    (((1, 2), (3, 3), (0, 1)), "edge 2 is a self-loop at vertex 3"),
+    (((1, 2), (2, 3), (9, 9)), "edge 3 endpoint out of range: (9, 9)"),
+    (((1, 2), (2, 3), (1, 2 ** 70)), f"edge 3 endpoint out of range: (1, {2 ** 70})"),
+    (((1, 2), (2, 3, 1)), "edge 2 is not a (tail, head) pair: (2, 3, 1)"),
+    (((1, 2, 3), (1,)), "edge 1 is not a (tail, head) pair: (1, 2, 3)"),
+])
+def test_graph_names_its_first_bad_edge(edges, message):
+    with pytest.raises(GraphError) as err:
+        graphs.DirectedGraph(3, edges)
+    assert str(err.value) == message
+
+
+def test_graph_compares_by_n_and_edges_and_holds_read_only_endpoints():
+    g, h = graphs.DirectedGraph(3, ((1, 2), (3, 2))), graphs.DirectedGraph(3, ((1, 2), (3, 2)))
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != graphs.DirectedGraph(4, g.edges) and g != path_graph(3)
+    assert g.ends.tolist() == [[0, 1], [2, 1]] and g.ends.dtype == np.int64
+    assert not g.ends.flags.writeable
+    assert graphs.DirectedGraph(1, ()).ends.shape == (0, 2)
+    assert "ends" not in repr(g)
+
+
 def test_minimum_sizes():
     with pytest.raises(GraphError):
         path_graph(1)

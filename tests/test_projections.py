@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import depth_first_order
 
 from tvgo import graphs, projections
 from tvgo.graphs import (DirectedGraph, active_set, cycle_graph, grid_graph, incidence,
@@ -128,6 +130,35 @@ def test_tree_block_apply_transpose_exact(g, S):
     assert np.allclose(pinv.apply_transpose(V), P.T @ V, rtol=0, atol=1e-11)
     v = rng.standard_normal(g.n)
     assert np.allclose(pinv.apply_transpose(v), P.T @ v, rtol=0, atol=1e-11)
+
+
+def _shuffled_trees():
+    """(vertex count, (k, 2) edges) of 200 random trees with mixed edge
+    orientation and shuffled edge order, then a star and a path."""
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        nc = int(rng.integers(2, 400))
+        parent = [int(rng.integers(max(0, v - int(rng.integers(1, 20))), v))
+                  for v in range(1, nc)]
+        ends = np.column_stack([parent, np.arange(1, nc)])
+        flip = rng.random(nc - 1) < 0.5
+        ends[flip] = ends[flip, ::-1]
+        yield nc, ends[rng.permutation(nc - 1)]
+    yield 500, np.column_stack([np.zeros(499, dtype=np.int64), np.arange(1, 500)])
+    yield 500, np.column_stack([np.arange(1, 500), np.arange(499)])
+
+
+def test_tree_preorder_is_scipys_undirected_search():
+    # a tree block's prefix sums add in its preorder, so the CSV bytes rest
+    # on the sibling order of scipy's undirected depth-first search
+    for nc, ends in _shuffled_trees():
+        coo = sp.coo_matrix((np.ones(nc - 1), ends.T), shape=(nc, nc))
+        want_order, want_parent = depth_first_order(coo, 0, directed=False,
+                                                    return_predecessors=True)
+        order, parent = projections._preorder(nc, ends[:, 0], ends[:, 1])
+        assert np.array_equal(order, want_order) and np.array_equal(parent, want_parent), nc
+        block = _TreeBlock(np.arange(nc), ends)
+        assert np.array_equal(block.rows, want_order)
 
 
 def test_parallel_edges_take_the_dense_block():
