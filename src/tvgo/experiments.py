@@ -8,17 +8,24 @@ blocks, and aggregation folds blocks in index order, so output is bit
 identical for any thread count.
 
 A block's noise is drawn trial-major: each trial fills a contiguous row from
-its own key, and chunks of rows are written into the C-ordered (n, B) block
-that the solvers and the event sums read.  The noise events are reduced one
-pseudoinverse block at a time (T an `all`, R a `max` over each block's
-directions), so the (m-s, B) correlation matrix is never assembled.  Both
-give the same bits as a column-by-column evaluation of T and R.
+its own key, and chunks of NOISE_CHUNK rows are written into the C-ordered
+(n, B) block that the solvers and the event sums read.  The noise events are
+reduced one pseudoinverse block at a time and, within a block, one slab of
+EVENT_CHUNK directions at a time (T an `all`, R a `max` over each slab's
+directions), so the (m-s, B) correlation matrix is never assembled and a
+slab's correlations, scales and comparisons stay in cache while they are
+read.  A tree block forms each slab's subtree sums from its prefix sums;
+a dense block makes its one product and reduces it slab by slab.  Both give
+the same bits as a column-by-column evaluation of T and R.
 
 The event evaluator allocates nothing of a block's size per block of
-trials: each thread keeps its own work arrays on the evaluator, of
-max(n, largest pseudoinverse block) rows, for the gathered rows or prefix
-sums, the correlations and their comparisons, and they go with the
-evaluator.  The projected noise norm comes from the (r_S, B) noise sums of
+trials: each thread keeps its own work arrays on the evaluator, and they go
+with the evaluator.  One has as many rows as the largest of n, a tree
+block's vertices and a dense block's vertices plus edges, for the squared
+noise, the gathered rows or prefix sums, and a dense block's product below
+its gathered rows; three have at most EVENT_CHUNK rows, for a slab's
+correlations, their scales and their comparisons.  The
+projected noise norm comes from the (r_S, B) noise sums of
 the components, one product with an indicator matrix built once, not from a
 projection of the whole block.  That norm rounds differently from the sum
 of squares of the projection, so a trial whose X, A or A' statistic sits
@@ -55,9 +62,19 @@ from .tuning import TheoremInputs
 
 BLOCK_SIZE = 64  # trials per solver batch; fixed so results never depend on threading
 EVENT_NAMES = ("T", "X", "A", "Aprime", "R")
-# trials whose noise is transposed into a block at once: 8 float64 fill one
-# 64-byte cache line of each row of the C-ordered (n, B) block
-NOISE_CHUNK = 8
+# trials whose noise is written into a block at once: each trial draws its
+# row of a (NOISE_CHUNK, n) buffer, which is then transposed into the block's
+# columns.  A 64-trial block at n = 4096 took 3.35-3.48 ms at 8 rows,
+# 3.25-3.28 at 16, 3.16-3.25 at 32 and 3.20-3.28 at 64 (best of 40 calls in
+# each of three rounds, 2-vCPU Xeon); the buffer then holds 1 MB.
+NOISE_CHUNK = 32
+# pseudoinverse directions whose noise events are reduced at once: three
+# (1024, 64) slabs take 1.1 MB, inside a core's 2 MB L2 cache, where the
+# arrays of a whole 4,077-edge block do not fit.  flags_batch on that block
+# (the mc_events tree) took 2.33-2.38 ms at 256, 2.31-2.34 at 512,
+# 2.12-2.33 at 1024, 2.24-2.41 at 2048 and 2.38-2.50 in one slab (best of
+# 40 calls in each of three rounds, same machine).
+EVENT_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -166,9 +183,13 @@ class EventEvaluator:
         # squared norm is the sum over components of (noise sum)^2 / size
         self.members = projections.component_indicator(active.comp_label)
         self.sizes = np.asarray(active.comp_sizes, dtype=np.float64)[:, None]
-        # rows of the work buffers: a component with cycles may have more
-        # edges than the graph has vertices
-        self.work_rows = max([n] + [len(thr) for _, thr, _ in self.blocks])
+        # rows of the work array: n for the squared noise, and per block its
+        # gathered rows or prefix sums, with a dense block's product below
+        # them (a component with cycles may have more edges than vertices)
+        self.work_rows = max([n] + [len(blk.vertices) + (
+            0 if isinstance(blk, projections._TreeBlock) else len(thr))
+            for blk, thr, _ in self.blocks])
+        self.slab_rows = min(EVENT_CHUNK, max(len(thr) for _, thr, _ in self.blocks))
         self._local = threading.local()
         self.thr_X = math.sqrt(sigma ** 2 / n) * (math.sqrt(r) + math.sqrt(2 * x))
         self.pi_lo = r - 2.0 * math.sqrt(a * r)
@@ -176,16 +197,18 @@ class EventEvaluator:
         self.anti_lo = (n - r) - 2.0 * math.sqrt(a * (n - r))
         self.anti_hi = (n - r) + 2.0 * math.sqrt(a * (n - r)) + 2.0 * a
 
-    def _work(self, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The calling thread's work arrays for a block of B trials, each of
-        shape (work_rows, B): prefix sums, correlations and comparisons.
-        They are kept between blocks, and grown when a wider block comes."""
-        size = self.work_rows * B
+    def _work(self, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The calling thread's work arrays for a block of B trials: one of
+        shape (work_rows, B) for prefix sums or a dense block's rows and
+        product, and three of shape (slab_rows, B) for a slab's correlations,
+        their scales and their comparisons.  They are kept between blocks,
+        and grown when a wider block comes."""
+        w, s = self.work_rows, self.slab_rows
         bufs = getattr(self._local, "bufs", None)
-        if bufs is None or bufs[0].size < size:
-            bufs = self._local.bufs = (np.empty(size), np.empty(size),
-                                       np.empty(size, dtype=bool))
-        return tuple(buf[:size].reshape(self.work_rows, B) for buf in bufs)
+        if bufs is None or bufs[1].size < s * B:
+            bufs = self._local.bufs = (np.empty((w + 2 * s) * B), np.empty(s * B, dtype=bool))
+        flat = bufs[0][:(w + 2 * s) * B].reshape(w + 2 * s, B)
+        return flat[:w], flat[w:w + s], flat[w + s:], bufs[1][:s * B].reshape(s, B)
 
     def flags_batch(self, eps: np.ndarray,
                     eps_sq: np.ndarray | None = None) -> dict[str, np.ndarray]:
@@ -195,7 +218,7 @@ class EventEvaluator:
         n, B = eps.shape
         # every array of the block's size is one of this thread's work
         # arrays, so a block of trials allocates nothing that large
-        work, corr_buf, below_buf = self._work(B)
+        work, corr_buf, scale_buf, below_buf = self._work(B)
         if eps_sq is None:
             # the squares go through the work array: np.sum sums a one-column
             # block pairwise, which np.einsum does not, so its bits would move
@@ -207,12 +230,23 @@ class EventEvaluator:
         Rhat = np.full(B, -np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for blk, thr_T, col_norms_n in self.blocks:
-                k = len(thr_T)
-                corr = blk.apply_transpose(eps, work, corr_buf[:k], absolute=True)
-                corr /= n
-                T &= np.all(np.less_equal(corr, thr_T, out=below_buf[:k]), axis=0)
-                scale = np.multiply(col_norms_n, eps_n, out=work[:k])
-                np.maximum(Rhat, np.max(np.divide(corr, scale, out=scale), axis=0), out=Rhat)
+                k, nc = len(thr_T), len(blk.vertices)
+                tree = isinstance(blk, projections._TreeBlock)
+                if tree:   # each slab's subtree sums come from the prefix sums
+                    C = blk.prefix_sums(eps, work)
+                else:      # one product, below the gathered rows, read by slabs
+                    P = blk.apply_transpose(eps, work, work[nc:nc + k])
+                for lo in range(0, k, EVENT_CHUNK):
+                    hi = min(lo + EVENT_CHUNK, k)
+                    rows = hi - lo
+                    scale = scale_buf[:rows]
+                    corr = blk.edge_sums(C, lo, hi, corr_buf[:rows], scale) if tree else P[lo:hi]
+                    np.abs(corr, out=corr)   # so a tree block's signs are never applied
+                    corr /= n
+                    T &= np.all(np.less_equal(corr, thr_T[lo:hi], out=below_buf[:rows]), axis=0)
+                    np.multiply(col_norms_n[lo:hi], eps_n, out=scale)
+                    np.maximum(Rhat, np.max(np.divide(corr, scale, out=scale), axis=0),
+                               out=Rhat)
         Rhat = np.where(eps_n == 0.0, 0.0, Rhat)  # zero noise correlates with nothing
         Rflag = self.gamma * Rhat <= self.R
         anti_sq = eps_sq - proj_sq

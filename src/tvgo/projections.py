@@ -11,13 +11,24 @@ preorder, in O(n_i B) array operations without materializing anything
 dense.  Components containing cycles, or parallel edges (which add up in the
 Laplacian), keep a dense block from one Cholesky factor of their Laplacian.
 
-Both kinds of block apply their transpose into caller-owned arrays when
-given them (`work` for the gathered rows or prefix sums, `out` for the
-result), so the noise events of a Monte Carlo run reuse one set of arrays per
-thread instead of allocating block-sized ones per batch of trials; with
-`absolute=True` they return absolute correlations, for which a tree block
-skips its sign pass.  A block's edge order is its own: `PseudoInverse`
-records, per block, the global column of each of the block's edges.
+A tree block applies its transpose in two steps, which the noise events of
+a Monte Carlo run also take one at a time: `prefix_sums` gathers the rows in
+preorder and sums them, and `edge_sums` forms the subtree sums of a range of
+edges from those sums, so that the events reduce a block slab by slab.  With
+an even number of columns the prefix sum runs on the complex128 view of the
+C-ordered (n_c, B) array.  numpy's accumulate walks down each column one
+dependent add after another, so it is bound by the add's latency; a complex
+add is two independent float64 adds, of the real parts and of the imaginary
+parts, made in the same row order as the float64 cumsum makes them.  The
+bits are the same, at about half the time (0.96 -> 0.48 ms on a 4,077-vertex
+block of 64 columns).  An odd number of columns keeps the float64 cumsum.
+
+Both kinds of block take caller-owned arrays when given them (`work` for
+the gathered rows or prefix sums, and a dense block's `out` for its
+product), so the noise events reuse one set of arrays per thread instead of
+allocating block-sized ones per batch of trials.  A block's edge order is
+its own: `PseudoInverse` records, per block, the global column of each of
+the block's edges.
 """
 from __future__ import annotations
 
@@ -114,30 +125,48 @@ class _TreeBlock:
         b = self.cut_size.astype(np.float64)
         return b * (self.nc - b) / self.nc
 
-    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
-                        out: np.ndarray | None = None, absolute: bool = False) -> np.ndarray:
-        """Column-wise inner products (D+)' V for V of shape (n, B), or their
-        absolute values.
+    def prefix_sums(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """Inclusive prefix sums C, of shape (n_c, B), of the rows of V of
+        shape (n, B) taken in preorder; `work`, a C-ordered array of shape
+        (>= n_c, B), holds them when given (its contents are overwritten).
+
+        For even B the sums run on the complex128 view of C, whose element j
+        pairs columns 2j and 2j + 1: a complex add is the two float64 adds of
+        its real and imaginary parts, made in the same row order, so C holds
+        the bits of the float64 cumsum, in about half its time.
+        """
+        B = V.shape[1]
+        C = np.empty((self.nc, B)) if work is None else work[:self.nc]
+        np.take(V, self.rows, axis=0, out=C, mode="clip")  # unbuffered; rows are in range
+        S = C.view(np.complex128) if B % 2 == 0 else C
+        np.cumsum(S, axis=0, out=S)
+        return C
+
+    def edge_sums(self, C: np.ndarray, lo: int, hi: int, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+        """Unsigned subtree sums sum_B v - |B|/n_c * sum_C v of the block's
+        edges lo:hi, from the prefix sums C of `prefix_sums`, into `out` of
+        shape (hi - lo, B); `tmp`, of the same shape, takes frac_e * C[-1]
+        and may be rows of C other than the last: they are read before it is
+        written."""
+        np.take(C, self.last[lo:hi], axis=0, out=out, mode="clip")
+        out -= C[lo:hi]
+        out -= np.multiply(self.frac[lo:hi, None], C[-1], out=tmp)
+        return out
+
+    def apply_transpose(self, V: np.ndarray) -> np.ndarray:
+        """Column-wise inner products (D+)' V for V of shape (n, B).
 
         col_e' v = sign_e * (sum_B v - |B|/n_c * sum_C v), with sum_B v =
         C[last_e] - C[i] for the inclusive prefix sums C of v in preorder and
-        the block position i of edge e.  `work`, a C-ordered array of shape
-        (>= n_c, B), holds the prefix sums when given (its contents are
-        overwritten), and `out`, of shape (k, B), the result: with both, no
-        array of the block's size is allocated.
+        the block position i of edge e: the prefix step, then the edge step
+        over all k edges at once.
         """
-        B = V.shape[1]
         k = len(self.last)
-        C = np.empty((self.nc, B)) if work is None else work[:self.nc]
-        out = np.empty((k, B)) if out is None else out
-        np.take(V, self.rows, axis=0, out=C, mode="clip")  # unbuffered; rows are in range
-        np.cumsum(C, axis=0, out=C)
-        np.take(C, self.last, axis=0, out=out, mode="clip")
-        out -= C[:-1]
-        # the k = n_c - 1 rows before the total C[-1] hold its product with frac
-        out -= np.multiply(self.frac[:, None], C[-1], out=C[:-1])
-        if absolute:   # |sign_e * x| = |x|, so the signs are not applied
-            return np.abs(out, out=out)
+        C = self.prefix_sums(V)
+        out = np.empty((k, V.shape[1]))
+        # the k = n_c - 1 rows before the total C[-1] take its product with frac
+        self.edge_sums(C, 0, k, out, C[:-1])
         out *= self.sign[:, None]
         return out
 
@@ -192,14 +221,14 @@ class _DenseBlock:
         return np.sum(self.pinv ** 2, axis=0)
 
     def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
-                        out: np.ndarray | None = None, absolute: bool = False) -> np.ndarray:
-        """(D+)' V, or its absolute values; `work` (>= n_c, B) takes the
-        gathered rows of V and `out` (k, B) the result, as in _TreeBlock."""
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """(D+)' V for V of shape (n, B); `work`, a C-ordered array of shape
+        (>= n_c, B), takes the gathered rows of V and `out`, of shape (k, B),
+        the result, when given."""
         nc = len(self.vertices)
         G = np.take(V, self.vertices, axis=0, out=None if work is None else work[:nc],
                     mode="clip")
-        out = np.matmul(self.pinv.T, G, out=out)
-        return np.abs(out, out=out) if absolute else out
+        return np.matmul(self.pinv.T, G, out=out)
 
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros((n, self.pinv.shape[1]), dtype=np.float64)

@@ -83,7 +83,7 @@ def test_trial_noise_moments():
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.5])
-@pytest.mark.parametrize("B", [1, 2, 64])
+@pytest.mark.parametrize("B", [1, 2, 37, 64])
 def test_trial_noise_block_equals_scalar_columns(B, sigma):
     block = trial_noise(sigma, 37, 123, range(9, 9 + B))
     scalar = np.column_stack([trial_noise(sigma, 37, 123, t) for t in range(9, 9 + B)])
@@ -181,6 +181,8 @@ FLAG_CASES = {
     "tree_small": (graphs.tree_graph([1, 1, 2, 2, 3, 3, 5]), [3, 4]),
     # the last vertex is a leaf, so edge 299 cuts it off alone
     "tree_300": (_random_tree(300, 4), [40, 170, 299]),
+    # a 2,975-vertex block, reduced in three slabs of EVENT_CHUNK edges
+    "tree_3000": (_random_tree(3000, 1), [300, 2400, 2999]),
     # the edges between columns 3 and 4: two 6x3 dense blocks
     "grid_cut": (graphs.grid_graph(6, 6), [3, 8, 13, 18, 23, 28]),
     # one dense block with more columns (40 edges) than vertices (25)

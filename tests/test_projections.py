@@ -161,6 +161,25 @@ def test_tree_preorder_is_scipys_undirected_search():
         assert np.array_equal(block.rows, want_order)
 
 
+def test_tree_block_pairs_columns_in_its_prefix_sums():
+    # an even-width block takes its prefix sums on a complex view that pairs
+    # columns 2j and 2j + 1; each column must still be the bits of a float64
+    # cumsum, as a one-column or an odd-width (float64) call computes it
+    rng = np.random.default_rng(27)
+    g = tree_graph([int(rng.integers(max(1, v - 8), v)) for v in range(2, 3001)])
+    [blk] = pseudoinverse(incidence(g), active_set(g, [])).blocks
+    assert isinstance(blk, _TreeBlock) and len(blk.last) > 1024
+    V = rng.standard_normal((g.n, 64))
+    wide = blk.apply_transpose(V)
+    C = np.cumsum(V[blk.rows], axis=0)
+    assert np.array_equal(wide, (C[blk.last] - C[:-1] - blk.frac[:, None] * C[-1])
+                          * blk.sign[:, None])
+    assert np.array_equal(wide[:, :37], blk.apply_transpose(V[:, :37]))
+    assert np.array_equal(wide[:, 27:], blk.apply_transpose(V[:, 27:]))
+    for j in range(64):
+        assert np.array_equal(wide[:, j:j + 1], blk.apply_transpose(V[:, j:j + 1])), j
+
+
 def test_parallel_edges_take_the_dense_block():
     g = DirectedGraph(3, ((1, 2), (1, 2), (2, 3)))
     pinv = pseudoinverse(incidence(g), active_set(g, []))
