@@ -1,0 +1,244 @@
+"""How the solvers solve with a graph's incidence matrix D.
+
+Every linear solve the estimators take, the ADMM f-update's
+(I + rho D'D) X = R and the screen's and the polish's D'D X = R, is picked
+here once per graph from D's edge endpoints, and held by a Splitting.  On a
+row-major grid the orthonormal DCT-II over the two grid axes diagonalises
+D'D, so no factor is built and a new rho only rebuilds a diagonal.  Up to
+DCT_MATRIX_MAX_SIDE per side the transforms are four stacked matmuls over
+the (h, w, B) view of R, each a k x k by k x B product (k = h or w): at
+h, w <= 32 and B <= 64 they stay below OpenBLAS's threading threshold, so
+they never compete with an experiment's threads.  Larger grids keep
+scipy.fft's dctn/idctn, whose cost grows as hw log(hw) where the products'
+grows as hw (h + w).  Every other graph takes a SuperLU factor per rho
+and, for D'D, a factor grounded at one vertex per component, built from
+the endpoints: banded Cholesky up to a band of BAND_MAX, SuperLU past it.
+"""
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+import scipy.fft as sfft
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
+
+from . import graphs
+
+DCT_MATRIX_MAX_SIDE = 32   # largest grid side solved by DCT-II matrix products
+BAND_MAX = 64           # widest reverse Cuthill-McKee band of a banded Laplacian factor
+
+
+def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
+    """(h, w) when D, with 0-based edge endpoints ends (so entries +-1,
+    which graphs.edge_endpoints checks), is an incidence matrix of the
+    row-major h x w grid, h, w >= 2.
+
+    A grid has n = hw vertices and m = 2hw - h - w edges, so h and w are the
+    roots of t^2 - (2n - m) t + n.  m distinct vertex pairs that are all grid
+    edges are then the whole grid: a pair (lo, lo + 1) with lo not at the end
+    of a row, or (lo, lo + w).  Edge order and orientation do not matter, and
+    a relabelling of the vertices fails (unless it maps the grid to itself).
+    Paths (h = 1) are left out.
+    """
+    m, n = D.shape
+    s = 2 * n - m
+    r = math.isqrt(max(s * s - 4 * n, 0))
+    h, w = (s - r) // 2, (s + r) // 2
+    if s <= 0 or r * r != s * s - 4 * n or h < 2:
+        return None
+    lo, step = ends.min(axis=1), np.abs(ends[:, 1] - ends[:, 0])
+    for shape in ((h, w), (w, h)):
+        down = step == shape[1]
+        right = (step == 1) & (lo % shape[1] != shape[1] - 1)
+        # a grid edge's key, lo or n + lo, is its own, so no key repeats
+        # unless an edge joins the same pair as another
+        if np.all(down | right) and np.bincount(lo + n * down).max() == 1:
+            return shape
+    return None
+
+
+def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
+    """(factory, factory32, lap_solve) of D, whose 0-based edge endpoints are
+    ends: factory maps rho to solve, where solve(R) returns X with
+    (I + rho D'D) X = R, factory32 does the same in float32 on the DCT grids
+    and is None on every other D, and lap_solve(R), for R with zero mean on
+    every component of the 0-based vertex labels, returns an X with
+    D'D X = R.  All may overwrite R.
+
+    On the row-major h x w grid (_grid_shape), the orthonormal DCT-II along
+    both grid axes diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) +
+    4 sin^2(pi j / 2w), so the solve is exact without a factor and a new rho
+    only rebuilds the denominator; lap_solve divides by the eigenvalues and
+    drops the zero mode.  Up to DCT_MATRIX_MAX_SIDE per side the transforms
+    are products with the DCT-II matrices, which do not write to R; larger
+    grids take scipy.fft's dctn/idctn.  Every other D, paths included,
+    takes a SuperLU factor of I + rho D'D per rho (on a path its tridiagonal
+    factor solves faster than the transforms) and, for lap_solve,
+    _grounded_solve's factor of D'D, built from the endpoints.  A float32
+    solve takes float32 DCT-II matrices or transforms.  There is no float32
+    factor: in float32, 1 + 2 rho rounds to 2 rho from rho of about 1e7, so
+    I + rho D'D loses its identity, and SuperLU finds it singular from
+    rho = 1e8 on (a path of 200,000 vertices reached that in float32).
+    """
+    shape = _grid_shape(D, ends)
+    if shape is None:
+        DtD = (D.T @ D).tocsc()
+        eye = sp.identity(DtD.shape[0], format="csc")
+        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), None, \
+            _grounded_solve(ends, labels)
+    h, w = shape
+    eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in shape]
+    if max(shape) > DCT_MATRIX_MAX_SIDE:
+        eig = eig[0][:, None] + eig[1][None, :]
+
+        def divide(R, denom):
+            X = sfft.dctn(R.reshape(h, w, -1), norm="ortho", axes=(0, 1), overwrite_x=True)
+            X /= denom
+            return sfft.idctn(X, norm="ortho", axes=(0, 1), overwrite_x=True).reshape(h * w, -1)
+    else:
+        mats = {np.dtype(np.float64): [sfft.dct(np.eye(k), norm="ortho", axis=0) for k in shape]}
+        mats[np.dtype(np.float32)] = [C.astype(np.float32) for C in mats[np.dtype(np.float64)]]
+        eig = eig[1][:, None] + eig[0][None, :]   # (w, h), the layout X has when divided
+
+        def divide(R, denom):
+            Ch, Cw = mats[denom.dtype]
+            X = np.matmul(Cw, R.reshape(h, w, -1))          # along w: (h, w, B)
+            X = np.matmul(Ch, X.transpose(1, 0, 2))         # along h: (w, h, B)
+            X /= denom
+            X = np.matmul(Ch.T, X)
+            return np.matmul(Cw.T, X.transpose(1, 0, 2)).reshape(h * w, -1)
+
+    def factory(dtype):
+        def at(rho):
+            denom = (1.0 + rho * eig)[:, :, None].astype(dtype, copy=False)
+            return lambda R: divide(R, denom)
+        return at
+    lap_denom = eig[:, :, None].copy()
+    lap_denom[0, 0] = np.inf   # the zero mode, the constant on the one component
+    return factory(np.float64), factory(np.float32), lambda R: divide(R, lap_denom)
+
+
+def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
+    """lap_solve of the Laplacian L = D'D of the graph with 0-based edge
+    endpoints ends (parallel edges add up) on len(labels) vertices with
+    0-based component labels: X with L X = R for R with zero mean on every
+    component, from one Cholesky factor of L grounded at the first vertex of
+    each component (X is zero there, and the dropped rows hold because R
+    sums to zero over each component).
+
+    L is built from the endpoints with numpy, with no sparse product: the
+    degrees (bincount) on the diagonal and -1 per edge at its endpoints'
+    positions.  The grounded rows take the reverse Cuthill-McKee order of
+    the graph's adjacency, one entry per joined vertex pair with sorted
+    columns; L's own pattern adds only the diagonal, which changes no
+    comparison of degrees, so the order is the one L would give.  When that
+    leaves a band of at most BAND_MAX diagonals below the main one, as on
+    paths, cycles and the near-grid subgraphs the polish factors, the factor
+    is LAPACK's banded Cholesky, whose few numpy arrays keep the heap of a
+    long run compact; a wider band (a bushy tree) takes SuperLU, whose
+    ordering keeps such graphs free of fill.
+    """
+    n = len(labels)
+    grounded = np.ones(n, dtype=bool)
+    grounded[np.unique(labels, return_index=True)[1]] = False
+    # the adjacency's entries as keys row n + column, sorted, each once
+    pairs = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
+    pairs.sort()
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    indptr = np.searchsorted(pairs, n * np.arange(n + 1))
+    adj = sp.csr_matrix((np.ones(len(pairs)), pairs % n, indptr), shape=(n, n))
+    order = csgraph.reverse_cuthill_mckee(adj, symmetric_mode=True)
+    rows = order[grounded[order]]
+    k = len(rows)
+    pos = np.full(n, -1)
+    pos[rows] = np.arange(k)
+    # each edge between two rows kept, at (hi, lo) below the diagonal
+    a, b = pos[ends[:, 0]], pos[ends[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = lo[lo >= 0], hi[lo >= 0]
+    diag = np.bincount(ends.ravel(), minlength=n)[rows].astype(np.float64)
+    width = int(np.max(hi - lo, initial=0))
+    if width <= BAND_MAX:
+        band = np.zeros((width + 1, k))
+        band[0] = diag
+        np.subtract.at(band, (hi - lo, lo), 1.0)
+        factor = (sla.cholesky_banded(band, lower=True, check_finite=False), True)
+
+        def solve(R):
+            return sla.cho_solve_banded(factor, R, check_finite=False)
+    else:
+        idx = np.arange(k)
+        off = -np.ones(len(lo))
+        solve = spla.splu(sp.csc_matrix((np.concatenate([diag, off, off]),
+                                         (np.concatenate([idx, hi, lo]),
+                                          np.concatenate([idx, lo, hi]))),
+                                        shape=(k, k))).solve
+
+    def lap_solve(R):
+        X = np.zeros_like(R)
+        if k:
+            X[rows] = solve(R[rows])
+        return X
+    return lap_solve
+
+
+class Splitting:
+    """What the solvers derive from the incidence matrix D, built once per
+    graph (see the module docstring): D', the 0-based edge endpoints ends,
+    the component labels, the pure solve factory rho -> solve, the
+    Laplacian solve lap_solve that applies (D'D)^+ up to the nullspace, and
+    whether the graph has a cycle; on the DCT grids, single holds the
+    float32 operators of the plain ladder's loose rungs (a read-only float32
+    copy of D, its transpose and the float32 solve factory), and is None on
+    every other graph.  It is never written after construction, so threads
+    may share it.  ends, when given, are D's endpoints as the caller holds
+    them (an experiment reads them from its graph); else they are read from D."""
+
+    def __init__(self, D, ends: np.ndarray | None = None):
+        self.D = sp.csr_matrix(D)
+        self.Dt = self.D.T   # one CSC transpose
+        self.ends = graphs.edge_endpoints(self.D) if ends is None else ends
+        m, n = self.D.shape
+        self.labels = graphs.component_labels(n, self.ends)
+        # the edges in the order of their first endpoint, and where each
+        # vertex's start: the CSR pattern of the adjacency _group_means tiles
+        self.by_tail = np.argsort(self.ends[:, 0], kind="stable")
+        self.tail_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.ends[:, 0], minlength=n))])
+        self.factory, factory32, self.lap_solve = _solve_factory(self.D, self.ends, self.labels)
+        self.single = None
+        if factory32 is not None:
+            D32 = self.D.astype(np.float32)
+            D32.data.flags.writeable = False
+            self.single = (D32, D32.T, factory32)
+        # a forest has m = n - (number of components) edges; more means a cycle
+        self.cyclic = m > n - len(np.unique(self.labels))
+
+    def operators(self, dtype) -> tuple:
+        """(D, D', rho -> solve) in dtype: float64, or float32 on the graphs
+        whose single holds them."""
+        return (self.D, self.Dt, self.factory) if dtype == np.float64 else self.single
+
+    def subgraph(self, rows: np.ndarray, labels: np.ndarray) -> Subgraph:
+        """What _fused_screen reads of the graph on the same vertices with
+        the edges rows (indices) alone, whose component labels the caller
+        holds; its Laplacian factor is built from those edges' endpoints."""
+        D = self.D[rows]
+        return Subgraph(D, D.T, labels, _grounded_solve(self.ends[rows], labels),
+                        len(rows) > D.shape[1] - labels.max() - 1)
+
+
+class Subgraph(NamedTuple):
+    """The incidence matrix D of some of a graph's edges, on all its
+    vertices, with D', the component labels, lap_solve and whether it has a
+    cycle, as a Splitting holds them for the whole graph."""
+
+    D: sp.csr_matrix
+    Dt: sp.csc_matrix
+    labels: np.ndarray
+    lap_solve: Callable
+    cyclic: bool
+

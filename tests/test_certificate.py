@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvgo
-from tvgo import graphs, solvers
+from tvgo import graphs, solvers, splitting
 from tvgo.graphs import cycle_graph, grid_graph, incidence, path_graph, tree_graph
 from tvgo.solvers import (SolverOptions, kkt_bound, kkt_residual, solve_analysis,
                           solve_analysis_batch, solve_sqrt_analysis_batch)
@@ -161,8 +161,8 @@ def test_bound_of_a_plain_D_builds_no_factor(monkeypatch, family, size):
     out = solve_analysis_batch(Y[:, None], D, 0.05)
     f, v = out.F[:, 0], out.V[:, 0]
     factors = []
-    factor = solvers._grounded_solve
-    monkeypatch.setattr(solvers, "_grounded_solve",
+    factor = splitting._grounded_solve
+    monkeypatch.setattr(splitting, "_grounded_solve",
                         lambda *a: factors.append(1) or factor(*a))
     split = solvers.Splitting(D)
     assert factors == [1]

@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from tvgo import experiments, graphs, projections, solvers
+from tvgo import admm, experiments, graphs, polish, projections, solvers, splitting
 from tvgo.graphs import (DirectedGraph, cycle_graph, grid_graph, incidence, path_graph,
                          tree_graph)
 from tvgo.solvers import (SolverOptions, kkt_bound, kkt_residual, norm_n, solve_analysis_batch,
@@ -69,7 +69,7 @@ def test_screen_certifies_only_at_or_above_lam_max(name):
         assert kkt_residual(Y[:, j], mean[:, j], D, 1.03 * lam_max[j]) <= 1e-12
     for s in SCALES:
         lam = s * lam_max
-        fused, V = solvers._fused_screen(split, centred, g.n * lam)
+        fused, V = polish._fused_screen(split, centred, g.n * lam)
         assert not fused[lam < lam_max].any(), s
         for k, j in enumerate(np.flatnonzero(fused)):
             assert kkt_residual(Y[:, j], mean[:, j], D, lam[j]) <= 1e-12
@@ -133,8 +133,8 @@ def test_subgraph_laplacian_solve_inverts_its_dtd_on_centred_data(monkeypatch, n
     g, rows, superlu = SUBGRAPHS[name]
     split = solvers.Splitting(incidence(g))
     labels = graphs.component_labels(g.n, split.ends[rows])
-    splus, splu = [], solvers.spla.splu
-    monkeypatch.setattr(solvers.spla, "splu", lambda A: splus.append(1) or splu(A))
+    splus, splu = [], splitting.spla.splu
+    monkeypatch.setattr(splitting.spla, "splu", lambda A: splus.append(1) or splu(A))
     sub = split.subgraph(rows, labels)
     assert len(splus) == superlu
     R = np.random.default_rng(g.n).standard_normal((g.n, 3))
@@ -178,36 +178,50 @@ def test_fully_fused_sqrt_solve_is_exact():
 
 def test_sqrt_acceptance_block_makes_no_admm_call(monkeypatch):
     calls = []
-    inner = solvers._admm_batch
+    inner = admm._admm_batch
 
     def spy(*args):
         calls.append(args[1].shape[1])
         return inner(*args)
 
-    monkeypatch.setattr(solvers, "_admm_batch", spy)
+    monkeypatch.setattr(admm, "_admm_batch", spy)
     exp = experiments.Experiment(experiments.ExperimentConfig.from_dict(SQRT_CFG))
     cols = exp.run_block(0, 0, 64)
     assert calls == []
     assert cols["sqrt_converged"].all() and not cols["overfit"].any()
+    # a jump of 10 across the cut, which the screen cannot fuse, reaches the
+    # same spy: the patch target is the one the fixed point calls
+    Y = np.random.default_rng(1).standard_normal((exp.D.shape[1], 1))
+    Y[200:] += 10.0
+    solve_sqrt_analysis_batch(Y, exp.split, exp.lambda0 / 2.0, exp.solver_opts)
+    assert calls and set(calls) == {1}
 
 
 @pytest.mark.parametrize("sqrt", [False, True], ids=["plain", "sqrt"])
 def test_mixed_batch_keeps_the_mean_and_the_rest(sqrt):
-    # three noise columns, fused, and three with a jump of 4 across the
-    # grid's middle, not fused
+    # three noise columns, fused, three with a jump of 4 across the grid's
+    # middle, not fused, and a constant column: square-root overfit at once
+    # (its scale starts at 0), plain fused at its mean
     g = grid_graph(8, 8)
     split = solvers.Splitting(incidence(g))
     rng = np.random.default_rng(3)
-    Y = rng.standard_normal((g.n, 6))
-    Y[:, 3:] += 4.0 * (np.arange(g.n) % 8 >= 4)[:, None]
+    Y = rng.standard_normal((g.n, 7))
+    Y[:, 3:6] += 4.0 * (np.arange(g.n) % 8 >= 4)[:, None]
+    Y[:, 6] = 2.5
     solve, level = (solve_sqrt_analysis_batch, 0.02) if sqrt else (solve_analysis_batch, 0.1)
     opts = SolverOptions(tol=1e-7)
     out = solve(Y, split, level, opts)
     mean = projections.componentwise_mean(split.labels, Y)
     assert np.array_equal(out.F[:, :3], mean[:, :3])
-    assert not np.any(np.all(out.F[:, 3:] == mean[:, 3:], axis=0))
+    assert not np.any(np.all(out.F[:, 3:6] == mean[:, 3:6], axis=0))
     assert out.converged.all()
+    if sqrt:
+        assert np.array_equal(out.F[:, 6], Y[:, 6]) and out.overfit[6] and not out.certified[6]
+        assert out.sigma_hat[6] == out.lam[6] == 0.0 and not out.V[:, 6].any()
+        assert not out.overfit[:6].any()
+    else:
+        assert np.array_equal(out.F[:, 6], mean[:, 6]) and out.certified[6]
     # the columns left over run the ADMM batch they would run alone
-    rest = solve(Y[:, 3:], split, level, opts)
-    assert np.array_equal(out.F[:, 3:], rest.F) and out.iterations == rest.iterations
-    assert np.array_equal(out.lam[3:], rest.lam) and np.array_equal(out.V[:, 3:], rest.V)
+    rest = solve(Y[:, 3:6], split, level, opts)
+    assert np.array_equal(out.F[:, 3:6], rest.F) and out.iterations == rest.iterations
+    assert np.array_equal(out.lam[3:6], rest.lam) and np.array_equal(out.V[:, 3:6], rest.V)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvgo import experiments, graphs, projections, solvers
+from tvgo import admm, experiments, graphs, projections, solvers
 from tvgo.solvers import SolverOptions, _objective, kkt_residual, norm_n
 
 B = 24
@@ -42,10 +42,10 @@ def _block(family):
 
 
 def _cold_batch(D, Y, lams, opts):
-    """solvers._admm_batch from a cold state: f = Y, z = DY, u = 0."""
+    """admm._admm_batch from a cold state: f = Y, z = DY, u = 0."""
     split = solvers.Splitting(D)
     centred = Y - projections.componentwise_mean(split.labels, Y)
-    return solvers._admm_batch(solvers._AdmmState(split, Y, lams, centred), Y, lams, opts)
+    return admm._admm_batch(admm._AdmmState(split, Y, lams, centred), Y, lams, opts)
 
 
 def _dual_mismatch(D, Y, state):
@@ -76,7 +76,7 @@ def test_batch_columns_converge_certify_and_match_single_solves(family):
 def test_sqrt_batch_warm_start_across_rho_change_matches_single_solves(monkeypatch):
     D, Y, _, lambda0, opts = _block("cycle")
     calls = []
-    inner = solvers._admm_batch
+    inner = admm._admm_batch
 
     def spy(state, Y_, lam_, opts_):
         # the first call starts from the fixed point's fresh (cold) state
@@ -86,7 +86,7 @@ def test_sqrt_batch_warm_start_across_rho_change_matches_single_solves(monkeypat
         calls.append((Y_.shape[1], rho_in, out[1].rho, mismatch))
         return out
 
-    monkeypatch.setattr(solvers, "_admm_batch", spy)
+    monkeypatch.setattr(admm, "_admm_batch", spy)
     out = solvers.solve_sqrt_analysis_batch(Y, D, lambda0, opts)
     F, sigma, overfit = out.F, out.sigma_hat, out.overfit
     monkeypatch.undo()

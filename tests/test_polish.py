@@ -1,6 +1,6 @@
 """The polish of the plain ADMM batch: exact solutions read off a loose solve.
 
-The plain estimator runs ADMM down the tolerances of solvers.POLISH_LADDER
+The plain estimator runs ADMM down the tolerances of polish.POLISH_LADDER
 to the requested one and, after each, reads each live column's fused groups
 (at the largest gap of its sorted |Df|) and boundary signs, and takes the
 one candidate the KKT conditions allow for them.  A column is certified
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tvgo import experiments, graphs, projections, solvers
+from tvgo import admm, experiments, graphs, polish, projections, solvers, splitting
 from tvgo.solvers import SolverOptions, kkt_bound, kkt_residual, solve_analysis_batch
 
 from test_output_contract import FAMILIES as CONTRACT_FAMILIES
@@ -45,9 +45,9 @@ def _admm(split, Y, lam, tol):
     """Cold-started ADMM iterates and scaled duals of the columns of Y."""
     lams = np.full(Y.shape[1], lam)
     centred = Y - projections.componentwise_mean(split.labels, Y)
-    F, state, _, _ = solvers._admm_batch(solvers._AdmmState(split, Y, lams, centred), Y, lams,
-                                         SolverOptions(tol=tol))
-    return F.copy(), solvers._scaled_dual(state.U.copy(), state.rho, Y.shape[0], lams), lams
+    F, state, _, _ = admm._admm_batch(admm._AdmmState(split, Y, lams, centred), Y, lams,
+                                      SolverOptions(tol=tol))
+    return F.copy(), admm._scaled_dual(state.U.copy(), state.rho, Y.shape[0], lams), lams
 
 
 def _dy(split, Y):
@@ -56,9 +56,9 @@ def _dy(split, Y):
 
 
 def _polish(split, Y, F, V, lams):
-    """solvers._polish of the groups and signs read off the iterates F."""
-    return solvers._polish(split, Y, F, V, lams,
-                           *solvers._groups_and_signs(split.D, _dy(split, Y), F))
+    """polish._polish of the groups and signs read off the iterates F."""
+    return polish._polish(split, Y, F, V, lams,
+                          *polish._groups_and_signs(split.D, _dy(split, Y), F))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2101])
@@ -82,16 +82,16 @@ def test_loose_state_meets_the_warm_start_check(monkeypatch, family):
     # to within ten times the rung's tolerance: the mismatch follows the
     # stopping test, about 1.3e-2 after the 3e-2 rung, so a fixed 1e-3 holds
     # from the 1e-4 rung on, where the bound is the 1e-3 it was there
-    passes, inner = [], solvers._admm_batch
+    passes, inner = [], admm._admm_batch
 
     def spy(state, Y_, lam_, opts_):
         out = inner(state, Y_, lam_, opts_)
         passes.append((opts_.tol, _dual_mismatch(state.split.D, Y_, out[1]).max()))
         return out
 
-    monkeypatch.setattr(solvers, "_admm_batch", spy)
+    monkeypatch.setattr(admm, "_admm_batch", spy)
     assert solve_analysis_batch(Y, D, lam, opts).converged.all()
-    assert passes[0][0] == solvers.POLISH_LADDER[0]
+    assert passes[0][0] == polish.POLISH_LADDER[0]
     assert all(mismatch <= 10.0 * tol for tol, mismatch in passes)
     assert all(mismatch <= 1e-3 for tol, mismatch in passes if tol <= 1e-4)
 
@@ -100,7 +100,7 @@ def _moving_first_columns(monkeypatch):
     """Make every polish move one vertex of its candidate by 1e-3 in the
     first column of each pattern of fused edges (where _group_means forms
     the candidates); returns the list of each call's moved columns."""
-    real, moved = solvers._group_means, []
+    real, moved = polish._group_means, []
 
     def wrong(split, fused, T):
         C, labels = real(split, fused, T)
@@ -109,7 +109,7 @@ def _moving_first_columns(monkeypatch):
         moved.append(first)
         return C, labels
 
-    monkeypatch.setattr(solvers, "_group_means", wrong)
+    monkeypatch.setattr(polish, "_group_means", wrong)
     return moved
 
 
@@ -117,7 +117,7 @@ def test_moved_candidate_is_not_certified(monkeypatch):
     split, Y, lam, _ = _mc_grid_block(0)
     F, V, lams = _admm(split, Y, lam, 1e-4)
     clean = _polish(split, Y, F.copy(), V.copy(), lams)
-    fused, _ = solvers._groups_and_signs(split.D, _dy(split, Y), F)
+    fused, _ = polish._groups_and_signs(split.D, _dy(split, Y), F)
     first = np.unique(fused.T, axis=0, return_index=True)[1]
     moved = _moving_first_columns(monkeypatch)
     F_out, V_out = F.copy(), V.copy()
@@ -183,7 +183,7 @@ def test_group_dual_certifies_wherever_the_program_does():
         assert not _polish(split, Y[:, None], F, V, lams)[0]
         jumps = np.abs(split.D @ F[:, 0])
         jumps /= max(jumps.max(), np.abs(split.D @ Y).max())
-        assert 1e-8 < jumps.min() < solvers.GAP_CAP
+        assert 1e-8 < jumps.min() < polish.GAP_CAP
     assert len(missed) <= 4
 
 
@@ -212,7 +212,7 @@ def test_gap_rule_reads_fused_edges_below_the_largest_gap_only():
                       [1e-9, 2e-9, 0.0, 1.0, 3e-9, 1e-9],
                       [0.5, 0.02, 0.3, 1.0, 0.005, 0.25]]).T
     F = np.vstack([np.zeros(4), np.cumsum(steps, axis=0)])
-    fused, S = solvers._groups_and_signs(D, np.max(np.abs(D @ F), axis=0), F)
+    fused, S = polish._groups_and_signs(D, np.max(np.abs(D @ F), axis=0), F)
     assert np.array_equal(fused[:, 0], steps[:, 0] < 1e-7)
     assert not fused[:, 1].any() and np.array_equal(S[:, 1], np.ones(6))
     assert np.array_equal(fused[:, 2], steps[:, 2] < 1e-7)
@@ -229,7 +229,7 @@ def test_group_means_equal_each_columns_componentwise_mean():
     fused = rng.random((split.D.shape[0], 9)) < np.linspace(0.3, 1.0, 9)
     fused[:, 0] = False
     T = rng.standard_normal((split.D.shape[1], 9))
-    C, labels = solvers._group_means(split, fused, T)
+    C, labels = polish._group_means(split, fused, T)
     for j in range(9):
         own = graphs.component_labels(split.D.shape[1], split.ends[fused[:, j]])
         assert np.array_equal(labels[j], own)
@@ -256,18 +256,18 @@ def test_max_iter_is_one_budget_over_the_ladder(monkeypatch):
     # each rung gets what the rungs before it left of max_iter; a column the
     # ladder leaves uncertified before opts.tol's rung is not converged
     split, Y, lam, opts = _mc_grid_block(0)
-    calls, inner = [], solvers._admm_batch
+    calls, inner = [], admm._admm_batch
 
     def spy(state, Y_, lam_, opts_):
         out = inner(state, Y_, lam_, opts_)
         calls.append((opts_.max_iter, out[2]))
         return out
 
-    monkeypatch.setattr(solvers, "_admm_batch", spy)
+    monkeypatch.setattr(admm, "_admm_batch", spy)
     out = solve_analysis_batch(Y, split, lam, replace(opts, max_iter=50))
     spent = np.cumsum([0] + [k for _, k in calls])
     assert [budget for budget, _ in calls] == list(50 - spent[:-1])
-    assert out.iterations == spent[-1] <= 50 and len(calls) < len(solvers.POLISH_LADDER)
+    assert out.iterations == spent[-1] <= 50 and len(calls) < len(polish.POLISH_LADDER)
     assert 0 < out.certified.sum() < Y.shape[1]
     assert np.array_equal(out.converged, out.certified)
 
@@ -277,7 +277,7 @@ def _spy_rungs(monkeypatch, split):
     floor): the floor is the largest over the rung's live columns of
     eps32 sqrt(m) max|centred_j| / ||D centred_j||_2, which _plain_batch
     holds to SINGLE_HEADROOM below a float32 rung's tol."""
-    rungs, inner = [], solvers._admm_batch
+    rungs, inner = [], admm._admm_batch
     eps, m = np.finfo(np.float32).eps, split.D.shape[0]
 
     def spy(state, Y_, lam_, opts_):
@@ -289,7 +289,7 @@ def _spy_rungs(monkeypatch, split):
         rungs.append((opts_.tol, state.F.dtype, opts_.max_iter, out[2], floor))
         return out
 
-    monkeypatch.setattr(solvers, "_admm_batch", spy)
+    monkeypatch.setattr(admm, "_admm_batch", spy)
     return rungs
 
 
@@ -309,15 +309,15 @@ def test_loose_rungs_run_in_float32_and_the_rest_in_float64(monkeypatch):
     _moving_first_columns(monkeypatch)
     rungs = _spy_rungs(monkeypatch, split)
     out = solve_analysis_batch(Y, split, lam, opts)
-    assert [tol for tol, *_ in rungs] == [t for t in solvers.POLISH_LADDER if t > opts.tol] + [
+    assert [tol for tol, *_ in rungs] == [t for t in polish.POLISH_LADDER if t > opts.tol] + [
         opts.tol]
     assert [dtype for _, dtype, *_ in rungs] == [
-        np.float32 if tol >= solvers.SINGLE_TOL and tol != opts.tol else np.float64
+        np.float32 if tol >= polish.SINGLE_TOL and tol != opts.tol else np.float64
         for tol, *_ in rungs]
-    assert max(floor for *_, floor in rungs) * solvers.SINGLE_HEADROOM < solvers.SINGLE_TOL
+    assert max(floor for *_, floor in rungs) * polish.SINGLE_HEADROOM < polish.SINGLE_TOL
     spent = np.cumsum([0] + [k for _, _, _, k, _ in rungs])
     assert [budget for _, _, budget, _, _ in rungs] == [
-        min(left, solvers.SINGLE_MAX_ITER) if dtype == np.float32 else left
+        min(left, polish.SINGLE_MAX_ITER) if dtype == np.float32 else left
         for (_, dtype, *_), left in zip(rungs, opts.max_iter - spent[:-1])]
     assert out.iterations == spent[-1] and not out.certified.all() and out.converged.all()
 
@@ -328,15 +328,15 @@ def test_float32_rungs_keep_their_headroom_above_the_float32_floor(monkeypatch, 
     # tightest rungs (at seed 0 the 1e-6 rung took 99,780 iterations without
     # the headroom); the ladder hands over to float64 at the first rung
     # within SINGLE_HEADROOM of the live columns' float32 floor
-    monkeypatch.setattr(solvers, "SINGLE_TOL", 1e-6)
+    monkeypatch.setattr(polish, "SINGLE_TOL", 1e-6)
     split, Y, lam, opts = _mc_grid_block(seed)
     rungs = _spy_rungs(monkeypatch, split)
     out = solve_analysis_batch(Y, split, lam, opts)
     dtypes = [dtype for _, dtype, *_ in rungs]
     assert _switches_once(dtypes) and np.float32 in dtypes
     first64 = rungs[dtypes.index(np.float64)]
-    assert first64[0] > 1e-6 and solvers.SINGLE_HEADROOM * first64[4] > first64[0]
-    assert all(solvers.SINGLE_HEADROOM * floor <= tol
+    assert first64[0] > 1e-6 and polish.SINGLE_HEADROOM * first64[4] > first64[0]
+    assert all(polish.SINGLE_HEADROOM * floor <= tol
                for tol, dtype, *_, floor in rungs if dtype == np.float32)
     assert out.converged.all() and out.iterations < 1000
 
@@ -345,17 +345,17 @@ def test_a_stalled_float32_rung_hands_over_to_float64(monkeypatch):
     # with every rung allowed float32 and no headroom, the float32 rung at
     # 1e-6 stalls at float32's rounding; it stops at SINGLE_MAX_ITER and the
     # ladder goes on in float64 down to a tol of 1e-9
-    monkeypatch.setattr(solvers, "SINGLE_TOL", 0.0)
-    monkeypatch.setattr(solvers, "SINGLE_HEADROOM", 0.0)
+    monkeypatch.setattr(polish, "SINGLE_TOL", 0.0)
+    monkeypatch.setattr(polish, "SINGLE_HEADROOM", 0.0)
     split, Y, lam, opts = _mc_grid_block(0)
     rungs = _spy_rungs(monkeypatch, split)
     out = solve_analysis_batch(Y, split, lam, replace(opts, tol=1e-9))
     dtypes = [dtype for _, dtype, *_ in rungs]
     assert _switches_once(dtypes)
     k = dtypes.count(np.float32)
-    assert rungs[k - 1][0] == 1e-6 and rungs[k - 1][3] == solvers.SINGLE_MAX_ITER
+    assert rungs[k - 1][0] == 1e-6 and rungs[k - 1][3] == polish.SINGLE_MAX_ITER
     assert rungs[k][0] > 1e-9
-    assert out.converged.all() and out.iterations < 3 * solvers.SINGLE_MAX_ITER
+    assert out.converged.all() and out.iterations < 3 * polish.SINGLE_MAX_ITER
 
 
 def test_a_long_trend_path_runs_in_float64(monkeypatch):
@@ -391,8 +391,8 @@ def test_float32_rounding_of_a_tight_iterate_reads_the_same_groups(seed):
     split, Y, lam, _ = _mc_grid_block(seed)
     F, _, _ = _admm(split, Y, lam, 1e-11)
     dy = _dy(split, Y)
-    fused, S = solvers._groups_and_signs(split.D, dy, F)
-    fused32, S32 = solvers._groups_and_signs(split.D, dy, F.astype(np.float32))
+    fused, S = polish._groups_and_signs(split.D, dy, F)
+    fused32, S32 = polish._groups_and_signs(split.D, dy, F.astype(np.float32))
     assert np.array_equal(fused32, fused) and np.array_equal(S32, S)
 
 
@@ -402,15 +402,15 @@ def test_each_fused_edge_pattern_is_factored_once_per_batch(monkeypatch):
     # prebuilt, so every _grounded_solve call is a Subgraph's
     split, Y, lam, opts = _mc_grid_block(2101)
     builds, screened = [], []
-    grounded, screen = solvers._grounded_solve, solvers._fused_screen
+    grounded, screen = splitting._grounded_solve, polish._fused_screen
 
     def spy(sub, *args):
-        if isinstance(sub, solvers.Subgraph):
+        if isinstance(sub, splitting.Subgraph):
             screened.append(graphs.edge_endpoints(sub.D).tobytes())
         return screen(sub, *args)
 
-    monkeypatch.setattr(solvers, "_grounded_solve", lambda *a: builds.append(1) or grounded(*a))
-    monkeypatch.setattr(solvers, "_fused_screen", spy)
+    monkeypatch.setattr(splitting, "_grounded_solve", lambda *a: builds.append(1) or grounded(*a))
+    monkeypatch.setattr(polish, "_fused_screen", spy)
     solve_analysis_batch(Y, split, lam, opts)
     # one screen per pattern and rung, so their count is the per-rung sum
     assert len(builds) == len(set(screened)) < len(screened)
@@ -420,17 +420,17 @@ def test_shared_subgraphs_polish_as_fresh_ones(monkeypatch):
     # each rung's polish with the batch's dict gives the bits of a polish
     # with a dict of its own
     split, Y, lam, opts = _mc_grid_block(2101)
-    polish, held = solvers._polish, []
+    real, held = polish._polish, []
 
     def both(split_, Y_, F, V, lam_, fused, S, subgraphs):
         F_own, V_own = F.copy(), V.copy()
-        own = polish(split_, Y_, F_own, V_own, lam_, fused, S.copy(), {})
+        own = real(split_, Y_, F_own, V_own, lam_, fused, S.copy(), {})
         held.append(len(subgraphs))
-        ok = polish(split_, Y_, F, V, lam_, fused, S, subgraphs)
+        ok = real(split_, Y_, F, V, lam_, fused, S, subgraphs)
         assert np.array_equal(ok, own)
         assert np.array_equal(F, F_own) and np.array_equal(V, V_own)
         return ok
 
-    monkeypatch.setattr(solvers, "_polish", both)
+    monkeypatch.setattr(polish, "_polish", both)
     assert solve_analysis_batch(Y, split, lam, opts).certified.all()
     assert len(held) > 1 and held[0] == 0 < held[-1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import brute_force_path2_sqrt, cd_reference_path, objective
-from tvgo import experiments, solvers
+from tvgo import admm, experiments, solvers, splitting
 from tvgo.graphs import (DirectedGraph, cycle_graph, edge_endpoints, grid_graph, incidence,
                          path_graph, tree_graph)
 from tvgo.solvers import (SolverOptions, kkt_residual, norm_n,
@@ -351,7 +351,7 @@ def _relabelled(g, perm):
 
 def _grid_shape_of(g):
     D = incidence(g)
-    return solvers._grid_shape(D, edge_endpoints(D))
+    return splitting._grid_shape(D, edge_endpoints(D))
 
 
 @pytest.mark.parametrize("h,w", [(2, 2), (3, 7), (7, 3), (8, 8), (32, 32)])
@@ -403,11 +403,11 @@ def test_grid_batch_agrees_with_relabelled_grid_on_superlu():
     Y_perm[perm] = Y
     lams = np.full(6, 0.05)
     opts = SolverOptions(tol=1e-7, certify=False)
-    state, state_perm = (solvers._AdmmState(split, Y_, lams, Y_ - Y_.mean(axis=0))
+    state, state_perm = (admm._AdmmState(split, Y_, lams, Y_ - Y_.mean(axis=0))
                          for split, Y_ in ((solvers.Splitting(incidence(g)), Y),
                                            (solvers.Splitting(incidence(g_perm)), Y_perm)))
-    F, _, _, conv = solvers._admm_batch(state, Y, lams, opts)
-    F_perm, _, _, conv_perm = solvers._admm_batch(state_perm, Y_perm, lams, opts)
+    F, _, _, conv = admm._admm_batch(state, Y, lams, opts)
+    F_perm, _, _, conv_perm = admm._admm_batch(state_perm, Y_perm, lams, opts)
     assert conv.all() and conv_perm.all()
     obj = solvers._objective(Y, F, lams, incidence(g))
     obj_perm = solvers._objective(Y_perm, F_perm, lams, incidence(g_perm))
