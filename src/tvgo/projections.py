@@ -8,8 +8,15 @@ indicator).  A subtree occupies a contiguous interval of the component's
 depth-first preorder, so the column norms follow from the subtree sizes and
 the noise correlations of a whole (n, B) block from one prefix sum along the
 preorder, in O(n_i B) array operations without materializing anything
-dense.  Components containing cycles, or parallel edges (which add up in the
-Laplacian), keep a dense block from one Cholesky factor of their Laplacian.
+dense.  A component whose edges are those of a whole h x w rectangle in its
+local ids, as every component of a grid cut into rectangles is, is not
+materialized either: the grid's DCT-II (`griddct`) diagonalises its
+Laplacian L, so the column norms ||L+ d_e|| follow in closed form from two
+products of small matrices per edge direction, and (D+)' V = B L+ V from one
+DCT Laplacian solve of the gathered rows and the differences of heads and
+tails.  Every other component with cycles, or with parallel edges (which
+add up in the Laplacian), keeps a dense block from one Cholesky factor of
+its Laplacian.
 
 A tree block applies its transpose in two steps, which the noise events of
 a Monte Carlo run also take one at a time: `prefix_sums` gathers the rows in
@@ -23,12 +30,13 @@ parts, made in the same row order as the float64 cumsum makes them.  The
 bits are the same, at about half the time (0.96 -> 0.48 ms on a 4,077-vertex
 block of 64 columns).  An odd number of columns keeps the float64 cumsum.
 
-Both kinds of block take caller-owned arrays when given them (`work` for
-the gathered rows or prefix sums, and a dense block's `out` for its
-product), so the noise events reuse one set of arrays per thread instead of
-allocating block-sized ones per batch of trials.  A block's edge order is
-its own: `PseudoInverse` records, per block, the global column of each of
-the block's edges.
+Every kind of block takes caller-owned arrays when given them (`work` for
+the gathered rows or prefix sums, and a grid or dense block's `out` for its
+product, in whose rows a grid block also runs its transforms), so the noise
+events reuse one set of arrays per thread instead of allocating block-sized
+ones per batch of trials.  A block's edge order is its own:
+`PseudoInverse` records, per block, the global column of each of the
+block's edges.
 """
 from __future__ import annotations
 
@@ -40,6 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from scipy.linalg import lapack
 
+from . import griddct
 from .graphs import ActiveSet, edge_endpoints
 
 DENSE_CHUNK = 256   # tail columns gathered at once when building a dense block
@@ -236,6 +245,78 @@ class _DenseBlock:
         return out
 
 
+class _GridBlock:
+    """Pseudoinverse block of a component that is a whole row-major h x w
+    grid in its local ids, kept in implicit form.
+
+    Column e of B+ = L+ B' is L+ (1_head - 1_tail), and the grid's DCT-II
+    diagonalises L (`griddct`).  In the basis C_h[i, r] C_w[j, c], edge e
+    from (r, c) to (r, c + 1) has coefficients C_h[i, r] (C_w[j, c + 1] -
+    C_w[j, c]), so ||L+ d_e||^2 is the sum over the modes but the constant
+    of C_h[i, r]^2 (C_w[j, c + 1] - C_w[j, c])^2 / (lam_i + mu_j)^2: one
+    product of small matrices per edge direction gives every column norm.
+    (D+)' V = B L+ V is one Laplacian solve of the gathered rows followed by
+    heads minus tails.  The block keeps its edges in the grid's own order,
+    the horizontal edges row by row, then the vertical ones (`order` maps
+    them back to the order they were given in), so that heads minus tails
+    are two differences of shifted slices; `sign` is -1 on the edges that
+    point from the higher id to the lower, and None when none does.
+    """
+
+    def __init__(self, vertices: np.ndarray, ends_local: np.ndarray, shape: tuple[int, int]):
+        # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
+        self.vertices = vertices
+        self.dct = griddct.GridDCT(*shape)
+        h, w = shape
+        lo = ends_local.min(axis=1)
+        # a horizontal edge from (r, c) sits at r (w - 1) + c = lo - r, a
+        # vertical one after the h (w - 1) horizontal ones, at lo
+        pos = np.where(np.abs(ends_local[:, 1] - ends_local[:, 0]) == w,
+                       h * (w - 1) + lo, lo - lo // w)
+        self.order = np.empty(len(pos), dtype=np.int64)
+        self.order[pos] = np.arange(len(pos))
+        up = ends_local[self.order, 1] > ends_local[self.order, 0]
+        self.sign = None if up.all() else np.where(up, 1.0, -1.0)[:, None]
+
+    def column_norms_sq(self) -> np.ndarray:
+        h, w = self.dct.shape
+        Ch, Cw = griddct.dct_matrix(h), griddct.dct_matrix(w)
+        eig_h, eig_w = self.dct.axis_eig
+        eig = eig_h[:, None] + eig_w[None, :]
+        eig[0, 0] = np.inf   # the constant, which no edge difference sees
+        Q = eig ** -2.0
+        across = (Ch ** 2).T @ Q @ np.diff(Cw, axis=1) ** 2      # (h, w - 1)
+        down = (np.diff(Ch, axis=1) ** 2).T @ Q @ Cw ** 2        # (h - 1, w)
+        return np.concatenate([across.ravel(), down.ravel()])
+
+    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """(D+)' V for V of shape (n, B); `work`, a C-ordered array of shape
+        (>= n_c, B), takes the gathered rows of V and `out`, of shape (k, B),
+        the result, when given.  The transforms run in those two arrays:
+        the rows of `out` (k >= n_c on a grid) hold the intermediate
+        transforms until the edge differences overwrite them."""
+        h, w = self.dct.shape
+        nc, B = h * w, V.shape[1]
+        nh = h * (w - 1)
+        G = np.take(V, self.vertices, axis=0, out=None if work is None else work[:nc],
+                    mode="clip")
+        if out is None:
+            out = np.empty((nh + (h - 1) * w, B))
+        X = self.dct.divide(G, self.dct.lap_denom, out[:nc], G)   # L+ G
+        X3 = X.reshape(h, w, B)
+        np.subtract(X3[:, 1:], X3[:, :-1], out=out[:nh].reshape(h, w - 1, B))
+        np.subtract(X[w:], X[:-w], out=out[nh:])
+        if self.sign is not None:
+            out *= self.sign
+        return out
+
+    def to_dense(self, n: int) -> np.ndarray:
+        out = np.zeros((n, len(self.order)), dtype=np.float64)
+        out[self.vertices, :] = self.apply_transpose(np.eye(n)[:, self.vertices]).T
+        return out
+
+
 @dataclass
 class PseudoInverse:
     """Block-structured Moore-Penrose pseudoinverse of a reduced incidence
@@ -273,8 +354,10 @@ class PseudoInverse:
 def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
                   ends: np.ndarray | None = None) -> PseudoInverse:
     """Blockwise pseudoinverse of the reduced operator D with the rows in S
-    removed: a _TreeBlock for each tree component, a _DenseBlock for the
-    rest.  ends, D's 0-based edge endpoints, are read from D when not given."""
+    removed: a _TreeBlock for each tree component, a _GridBlock for each
+    component whose edges are those of a whole rectangle in its local ids,
+    and a _DenseBlock for the rest.  ends, D's 0-based edge endpoints, are
+    read from D when not given."""
     if len(active.inactive) == 0:
         raise ValueError("no rows to invert: every edge is active")
     ends = (edge_endpoints(D) if ends is None else ends)[active.inactive_rows]
@@ -295,8 +378,13 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
         cols = order[bounds[c]:bounds[c + 1]]
         if len(cols) == 0:
             continue
-        block = _TreeBlock if len(cols) == len(verts) - 1 else _DenseBlock
-        blocks.append(block(verts, local[ends[cols]]))
+        ends_c = local[ends[cols]]
+        if len(cols) == len(verts) - 1:
+            blocks.append(_TreeBlock(verts, ends_c))
+        elif (shape := griddct._grid_shape(len(verts), ends_c)) is not None:
+            blocks.append(_GridBlock(verts, ends_c, shape))
+        else:
+            blocks.append(_DenseBlock(verts, ends_c))
         col_of_block.append(cols[blocks[-1].order])
     return PseudoInverse(n=active.n, n_cols=len(active.inactive),
                          blocks=blocks, col_of_block=col_of_block)

@@ -4,61 +4,25 @@ Every linear solve the estimators take, the ADMM f-update's
 (I + rho D'D) X = R and the screen's and the polish's D'D X = R, is picked
 here once per graph from D's edge endpoints, and held by a Splitting.  On a
 row-major grid the orthonormal DCT-II over the two grid axes diagonalises
-D'D, so no factor is built and a new rho only rebuilds a diagonal.  Up to
-DCT_MATRIX_MAX_SIDE per side the transforms are four stacked matmuls over
-the (h, w, B) view of R, each a k x k by k x B product (k = h or w): at
-h, w <= 32 and B <= 64 they stay below OpenBLAS's threading threshold, so
-they never compete with an experiment's threads.  Larger grids keep
-scipy.fft's dctn/idctn, whose cost grows as hw log(hw) where the products'
-grows as hw (h + w).  Every other graph takes a SuperLU factor per rho
-and, for D'D, a factor grounded at one vertex per component, built from
-the endpoints: banded Cholesky up to a band of BAND_MAX, SuperLU past it.
+D'D (`griddct`, which also says which transforms a grid takes), so no
+factor is built and a new rho only rebuilds a diagonal.  Every other graph
+takes a SuperLU factor per rho and, for D'D, a factor grounded at one
+vertex per component, built from the endpoints: banded Cholesky up to a
+band of BAND_MAX, SuperLU past it.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from . import graphs
+from . import graphs, griddct
 
-DCT_MATRIX_MAX_SIDE = 32   # largest grid side solved by DCT-II matrix products
 BAND_MAX = 64           # widest reverse Cuthill-McKee band of a banded Laplacian factor
-
-
-def _grid_shape(D: sp.csr_matrix, ends: np.ndarray) -> tuple[int, int] | None:
-    """(h, w) when D, with 0-based edge endpoints ends (so entries +-1,
-    which graphs.edge_endpoints checks), is an incidence matrix of the
-    row-major h x w grid, h, w >= 2.
-
-    A grid has n = hw vertices and m = 2hw - h - w edges, so h and w are the
-    roots of t^2 - (2n - m) t + n.  m distinct vertex pairs that are all grid
-    edges are then the whole grid: a pair (lo, lo + 1) with lo not at the end
-    of a row, or (lo, lo + w).  Edge order and orientation do not matter, and
-    a relabelling of the vertices fails (unless it maps the grid to itself).
-    Paths (h = 1) are left out.
-    """
-    m, n = D.shape
-    s = 2 * n - m
-    r = math.isqrt(max(s * s - 4 * n, 0))
-    h, w = (s - r) // 2, (s + r) // 2
-    if s <= 0 or r * r != s * s - 4 * n or h < 2:
-        return None
-    lo, step = ends.min(axis=1), np.abs(ends[:, 1] - ends[:, 0])
-    for shape in ((h, w), (w, h)):
-        down = step == shape[1]
-        right = (step == 1) & (lo % shape[1] != shape[1] - 1)
-        # a grid edge's key, lo or n + lo, is its own, so no key repeats
-        # unless an edge joins the same pair as another
-        if np.all(down | right) and np.bincount(lo + n * down).max() == 1:
-            return shape
-    return None
 
 
 def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
@@ -69,13 +33,13 @@ def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
     every component of the 0-based vertex labels, returns an X with
     D'D X = R.  All may overwrite R.
 
-    On the row-major h x w grid (_grid_shape), the orthonormal DCT-II along
-    both grid axes diagonalises D'D, with eigenvalues 4 sin^2(pi i / 2h) +
-    4 sin^2(pi j / 2w), so the solve is exact without a factor and a new rho
-    only rebuilds the denominator; lap_solve divides by the eigenvalues and
-    drops the zero mode.  Up to DCT_MATRIX_MAX_SIDE per side the transforms
-    are products with the DCT-II matrices, which do not write to R; larger
-    grids take scipy.fft's dctn/idctn.  Every other D, paths included,
+    On the row-major h x w grid (griddct._grid_shape), the orthonormal
+    DCT-II along both grid axes diagonalises D'D, so the solve is exact
+    without a factor and a new rho only rebuilds the denominator; lap_solve
+    divides by the eigenvalues and drops the zero mode.  Up to
+    griddct.DCT_MATRIX_MAX_SIDE per side the transforms are products with
+    the DCT-II matrices, which do not write to R; larger grids take
+    scipy.fft's dctn/idctn.  Every other D, paths included,
     takes a SuperLU factor of I + rho D'D per rho (on a path its tridiagonal
     factor solves faster than the transforms) and, for lap_solve,
     _grounded_solve's factor of D'D, built from the endpoints.  A float32
@@ -84,42 +48,20 @@ def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
     I + rho D'D loses its identity, and SuperLU finds it singular from
     rho = 1e8 on (a path of 200,000 vertices reached that in float32).
     """
-    shape = _grid_shape(D, ends)
+    shape = griddct._grid_shape(D.shape[1], ends)
     if shape is None:
         DtD = (D.T @ D).tocsc()
         eye = sp.identity(DtD.shape[0], format="csc")
         return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), None, \
             _grounded_solve(ends, labels)
-    h, w = shape
-    eig = [4.0 * np.sin(np.pi * np.arange(k) / (2 * k)) ** 2 for k in shape]
-    if max(shape) > DCT_MATRIX_MAX_SIDE:
-        eig = eig[0][:, None] + eig[1][None, :]
-
-        def divide(R, denom):
-            X = sfft.dctn(R.reshape(h, w, -1), norm="ortho", axes=(0, 1), overwrite_x=True)
-            X /= denom
-            return sfft.idctn(X, norm="ortho", axes=(0, 1), overwrite_x=True).reshape(h * w, -1)
-    else:
-        mats = {np.dtype(np.float64): [sfft.dct(np.eye(k), norm="ortho", axis=0) for k in shape]}
-        mats[np.dtype(np.float32)] = [C.astype(np.float32) for C in mats[np.dtype(np.float64)]]
-        eig = eig[1][:, None] + eig[0][None, :]   # (w, h), the layout X has when divided
-
-        def divide(R, denom):
-            Ch, Cw = mats[denom.dtype]
-            X = np.matmul(Cw, R.reshape(h, w, -1))          # along w: (h, w, B)
-            X = np.matmul(Ch, X.transpose(1, 0, 2))         # along h: (w, h, B)
-            X /= denom
-            X = np.matmul(Ch.T, X)
-            return np.matmul(Cw.T, X.transpose(1, 0, 2)).reshape(h * w, -1)
+    dct = griddct.GridDCT(*shape)
 
     def factory(dtype):
         def at(rho):
-            denom = (1.0 + rho * eig)[:, :, None].astype(dtype, copy=False)
-            return lambda R: divide(R, denom)
+            denom = (1.0 + rho * dct.eig)[:, :, None].astype(dtype, copy=False)
+            return lambda R: dct.divide(R, denom)
         return at
-    lap_denom = eig[:, :, None].copy()
-    lap_denom[0, 0] = np.inf   # the zero mode, the constant on the one component
-    return factory(np.float64), factory(np.float32), lambda R: divide(R, lap_denom)
+    return factory(np.float64), factory(np.float32), lambda R: dct.divide(R, dct.lap_denom)
 
 
 def _grounded_solve(ends: np.ndarray, labels: np.ndarray):

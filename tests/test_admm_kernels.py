@@ -2,7 +2,7 @@
 shrinkage of the z- and u-updates.
 
 On a row-major grid, (I + rho D'D) X = R is solved by products with the
-orthonormal DCT-II matrices up to splitting.DCT_MATRIX_MAX_SIDE per side and by
+orthonormal DCT-II matrices up to griddct.DCT_MATRIX_MAX_SIDE per side and by
 scipy's pocketfft transforms above it; both are held to a pocketfft oracle
 (tests/test_solvers.py holds the solve to SuperLU), in float64 and in the
 float32 of the plain ladder's loose rungs; graphs left to SuperLU have no
@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvgo
-from tvgo import admm, solvers, splitting
+from tvgo import admm, griddct, solvers
 from tvgo.graphs import grid_graph, incidence, path_graph, tree_graph
 
-# both sides of splitting.DCT_MATRIX_MAX_SIDE = 32
+# both sides of griddct.DCT_MATRIX_MAX_SIDE = 32
 GRIDS = [(2, 2), (16, 32), (32, 16), (32, 32), (16, 64), (64, 16), (33, 33)]
 
 
@@ -61,7 +61,7 @@ def _check_grid_solve(h, w, rho, dtype):
         R = rng.standard_normal((h * w, B)).astype(dtype)
         before = R.copy()
         X = solve(R)
-        if max(h, w) <= splitting.DCT_MATRIX_MAX_SIDE:
+        if max(h, w) <= griddct.DCT_MATRIX_MAX_SIDE:
             assert R.tobytes() == before.tobytes()
         assert X.shape == (h * w, B) and X.flags.c_contiguous and X.dtype == dtype
         ref = _pocketfft_solve(before.astype(np.float64), h, w, rho)

@@ -183,10 +183,16 @@ FLAG_CASES = {
     "tree_300": (_random_tree(300, 4), [40, 170, 299]),
     # a 2,975-vertex block, reduced in three slabs of EVENT_CHUNK edges
     "tree_3000": (_random_tree(3000, 1), [300, 2400, 2999]),
-    # the edges between columns 3 and 4: two 6x3 dense blocks
+    # the edges between columns 3 and 4: two 6x3 grid blocks
     "grid_cut": (graphs.grid_graph(6, 6), [3, 8, 13, 18, 23, 28]),
-    # one dense block with more columns (40 edges) than vertices (25)
+    # one grid block with more columns (40 edges) than vertices (25)
     "grid_whole": (graphs.grid_graph(5, 5), []),
+    # the edge from (3, 3) to (3, 4) leaves one connected dense block, no
+    # rectangle, with more columns (59) than vertices (36)
+    "grid_inner_edge": (graphs.grid_graph(6, 6), [13]),
+    # columns 1-3 of rows 1-3 and columns 1-2 of rows 4-6 against the
+    # rest: two L-shaped dense blocks
+    "grid_staircase": (graphs.grid_graph(6, 6), [3, 8, 13, 45, 17, 22, 27]),
 }
 
 
@@ -533,15 +539,15 @@ def test_solver_csv_golden_digest():
         "eda4a703d9e9f84fab7844e13cfad3af89075fe9c10db4915435d5cd09459607"
 
 
-# an 8x8 grid cut into two halves, whose dense pseudoinverse blocks and ADMM
-# solves set every float
+# an 8x8 grid cut into two halves, whose two 8x4 grid pseudoinverse blocks
+# and ADMM solves set every float
 GRID_CFG = {"graph": {"family": "grid", "params": {"height": 8, "width": 8}},
             "S": [(r - 1) * 7 + 4 for r in range(1, 9)],
             "signal": {"levels": [0.0, 1.0]}, "sigma": 1.0,
             "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
             "theorems": ["plain_slow", "sqrt_slow"], "events": True,
             "trials": 64, "seed": 23, "threads": 1}
-GRID_CSV_DIGEST = "8fba1336023b73a4940c229be1d317cdb3e09c64b7d336a7dcfad5fe6353ff00"
+GRID_CSV_DIGEST = "fdcacca49305aaa1af7c902950eabdb8b75da0534171145b8c4a2807f979ddff"
 
 
 def test_grid_csv_golden_digests():
@@ -564,8 +570,9 @@ print(hashlib.sha256(experiment_csv(json.loads(sys.argv[1]))[0].encode()).hexdig
 
 
 def test_grid_csv_does_not_depend_on_blas_threads():
-    # the dense blocks' LAPACK Cholesky runs on OpenBLAS; at 8x8 the golden
-    # bytes hold under one and two BLAS threads alike
+    # a grid cut into rectangles takes no LAPACK factor: its pseudoinverse
+    # blocks and its solves are DCT-II products below OpenBLAS's threading
+    # threshold, so the golden bytes hold under one and two BLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

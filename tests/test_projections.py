@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import depth_first_order
 
 from tvgo import graphs, projections
@@ -191,9 +193,28 @@ def _grid_halves(side):
     return [(r - 1) * (side - 1) + side // 2 for r in range(1, side + 1)]
 
 
+def _grid_edge(h, w, r, c, down=False):
+    """1-based id, in grid_graph(h, w), of the edge from (r, c) (1-based) to
+    its right neighbour, or to the one below it when down."""
+    return h * (w - 1) + (r - 1) * w + c if down else (r - 1) * (w - 1) + c
+
+
+def _staircase(side):
+    """Edges of grid_graph(side, side) that cut it along an L-shaped line:
+    the top half splits after column side/2, the bottom half after column
+    side/4, so both sides are L-shaped, neither a rectangle."""
+    half, quarter = side // 2, side // 4
+    top = [_grid_edge(side, side, r, half) for r in range(1, half + 1)]
+    step = [_grid_edge(side, side, half, c, down=True) for c in range(quarter + 1, half + 1)]
+    bottom = [_grid_edge(side, side, r, quarter) for r in range(half + 1, side + 1)]
+    return top + step + bottom
+
+
 DENSE_CASES = {
-    "grid12_whole": (grid_graph(12, 12), []),
-    "grid12_halves": (grid_graph(12, 12), _grid_halves(12)),
+    # the edge from (6, 6) to (6, 7) leaves a connected 144-vertex component
+    # with one grid edge missing, which is no rectangle
+    "grid12_inner_edge": (grid_graph(12, 12), [_grid_edge(12, 12, 6, 6)]),
+    "grid12_staircase": (grid_graph(12, 12), _staircase(12)),
     "cycle64": (cycle_graph(64), []),
     # 12 edges on 6 vertices: a 6-cycle, two chords and parallel edges both ways
     "multigraph": (DirectedGraph(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
@@ -215,6 +236,68 @@ def test_dense_block_matches_svd_oracle(g, S):
     rel = pinv.column_norms() / np.linalg.norm(oracle, axis=0) - 1.0
     assert np.abs(rel).max() < 1e-12
     assert _mp_identities_err(Dm, P) < 1e-10
+
+
+def _quadrants(side):
+    """Edges of grid_graph(side, side) that cut it into four side/2 squares."""
+    half = side // 2
+    return ([_grid_edge(side, side, r, half) for r in range(1, side + 1)]
+            + [_grid_edge(side, side, half, c, down=True) for c in range(1, side + 1)])
+
+
+_rng_grids = np.random.default_rng(29)
+GRID_CASES = {
+    "grid12_whole": (grid_graph(12, 12), []),
+    "grid12_halves": (grid_graph(12, 12), _grid_halves(12)),
+    "grid7x20": (grid_graph(7, 20), []),
+    "grid2x9": (grid_graph(2, 9), []),
+    # edges in random order, about half of them pointing the other way
+    "grid9x6_shuffled": (_reversed_edges(DirectedGraph(54, tuple(
+        grid_graph(9, 6).edges[k] for k in _rng_grids.permutation(93))), _rng_grids), []),
+    # four 5x5 squares, whose local ids are not their global ones
+    "grid10_quadrants": (grid_graph(10, 10), _quadrants(10)),
+    # a side above DCT_MATRIX_MAX_SIDE takes scipy.fft's transforms
+    "grid34x3": (grid_graph(34, 3), []),
+}
+
+
+@pytest.mark.parametrize("g,S", GRID_CASES.values(), ids=GRID_CASES.keys())
+def test_grid_block_matches_svd_oracle(g, S):
+    D = incidence(g)
+    a = active_set(g, S)
+    pinv = pseudoinverse(D, a)
+    assert pinv.blocks and all(isinstance(b, projections._GridBlock) for b in pinv.blocks)
+    Dm = D.toarray()[[i - 1 for i in a.inactive]]
+    oracle = np.linalg.pinv(Dm)
+    P = pinv.to_dense()
+    assert np.abs(P - oracle).max() < 1e-10
+    rel = pinv.column_norms() / np.linalg.norm(oracle, axis=0) - 1.0
+    assert np.abs(rel).max() < 1e-12
+    assert _mp_identities_err(Dm, P) < 1e-10
+    V = np.random.default_rng(g.n).standard_normal((g.n, 7))
+    assert np.allclose(pinv.apply_transpose(V), P.T @ V, rtol=0, atol=1e-12)
+
+
+def test_grid_halves_at_100_report_in_under_a_second():
+    # the pseudoinverse of a 100x100 grid cut in halves is two implicit
+    # 100x50 blocks; omega at sampled edges against grounded sparse solves
+    g = grid_graph(100, 100)
+    D = incidence(g)
+    a = active_set(g, _grid_halves(100))
+    start = time.perf_counter()
+    rep = theory_report(D, a)
+    assert time.perf_counter() - start < 1.0
+    Dr = D[a.inactive_rows].tocsc()
+    L = (Dr.T @ Dr).tocsc()
+    rng = np.random.default_rng(31)
+    for row in rng.choice(a.inactive_rows, size=8, replace=False):
+        verts = np.flatnonzero(a.comp_label == a.comp_label[g.ends[row, 0]])
+        d = D[row].toarray().ravel()[verts]
+        x = np.zeros(len(verts))
+        x[1:] = spla.splu(L[verts][:, verts][1:, 1:].tocsc()).solve(d[1:])
+        x -= x.mean()
+        want = np.linalg.norm(x) / math.sqrt(g.n)
+        assert abs(rep.omega[row] / want - 1.0) < 1e-10, row
 
 
 @pytest.mark.parametrize("ends", [

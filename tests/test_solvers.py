@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import brute_force_path2_sqrt, cd_reference_path, objective
-from tvgo import admm, experiments, solvers, splitting
+from tvgo import admm, experiments, griddct, solvers
 from tvgo.graphs import (DirectedGraph, cycle_graph, edge_endpoints, grid_graph, incidence,
                          path_graph, tree_graph)
 from tvgo.solvers import (SolverOptions, kkt_residual, norm_n,
@@ -351,7 +351,7 @@ def _relabelled(g, perm):
 
 def _grid_shape_of(g):
     D = incidence(g)
-    return splitting._grid_shape(D, edge_endpoints(D))
+    return griddct._grid_shape(D.shape[1], edge_endpoints(D))
 
 
 @pytest.mark.parametrize("h,w", [(2, 2), (3, 7), (7, 3), (8, 8), (32, 32)])
