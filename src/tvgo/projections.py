@@ -15,8 +15,9 @@ Laplacian L, so the column norms ||L+ d_e|| follow in closed form from two
 products of small matrices per edge direction, and (D+)' V = B L+ V from one
 DCT Laplacian solve of the gathered rows and the differences of heads and
 tails.  Every other component with cycles, or with parallel edges (which
-add up in the Laplacian), keeps a dense block from one Cholesky factor of
-its Laplacian.
+add up in the Laplacian), takes the same two steps with
+`splitting._grounded_solve`'s sparse factor of its Laplacian in place of
+the DCT, and its column norms from n_c solves, one per column of L+.
 
 A tree block applies its transpose in two steps, which the noise events of
 a Monte Carlo run also take one at a time: `prefix_sums` gathers the rows in
@@ -31,10 +32,11 @@ bits are the same, at about half the time (0.96 -> 0.48 ms on a 4,077-vertex
 block of 64 columns).  An odd number of columns keeps the float64 cumsum.
 
 Every kind of block takes caller-owned arrays when given them (`work` for
-the gathered rows or prefix sums, and a grid or dense block's `out` for its
-product, in whose rows a grid block also runs its transforms), so the noise
-events reuse one set of arrays per thread instead of allocating block-sized
-ones per batch of trials.  A block's edge order is its own:
+the gathered rows or prefix sums, and a grid or Laplacian block's `out` for
+its product, in whose rows a grid block also runs its transforms), so the
+noise events reuse one set of arrays per thread instead of allocating
+block-sized ones per batch of trials; a Laplacian block's solve still
+allocates its own.  A block's edge order is its own:
 `PseudoInverse` records, per block, the global column of each of the
 block's edges.
 """
@@ -46,12 +48,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-from scipy.linalg import lapack
 
-from . import griddct
-from .graphs import ActiveSet, edge_endpoints
+from . import griddct, splitting
+from .graphs import ActiveSet, component_labels, edge_endpoints
 
-DENSE_CHUNK = 256   # tail columns gathered at once when building a dense block
+SOLVE_CHUNK = 256   # columns of L+ solved at once for a Laplacian block's column norms
 
 
 def _preorder(nc: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,63 +189,6 @@ class _TreeBlock:
         return out
 
 
-class _DenseBlock:
-    """Dense pseudoinverse block of a component with cycles or parallel edges.
-
-    M = L + 11'/n_c, L = B'B, has M^-1 = L+ + 11'/n_c, so column e of B+ = L+ B'
-    is M^-1[:, head_e] - M^-1[:, tail_e]: one Cholesky factor of M builds it.
-    """
-
-    def __init__(self, vertices: np.ndarray, ends_local: np.ndarray):
-        # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
-        self.vertices = vertices
-        nc = len(vertices)
-        adj = sp.coo_matrix((np.ones(len(ends_local)), ends_local.T), shape=(nc, nc))
-        M = csgraph.laplacian((adj + adj.T).toarray())
-        M += 1.0 / nc
-        # M is symmetric, so its transpose is the Fortran-ordered array LAPACK
-        # factors and inverts in place: one (n_c, n_c) array throughout
-        R, info = lapack.dpotrf(M.T, overwrite_a=True)   # M = R'R, R upper
-        # a squared pivot is at least M's least eigenvalue, which exceeds
-        # 4/n_c^2 on a connected component (Mohar 1991); else M is singular
-        if info != 0 or R.diagonal().min() * nc < 1.0:
-            raise ValueError("component is not connected")
-        Minv, _ = lapack.dpotri(R, overwrite_c=True)  # upper triangle only
-        # dpotrf zeroed the strict lower triangle, so adding the transpose
-        # mirrors the upper one and doubles the diagonal, which is restored
-        diag = Minv.diagonal().copy()
-        Minv += Minv.T
-        np.fill_diagonal(Minv, diag)
-        # Minv is symmetric, so the rows of its C-ordered transpose are its
-        # columns: those of the heads are gathered, those of the tails in
-        # chunks subtracted in place, so the only (k, n_c) array is the block
-        rows = Minv.T
-        pinv_t = rows[ends_local[:, 1]]
-        tail = ends_local[:, 0]
-        for lo in range(0, len(tail), DENSE_CHUNK):
-            pinv_t[lo:lo + DENSE_CHUNK] -= rows[tail[lo:lo + DENSE_CHUNK]]
-        self.pinv = pinv_t.T
-        self.order = np.arange(len(tail))
-
-    def column_norms_sq(self) -> np.ndarray:
-        return np.sum(self.pinv ** 2, axis=0)
-
-    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """(D+)' V for V of shape (n, B); `work`, a C-ordered array of shape
-        (>= n_c, B), takes the gathered rows of V and `out`, of shape (k, B),
-        the result, when given."""
-        nc = len(self.vertices)
-        G = np.take(V, self.vertices, axis=0, out=None if work is None else work[:nc],
-                    mode="clip")
-        return np.matmul(self.pinv.T, G, out=out)
-
-    def to_dense(self, n: int) -> np.ndarray:
-        out = np.zeros((n, self.pinv.shape[1]), dtype=np.float64)
-        out[self.vertices, :] = self.pinv
-        return out
-
-
 class _GridBlock:
     """Pseudoinverse block of a component that is a whole row-major h x w
     grid in its local ids, kept in implicit form.
@@ -317,6 +261,57 @@ class _GridBlock:
         return out
 
 
+class _LaplacianBlock:
+    """Pseudoinverse block of a component that is neither a tree nor a whole
+    rectangle, kept in implicit form.
+
+    Column e of B+ = L+ B' is L+ (1_head - 1_tail), so (D+)' V = B L+ V is
+    one solve of the centred gathered rows with `splitting._grounded_solve`'s
+    factor of L, followed by heads minus tails; L+ V differs from that solve
+    by a constant per column, which the differences cancel.  The block keeps
+    its edges in the order they were given in.
+    """
+
+    def __init__(self, vertices: np.ndarray, ends_local: np.ndarray):
+        # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
+        self.vertices = vertices
+        labels = component_labels(len(vertices), ends_local)
+        if labels.max() > 0:
+            raise ValueError("component is not connected")
+        self.tail, self.head = ends_local[:, 0], ends_local[:, 1]
+        self.lap_solve = splitting._grounded_solve(ends_local, labels)
+        self.order = np.arange(len(ends_local))
+
+    def column_norms_sq(self) -> np.ndarray:
+        """Squared row norms of B L+ (those of B+'), n_c solves in all: the
+        products of the unit vectors, SOLVE_CHUNK at a time."""
+        nc = len(self.vertices)
+        out = np.zeros(len(self.order))
+        for lo in range(0, nc, SOLVE_CHUNK):
+            P = self._product(np.eye(nc, min(SOLVE_CHUNK, nc - lo), -lo))
+            out += np.einsum("ij,ij->i", P, P)
+        return out
+
+    def _product(self, G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """B L+ G for G of shape (n_c, B), which is centred in place."""
+        G -= G.mean(axis=0)
+        X = self.lap_solve(G)
+        return np.subtract(X[self.head], X[self.tail], out=out)
+
+    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """(D+)' V for V of shape (n, B); `work`, a C-ordered array of shape
+        (>= n_c, B), takes the gathered rows of V and `out`, of shape (k, B),
+        the result, when given.  The solve allocates its own (n_c, B)
+        arrays."""
+        nc = len(self.vertices)
+        G = np.take(V, self.vertices, axis=0, out=None if work is None else work[:nc],
+                    mode="clip")
+        return self._product(G, out)
+
+    to_dense = _GridBlock.to_dense   # it reads only vertices, order and apply_transpose
+
+
 @dataclass
 class PseudoInverse:
     """Block-structured Moore-Penrose pseudoinverse of a reduced incidence
@@ -356,7 +351,7 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
     """Blockwise pseudoinverse of the reduced operator D with the rows in S
     removed: a _TreeBlock for each tree component, a _GridBlock for each
     component whose edges are those of a whole rectangle in its local ids,
-    and a _DenseBlock for the rest.  ends, D's 0-based edge endpoints, are
+    and a _LaplacianBlock for the rest.  ends, D's 0-based edge endpoints, are
     read from D when not given."""
     if len(active.inactive) == 0:
         raise ValueError("no rows to invert: every edge is active")
@@ -384,7 +379,7 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
         elif (shape := griddct._grid_shape(len(verts), ends_c)) is not None:
             blocks.append(_GridBlock(verts, ends_c, shape))
         else:
-            blocks.append(_DenseBlock(verts, ends_c))
+            blocks.append(_LaplacianBlock(verts, ends_c))
         col_of_block.append(cols[blocks[-1].order])
     return PseudoInverse(n=active.n, n_cols=len(active.inactive),
                          blocks=blocks, col_of_block=col_of_block)

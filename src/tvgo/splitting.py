@@ -8,7 +8,9 @@ D'D (`griddct`, which also says which transforms a grid takes), so no
 factor is built and a new rho only rebuilds a diagonal.  Every other graph
 takes a SuperLU factor per rho and, for D'D, a factor grounded at one
 vertex per component, built from the endpoints: banded Cholesky up to a
-band of BAND_MAX, SuperLU past it.
+band of BAND_MAX, SuperLU past it.  That grounded factor is the package's
+one factor of a graph Laplacian: `projections` builds the pseudoinverse
+blocks of components that are neither trees nor rectangles from it too.
 """
 from __future__ import annotations
 
@@ -81,7 +83,8 @@ def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
     leaves a band of at most BAND_MAX diagonals below the main one, as on
     paths, cycles and the near-grid subgraphs the polish factors, the factor
     is LAPACK's banded Cholesky, whose few numpy arrays keep the heap of a
-    long run compact; a wider band (a bushy tree) takes SuperLU, whose
+    long run compact; a wider band (a bushy tree, or the pseudoinverse
+    block of a wide grid component in `projections`) takes SuperLU, whose
     ordering keeps such graphs free of fill.
     """
     n = len(labels)

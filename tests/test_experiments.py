@@ -23,6 +23,8 @@ from tvgo.experiments import (EventEvaluator, SignalSpec,
                               trial_noise, verify_probability_lemmas)
 from tvgo.graphs import active_set, incidence, path_graph
 
+from test_projections import _staircase
+
 
 def test_signal_levels_constant_per_component():
     g = path_graph(10)
@@ -562,6 +564,12 @@ def test_grid_csv_golden_digests():
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_CSV_DIGEST
 
 
+# the 32x32 grid cut into two L-shaped components along the staircase
+STAIRCASE_CFG = dict(GRID_CFG, graph={"family": "grid", "params": {"height": 32, "width": 32}},
+                     S=_staircase(32), seed=941)
+STAIRCASE_CSV_DIGEST = "244b01c69da2779dcb57aec7b6d6222d39ce98452ec6dce8a03f1ec0df0cc79c"
+
+
 _GRID_CSV_BYTES = """
 import hashlib, json, sys
 from tvgo.experiments import experiment_csv
@@ -570,16 +578,19 @@ print(hashlib.sha256(experiment_csv(json.loads(sys.argv[1]))[0].encode()).hexdig
 
 
 def test_grid_csv_does_not_depend_on_blas_threads():
-    # a grid cut into rectangles takes no LAPACK factor: its pseudoinverse
-    # blocks and its solves are DCT-II products below OpenBLAS's threading
-    # threshold, so the golden bytes hold under one and two BLAS threads
+    # no pseudoinverse block of these grids is a dense LAPACK inverse: the
+    # 8x8 grid's rectangle blocks and its solves are DCT-II products below
+    # OpenBLAS's threading threshold, and the staircase's two L-shaped
+    # components take Laplacian blocks on the grounded sparse factor, so the
+    # golden bytes hold under one and two BLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _GRID_CSV_BYTES, json.dumps(GRID_CFG)],
-                             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == GRID_CSV_DIGEST, threads
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for cfg, digest in ((GRID_CFG, GRID_CSV_DIGEST), (STAIRCASE_CFG, STAIRCASE_CSV_DIGEST)):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", _GRID_CSV_BYTES, json.dumps(cfg)],
+                                 env=env, capture_output=True, text=True, check=True)
+            assert out.stdout.strip() == digest, (cfg["S"][:3], threads)
 
 
 # a random tree whose vertex v draws its parent from the 8 vertices before it,

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -10,7 +14,7 @@ from scipy.sparse.csgraph import depth_first_order
 from tvgo import graphs, projections
 from tvgo.graphs import (DirectedGraph, active_set, cycle_graph, grid_graph, incidence,
                          path_graph, tree_graph)
-from tvgo.projections import (_DenseBlock, _TreeBlock, antiproject_nullspace,
+from tvgo.projections import (_LaplacianBlock, _TreeBlock, antiproject_nullspace,
                               componentwise_mean, gamma_bound, project_nullspace,
                               pseudoinverse, theory_report)
 
@@ -185,7 +189,7 @@ def test_tree_block_pairs_columns_in_its_prefix_sums():
 def test_parallel_edges_take_the_dense_block():
     g = DirectedGraph(3, ((1, 2), (1, 2), (2, 3)))
     pinv = pseudoinverse(incidence(g), active_set(g, []))
-    assert [type(b) for b in pinv.blocks] == [_DenseBlock]
+    assert [type(b) for b in pinv.blocks] == [_LaplacianBlock]
 
 
 def _grid_halves(side):
@@ -228,7 +232,7 @@ def test_dense_block_matches_svd_oracle(g, S):
     D = incidence(g)
     a = active_set(g, S)
     pinv = pseudoinverse(D, a)
-    assert pinv.blocks and all(isinstance(b, _DenseBlock) for b in pinv.blocks)
+    assert pinv.blocks and all(isinstance(b, _LaplacianBlock) for b in pinv.blocks)
     Dm = D.toarray()[[i - 1 for i in a.inactive]]
     oracle = np.linalg.pinv(Dm)
     P = pinv.to_dense()
@@ -278,6 +282,22 @@ def test_grid_block_matches_svd_oracle(g, S):
     assert np.allclose(pinv.apply_transpose(V), P.T @ V, rtol=0, atol=1e-12)
 
 
+def _grounded_omega(g, D, a, rows):
+    """omega at the given rows of D from grounded sparse solves of each
+    row's component Laplacian, independent of `projections`."""
+    Dr = D[a.inactive_rows].tocsc()
+    L = (Dr.T @ Dr).tocsc()
+    want = []
+    for row in rows:
+        verts = np.flatnonzero(a.comp_label == a.comp_label[g.ends[row, 0]])
+        d = D[row].toarray().ravel()[verts]
+        x = np.zeros(len(verts))
+        x[1:] = spla.splu(L[verts][:, verts][1:, 1:].tocsc()).solve(d[1:])
+        x -= x.mean()
+        want.append(np.linalg.norm(x) / math.sqrt(g.n))
+    return np.array(want)
+
+
 def test_grid_halves_at_100_report_in_under_a_second():
     # the pseudoinverse of a 100x100 grid cut in halves is two implicit
     # 100x50 blocks; omega at sampled edges against grounded sparse solves
@@ -287,17 +307,41 @@ def test_grid_halves_at_100_report_in_under_a_second():
     start = time.perf_counter()
     rep = theory_report(D, a)
     assert time.perf_counter() - start < 1.0
-    Dr = D[a.inactive_rows].tocsc()
-    L = (Dr.T @ Dr).tocsc()
-    rng = np.random.default_rng(31)
-    for row in rng.choice(a.inactive_rows, size=8, replace=False):
-        verts = np.flatnonzero(a.comp_label == a.comp_label[g.ends[row, 0]])
-        d = D[row].toarray().ravel()[verts]
-        x = np.zeros(len(verts))
-        x[1:] = spla.splu(L[verts][:, verts][1:, 1:].tocsc()).solve(d[1:])
-        x -= x.mean()
-        want = np.linalg.norm(x) / math.sqrt(g.n)
-        assert abs(rep.omega[row] / want - 1.0) < 1e-10, row
+    rows = np.random.default_rng(31).choice(a.inactive_rows, size=8, replace=False)
+    assert np.abs(rep.omega[rows] / _grounded_omega(g, D, a, rows) - 1.0).max() < 1e-10
+
+
+_STAIRCASE_REPORT = """
+import json, resource, sys, time
+from tvgo import graphs, projections
+g = graphs.grid_graph(100, 100)
+a = graphs.active_set(g, json.loads(sys.argv[1]))
+start = time.perf_counter()
+rep = projections.theory_report(graphs.incidence(g), a)
+seconds = time.perf_counter() - start
+print(json.dumps([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  rep.omega[json.loads(sys.argv[2])].tolist()]))
+"""
+
+
+def test_staircase_at_100_reports_in_under_30_s_and_500_mb():
+    # both L-shaped components of a 100x100 grid cut along the staircase
+    # take Laplacian blocks, which hold no (n_c, n_c) array; the report runs
+    # in a fresh process, whose peak RSS is the report's (and the imports')
+    g = grid_graph(100, 100)
+    D = incidence(g)
+    S = _staircase(100)
+    a = active_set(g, S)
+    rows = np.random.default_rng(37).choice(a.inactive_rows, size=8, replace=False)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projections.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", _STAIRCASE_REPORT, json.dumps(S),
+                          json.dumps(rows.tolist())],
+                         env=env, capture_output=True, text=True, check=True)
+    seconds, rss_mb, omega = json.loads(out.stdout)
+    assert seconds < 30.0 and rss_mb < 500.0, (seconds, rss_mb)
+    assert np.abs(np.array(omega) / _grounded_omega(g, D, a, rows) - 1.0).max() < 1e-10
 
 
 @pytest.mark.parametrize("ends", [
@@ -309,7 +353,7 @@ def test_grid_halves_at_100_report_in_under_a_second():
 def test_dense_block_rejects_disconnected_edges(ends):
     nc = max(max(e) for e in ends) + 1
     with pytest.raises(ValueError, match="not connected"):
-        _DenseBlock(np.arange(nc), np.array(ends))
+        _LaplacianBlock(np.arange(nc), np.array(ends))
 
 
 @pytest.mark.parametrize("g,S", CASES + TREE_CASES)

@@ -366,4 +366,4 @@ def test_every_theorem_golden_digest():
         for name, inp in _golden_battery()}
     assert len(record) == 8 and all(len(v) == 16 for v in record.values())
     assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == \
-        "42f7def200ae161458eb31f3ab3a60653da2d4c544281982db33a7bcd89785af"
+        "4c7e9a2de1f36af3b2ed13704e051a4c3718499c93c1311de583db9d26cb0b4e"
