@@ -106,8 +106,8 @@ def _cmd_graph(args) -> int:
     graph, _ = parse_graph_spec(args.family)
     if args.out:
         graphs.write_graph(graph, args.out)
-    else:   # the format of graphs.write_graph
-        sys.stdout.write("".join(f"{u} {v}\n" for u, v in ((graph.n, graph.m), *graph.edges)))
+    else:
+        sys.stdout.write(graphs.format_graph(graph))
     return EXIT_OK
 
 

@@ -3,7 +3,10 @@
 Vertices are labeled 1..n and edges 1..m throughout, matching the usual
 convention for edge-difference penalties; all arrays handed to numpy are
 0-based internally.  Edge order is canonical per family and defines the row
-order of the incidence matrix.
+order of the incidence matrix.  A graph's state is its vertex count and the
+(m, 2) array of its 0-based edge endpoints, and an active set's is its
+arrays; the 1-based tuples `DirectedGraph.edges` and `ActiveSet.inactive`
+are views derived from those arrays on demand.
 """
 from __future__ import annotations
 
@@ -21,75 +24,112 @@ class GraphError(ValueError):
     """Raised for invalid graph constructions or malformed graph files."""
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+def _integral(values) -> bool:
+    """Whether every value is an integer: values is an array of integer
+    dtype, or an iterable of ints and numpy integers.  As in json_value, True
+    is no integer, though numpy reads it as 1."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iu"
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
+
+
+class _ComparesByValue:
+    """== and hash by the instance's fields, an array field by its bytes, for
+    the frozen classes below that hold arrays."""
+
+    def _key(self):
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(self).values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class DirectedGraph(_ComparesByValue):
     """A directed graph on vertices 1..n with an ordered edge list.
 
     Parameters
     ----------
     n : int
         Number of vertices.
-    edges : tuple[tuple[int, int], ...]
-        Ordered list of (tail, head) pairs, 1-indexed, no self-loops.
+    edges : (m, 2) integer array, or a sequence of m pairs
+        Ordered (tail, head) pairs, 1-indexed, no self-loops.
 
-    The graph is hashable and compares by (n, edges).  Validating the edges
-    reads them into ends, the read-only (m, 2) int64 array of their 0-based
-    (tail, head) pairs, which every array-side consumer of the graph
-    (incidence, active_set, an experiment's set-up) reads instead of the
-    tuple.
+    The graph stores only n and ends, the read-only (m, 2) int64 array of
+    the edges' 0-based (tail, head) pairs, which every consumer of the graph
+    (incidence, active_set, an experiment's set-up) reads.  `edges`, the
+    1-based tuple of pairs, is a view derived from ends on demand.  The graph
+    is hashable and compares by n and the bytes of ends, that is by
+    (n, edges).
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray
+
+    def __init__(self, n: int, edges):
+        self.__dict__.update(n=n, edges=edges)   # __post_init__ reads edges into ends
+        self.__post_init__()
 
     def __post_init__(self):
+        edges = self.__dict__.pop("edges")
         if self.n < 1:
             raise GraphError("vertex count must be >= 1")
         try:
-            flat = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64)
-        except OverflowError:   # an endpoint past int64 is out of range
-            flat = None
-        if flat is None or (self.m and set(map(len, self.edges)) != {2}):
-            self._raise_first_bad_edge()
-        ends = flat.reshape(-1, 2)
-        if self.m and (flat.min() < 1 or flat.max() > self.n or (ends[:, 0] == ends[:, 1]).any()):
-            self._raise_first_bad_edge()
-        ends -= 1
+            pairs = np.asarray(edges).reshape(len(edges), 2)
+        except ValueError:   # not m pairs
+            self._raise_first_bad_edge(edges)
+        if len(pairs) and (not _integral(
+                pairs if isinstance(edges, np.ndarray) else itertools.chain.from_iterable(edges))
+                or pairs.min() < 1 or pairs.max() > self.n or (pairs[:, 0] == pairs[:, 1]).any()):
+            self._raise_first_bad_edge(edges)
+        ends = pairs.astype(np.int64, copy=False) - 1   # a new array: the caller's stays
         ends.flags.writeable = False
-        object.__setattr__(self, "ends", ends)
+        self.__dict__["ends"] = ends
 
-    def _raise_first_bad_edge(self):
-        """Raise the GraphError naming the first edge that is not a pair of
-        distinct vertices in 1..n.  Where every edge is one, numpy read a
-        non-integer endpoint as an integer that made it look otherwise."""
-        for k, edge in enumerate(self.edges, start=1):
+    def _raise_first_bad_edge(self, edges):
+        """Raise the GraphError naming the first of the given edges that is
+        not a pair of distinct integer vertices in 1..n."""
+        for k, edge in enumerate(edges.tolist() if isinstance(edges, np.ndarray) else edges, 1):
             if len(edge) != 2:
-                raise GraphError(f"edge {k} is not a (tail, head) pair: {edge!r}")
+                raise GraphError(f"edge {k} is not a (tail, head) pair: {tuple(edge)!r}")
             u, v = edge
+            if not _integral(edge):
+                raise GraphError(f"edge {k} endpoint is not an integer: {tuple(edge)!r}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise GraphError(f"edge {k} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise GraphError(f"edge {k} is a self-loop at vertex {u}")
-        raise GraphError("edge endpoints must be integers")
+        raise GraphError("edges must be (tail, head) pairs of integers")
+
+    def __repr__(self):
+        return f"DirectedGraph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The 1-based (tail, head) pairs, in edge order."""
+        return tuple(map(tuple, (self.ends + 1).tolist()))
 
 
 def path_graph(n: int) -> DirectedGraph:
     """Path graph with edges (i, i+1) for i = 1..n-1."""
     if n < 2:
         raise GraphError("path graph needs n >= 2")
-    return DirectedGraph(n, tuple((i, i + 1) for i in range(1, n)))
+    return DirectedGraph(n, np.column_stack([np.arange(1, n), np.arange(2, n + 1)]))
 
 
 def cycle_graph(n: int) -> DirectedGraph:
     """Cycle graph: path edges plus the closing edge (n, 1) as edge m = n."""
     if n < 3:
         raise GraphError("cycle graph needs n >= 3")
-    return DirectedGraph(n, tuple((i, i + 1) for i in range(1, n)) + ((n, 1),))
+    tails = np.arange(1, n + 1)
+    return DirectedGraph(n, np.column_stack([tails, np.roll(tails, -1)]))
 
 
 def grid_graph(height: int, width: int) -> DirectedGraph:
@@ -100,15 +140,10 @@ def grid_graph(height: int, width: int) -> DirectedGraph:
     """
     if height < 1 or width < 1 or height * width < 2:
         raise GraphError("grid graph needs height*width >= 2")
-
-    def vid(r: int, c: int) -> int:
-        return (r - 1) * width + c
-
-    horizontal = [(vid(r, c), vid(r, c + 1))
-                  for r in range(1, height + 1) for c in range(1, width)]
-    vertical = [(vid(r, c), vid(r + 1, c))
-                for r in range(1, height) for c in range(1, width + 1)]
-    return DirectedGraph(height * width, tuple(horizontal + vertical))
+    vid = np.arange(1, height * width + 1).reshape(height, width)
+    horizontal = np.stack([vid[:, :-1], vid[:, 1:]], axis=-1).reshape(-1, 2)
+    vertical = np.stack([vid[:-1], vid[1:]], axis=-1).reshape(-1, 2)
+    return DirectedGraph(height * width, np.concatenate([horizontal, vertical]))
 
 
 def tree_graph(parents: Sequence[int]) -> DirectedGraph:
@@ -122,19 +157,24 @@ def tree_graph(parents: Sequence[int]) -> DirectedGraph:
     n = len(parents) + 1
     if n < 2:
         raise GraphError("tree graph needs n >= 2")
-    par = [int(p) for p in parents]
-    for v, p in enumerate(par, start=2):
-        if not (1 <= p <= n):
-            raise GraphError(f"parent of vertex {v} out of range: {p}")
-        if p == v:
-            raise GraphError(f"vertex {v} is its own parent")
+    if not _integral(parents):
+        items = parents.tolist() if isinstance(parents, np.ndarray) else parents
+        v, p = next((v, p) for v, p in enumerate(items, 2) if not _integral((p,)))
+        raise GraphError(f"parent of vertex {v} is not an integer: {p!r}")
+    par, child = np.asarray(parents), np.arange(2, n + 1)
+    bad = np.flatnonzero((par < 1) | (par > n) | (par == child))
+    if len(bad):
+        v, p = bad[0] + 2, parents[bad[0]]
+        raise GraphError(f"vertex {v} is its own parent" if p == v
+                         else f"parent of vertex {v} out of range: {p}")
     # n - 1 parent edges connect all n vertices exactly when they hold no
     # cycle: a component without the root has as many edges as vertices
-    labels = component_labels(n, np.column_stack([np.asarray(par) - 1, np.arange(1, n)]))
+    edges = np.column_stack([par, child])
+    labels = component_labels(n, edges - 1)
     if labels.any():
         v = int(np.argmax(labels > 0)) + 1
         raise GraphError(f"cycle detected in parent array: vertex {v} does not reach the root")
-    return DirectedGraph(n, tuple(zip(par, range(2, n + 1))))
+    return DirectedGraph(n, edges)
 
 
 def json_value(kind, value, name: str, error: type[ValueError] = ValueError):
@@ -227,8 +267,8 @@ def adjacency_labels(adj: sp.spmatrix) -> np.ndarray:
     return rank[labels]
 
 
-@dataclass(frozen=True)
-class ActiveSet:
+@dataclass(frozen=True, eq=False)
+class ActiveSet(_ComparesByValue):
     """An active edge subset S together with the component structure of the
     graph with those edges removed.
 
@@ -243,12 +283,15 @@ class ActiveSet:
         smallest vertex in each component).
     comp_sizes : tuple[int, ...]
         Vertices per component; r_S entries.
-    inactive : tuple[int, ...]
-        Sorted edges not in S; position k of this tuple is row k of the
-        reduced operator (the index map i*).
     inactive_rows : np.ndarray
-        The same edges as a 0-based int64 array: the rows of the incidence
-        matrix that the reduced operator keeps.
+        Sorted 0-based int64 indices of the edges not in S: the rows of the
+        incidence matrix that the reduced operator keeps, position k being
+        row k of the reduced operator (the index map i*).
+
+    The arrays are the state: `inactive`, the same edges as a 1-based tuple,
+    is a view derived from inactive_rows on demand.  Active sets compare and
+    hash by their fields, the arrays by their bytes, which is by S, n, m and
+    comp_label: S and m give inactive_rows, and comp_label gives comp_sizes.
     """
 
     S: tuple[int, ...]
@@ -256,8 +299,12 @@ class ActiveSet:
     m: int
     comp_label: np.ndarray
     comp_sizes: tuple[int, ...]
-    inactive: tuple[int, ...]
-    inactive_rows: np.ndarray = field(repr=False, compare=False)
+    inactive_rows: np.ndarray = field(repr=False)
+
+    @property
+    def inactive(self) -> tuple[int, ...]:
+        """The 1-based edges not in S, in row order of the reduced operator."""
+        return tuple((self.inactive_rows + 1).tolist())
 
     @property
     def s(self) -> int:
@@ -278,7 +325,7 @@ class ActiveSet:
     def i_star(self, i: int) -> int:
         """0-based row index of (1-based) edge i within the reduced operator."""
         k = int(np.searchsorted(self.inactive_rows, i - 1))
-        if k >= len(self.inactive) or self.inactive[k] != i:
+        if k >= len(self.inactive_rows) or self.inactive_rows[k] != i - 1:
             raise ValueError(f"edge {i} is active; i* is defined on -S only")
         return k
 
@@ -291,17 +338,14 @@ class ActiveSet:
 
 def active_set(graph: DirectedGraph, S: Iterable[int]) -> ActiveSet:
     """Component structure of the graph after deleting the edges in S."""
-    S_sorted = tuple(sorted(set(int(i) for i in S)))
-    for i in S_sorted:
-        if not (1 <= i <= graph.m):
-            raise GraphError(f"active edge index {i} outside 1..{graph.m}")
-    inactive_mask = np.ones(graph.m, dtype=bool)
-    inactive_mask[np.asarray(S_sorted, dtype=np.int64) - 1] = False
-    rows = np.flatnonzero(inactive_mask)
+    idx = np.unique(np.fromiter(map(int, S), dtype=object))   # Python ints: none wraps
+    bad = idx[(idx < 1) | (idx > graph.m)]
+    if len(bad):
+        raise GraphError(f"active edge index {bad[0]} outside 1..{graph.m}")
+    rows = np.delete(np.arange(graph.m), idx.astype(np.int64) - 1)
     labels = component_labels(graph.n, graph.ends[rows])
-    return ActiveSet(S=S_sorted, n=graph.n, m=graph.m, comp_label=labels,
-                     comp_sizes=tuple(np.bincount(labels).tolist()),
-                     inactive=tuple((rows + 1).tolist()), inactive_rows=rows)
+    return ActiveSet(S=tuple(idx.tolist()), n=graph.n, m=graph.m, comp_label=labels,
+                     comp_sizes=tuple(np.bincount(labels).tolist()), inactive_rows=rows)
 
 
 def is_admissible(D: sp.spmatrix, active: ActiveSet, ends: np.ndarray | None = None) -> bool:
@@ -314,10 +358,8 @@ def is_admissible(D: sp.spmatrix, active: ActiveSet, ends: np.ndarray | None = N
     evaluates that projection criterion exactly.  ends, D's 0-based edge
     endpoints, are read from D when not given.
     """
-    if not active.S:
-        return True
     ends = edge_endpoints(D) if ends is None else ends
-    lab = active.comp_label[ends[np.subtract(active.S, 1)]]
+    lab = active.comp_label[ends[np.asarray(active.S, dtype=np.int64) - 1]]
     return not (lab[:, 0] == lab[:, 1]).any()
 
 
@@ -338,12 +380,16 @@ def read_numbers(source: str, kind: type, tokens: Iterable[str] | None = None) -
     return out
 
 
+def format_graph(graph: DirectedGraph) -> str:
+    """The plain-text graph format: 'n m' then one 'tail head' per edge."""
+    rows = np.vstack([(graph.n, graph.m), graph.ends + 1])
+    return ("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_graph(graph: DirectedGraph, path: str) -> None:
-    """Write the plain-text graph format: 'n m' then one 'tail head' per edge."""
+    """Write the plain-text graph format of :func:`format_graph` to path."""
     with open(path, "w") as fh:
-        fh.write(f"{graph.n} {graph.m}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(format_graph(graph))
 
 
 def read_graph(path: str) -> DirectedGraph:
@@ -354,7 +400,7 @@ def read_graph(path: str) -> DirectedGraph:
     n, m, *vals = vals
     if len(vals) != 2 * m:
         raise GraphError(f"{path}: expected {m} edges, found {len(vals) // 2}")
-    return DirectedGraph(n, tuple(zip(vals[::2], vals[1::2])))
+    return DirectedGraph(n, np.asarray(vals).reshape(m, 2))
 
 
 def read_active_set(path: str) -> tuple[int, ...]:

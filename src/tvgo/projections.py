@@ -353,7 +353,7 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
     component whose edges are those of a whole rectangle in its local ids,
     and a _LaplacianBlock for the rest.  ends, D's 0-based edge endpoints, are
     read from D when not given."""
-    if len(active.inactive) == 0:
+    if len(active.inactive_rows) == 0:
         raise ValueError("no rows to invert: every edge is active")
     ends = (edge_endpoints(D) if ends is None else ends)[active.inactive_rows]
     comp_vertices = active.component_vertices()
@@ -365,7 +365,7 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
     edge_lab = active.comp_label[ends]
     split = np.flatnonzero(edge_lab[:, 0] != edge_lab[:, 1])
     if len(split):
-        raise ValueError(f"inactive edge {active.inactive[split[0]]} spans two components")
+        raise ValueError(f"inactive edge {active.inactive_rows[split[0]] + 1} spans two components")
     order = np.argsort(edge_lab[:, 0], kind="stable")
     bounds = np.searchsorted(edge_lab[order, 0], np.arange(active.r_S + 1))
     blocks, col_of_block = [], []
@@ -381,7 +381,7 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
         else:
             blocks.append(_LaplacianBlock(verts, ends_c))
         col_of_block.append(cols[blocks[-1].order])
-    return PseudoInverse(n=active.n, n_cols=len(active.inactive),
+    return PseudoInverse(n=active.n, n_cols=len(active.inactive_rows),
                          blocks=blocks, col_of_block=col_of_block)
 
 

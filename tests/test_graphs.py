@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ def test_tree_cycle_detected():
         tree_graph([5])
     with pytest.raises(GraphError, match="own parent"):
         tree_graph([2])
+    for parents, message in [([1.5, 1], "parent of vertex 2 is not an integer: 1.5"),
+                             (np.array([1.5, 1.0]), "parent of vertex 2 is not an integer: 1.5"),
+                             ([1, "1"], "parent of vertex 3 is not an integer: '1'"),
+                             ([1, True], "parent of vertex 3 is not an integer: True")]:
+        with pytest.raises(GraphError) as err:
+            tree_graph(parents)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("edges,message", [
@@ -64,6 +72,12 @@ def test_tree_cycle_detected():
     (((1, 2), (2, 3), (1, 2 ** 70)), f"edge 3 endpoint out of range: (1, {2 ** 70})"),
     (((1, 2), (2, 3, 1)), "edge 2 is not a (tail, head) pair: (2, 3, 1)"),
     (((1, 2, 3), (1,)), "edge 1 is not a (tail, head) pair: (1, 2, 3)"),
+    (((1, 2), (1.5, 2)), "edge 2 endpoint is not an integer: (1.5, 2)"),
+    (((1, 2), ("1", 2)), "edge 2 endpoint is not an integer: ('1', 2)"),
+    (((1, 2), (True, 2)), "edge 2 endpoint is not an integer: (True, 2)"),
+    (np.array([[1.5, 2], [1, 2]]), "edge 1 endpoint is not an integer: (1.5, 2.0)"),
+    (np.array([[1, 2], [2, 4]]), "edge 2 endpoint out of range: (2, 4)"),
+    (np.array([[1, 2, 3]]), "edge 1 is not a (tail, head) pair: (1, 2, 3)"),
 ])
 def test_graph_names_its_first_bad_edge(edges, message):
     with pytest.raises(GraphError) as err:
@@ -126,6 +140,38 @@ def test_active_set_path_split():
     assert a.i_star(3) == 1
     with pytest.raises(ValueError):
         a.i_star(2)
+
+
+def test_active_sets_compare_and_hash_by_value():
+    g = grid_graph(3, 3)
+    a, b = active_set(g, [1]), active_set(g, (1,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != active_set(g, [2]) and a != active_set(grid_graph(3, 4), [1])
+    assert active_set(g, []) == active_set(g, [])
+
+
+def test_graphs_and_active_sets_store_only_their_arrays():
+    # a 256 x 256 grid has 130,560 edges: the endpoints (2.1 MB), the
+    # inactive rows (1 MB) and the labels (0.5 MB) hold under 4 MB, where
+    # tuples of the same edges as 1-based pairs and indices held 22 MB more
+    tracemalloc.start()
+    try:
+        g = grid_graph(256, 256)
+        a = active_set(g, [1, 2])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8e6
+    assert a.inactive == tuple(range(3, g.m + 1))
+    h = graphs.DirectedGraph(g.n, g.ends + 1)
+    assert h == g and hash(h) == hash(g)
+
+    def vid(r, c):   # the formula the tuple-building grid_graph used
+        return (r - 1) * 256 + c
+
+    horizontal = [(vid(r, c), vid(r, c + 1)) for r in range(1, 257) for c in range(1, 256)]
+    vertical = [(vid(r, c), vid(r + 1, c)) for r in range(1, 256) for c in range(1, 257)]
+    assert g.edges == tuple(horizontal + vertical)
 
 
 def test_active_set_cycle_singleton():
