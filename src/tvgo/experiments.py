@@ -15,22 +15,19 @@ EVENT_CHUNK directions at a time (T an `all`, R a `max` over each slab's
 directions), so the (m-s, B) correlation matrix is never assembled and a
 slab's correlations, scales and comparisons stay in cache while they are
 read.  A tree block forms each slab's subtree sums from its prefix sums;
-a grid or a Laplacian block makes its one product and reduces it slab by
-slab.
+a Laplacian block makes its one product and reduces it slab by slab.
 Each gives the same bits as a column-by-column evaluation of T and R.
 
 The event evaluator allocates nothing of a block's size per block of
 trials, but for the solve of a Laplacian block: each thread keeps its own
 work arrays on the evaluator, and they go with the evaluator.  One has as
-many rows as the largest of n, a tree block's vertices and a grid or
-Laplacian block's vertices plus edges, for the squared noise, the gathered
-rows or prefix sums, and a grid or Laplacian block's product below its
-gathered rows (a grid block's transforms run in those two parts); three
-have at most EVENT_CHUNK rows, for a slab's correlations, their scales and
-their comparisons.  The
-projected noise norm comes from the (r_S, B) noise sums of
-the components, one product with an indicator matrix built once, not from a
-projection of the whole block.  That norm rounds differently from the sum
+many rows as the largest of n, a tree block's vertices and a Laplacian
+block's vertices plus edges, for the squared noise, the gathered rows or
+prefix sums, and a Laplacian block's product below its gathered rows;
+three have at most EVENT_CHUNK rows, for a slab's correlations, their
+scales and their comparisons.  The projected noise norm comes from the
+(r_S, B) noise sums of the components, one product with an indicator
+matrix built once, not from a projection of the whole block.  That norm rounds differently from the sum
 of squares of the projection, so a trial whose X, A or A' statistic sits
 exactly on its threshold could flip; byte identity of the trials CSV for
 these three flags was checked on runs of the benchmark and test
@@ -187,9 +184,8 @@ class EventEvaluator:
         self.members = projections.component_indicator(active.comp_label)
         self.sizes = np.asarray(active.comp_sizes, dtype=np.float64)[:, None]
         # rows of the work array: n for the squared noise, and per block its
-        # gathered rows or prefix sums, with a grid or Laplacian block's product
-        # below them (a component with cycles may have more edges than
-        # vertices; a grid block's transforms run in the same rows)
+        # gathered rows or prefix sums, with a Laplacian block's product below
+        # them (a component with cycles may have more edges than vertices)
         self.work_rows = max([n] + [len(blk.vertices) + (
             0 if isinstance(blk, projections._TreeBlock) else len(thr))
             for blk, thr, _ in self.blocks])
@@ -203,8 +199,8 @@ class EventEvaluator:
 
     def _work(self, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The calling thread's work arrays for a block of B trials: one of
-        shape (work_rows, B) for prefix sums or a grid or Laplacian block's rows
-        and product, and three of shape (slab_rows, B) for a slab's
+        shape (work_rows, B) for prefix sums or a Laplacian block's rows and
+        product, and three of shape (slab_rows, B) for a slab's
         correlations, their scales and their comparisons.  They are kept between blocks,
         and grown when a wider block comes."""
         w, s = self.work_rows, self.slab_rows

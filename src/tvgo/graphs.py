@@ -35,7 +35,19 @@ def _integral(values) -> bool:
 
 class _ComparesByValue:
     """== and hash by the instance's fields, an array field by its bytes, for
-    the frozen classes below that hold arrays."""
+    the frozen classes below that hold arrays.  Those arrays are read-only,
+    from construction on and in a copy or an unpickled instance too (numpy
+    hands those writable arrays), so that no write can change a hash."""
+
+    def __post_init__(self):
+        for v in vars(self).values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+
+    def __setstate__(self, state):   # unpickling, copy.copy and copy.deepcopy
+        self.__dict__.update(state)
+        # this class's own: DirectedGraph's validates constructor input
+        _ComparesByValue.__post_init__(self)
 
     def _key(self):
         return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(self).values())
@@ -85,9 +97,9 @@ class DirectedGraph(_ComparesByValue):
                 pairs if isinstance(edges, np.ndarray) else itertools.chain.from_iterable(edges))
                 or pairs.min() < 1 or pairs.max() > self.n or (pairs[:, 0] == pairs[:, 1]).any()):
             self._raise_first_bad_edge(edges)
-        ends = pairs.astype(np.int64, copy=False) - 1   # a new array: the caller's stays
-        ends.flags.writeable = False
-        self.__dict__["ends"] = ends
+        # - 1 makes a new array, so freezing it leaves the caller's alone
+        self.__dict__["ends"] = pairs.astype(np.int64, copy=False) - 1
+        super().__post_init__()
 
     def _raise_first_bad_edge(self, edges):
         """Raise the GraphError naming the first of the given edges that is
@@ -288,10 +300,11 @@ class ActiveSet(_ComparesByValue):
         incidence matrix that the reduced operator keeps, position k being
         row k of the reduced operator (the index map i*).
 
-    The arrays are the state: `inactive`, the same edges as a 1-based tuple,
-    is a view derived from inactive_rows on demand.  Active sets compare and
-    hash by their fields, the arrays by their bytes, which is by S, n, m and
-    comp_label: S and m give inactive_rows, and comp_label gives comp_sizes.
+    The arrays are the state, and read-only: `inactive`, the same edges as a
+    1-based tuple, is a view derived from inactive_rows on demand.  Active
+    sets compare and hash by their fields, the arrays by their bytes, which
+    is by S, n, m and comp_label: S and m give inactive_rows, and comp_label
+    gives comp_sizes.
     """
 
     S: tuple[int, ...]
@@ -338,6 +351,10 @@ class ActiveSet(_ComparesByValue):
 
 def active_set(graph: DirectedGraph, S: Iterable[int]) -> ActiveSet:
     """Component structure of the graph after deleting the edges in S."""
+    S = S.tolist() if isinstance(S, np.ndarray) else list(S)
+    if not _integral(S):
+        bad = next(i for i in S if not _integral((i,)))
+        raise GraphError(f"active edge index is not an integer: {bad!r}")
     idx = np.unique(np.fromiter(map(int, S), dtype=object))   # Python ints: none wraps
     bad = idx[(idx < 1) | (idx > graph.m)]
     if len(bad):

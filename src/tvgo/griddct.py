@@ -5,10 +5,10 @@ The basis vectors are the products C_h[i, r] C_w[j, c] of the rows of the
 orthonormal DCT-II matrices of the two axes, with eigenvalues
 4 sin^2(pi i / 2h) + 4 sin^2(pi j / 2w) (Strang, "The discrete cosine
 transform", SIAM Review 1999), so a solve with any function of D'D is two
-transforms and a division.  `splitting` solves the ADMM f-update and the
-Laplacian solves of a whole grid with it, and `projections` applies the
-pseudoinverse block of a component that is a whole rectangle with it.  Up
-to DCT_MATRIX_MAX_SIDE per side the transforms are four stacked matmuls over
+transforms and a division.  `splitting` takes the ADMM f-update and
+every Laplacian solve on a whole grid with it, those of a pseudoinverse
+block whose component is a whole rectangle included; that block's column
+norms come from `GridDCT.edge_norms_sq` in closed form.  Up to DCT_MATRIX_MAX_SIDE per side the transforms are four stacked matmuls over
 the (h, w, B) view of R, each a k x k by k x B product (k = h or w): at
 h, w <= 32 and B <= 64 they stay below OpenBLAS's threading threshold, so
 they never compete with an experiment's threads.  Larger grids keep
@@ -83,17 +83,12 @@ class GridDCT:
         self.lap_denom = self.eig[:, :, None].copy()
         self.lap_denom[0, 0] = np.inf
 
-    def divide(self, R: np.ndarray, denom: np.ndarray, tmp: np.ndarray | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
+    def divide(self, R: np.ndarray, denom: np.ndarray) -> np.ndarray:
         """C'(C R / denom) for R of shape (hw, B), C the two-axis DCT-II and
-        denom of eig's layout with a trailing axis, in denom's dtype.
-
-        The matrix products write their first and third results into `tmp`
-        and their second and fourth into `out`, C-ordered (hw, B) arrays
-        (allocated when not given; `out` may be R itself), and leave R alone
-        otherwise.  scipy.fft transforms R in place when it can and takes
-        neither array.
-        """
+        denom of eig's layout with a trailing axis, in denom's dtype.  The
+        matrix products leave R alone and write their third and fourth
+        results over their first two; scipy.fft transforms R in place when it
+        can."""
         h, w = self.shape
         B = R.shape[1]
         if not self.products:
@@ -101,11 +96,31 @@ class GridDCT:
             X /= denom
             return sfft.idctn(X, norm="ortho", axes=(0, 1), overwrite_x=True).reshape(h * w, B)
         Ch, Cw = self.mats[denom.dtype]
-        a = None if tmp is None else tmp.reshape(h, w, B)
-        b = None if out is None else out.reshape(w, h, B)
-        X = np.matmul(Cw, R.reshape(h, w, B), out=a)          # along w: (h, w, B)
-        X = np.matmul(Ch, X.transpose(1, 0, 2), out=b)        # along h: (w, h, B)
-        X /= denom
-        Z = np.matmul(Ch.T, X, out=None if a is None else a.reshape(w, h, B))
-        return np.matmul(Cw.T, Z.transpose(1, 0, 2),
-                         out=None if b is None else b.reshape(h, w, B)).reshape(h * w, B)
+        X = np.matmul(Cw, R.reshape(h, w, B))                 # along w: (h, w, B)
+        Y = np.matmul(Ch, X.transpose(1, 0, 2))               # along h: (w, h, B)
+        Y /= denom
+        Z = np.matmul(Ch.T, Y, out=X.reshape(w, h, B))
+        return np.matmul(Cw.T, Z.transpose(1, 0, 2), out=Y.reshape(h, w, B)).reshape(h * w, B)
+
+    def edge_norms_sq(self, ends: np.ndarray) -> np.ndarray:
+        """||L+ (1_head - 1_tail)||^2 for the grid edges with 0-based
+        endpoints ends, in any order and orientation.
+
+        In the basis C_h[i, r] C_w[j, c], the edge from (r, c) to (r, c + 1)
+        has coefficients C_h[i, r] (C_w[j, c + 1] - C_w[j, c]), so its norm is
+        the sum over the modes but the constant of C_h[i, r]^2 (C_w[j, c + 1]
+        - C_w[j, c])^2 / (lam_i + mu_j)^2: one product of small matrices per
+        edge direction gives every edge's norm.
+        """
+        h, w = self.shape
+        Ch, Cw = dct_matrix(h), dct_matrix(w)
+        eig_h, eig_w = self.axis_eig
+        eig = eig_h[:, None] + eig_w[None, :]
+        eig[0, 0] = np.inf   # the constant, which no edge difference sees
+        Q = eig ** -2.0
+        across = (Ch ** 2).T @ Q @ np.diff(Cw, axis=1) ** 2      # (h, w - 1)
+        down = (np.diff(Ch, axis=1) ** 2).T @ Q @ Cw ** 2        # (h - 1, w)
+        # the edge from lo, right or down, in the concatenation of the two
+        lo = ends.min(axis=1)
+        pos = np.where(np.abs(ends[:, 1] - ends[:, 0]) == w, h * (w - 1) + lo, lo - lo // w)
+        return np.concatenate([across.ravel(), down.ravel()])[pos]

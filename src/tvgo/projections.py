@@ -8,16 +8,17 @@ indicator).  A subtree occupies a contiguous interval of the component's
 depth-first preorder, so the column norms follow from the subtree sizes and
 the noise correlations of a whole (n, B) block from one prefix sum along the
 preorder, in O(n_i B) array operations without materializing anything
-dense.  A component whose edges are those of a whole h x w rectangle in its
-local ids, as every component of a grid cut into rectangles is, is not
-materialized either: the grid's DCT-II (`griddct`) diagonalises its
-Laplacian L, so the column norms ||L+ d_e|| follow in closed form from two
-products of small matrices per edge direction, and (D+)' V = B L+ V from one
-DCT Laplacian solve of the gathered rows and the differences of heads and
-tails.  Every other component with cycles, or with parallel edges (which
-add up in the Laplacian), takes the same two steps with
-`splitting._grounded_solve`'s sparse factor of its Laplacian in place of
-the DCT, and its column norms from n_c solves, one per column of L+.
+dense.  Every other component has cycles or parallel edges (which add up
+in its Laplacian L) and takes a Laplacian block: column e is L+ d_e, so
+(D+)' V = B L+ V is one Laplacian solve of the gathered rows followed by
+the differences of heads and tails.  `splitting.laplacian` picks the solve.
+A component whose edges are those of a whole h x w rectangle in its local
+ids, as every component of a grid cut into rectangles is, takes the grid's
+DCT-II (`griddct`), which diagonalises L, so its column norms ||L+ d_e||
+follow in closed form from two products of small matrices per edge
+direction.  Every other one takes the grounded sparse factor of L, and its
+column norms from n_c solves, one per column of L+.  Neither materializes
+an (n_c, n_c) array.
 
 A tree block applies its transpose in two steps, which the noise events of
 a Monte Carlo run also take one at a time: `prefix_sums` gathers the rows in
@@ -32,11 +33,10 @@ bits are the same, at about half the time (0.96 -> 0.48 ms on a 4,077-vertex
 block of 64 columns).  An odd number of columns keeps the float64 cumsum.
 
 Every kind of block takes caller-owned arrays when given them (`work` for
-the gathered rows or prefix sums, and a grid or Laplacian block's `out` for
-its product, in whose rows a grid block also runs its transforms), so the
-noise events reuse one set of arrays per thread instead of allocating
-block-sized ones per batch of trials; a Laplacian block's solve still
-allocates its own.  A block's edge order is its own:
+the gathered rows or prefix sums, and a Laplacian block's `out` for its
+product), so the noise events reuse one set of arrays per thread instead of
+allocating block-sized ones per batch of trials; a Laplacian block's solve
+still allocates its own.  A block's edge order is its own:
 `PseudoInverse` records, per block, the global column of each of the
 block's edges.
 """
@@ -49,10 +49,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from . import griddct, splitting
-from .graphs import ActiveSet, component_labels, edge_endpoints
+from . import splitting
+from .graphs import ActiveSet, edge_endpoints
 
 SOLVE_CHUNK = 256   # columns of L+ solved at once for a Laplacian block's column norms
+EDGE_CHUNK = 256    # edges whose heads minus tails a Laplacian block's product takes at once
 
 
 def _preorder(nc: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,102 +190,32 @@ class _TreeBlock:
         return out
 
 
-class _GridBlock:
-    """Pseudoinverse block of a component that is a whole row-major h x w
-    grid in its local ids, kept in implicit form.
-
-    Column e of B+ = L+ B' is L+ (1_head - 1_tail), and the grid's DCT-II
-    diagonalises L (`griddct`).  In the basis C_h[i, r] C_w[j, c], edge e
-    from (r, c) to (r, c + 1) has coefficients C_h[i, r] (C_w[j, c + 1] -
-    C_w[j, c]), so ||L+ d_e||^2 is the sum over the modes but the constant
-    of C_h[i, r]^2 (C_w[j, c + 1] - C_w[j, c])^2 / (lam_i + mu_j)^2: one
-    product of small matrices per edge direction gives every column norm.
-    (D+)' V = B L+ V is one Laplacian solve of the gathered rows followed by
-    heads minus tails.  The block keeps its edges in the grid's own order,
-    the horizontal edges row by row, then the vertical ones (`order` maps
-    them back to the order they were given in), so that heads minus tails
-    are two differences of shifted slices; `sign` is -1 on the edges that
-    point from the higher id to the lower, and None when none does.
-    """
-
-    def __init__(self, vertices: np.ndarray, ends_local: np.ndarray, shape: tuple[int, int]):
-        # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
-        self.vertices = vertices
-        self.dct = griddct.GridDCT(*shape)
-        h, w = shape
-        lo = ends_local.min(axis=1)
-        # a horizontal edge from (r, c) sits at r (w - 1) + c = lo - r, a
-        # vertical one after the h (w - 1) horizontal ones, at lo
-        pos = np.where(np.abs(ends_local[:, 1] - ends_local[:, 0]) == w,
-                       h * (w - 1) + lo, lo - lo // w)
-        self.order = np.empty(len(pos), dtype=np.int64)
-        self.order[pos] = np.arange(len(pos))
-        up = ends_local[self.order, 1] > ends_local[self.order, 0]
-        self.sign = None if up.all() else np.where(up, 1.0, -1.0)[:, None]
-
-    def column_norms_sq(self) -> np.ndarray:
-        h, w = self.dct.shape
-        Ch, Cw = griddct.dct_matrix(h), griddct.dct_matrix(w)
-        eig_h, eig_w = self.dct.axis_eig
-        eig = eig_h[:, None] + eig_w[None, :]
-        eig[0, 0] = np.inf   # the constant, which no edge difference sees
-        Q = eig ** -2.0
-        across = (Ch ** 2).T @ Q @ np.diff(Cw, axis=1) ** 2      # (h, w - 1)
-        down = (np.diff(Ch, axis=1) ** 2).T @ Q @ Cw ** 2        # (h - 1, w)
-        return np.concatenate([across.ravel(), down.ravel()])
-
-    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """(D+)' V for V of shape (n, B); `work`, a C-ordered array of shape
-        (>= n_c, B), takes the gathered rows of V and `out`, of shape (k, B),
-        the result, when given.  The transforms run in those two arrays:
-        the rows of `out` (k >= n_c on a grid) hold the intermediate
-        transforms until the edge differences overwrite them."""
-        h, w = self.dct.shape
-        nc, B = h * w, V.shape[1]
-        nh = h * (w - 1)
-        G = np.take(V, self.vertices, axis=0, out=None if work is None else work[:nc],
-                    mode="clip")
-        if out is None:
-            out = np.empty((nh + (h - 1) * w, B))
-        X = self.dct.divide(G, self.dct.lap_denom, out[:nc], G)   # L+ G
-        X3 = X.reshape(h, w, B)
-        np.subtract(X3[:, 1:], X3[:, :-1], out=out[:nh].reshape(h, w - 1, B))
-        np.subtract(X[w:], X[:-w], out=out[nh:])
-        if self.sign is not None:
-            out *= self.sign
-        return out
-
-    def to_dense(self, n: int) -> np.ndarray:
-        out = np.zeros((n, len(self.order)), dtype=np.float64)
-        out[self.vertices, :] = self.apply_transpose(np.eye(n)[:, self.vertices]).T
-        return out
-
-
 class _LaplacianBlock:
-    """Pseudoinverse block of a component that is neither a tree nor a whole
-    rectangle, kept in implicit form.
+    """Pseudoinverse block of a component with cycles or parallel edges,
+    kept in implicit form.
 
     Column e of B+ = L+ B' is L+ (1_head - 1_tail), so (D+)' V = B L+ V is
-    one solve of the centred gathered rows with `splitting._grounded_solve`'s
-    factor of L, followed by heads minus tails; L+ V differs from that solve
-    by a constant per column, which the differences cancel.  The block keeps
-    its edges in the order they were given in.
+    one Laplacian solve of the gathered rows followed by heads minus tails.
+    `splitting.laplacian` picks the solve: the grid's DCT on a whole
+    rectangle, whose column norms then follow in closed form
+    (`griddct.GridDCT.edge_norms_sq`); else the grounded factor, whose
+    solve takes centred rows and differs from L+ by a constant per column,
+    which the differences cancel, and whose column norms take n_c solves.
+    The block keeps its edges in the order they were given in.
     """
 
     def __init__(self, vertices: np.ndarray, ends_local: np.ndarray):
         # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
-        self.vertices = vertices
-        labels = component_labels(len(vertices), ends_local)
-        if labels.max() > 0:
-            raise ValueError("component is not connected")
-        self.tail, self.head = ends_local[:, 0], ends_local[:, 1]
-        self.lap_solve = splitting._grounded_solve(ends_local, labels)
+        self.vertices, self.ends = vertices, ends_local
+        self.lap_solve, self.dct = splitting.laplacian(len(vertices), ends_local)
         self.order = np.arange(len(ends_local))
 
     def column_norms_sq(self) -> np.ndarray:
-        """Squared row norms of B L+ (those of B+'), n_c solves in all: the
-        products of the unit vectors, SOLVE_CHUNK at a time."""
+        """Squared row norms of B L+ (those of B+'): in closed form on a
+        rectangle, else n_c solves, the products of the unit vectors,
+        SOLVE_CHUNK at a time."""
+        if self.dct is not None:
+            return self.dct.edge_norms_sq(self.ends)
         nc = len(self.vertices)
         out = np.zeros(len(self.order))
         for lo in range(0, nc, SOLVE_CHUNK):
@@ -293,10 +224,19 @@ class _LaplacianBlock:
         return out
 
     def _product(self, G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """B L+ G for G of shape (n_c, B), which is centred in place."""
-        G -= G.mean(axis=0)
+        """B L+ G for G of shape (n_c, B), which the grounded route centres
+        in place.  Heads minus tails go EDGE_CHUNK edges at a time: two
+        (k, B) temporaries are large enough that the allocator maps and
+        unmaps them on every call, which cost the noise events of the 32x32
+        grid halves about 0.5 ms more per 64-trial block (2-vCPU Xeon)."""
+        if self.dct is None:
+            G -= G.mean(axis=0)
         X = self.lap_solve(G)
-        return np.subtract(X[self.head], X[self.tail], out=out)
+        out = np.empty((len(self.ends), G.shape[1])) if out is None else out
+        for lo in range(0, len(self.ends), EDGE_CHUNK):
+            e = self.ends[lo:lo + EDGE_CHUNK]
+            np.subtract(X[e[:, 1]], X[e[:, 0]], out=out[lo:lo + EDGE_CHUNK])
+        return out
 
     def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
                         out: np.ndarray | None = None) -> np.ndarray:
@@ -304,12 +244,15 @@ class _LaplacianBlock:
         (>= n_c, B), takes the gathered rows of V and `out`, of shape (k, B),
         the result, when given.  The solve allocates its own (n_c, B)
         arrays."""
-        nc = len(self.vertices)
-        G = np.take(V, self.vertices, axis=0, out=None if work is None else work[:nc],
-                    mode="clip")
+        G = np.take(V, self.vertices, axis=0, mode="clip",
+                    out=None if work is None else work[:len(self.vertices)])
         return self._product(G, out)
 
-    to_dense = _GridBlock.to_dense   # it reads only vertices, order and apply_transpose
+    def to_dense(self, n: int) -> np.ndarray:
+        """Materialized (n, k) block embedded at the component's vertices."""
+        out = np.zeros((n, len(self.order)), dtype=np.float64)
+        out[self.vertices, :] = self.apply_transpose(np.eye(n)[:, self.vertices]).T
+        return out
 
 
 @dataclass
@@ -349,10 +292,9 @@ class PseudoInverse:
 def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
                   ends: np.ndarray | None = None) -> PseudoInverse:
     """Blockwise pseudoinverse of the reduced operator D with the rows in S
-    removed: a _TreeBlock for each tree component, a _GridBlock for each
-    component whose edges are those of a whole rectangle in its local ids,
-    and a _LaplacianBlock for the rest.  ends, D's 0-based edge endpoints, are
-    read from D when not given."""
+    removed: a _TreeBlock for each tree component and a _LaplacianBlock for
+    each of the rest.  ends, D's 0-based edge endpoints, are read from D when
+    not given."""
     if len(active.inactive_rows) == 0:
         raise ValueError("no rows to invert: every edge is active")
     ends = (edge_endpoints(D) if ends is None else ends)[active.inactive_rows]
@@ -373,13 +315,8 @@ def pseudoinverse(D: sp.spmatrix, active: ActiveSet,
         cols = order[bounds[c]:bounds[c + 1]]
         if len(cols) == 0:
             continue
-        ends_c = local[ends[cols]]
-        if len(cols) == len(verts) - 1:
-            blocks.append(_TreeBlock(verts, ends_c))
-        elif (shape := griddct._grid_shape(len(verts), ends_c)) is not None:
-            blocks.append(_GridBlock(verts, ends_c, shape))
-        else:
-            blocks.append(_LaplacianBlock(verts, ends_c))
+        block = _TreeBlock if len(cols) == len(verts) - 1 else _LaplacianBlock
+        blocks.append(block(verts, local[ends[cols]]))
         col_of_block.append(cols[blocks[-1].order])
     return PseudoInverse(n=active.n, n_cols=len(active.inactive_rows),
                          blocks=blocks, col_of_block=col_of_block)

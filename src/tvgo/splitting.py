@@ -8,9 +8,10 @@ D'D (`griddct`, which also says which transforms a grid takes), so no
 factor is built and a new rho only rebuilds a diagonal.  Every other graph
 takes a SuperLU factor per rho and, for D'D, a factor grounded at one
 vertex per component, built from the endpoints: banded Cholesky up to a
-band of BAND_MAX, SuperLU past it.  That grounded factor is the package's
-one factor of a graph Laplacian: `projections` builds the pseudoinverse
-blocks of components that are neither trees nor rectangles from it too.
+band of BAND_MAX, SuperLU past it.  `laplacian` makes that one choice
+between the DCT and the grounded factor, the package's one factor of a
+graph Laplacian, for a Splitting and for every pseudoinverse block with
+cycles in `projections`.
 """
 from __future__ import annotations
 
@@ -27,43 +28,61 @@ from . import graphs, griddct
 BAND_MAX = 64           # widest reverse Cuthill-McKee band of a banded Laplacian factor
 
 
+def laplacian(n: int, ends: np.ndarray, labels: np.ndarray | None = None):
+    """(lap_solve, dct) of the graph on n vertices with 0-based edge
+    endpoints ends: lap_solve(R), for R with zero mean on every component,
+    returns an X with D'D X = R, and may overwrite R.  This is where the
+    package picks how it applies a Laplacian's pseudoinverse.
+
+    On the row-major h x w grid (griddct._grid_shape), which is connected,
+    dct is its GridDCT and lap_solve divides by the eigenvalues with the zero
+    mode dropped, so X is L+ R itself.  Every other graph takes
+    _grounded_solve's factor, dct is None, and X is L+ R up to a constant
+    per component.  labels are the graph's 0-based component labels; when
+    not given, the graph must be connected, which is checked before the
+    factor is built (a factor of a disconnected graph fails or is singular).
+    """
+    if (shape := griddct._grid_shape(n, ends)) is not None:
+        dct = griddct.GridDCT(*shape)
+        return (lambda R: dct.divide(R, dct.lap_denom)), dct
+    if labels is None:
+        labels = graphs.component_labels(n, ends)
+        if labels.max() > 0:
+            raise ValueError("component is not connected")
+    return _grounded_solve(ends, labels), None
+
+
 def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
     """(factory, factory32, lap_solve) of D, whose 0-based edge endpoints are
-    ends: factory maps rho to solve, where solve(R) returns X with
-    (I + rho D'D) X = R, factory32 does the same in float32 on the DCT grids
-    and is None on every other D, and lap_solve(R), for R with zero mean on
-    every component of the 0-based vertex labels, returns an X with
-    D'D X = R.  All may overwrite R.
+    ends and whose 0-based component labels are labels: factory maps rho to
+    solve, where solve(R) returns X with (I + rho D'D) X = R, factory32 does
+    the same in float32 on the DCT grids and is None on every other D, and
+    lap_solve is laplacian's.  All may overwrite R.
 
-    On the row-major h x w grid (griddct._grid_shape), the orthonormal
-    DCT-II along both grid axes diagonalises D'D, so the solve is exact
-    without a factor and a new rho only rebuilds the denominator; lap_solve
-    divides by the eigenvalues and drops the zero mode.  Up to
-    griddct.DCT_MATRIX_MAX_SIDE per side the transforms are products with
-    the DCT-II matrices, which do not write to R; larger grids take
-    scipy.fft's dctn/idctn.  Every other D, paths included,
-    takes a SuperLU factor of I + rho D'D per rho (on a path its tridiagonal
-    factor solves faster than the transforms) and, for lap_solve,
-    _grounded_solve's factor of D'D, built from the endpoints.  A float32
+    On the row-major grid, the orthonormal DCT-II along both grid axes
+    diagonalises D'D, so the solve is exact without a factor and a new rho
+    only rebuilds the denominator.  Up to griddct.DCT_MATRIX_MAX_SIDE per
+    side the transforms are products with the DCT-II matrices, which do not
+    write to R; larger grids take scipy.fft's dctn/idctn.  Every other D,
+    paths included, takes a SuperLU factor of I + rho D'D per rho (on a path
+    its tridiagonal factor solves faster than the transforms).  A float32
     solve takes float32 DCT-II matrices or transforms.  There is no float32
     factor: in float32, 1 + 2 rho rounds to 2 rho from rho of about 1e7, so
     I + rho D'D loses its identity, and SuperLU finds it singular from
     rho = 1e8 on (a path of 200,000 vertices reached that in float32).
     """
-    shape = griddct._grid_shape(D.shape[1], ends)
-    if shape is None:
+    lap_solve, dct = laplacian(D.shape[1], ends, labels)
+    if dct is None:
         DtD = (D.T @ D).tocsc()
         eye = sp.identity(DtD.shape[0], format="csc")
-        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), None, \
-            _grounded_solve(ends, labels)
-    dct = griddct.GridDCT(*shape)
+        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), None, lap_solve
 
     def factory(dtype):
         def at(rho):
             denom = (1.0 + rho * dct.eig)[:, :, None].astype(dtype, copy=False)
             return lambda R: dct.divide(R, denom)
         return at
-    return factory(np.float64), factory(np.float32), lambda R: dct.divide(R, dct.lap_denom)
+    return factory(np.float64), factory(np.float32), lap_solve
 
 
 def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
@@ -84,7 +103,7 @@ def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
     paths, cycles and the near-grid subgraphs the polish factors, the factor
     is LAPACK's banded Cholesky, whose few numpy arrays keep the heap of a
     long run compact; a wider band (a bushy tree, or the pseudoinverse
-    block of a wide grid component in `projections`) takes SuperLU, whose
+    block of a wide grid component that is no rectangle) takes SuperLU, whose
     ordering keeps such graphs free of fill.
     """
     n = len(labels)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -150,6 +152,19 @@ def test_active_sets_compare_and_hash_by_value():
     assert active_set(g, []) == active_set(g, [])
 
 
+def test_graphs_and_active_sets_keep_their_arrays_read_only():
+    # a write to an array would change the hash; numpy hands a copied or
+    # unpickled array back writable
+    g = grid_graph(3, 4)
+    a = active_set(g, [2, 7])
+    for obj, fields in [(g, ["ends"]), (a, ["comp_label", "inactive_rows"])]:
+        for twin in [obj, pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)]:
+            assert twin == obj and hash(twin) == hash(obj)
+            for name in fields:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(twin, name)[0] = 7
+
+
 def test_graphs_and_active_sets_store_only_their_arrays():
     # a 256 x 256 grid has 130,560 edges: the endpoints (2.1 MB), the
     # inactive rows (1 MB) and the labels (0.5 MB) hold under 4 MB, where
@@ -187,6 +202,11 @@ def test_active_set_empty_connected():
 def test_active_set_validates_range():
     with pytest.raises(GraphError):
         active_set(path_graph(4), [9])
+    # an index that is not an integer is named, never truncated
+    for S, bad in [([1.5], "1.5"), ([True], "True"), (["2"], "'2'"), ([3, 2.0], "2.0"),
+                   (np.array([1.0, 2.0]), "1.0")]:
+        with pytest.raises(GraphError, match=f"active edge index is not an integer: {bad}$"):
+            active_set(path_graph(5), S)
 
 
 def _random_subset(rng, m):
