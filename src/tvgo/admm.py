@@ -1,12 +1,13 @@
 """How a batch of columns runs the over-relaxed ADMM splitting (f, z = Df).
 
-The stopping test runs at iteration 1, which a warm-started inner solve of
-the square-root fixed point often passes, and at every CHECK_EVERY-th
-iteration after it, the iterations at which rho may adapt.  Its anchors
-are ||DY|| and the norm of Y minus its componentwise mean, taken once per
-warm-start state, so a constant added to a component of Y, which moves the
-solution by that constant, changes neither the test nor the penalty
-balancing.  The warm-start state keeps each column's iterate from the
+The solver core sees only centred data: each column of Y minus its
+componentwise mean, which D annihilates, so a constant added to a
+component of Y moves the solution by that constant and changes nothing
+here.  The stopping test runs at iteration 1, which a warm-started inner
+solve of the square-root fixed point often passes, and at every
+CHECK_EVERY-th iteration after it, the iterations at which rho may adapt.
+Its anchors are the norms of DY and of the centred data, taken once per
+warm-start state.  The warm-start state keeps each column's iterate from the
 iteration it left and one penalty rho: on a change of rho the scaled duals
 of the columns that have left are rescaled with the live ones.  rho is held
 once its adaptation has reversed direction MAX_RHO_REVERSALS times, which
@@ -31,24 +32,21 @@ class _AdmmState:
     """Warm-startable state of the batched splitting solver, for one D: each
     column's F, Z and U, in one float dtype, and its two stopping-test
     anchors, one penalty rho, the f-update solve at that rho and dtype and
-    the Splitting of D.  A new state starts every column of Y at f = Y,
-    z = DY, u = 0, with rho = mean(n lam); centred is Y minus its
-    componentwise mean, which the caller holds."""
+    the Splitting of D.  A new state starts every column of the centred data
+    Yc, Y minus its componentwise mean, at f = Yc, z = D Yc, u = 0, with
+    rho = mean(n lam)."""
 
-    def __init__(self, split: Splitting, Y: np.ndarray, lam: np.ndarray, centred: np.ndarray,
-                 dtype=np.float64):
+    def __init__(self, split: Splitting, centred: np.ndarray, lam: np.ndarray, dtype=np.float64):
         self.split = split
-        self.F = Y.astype(dtype, order="C")
-        DY = split.D @ Y
+        self.F = centred.astype(dtype, order="C")
+        DY = split.D @ centred
         self.Z = DY.astype(dtype, copy=False)
         self.U = np.zeros_like(self.Z)
-        self.rho = max(float(np.mean(Y.shape[0] * lam)), 1e-6)
+        self.rho = max(float(np.mean(centred.shape[0] * lam)), 1e-6)
         self.solve = split.operators(dtype)[2](self.rho)
         # absolute anchors keep the stopping test meaningful for fully fused
-        # solutions, where z = 0 and a purely relative test can never fire.  A
-        # constant added to a component of Y moves f by that constant and
-        # leaves z, u and both anchors as they are, so the test ignores it.
-        # Y never changes, so neither do they
+        # solutions, where z = 0 and a purely relative test can never fire;
+        # the data never change, so neither do they
         self.pri_anchor = np.maximum(np.sqrt(_colsumsq(DY)), 1e-12)
         self.dual_anchor = np.maximum(np.sqrt(_colsumsq(centred)), 1e-12)
 
@@ -80,11 +78,12 @@ def _shrink(V: np.ndarray, k: np.ndarray, U_out: np.ndarray) -> None:
 def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts):
     """Batched splitting solver, from the warm-start state its caller built.
 
-    Y is (n, B), in the dtype of the state's F, Z and U, and lam (B,), with
-    B the state's columns; the iteration runs in that dtype, on the
-    Splitting's operators of it (Splitting.operators) and the state's solve.
-    Minimizes (1/2)||f - Y||_2^2 + n*lam*||z||_1 subject to Df = z (the
-    original objective scaled by n/2), with D that of the state's Splitting.
+    Y is (n, B), the centred columns the state holds, in the dtype of its
+    F, Z and U, and lam (B,), with B the state's columns; the iteration runs
+    in that dtype, on the Splitting's operators of it (Splitting.operators)
+    and the state's solve.  Minimizes (1/2)||f - Y||_2^2 + n*lam*||z||_1
+    subject to Df = z (the original objective scaled by n/2), with D that of
+    the state's Splitting.
     The stopping test runs at iteration 1 and every CHECK_EVERY-th iteration
     after it; each column leaves the batch at the first of these where it
     meets the test at opts.tol, and the loop ends when no column is live or

@@ -13,14 +13,17 @@ iteration.  Every other column runs ADMM down POLISH_LADDER
 (_plain_batch) and is polished after each rung, as OSQP polishes its
 iterates (Stellato et al., Math. Prog. Comp. 2020): the rung's iterate
 only reveals the groups, signs and dual guess, and the certificate is built
-from Y in float64, so a certified column is the exact solution whatever
-rung, and whatever precision, its groups were read at.  That is why the
-loose rungs may run in float32 on the DCT grids, where every kernel costs
-about half its float64 one; the state holds the centred columns, so
-float32 does not lose Y to a large shift (at Y + 1e6 its spacing is
-0.0625).  Other graphs stay float64: a float32 SuperLU factor goes
-singular at large rho, and on paths and trees float32 rungs saved only
-1-3% of a solve.
+from the data in float64, so a certified column is the exact solution
+whatever rung, and whatever precision, its groups were read at.  That is
+why the loose rungs may run in float32 on the DCT grids, where every kernel
+costs about half its float64 one.  Other graphs stay float64: a float32
+SuperLU factor goes singular at large rho, and on paths and trees float32
+rungs saved only 1-3% of a solve.
+
+The ladder, like the rest of the solver core, takes the centred columns,
+Y minus its componentwise mean, and returns their fits; the caller adds
+the mean back.  So float32 does not lose Y to a large shift (at Y + 1e6
+its spacing is 0.0625), and POLISH_KKT is relative to the centred scale.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ SINGLE_HEADROOM = 300   # only while the live float32 residual floor lies this f
 SINGLE_MAX_ITER = 500   # a float32 rung that takes this many iterations hands over to float64
 POLISH_STEPS = 4        # polish: alternating projections (rescues past 4 steps were ~1 in 20)
 POLISH_BOX = 0.99       # polish: the ADMM dual starts near the bound, so clip closer to it
-POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to ||Y||_inf
+POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to the data's sup norm
 
 
 def _fused_screen(split: Splitting | Subgraph, centred: np.ndarray, bound: np.ndarray,
@@ -164,7 +167,8 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     """Polish the plain iterates F of Y's columns, both (n, B), at per-column
     penalties lam onto exact solutions, with the scaled duals V (m, B) as
     the guess; returns the mask (B,) of certified columns, whose F and V it
-    overwrites with the exact solution and dual.
+    overwrites with the exact solution and dual.  _plain_batch passes the
+    centred columns as Y.
 
     fused and S (m, B) are the fused-edge masks and signs the caller read
     off the iterates with _groups_and_signs; S is overwritten.  Column j's
@@ -218,20 +222,19 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     return ok
 
 
-def _plain_batch(split: Splitting, Y: np.ndarray, lam: np.ndarray, mean: np.ndarray,
-                 centred: np.ndarray, opts):
-    """The plain estimator on the columns of Y, shape (n, B), none of them
-    fully fused, whose componentwise mean and centred Y (Y minus that mean)
-    the caller holds: ADMM runs on one warm state of the centred columns
-    down the tolerances of POLISH_LADDER looser than opts.tol, then
-    opts.tol.  After each rung the live columns' iterates, read back as
-    F + mean, are polished, and the certified ones leave the state; the
-    last rung's uncertified columns keep their ADMM iterate and dual.
-    max_iter bounds the iterations of the whole ladder; a column is
-    converged when it met the test at opts.tol or was certified.  Every
-    rung's polish shares one dict of fused-edge Subgraphs, so each pattern's
-    factor is built once per call, and reads the groups against ||DY||_inf,
-    taken once.  Returns (F, converged, certified, V, iterations).
+def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
+    """The plain estimator on the centred columns (each Y minus its
+    componentwise mean), shape (n, B), none of them fully fused: ADMM runs
+    on one warm state of them down the tolerances of POLISH_LADDER looser
+    than opts.tol, then opts.tol.  After each rung the live columns'
+    iterates are polished, and the certified ones leave the state; the last
+    rung's uncertified columns keep their ADMM iterate and dual.  max_iter
+    bounds the iterations of the whole ladder; a column is converged when it
+    met the test at opts.tol or was certified.  Every rung's polish shares
+    one dict of fused-edge Subgraphs, so each pattern's factor is built once
+    per call, and reads the groups against ||D centred||_inf, taken once
+    from the product the state starts z at.  Returns the centred fits F
+    with (converged, certified, V, iterations).
 
     The state is float32 from the first rung while the Splitting has
     float32 operators (the DCT grids), the rung's tol is at least
@@ -241,36 +244,37 @@ def _plain_batch(split: Splitting, Y: np.ndarray, lam: np.ndarray, mean: np.ndar
     iterations, and always at opts.tol.  The floor: float32 rounds each
     entry of F by about eps max|F_j|, with max|F_j| about max|centred_j|, so
     over the m edges it leaves about eps max|centred_j| sqrt(m) in
-    ||DF_j - z_j||, which the primal test holds to tol ||DY_j||_2 or more.
+    ||DF_j - z_j||, which the primal test holds to tol ||D centred_j||_2 or
+    more.
     """
-    n, B = Y.shape
+    n, B = centred.shape
     m = split.D.shape[0]
-    F, V = np.empty_like(Y), np.empty((m, B))
+    F, V = np.empty_like(centred), np.empty((m, B))
     conv, cert = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
-    DY = split.D @ Y
-    dy = np.max(np.abs(DY), axis=0, initial=0.0)
+    # a new float64 state holds D centred as its z, and its norm as its anchor
+    state = admm._AdmmState(split, centred, lam)
+    dy = np.max(np.abs(state.Z), axis=0, initial=0.0)
     floor = np.finfo(np.float32).eps * np.sqrt(m) * np.max(np.abs(centred), axis=0) \
-        / np.maximum(np.sqrt(admm._colsumsq(DY)), 1e-12)
-    live, it, subgraphs, state = np.arange(B), 0, {}, None
+        / state.pri_anchor
+    live, it, subgraphs = np.arange(B), 0, {}
     single = split.single is not None
     for tol in [t for t in POLISH_LADDER if t > opts.tol] + [opts.tol]:
         # once float64, float64 to the end
         single = single and tol >= SINGLE_TOL and tol != opts.tol \
             and SINGLE_HEADROOM * np.max(floor[live]) <= tol
         dtype = np.float32 if single else np.float64
-        if state is None:
-            state = admm._AdmmState(split, centred, lam, centred, dtype)
         state.astype(dtype)
         budget = opts.max_iter - it
-        Yc_l, lam_l = centred[:, live].astype(dtype, copy=False), lam[live]
-        F_l, state, k, conv_l = admm._admm_batch(state, Yc_l, lam_l, replace(
-            opts, tol=tol, max_iter=min(budget, SINGLE_MAX_ITER) if single else budget))
+        Y_l, lam_l = centred[:, live], lam[live]
+        F_l, state, k, conv_l = admm._admm_batch(
+            state, Y_l.astype(dtype, copy=False), lam_l,
+            replace(opts, tol=tol, max_iter=min(budget, SINGLE_MAX_ITER) if single else budget))
         it += k
         single = single and k < SINGLE_MAX_ITER
         fused, S = _groups_and_signs(split.D, dy[live], F_l)
-        F_l = F_l + mean[:, live]
+        F_l = F_l.astype(np.float64)   # a copy: the polish writes over it, not the state's F
         V_l = admm._scaled_dual(state.U.astype(np.float64), state.rho, n, lam_l)
-        ok = _polish(split, Y[:, live], F_l, V_l, lam_l, fused, S, subgraphs)
+        ok = _polish(split, Y_l, F_l, V_l, lam_l, fused, S, subgraphs)
         F[:, live], V[:, live], cert[live] = F_l, V_l, ok
         if tol == opts.tol:
             conv[live] = conv_l

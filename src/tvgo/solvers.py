@@ -12,7 +12,11 @@ So both estimators share one splitting (splitting), one ADMM core (admm),
 one full-fusion screen and polish (polish) and one certificate (certify).
 This module owns what differs between them: it makes every input check,
 runs the screen once for both at each column's level, runs the fixed point
-and reads the outcomes off as results.
+and reads the outcomes off as results.  It is also where Y enters and
+leaves the solver core, which sees only Y minus its componentwise mean Ybar
+and returns fits of it: D annihilates Ybar, so both estimators satisfy
+f(Y + b) = f(Y) + b, with sigma_hat unmoved, for b constant on each
+component.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .certify import kkt_bound, kkt_residual
 from .splitting import Splitting
 
 MAX_OUTER = 500         # square-root fixed-point steps before a column counts as unsettled
-OVERFIT_FLOOR = 1e-6    # sigma <= OVERFIT_FLOOR * ||Y||_n flags a square-root overfit
+OVERFIT_FLOOR = 1e-6    # sigma <= OVERFIT_FLOOR * ||Y - Ybar||_n flags a square-root overfit
 
 
 def norm_n(v: np.ndarray, axis: int = 0) -> np.ndarray | float:
@@ -125,18 +129,22 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     D is a Splitting or an incidence matrix, which is wrapped in one here;
     the layers below take the Splitting alone.
 
+    Y is centred here once, to Y - Ybar with Ybar its componentwise mean;
+    the screen, the ladder and the fixed point take the centred columns
+    alone and return their fits, to which Ybar is added back at the end.
+
     Before any ADMM iteration one full-fusion screen (polish._fused_screen)
     takes every column at its level: lam for the plain estimator, and
     lam = 2 lambda0 sigma0 for a square-root column, sigma0 = ||Y - Ybar||_n,
-    unless sigma0 is already at OVERFIT_FLOOR * ||Y||_n (an overfit column,
-    f = Y).  A column the screen fuses leaves with F = Ybar, the
-    componentwise mean, converged and certified, no iteration and the exact
-    dual.  For the square root that is the fixed point: a column fused there
-    has residual norm sigma0, the largest attainable scale, so sigma0 is its
-    largest fixed point.  Fusion at lam implies fusion at every larger lam,
-    while lam only falls along the iteration, so a column not fused at
-    sigma0 is fused at no later step.  The other columns run the plain
-    ladder (polish._plain_batch) or the fixed point (_sqrt_fixed_point).
+    unless sigma0 is 0 (a column constant on each component: overfit at
+    once, f = Y).  A column the screen fuses leaves with F = Ybar, converged
+    and certified, no iteration and the exact dual.  For the square root
+    that is the fixed point: a column fused there has residual norm sigma0,
+    the largest attainable scale, so sigma0 is its largest fixed point.
+    Fusion at lam implies fusion at every larger lam, while lam only falls
+    along the iteration, so a column not fused at sigma0 is fused at no
+    later step.  The other columns run the plain ladder
+    (polish._plain_batch) or the fixed point (_sqrt_fixed_point).
     """
     Y = np.asarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
@@ -158,25 +166,25 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     centred = Y - mean
     if sqrt:
         sigma = norm_n(centred, axis=0)
-        floors = OVERFIT_FLOOR * norm_n(Y, axis=0)
-        overfit = sigma <= floors
+        overfit = sigma == 0.0   # constant on each component: f = Y at once
         lam = np.where(overfit, 0.0, 2.0 * level * sigma)
     else:
         lam, overfit = np.full(B, float(level)), np.zeros(B, dtype=bool)
     live = np.flatnonzero(~overfit)
     fused, V_fused = polish._fused_screen(split, centred[:, live], n * lam[live])
-    # the screened columns keep the mean; the rest are overwritten below
-    F, conv, cert, V = mean, np.ones(B, dtype=bool), np.zeros(B, dtype=bool), np.zeros((m, B))
+    # the screened columns' centred fit is 0; the rest are overwritten below
+    F, V = np.zeros_like(Y), np.zeros((m, B))
+    conv, cert = np.ones(B, dtype=bool), np.zeros(B, dtype=bool)
     cert[live[fused]] = True
     V[:, cert] = V_fused
     rest, it = live[~fused], 0
     if len(rest) and sqrt:
         F[:, rest], conv[rest], lam[rest], V[:, rest], it, sigma[rest], overfit[rest] = \
-            _sqrt_fixed_point(Y[:, rest], centred[:, rest], sigma[rest], floors[rest], split,
-                              level, opts)
+            _sqrt_fixed_point(centred[:, rest], sigma[rest], split, level, opts)
     elif len(rest):
         F[:, rest], conv[rest], cert[rest], V[:, rest], it = polish._plain_batch(
-            split, Y[:, rest], lam[rest], mean[:, rest], centred[:, rest], opts)
+            split, centred[:, rest], lam[rest], opts)
+    F += mean
     if not sqrt:
         return BatchResult(F, conv, lam, it, V, cert)
     # overfit columns carry f = Y and sigma_hat = lam = 0, with no certificate
@@ -227,41 +235,42 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
     return res
 
 
-def _sqrt_fixed_point(Y: np.ndarray, centred: np.ndarray, sigma: np.ndarray, floors: np.ndarray,
-                      split: Splitting, lambda0: float, opts: SolverOptions):
-    """The square-root fixed point on the columns of Y, shape (n, B), none
-    of them overfit or fully fused at its starting scale sigma =
-    ||centred||_n, with centred Y minus its componentwise mean and floors
-    OVERFIT_FLOOR * ||Y||_n.
+def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, lambda0: float,
+                      opts: SolverOptions):
+    """The square-root fixed point on the centred columns (each Y minus its
+    componentwise mean), shape (n, B), none of them fully fused at its
+    starting scale sigma = ||centred||_n > 0.
 
     A column leaves the batch once sigma settles (relative change <= fp_tol
-    with a converged inner solve) or falls to its floor; sigma moves only on
-    a converged inner solve.  A column still live after MAX_OUTER steps is
-    not settled.  Returns the fits F, the settled mask, the penalties lam
-    each column was last solved at, the scaled duals V of its last inner
-    solve, the inner iterations, sigma and the overfit mask; the caller
-    sets the overfit columns' outcomes.
+    with a converged inner solve) or falls to its floor, OVERFIT_FLOOR times
+    its starting scale; sigma moves only on a converged inner solve.  A
+    column still live after MAX_OUTER steps is not settled.  Returns the
+    centred fits F, the settled mask, the penalties lam each column was
+    last solved at, the scaled duals V of its last inner solve, the inner
+    iterations, sigma and the overfit mask; the caller sets the overfit
+    columns' outcomes.
     """
-    n, B = Y.shape
-    F, V = Y.copy(), np.zeros((split.D.shape[0], B))
+    n, B = centred.shape
+    F, V = np.empty_like(centred), np.zeros((split.D.shape[0], B))
+    floor = OVERFIT_FLOOR * sigma
     lam, overfit = 2.0 * lambda0 * sigma, np.zeros(B, dtype=bool)
     live = np.arange(B)
-    state = admm._AdmmState(split, Y, lam, centred)
+    state = admm._AdmmState(split, centred, lam)
     iterations = 0
     for _ in range(MAX_OUTER):
         if len(live) == 0:
             break
         sig_old = sigma[live]
         lam[live] = 2.0 * lambda0 * sig_old
-        F_new, state, it, conv = admm._admm_batch(state, Y[:, live], lam[live], opts)
+        F_new, state, it, conv = admm._admm_batch(state, centred[:, live], lam[live], opts)
         iterations += it
         # a column whose inner solve has not converged keeps its scale: its
         # iterate is not the fit at this scale, so its residual is no evidence
         # of overfit
-        sig_new = np.where(conv, norm_n(Y[:, live] - F_new, axis=0), sig_old)
+        sig_new = np.where(conv, norm_n(centred[:, live] - F_new, axis=0), sig_old)
         F[:, live] = F_new
         sigma[live] = sig_new
-        hit_floor = sig_new <= floors[live]
+        hit_floor = sig_new <= floor[live]
         overfit[live] |= hit_floor
         settled = hit_floor | (conv & (np.abs(sig_new - sig_old)
                                        <= opts.fp_tol * np.maximum(sig_old, 1e-300)))
@@ -286,11 +295,14 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: floa
     2*lam*||Df||_1 form, so with sigma fixed the inner problem is the plain
     one at lam = 2*lambda0*sigma.  Starting from sigma equal to the residual
     norm of the fully penalized fit, the scale iterates downward to the
-    largest fixed point; if it collapses below OVERFIT_FLOOR * ||Y||_n the
+    largest fixed point; if it collapses to OVERFIT_FLOOR times its starting
+    scale ||Y - Ybar||_n, with Ybar the componentwise mean of Y, the
     estimator is flagged as overfitting and Y itself is returned, with
     sigma_hat = lambda_used = 0 (there the stationarity certificate does not
-    exist).  A scale that has not settled after MAX_OUTER steps is returned
-    with converged=False.  D is the incidence matrix or its Splitting.
+    exist).  The solve sees Y only through Y - Ybar, so Y + b for b constant
+    on each component gives the same sigma_hat and f_hat + b.  A scale that
+    has not settled after MAX_OUTER steps is returned with converged=False.
+    D is the incidence matrix or its Splitting.
     """
     return _solve_one(Y, D, lambda0, opts, sqrt=True)
 

@@ -527,18 +527,41 @@ def test_tree_events_csv_golden_digest():
         "eb9048ecd8ae921897350bf71ace43e185d6c673440f83a8057aa40d4693f94b"
 
 
+# a path of 32 cut in the middle, with both estimators and the events
+SOLVER_CFG = {"graph": {"family": "path", "params": {"n": 32}}, "S": [16],
+              "signal": {"levels": [0.0, 1.0]}, "sigma": 1.0,
+              "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
+              "theorems": ["plain_fast", "sqrt_slow"], "events": True,
+              "trials": 70, "seed": 41, "threads": 1}
+
+
+def _flag_columns(text):
+    """The overfit column and every *_holds column of a trials CSV."""
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [k for k, nm in enumerate(rows[0]) if nm == "overfit" or nm.endswith("_holds")]
+    return {rows[0][k]: [row[k] for row in rows[1:]] for k in keep}
+
+
 def test_solver_csv_golden_digest():
     # both estimators and the events: the digest pins the bits and the
     # layout of the noise block and of Y = f0 + eps that the solvers see
-    cfg = {"graph": {"family": "path", "params": {"n": 32}}, "S": [16],
-           "signal": {"levels": [0.0, 1.0]}, "sigma": 1.0,
-           "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
-           "theorems": ["plain_fast", "sqrt_slow"], "events": True,
-           "trials": 70, "seed": 41, "threads": 1}
-    text, _ = experiment_csv(cfg)
+    text, _ = experiment_csv(SOLVER_CFG)
     assert len(text.splitlines()) == 71
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "eda4a703d9e9f84fab7844e13cfad3af89075fe9c10db4915435d5cd09459607"
+        "e4e410273a16aba7e5b401e29e7488dce0b453b92200584b47c4cad8337e177e"
+
+
+def test_offset_signal_levels_flag_the_same_trials():
+    # the estimators see Y only through Y minus its componentwise mean, so
+    # signal levels moved by 1e6 overfit no trial more and flag every bound
+    # as levels [0, 1] do (a square-root overfit floor relative to ||Y||_n
+    # read 8 of these 64 trials as overfit)
+    cfg = dict(SOLVER_CFG, trials=64)
+    flags = _flag_columns(experiment_csv(cfg)[0])
+    offset = _flag_columns(experiment_csv(dict(cfg, signal={"levels": [1e6, 1e6 + 1]}))[0])
+    assert "nonoverfit_holds" in flags and len(flags["overfit"]) == 64
+    assert set(flags["overfit"]) == {"0"}
+    assert offset == flags
 
 
 # an 8x8 grid cut into two halves, whose two 8x4 grid pseudoinverse blocks
@@ -549,7 +572,7 @@ GRID_CFG = {"graph": {"family": "grid", "params": {"height": 8, "width": 8}},
             "params": {"x": 2, "t": 2, "a": 2, "eta": 0.5},
             "theorems": ["plain_slow", "sqrt_slow"], "events": True,
             "trials": 64, "seed": 23, "threads": 1}
-GRID_CSV_DIGEST = "fdcacca49305aaa1af7c902950eabdb8b75da0534171145b8c4a2807f979ddff"
+GRID_CSV_DIGEST = "e3ed250a2a04777066d832a35712a4da70f78d688797fe5d06d60fca64ae96b8"
 
 
 def test_grid_csv_golden_digests():

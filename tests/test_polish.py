@@ -41,23 +41,32 @@ def _mc_grid_block(seed):
     return exp.split, exp.f0[:, None] + eps, exp.lam, exp.solver_opts
 
 
+def _mean(split, Y):
+    """The componentwise mean of the columns of Y, which the solvers add
+    back to the fits of the centred columns."""
+    return projections.componentwise_mean(split.labels, Y)
+
+
 def _admm(split, Y, lam, tol):
-    """Cold-started ADMM iterates and scaled duals of the columns of Y."""
+    """Cold-started ADMM iterates and scaled duals of the centred columns of
+    Y, as _plain_batch runs them."""
     lams = np.full(Y.shape[1], lam)
-    centred = Y - projections.componentwise_mean(split.labels, Y)
-    F, state, _, _ = admm._admm_batch(admm._AdmmState(split, Y, lams, centred), Y, lams,
+    centred = Y - _mean(split, Y)
+    F, state, _, _ = admm._admm_batch(admm._AdmmState(split, centred, lams), centred, lams,
                                       SolverOptions(tol=tol))
     return F.copy(), admm._scaled_dual(state.U.copy(), state.rho, Y.shape[0], lams), lams
 
 
 def _dy(split, Y):
-    """Each column's ||DY||_inf, the scale term of the gap rule."""
-    return np.max(np.abs(split.D @ Y), axis=0)
+    """Each column's ||D Yc||_inf, Yc the centred Y: the scale term of the
+    gap rule."""
+    return np.max(np.abs(split.D @ (Y - _mean(split, Y))), axis=0)
 
 
 def _polish(split, Y, F, V, lams):
-    """polish._polish of the groups and signs read off the iterates F."""
-    return polish._polish(split, Y, F, V, lams,
+    """polish._polish of the centred columns of Y and the groups and signs
+    read off their iterates F (see _admm)."""
+    return polish._polish(split, Y - _mean(split, Y), F, V, lams,
                           *polish._groups_and_signs(split.D, _dy(split, Y), F))
 
 
@@ -69,6 +78,7 @@ def test_polished_grid_columns_equal_the_polish_of_a_tight_solve(seed):
     F, V, lams = _admm(split, Y, lam, 1e-11)
     tight = _polish(split, Y, F, V, lams)
     assert (out.certified <= tight).all()
+    F += _mean(split, Y)
     assert np.array_equal(out.F[:, out.certified], F[:, out.certified])
     for j in np.flatnonzero(out.certified)[::8]:
         assert kkt_bound(Y[:, j], out.F[:, j], split, lam, out.V[:, j]) <= 1e-15
@@ -86,7 +96,7 @@ def test_loose_state_meets_the_warm_start_check(monkeypatch, family):
 
     def spy(state, Y_, lam_, opts_):
         out = inner(state, Y_, lam_, opts_)
-        passes.append((opts_.tol, _dual_mismatch(state.split.D, Y_, out[1]).max()))
+        passes.append((opts_.tol, _dual_mismatch(state.split.D, Y_, out[0], out[1]).max()))
         return out
 
     monkeypatch.setattr(admm, "_admm_batch", spy)
@@ -197,7 +207,7 @@ def test_small_true_jump_is_certified():
     assert out.certified[0]
     F, V, lams = _admm(split, Y[:, None], lam, 1e-11)
     assert _polish(split, Y[:, None], F, V, lams)[0]
-    assert np.array_equal(out.F, F)
+    assert np.array_equal(out.F, F + _mean(split, Y[:, None]))
     jumps = np.abs(split.D @ F[:, 0]) / np.abs(split.D @ Y).max()
     assert np.any((jumps > 4e-4) & (jumps < 6e-4))
 

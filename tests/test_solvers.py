@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import brute_force_path2_sqrt, cd_reference_path, objective
@@ -222,24 +224,34 @@ def test_warm_started_inner_solve_does_not_settle_sigma_early():
         assert abs(single.sigma_hat - ref.sigma_hat) <= 1e-8
 
 
-def test_stopping_test_ignores_a_constant_shift():
-    # f(Y + b) = f(Y) + b, and the stopping test and penalty balancing read
-    # Y only through D Y and Y minus its componentwise mean, so a shifted
-    # solve takes the same iterations to the same tolerance
+@pytest.mark.parametrize("sqrt", [False, True], ids=["plain", "sqrt"])
+def test_stopping_test_ignores_a_constant_shift(sqrt):
+    # f(Y + b) = f(Y) + b and sigma_hat(Y + b) = sigma_hat(Y): the solver
+    # core sees only Y minus its componentwise mean, so a shifted solve takes
+    # the same iterations to the same tolerance, loose or tight
     rng = np.random.default_rng(0)
     n = 128
     D = incidence(path_graph(n))
     Y = (np.arange(n) >= n // 2) + rng.standard_normal(n)
-    opts = SolverOptions(tol=1e-7, certify=False)
-    base = solve_analysis(Y, D, 0.05, opts)
-    for b in (10.0, 1e3, 1e5):
-        moved = solve_analysis(Y + b, D, 0.05, opts)
-        assert moved.converged and moved.iterations == base.iterations
-        assert np.max(np.abs(moved.f_hat - b - base.f_hat)) <= 1e-6
-    # the objective ignores the shift; the tight reference runs on Y, since
-    # at 1e5 rounding in f keeps the residuals above a 1e-11 test
-    ref = solve_analysis(Y, D, 0.05, SolverOptions(tol=1e-11, certify=False))
-    assert moved.objective <= ref.objective * (1.0 + 1e-5)
+    solve = solve_sqrt_analysis if sqrt else solve_analysis
+    loose = SolverOptions(tol=1e-7, certify=False)
+    tight = SolverOptions(tol=1e-11, fp_tol=1e-11, certify=False)
+    ref = solve(Y, D, 0.05, tight)
+    for opts in (loose, tight):
+        base = solve(Y, D, 0.05, opts)
+        for b in (10.0, 1e3, 1e5, 1e6, 1e7):
+            start = time.perf_counter()
+            moved = solve(Y + b, D, 0.05, opts)
+            seconds = time.perf_counter() - start
+            assert moved.converged and moved.iterations == base.iterations
+            assert np.max(np.abs(moved.f_hat - b - base.f_hat)) <= 1e-6
+            # the objective ignores the shift
+            assert moved.objective <= ref.objective * (1.0 + 1e-5)
+            if sqrt:
+                assert not moved.overfit
+                assert abs(moved.sigma_hat - base.sigma_hat) <= 1e-9 * base.sigma_hat
+            if opts is tight and b == 1e5:
+                assert seconds < 1.0
 
 
 P5 = incidence(path_graph(5))
@@ -403,14 +415,16 @@ def test_grid_batch_agrees_with_relabelled_grid_on_superlu():
     Y_perm[perm] = Y
     lams = np.full(6, 0.05)
     opts = SolverOptions(tol=1e-7, certify=False)
-    state, state_perm = (admm._AdmmState(split, Y_, lams, Y_ - Y_.mean(axis=0))
-                         for split, Y_ in ((solvers.Splitting(incidence(g)), Y),
-                                           (solvers.Splitting(incidence(g_perm)), Y_perm)))
-    F, _, _, conv = admm._admm_batch(state, Y, lams, opts)
-    F_perm, _, _, conv_perm = admm._admm_batch(state_perm, Y_perm, lams, opts)
+    # both grids are connected, so the componentwise mean is each column's
+    mean, mean_perm = Y.mean(axis=0), Y_perm.mean(axis=0)
+    F, _, _, conv = admm._admm_batch(admm._AdmmState(solvers.Splitting(incidence(g)), Y - mean,
+                                                     lams), Y - mean, lams, opts)
+    F_perm, _, _, conv_perm = admm._admm_batch(
+        admm._AdmmState(solvers.Splitting(incidence(g_perm)), Y_perm - mean_perm, lams),
+        Y_perm - mean_perm, lams, opts)
     assert conv.all() and conv_perm.all()
-    obj = solvers._objective(Y, F, lams, incidence(g))
-    obj_perm = solvers._objective(Y_perm, F_perm, lams, incidence(g_perm))
+    obj = solvers._objective(Y, F + mean, lams, incidence(g))
+    obj_perm = solvers._objective(Y_perm, F_perm + mean_perm, lams, incidence(g_perm))
     assert np.all(np.abs(obj - obj_perm) <= 1e-5 * obj_perm)
 
 
@@ -425,21 +439,38 @@ def test_random_paths_match_coordinate_descent_reference(n, lam, scale, seed):
     assert r.objective <= objective(Y, f_ref, lam) + 1e-6
 
 
+@pytest.mark.parametrize("sqrt", [False, True], ids=["plain", "sqrt"])
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(family=st.sampled_from(["path", "grid"]), size=st.integers(4, 30),
        a=st.floats(0.1, 10.0), negate=st.booleans(), b=st.floats(-10.0, 10.0),
        lam=st.floats(0.01, 0.5), seed=st.integers(0, 2 ** 16))
-def test_solution_is_affine_equivariant(family, size, a, negate, b, lam, seed):
+@example(family="path", size=20, a=1.0, negate=False, b=1e7, lam=0.05, seed=0)
+# a nearly constant aY + b, 3 + 1e-9 noise, whose scale is a's alone
+@example(family="grid", size=20, a=1e-9, negate=False, b=3.0, lam=0.05, seed=0)
+def test_solution_is_affine_equivariant(sqrt, family, size, a, negate, b, lam, seed):
     # f(aY + b) = a f(Y) + b at penalty |a| lam: D annihilates constants and
-    # the objective scales by a^2.  Paths take SuperLU, grids the DCT.
+    # the objective scales by a^2.  The square root keeps its level lambda0:
+    # its objective and sigma_hat scale by |a|, and the overfit floor is
+    # relative to the scale of Y minus its componentwise mean, so the flag
+    # does not move.  Paths take SuperLU, grids the DCT.
     g = path_graph(size) if family == "path" else grid_graph(2 + size % 4, 2 + size // 4)
     D = incidence(g)
     a = -a if negate else a
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal(g.n) + (np.arange(g.n) >= g.n // 2)
     opts = SolverOptions(tol=1e-9, certify=False)
+    gap = 1e-5
+    if sqrt:
+        base = solve_sqrt_analysis(Y, D, lam, opts)
+        moved = solve_sqrt_analysis(a * Y + b, D, lam, opts)
+        assert moved.overfit == base.overfit and moved.converged
+        assert abs(moved.objective - abs(a) * base.objective) <= gap * moved.objective
+        assert abs(moved.sigma_hat - abs(a) * base.sigma_hat) <= gap * moved.sigma_hat
+        assert norm_n(moved.f_hat - (a * base.f_hat + b)) <= gap * moved.objective
+        # only an exactly constant Y has no scale, and reads as overfit
+        assert solve_sqrt_analysis(np.full(g.n, 3.0), D, lam, opts).overfit
+        return
     base = solve_analysis(Y, D, lam, opts)
     moved = solve_analysis(a * Y + b, D, abs(a) * lam, opts)
-    gap = 1e-5
     assert abs(moved.objective - a * a * base.objective) <= gap * moved.objective
     assert norm_n(moved.f_hat - (a * base.f_hat + b)) ** 2 <= 4.0 * gap * moved.objective
