@@ -14,18 +14,18 @@ reduced one pseudoinverse block at a time and, within a block, one slab of
 EVENT_CHUNK directions at a time (T an `all`, R a `max` over each slab's
 directions), so the (m-s, B) correlation matrix is never assembled and a
 slab's correlations, scales and comparisons stay in cache while they are
-read.  A tree block forms each slab's subtree sums from its prefix sums;
-a Laplacian block makes its one product and reduces it slab by slab.
-Each gives the same bits as a column-by-column evaluation of T and R.
+read.  Every pseudoinverse block is read the same way, whatever its kind:
+it gathers once (a tree block its prefix sums, a Laplacian block the solve
+of its gathered rows), and forms each slab's edge sums from that.  This
+gives the same bits as a column-by-column evaluation of T and R.
 
 The event evaluator allocates nothing of a block's size per block of
-trials, but for the solve of a Laplacian block: each thread keeps its own
-work arrays on the evaluator, and they go with the evaluator.  One has as
-many rows as the largest of n, a tree block's vertices and a Laplacian
-block's vertices plus edges, for the squared noise, the gathered rows or
-prefix sums, and a Laplacian block's product below its gathered rows;
-three have at most EVENT_CHUNK rows, for a slab's correlations, their
-scales and their comparisons.  The projected noise norm comes from the
+trials, but for the solve of a Laplacian block, which is released before
+the next block gathers: each thread keeps its own work arrays on the
+evaluator, and they go with the evaluator.  One has n rows, for the
+squared noise and then each block's gathered rows or prefix sums; three
+have at most EVENT_CHUNK rows, for a slab's edge sums, their scales and
+their comparisons.  The projected noise norm comes from the
 (r_S, B) noise sums of the components, one product with an indicator
 matrix built once, not from a projection of the whole block.  That norm rounds differently from the sum
 of squares of the projection, so a trial whose X, A or A' statistic sits
@@ -183,12 +183,6 @@ class EventEvaluator:
         # squared norm is the sum over components of (noise sum)^2 / size
         self.members = projections.component_indicator(active.comp_label)
         self.sizes = np.asarray(active.comp_sizes, dtype=np.float64)[:, None]
-        # rows of the work array: n for the squared noise, and per block its
-        # gathered rows or prefix sums, with a Laplacian block's product below
-        # them (a component with cycles may have more edges than vertices)
-        self.work_rows = max([n] + [len(blk.vertices) + (
-            0 if isinstance(blk, projections._TreeBlock) else len(thr))
-            for blk, thr, _ in self.blocks])
         self.slab_rows = min(EVENT_CHUNK, max(len(thr) for _, thr, _ in self.blocks))
         self._local = threading.local()
         self.thr_X = math.sqrt(sigma ** 2 / n) * (math.sqrt(r) + math.sqrt(2 * x))
@@ -199,11 +193,12 @@ class EventEvaluator:
 
     def _work(self, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The calling thread's work arrays for a block of B trials: one of
-        shape (work_rows, B) for prefix sums or a Laplacian block's rows and
-        product, and three of shape (slab_rows, B) for a slab's
-        correlations, their scales and their comparisons.  They are kept between blocks,
-        and grown when a wider block comes."""
-        w, s = self.work_rows, self.slab_rows
+        shape (n, B) for the squared noise and for each pseudoinverse
+        block's gathered rows or prefix sums, and three of shape
+        (slab_rows, B) for a slab's edge sums, their scales and their
+        comparisons.  They are kept between blocks, and grown when a wider
+        block comes."""
+        w, s = self.active.n, self.slab_rows
         bufs = getattr(self._local, "bufs", None)
         if bufs is None or bufs[1].size < s * B:
             bufs = self._local.bufs = (np.empty((w + 2 * s) * B), np.empty(s * B, dtype=bool))
@@ -216,13 +211,14 @@ class EventEvaluator:
         of noise columns of shape (n, B); `eps_sq`, the per-trial squared
         noise norms np.sum(eps ** 2, axis=0), is computed when not given."""
         n, B = eps.shape
-        # every array of the block's size is one of this thread's work
-        # arrays, so a block of trials allocates nothing that large
+        # every array of the block's size but a Laplacian block's solve is
+        # one of this thread's work arrays, so a block of trials allocates
+        # nothing else that large
         work, corr_buf, scale_buf, below_buf = self._work(B)
         if eps_sq is None:
             # the squares go through the work array: np.sum sums a one-column
             # block pairwise, which np.einsum does not, so its bits would move
-            eps_sq = np.sum(np.square(eps, out=work[:n]), axis=0)
+            eps_sq = np.sum(np.square(eps, out=work), axis=0)
         sums = self.members @ eps   # (r_S, B) noise sum per component
         proj_sq = np.sum(np.square(sums, out=sums) / self.sizes, axis=0)
         eps_n = np.sqrt(eps_sq / n)
@@ -230,23 +226,19 @@ class EventEvaluator:
         Rhat = np.full(B, -np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for blk, thr_T, col_norms_n in self.blocks:
-                k, nc = len(thr_T), len(blk.vertices)
-                tree = isinstance(blk, projections._TreeBlock)
-                if tree:   # each slab's subtree sums come from the prefix sums
-                    C = blk.prefix_sums(eps, work)
-                else:      # one product, below the gathered rows, read by slabs
-                    P = blk.apply_transpose(eps, work, work[nc:nc + k])
-                for lo in range(0, k, EVENT_CHUNK):
-                    hi = min(lo + EVENT_CHUNK, k)
+                G = blk.gather(eps, work)
+                for lo in range(0, len(thr_T), EVENT_CHUNK):
+                    hi = min(lo + EVENT_CHUNK, len(thr_T))
                     rows = hi - lo
                     scale = scale_buf[:rows]
-                    corr = blk.edge_sums(C, lo, hi, corr_buf[:rows], scale) if tree else P[lo:hi]
+                    corr = blk.edge_sums(G, lo, hi, corr_buf[:rows], scale)
                     np.abs(corr, out=corr)   # so a tree block's signs are never applied
                     corr /= n
                     T &= np.all(np.less_equal(corr, thr_T[lo:hi], out=below_buf[:rows]), axis=0)
                     np.multiply(col_norms_n[lo:hi], eps_n, out=scale)
                     np.maximum(Rhat, np.max(np.divide(corr, scale, out=scale), axis=0),
                                out=Rhat)
+                del G   # a Laplacian block's solve goes before the next block's gather
         Rhat = np.where(eps_n == 0.0, 0.0, Rhat)  # zero noise correlates with nothing
         Rflag = self.gamma * Rhat <= self.R
         anti_sq = eps_sq - proj_sq

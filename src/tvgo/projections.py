@@ -20,25 +20,29 @@ direction.  Every other one takes the grounded sparse factor of L, and its
 column norms from n_c solves, one per column of L+.  Neither materializes
 an (n_c, n_c) array.
 
-A tree block applies its transpose in two steps, which the noise events of
-a Monte Carlo run also take one at a time: `prefix_sums` gathers the rows in
-preorder and sums them, and `edge_sums` forms the subtree sums of a range of
-edges from those sums, so that the events reduce a block slab by slab.  With
-an even number of columns the prefix sum runs on the complex128 view of the
-C-ordered (n_c, B) array.  numpy's accumulate walks down each column one
-dependent add after another, so it is bound by the add's latency; a complex
-add is two independent float64 adds, of the real parts and of the imaginary
-parts, made in the same row order as the float64 cumsum makes them.  The
-bits are the same, at about half the time (0.96 -> 0.48 ms on a 4,077-vertex
-block of 64 columns).  An odd number of columns keeps the float64 cumsum.
+Both kinds of block apply their transpose through one interface of two
+steps, which the noise events of a Monte Carlo run also take one at a
+time.  `gather(V, work)` forms what the edges read: a tree block gathers
+the rows in preorder and sums them, a Laplacian block solves with its
+gathered rows.  `edge_sums(G, lo, hi, out, tmp)` forms the sums of a range
+of edges into two caller-owned arrays: subtree sums for a tree block, heads
+minus tails for a Laplacian block, allocating nothing.  So one
+`apply_transpose` serves both kinds, and the events reduce any block slab
+by slab.  With an even number of columns a tree block's prefix sum runs on
+the complex128 view of the C-ordered (n_c, B) array.  numpy's accumulate
+walks down each column one dependent add after another, so it is bound by
+the add's latency; a complex add is two independent float64 adds, of the
+real parts and of the imaginary parts, made in the same row order as the
+float64 cumsum makes them.  The bits are the same, at about half the time
+(0.96 -> 0.48 ms on a 4,077-vertex block of 64 columns).  An odd number of
+columns keeps the float64 cumsum.
 
-Every kind of block takes caller-owned arrays when given them (`work` for
-the gathered rows or prefix sums, and a Laplacian block's `out` for its
-product), so the noise events reuse one set of arrays per thread instead of
-allocating block-sized ones per batch of trials; a Laplacian block's solve
-still allocates its own.  A block's edge order is its own:
-`PseudoInverse` records, per block, the global column of each of the
-block's edges.
+`gather` takes a caller-owned `work` array when given one, for the
+gathered rows or prefix sums, so the noise events reuse one set of arrays
+per thread instead of allocating block-sized ones per batch of trials; a
+Laplacian block's solve still allocates its own.  A block's edge order is
+its own: `PseudoInverse` records, per block, the global column of each of
+the block's edges.
 """
 from __future__ import annotations
 
@@ -52,8 +56,7 @@ import scipy.sparse.csgraph as csgraph
 from . import splitting
 from .graphs import ActiveSet, edge_endpoints
 
-SOLVE_CHUNK = 256   # columns of L+ solved at once for a Laplacian block's column norms
-EDGE_CHUNK = 256    # edges whose heads minus tails a Laplacian block's product takes at once
+SOLVE_CHUNK = 256   # columns of L+ solved, and edges differenced, at once for column norms
 
 
 def _preorder(nc: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +80,30 @@ def _preorder(nc: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, 
     return csgraph.depth_first_order(adj, 0, directed=True, return_predecessors=True)
 
 
-class _TreeBlock:
+class _Block:
+    """What the two kinds of pseudoinverse block share: (D+)' V in the two
+    steps of their common interface, `gather(V, work=None)` and
+    `edge_sums(G, lo, hi, out, tmp)` (see the module docstring), with
+    `order`, the position each of the block's edges was given in, and
+    `sign`, the sign each edge's sum takes in its column."""
+
+    def apply_transpose(self, V: np.ndarray) -> np.ndarray:
+        """Column-wise inner products (D+)' V for V of shape (n, B): the
+        gather, then the edge sums of all k edges at once, signed."""
+        G = self.gather(V)
+        out = np.empty((len(self.order), V.shape[1]))
+        self.edge_sums(G, 0, len(out), out, np.empty_like(out))
+        out *= self.sign[:, None]
+        return out
+
+    def to_dense(self, n: int) -> np.ndarray:
+        """Materialized (n, k) block embedded at the component's vertices."""
+        out = np.zeros((n, len(self.order)))
+        out[self.vertices] = self.apply_transpose(np.eye(n)[:, self.vertices]).T
+        return out
+
+
+class _TreeBlock(_Block):
     """Pseudoinverse block of a tree component, kept in implicit form.
 
     Column for edge e equals sign_e * (1_B - |B|/n_c) restricted to the
@@ -136,7 +162,7 @@ class _TreeBlock:
         b = self.cut_size.astype(np.float64)
         return b * (self.nc - b) / self.nc
 
-    def prefix_sums(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    def gather(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """Inclusive prefix sums C, of shape (n_c, B), of the rows of V of
         shape (n, B) taken in preorder; `work`, a C-ordered array of shape
         (>= n_c, B), holds them when given (its contents are overwritten).
@@ -156,48 +182,24 @@ class _TreeBlock:
     def edge_sums(self, C: np.ndarray, lo: int, hi: int, out: np.ndarray,
                   tmp: np.ndarray) -> np.ndarray:
         """Unsigned subtree sums sum_B v - |B|/n_c * sum_C v of the block's
-        edges lo:hi, from the prefix sums C of `prefix_sums`, into `out` of
-        shape (hi - lo, B); `tmp`, of the same shape, takes frac_e * C[-1]
-        and may be rows of C other than the last: they are read before it is
-        written."""
+        edges lo:hi, from the prefix sums C of `gather`, into `out` of shape
+        (hi - lo, B); `tmp`, of the same shape, takes frac_e * C[-1].  With
+        sum_B v = C[last_e] - C[i] for the block position i of edge e, the
+        edge's column is sign_e times its sum."""
         np.take(C, self.last[lo:hi], axis=0, out=out, mode="clip")
         out -= C[lo:hi]
         out -= np.multiply(self.frac[lo:hi, None], C[-1], out=tmp)
         return out
 
-    def apply_transpose(self, V: np.ndarray) -> np.ndarray:
-        """Column-wise inner products (D+)' V for V of shape (n, B).
 
-        col_e' v = sign_e * (sum_B v - |B|/n_c * sum_C v), with sum_B v =
-        C[last_e] - C[i] for the inclusive prefix sums C of v in preorder and
-        the block position i of edge e: the prefix step, then the edge step
-        over all k edges at once.
-        """
-        k = len(self.last)
-        C = self.prefix_sums(V)
-        out = np.empty((k, V.shape[1]))
-        # the k = n_c - 1 rows before the total C[-1] take its product with frac
-        self.edge_sums(C, 0, k, out, C[:-1])
-        out *= self.sign[:, None]
-        return out
-
-    def to_dense(self, n: int) -> np.ndarray:
-        """Materialized (n, k) block embedded at the component's vertices."""
-        out = np.zeros((n, len(self.last)), dtype=np.float64)
-        pos = np.arange(self.nc)[:, None]   # preorder position of each row
-        lo = np.arange(1, self.nc)          # the subtree's first position
-        out[self.rows] = self.sign * (((lo <= pos) & (pos <= self.last)) - self.frac)
-        return out
-
-
-class _LaplacianBlock:
+class _LaplacianBlock(_Block):
     """Pseudoinverse block of a component with cycles or parallel edges,
     kept in implicit form.
 
     Column e of B+ = L+ B' is L+ (1_head - 1_tail), so (D+)' V = B L+ V is
-    one Laplacian solve of the gathered rows followed by heads minus tails.
-    `splitting.laplacian` picks the solve: the grid's DCT on a whole
-    rectangle, whose column norms then follow in closed form
+    one Laplacian solve of the gathered rows followed by heads minus tails,
+    every sign +1.  `splitting.laplacian` picks the solve: the grid's DCT on
+    a whole rectangle, whose column norms then follow in closed form
     (`griddct.GridDCT.edge_norms_sq`); else the grounded factor, whose
     solve takes centred rows and differs from L+ by a constant per column,
     which the differences cancel, and whose column norms take n_c solves.
@@ -206,52 +208,54 @@ class _LaplacianBlock:
 
     def __init__(self, vertices: np.ndarray, ends_local: np.ndarray):
         # vertices: global 0-based ids; ends_local: (k, 2) local (tail, head)
-        self.vertices, self.ends = vertices, ends_local
+        self.vertices = vertices
+        self.tail, self.head = ends_local.T.copy()   # each contiguous, as np.take reads them
         self.lap_solve, self.dct = splitting.laplacian(len(vertices), ends_local)
-        self.order = np.arange(len(ends_local))
+        self.order, self.sign = np.arange(len(ends_local)), np.ones(len(ends_local))
 
     def column_norms_sq(self) -> np.ndarray:
         """Squared row norms of B L+ (those of B+'): in closed form on a
-        rectangle, else n_c solves, the products of the unit vectors,
-        SOLVE_CHUNK at a time."""
+        rectangle, else from n_c solves, those of the unit vectors,
+        SOLVE_CHUNK at a time, whose heads minus tails go SOLVE_CHUNK edges
+        at a time through two reused buffers."""
         if self.dct is not None:
-            return self.dct.edge_norms_sq(self.ends)
-        nc = len(self.vertices)
-        out = np.zeros(len(self.order))
+            return self.dct.edge_norms_sq(np.column_stack((self.tail, self.head)))
+        nc, k = len(self.vertices), len(self.order)
+        out = np.zeros(k)
+        bufs = np.empty((2, min(SOLVE_CHUNK, k) * min(SOLVE_CHUNK, nc)))
         for lo in range(0, nc, SOLVE_CHUNK):
-            P = self._product(np.eye(nc, min(SOLVE_CHUNK, nc - lo), -lo))
-            out += np.einsum("ij,ij->i", P, P)
-        return out
-
-    def _product(self, G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """B L+ G for G of shape (n_c, B), which the grounded route centres
-        in place.  Heads minus tails go EDGE_CHUNK edges at a time: two
-        (k, B) temporaries are large enough that the allocator maps and
-        unmaps them on every call, which cost the noise events of the 32x32
-        grid halves about 0.5 ms more per 64-trial block (2-vCPU Xeon)."""
-        if self.dct is None:
+            G = np.eye(nc, min(SOLVE_CHUNK, nc - lo), -lo)
             G -= G.mean(axis=0)
-        X = self.lap_solve(G)
-        out = np.empty((len(self.ends), G.shape[1])) if out is None else out
-        for lo in range(0, len(self.ends), EDGE_CHUNK):
-            e = self.ends[lo:lo + EDGE_CHUNK]
-            np.subtract(X[e[:, 1]], X[e[:, 0]], out=out[lo:lo + EDGE_CHUNK])
+            X = self.lap_solve(G)
+            w = X.shape[1]
+            for e in range(0, k, SOLVE_CHUNK):
+                rows = min(SOLVE_CHUNK, k - e)
+                # C-ordered views: np.take writes into them in place, where
+                # it would fill a strided one through a copy
+                P, tmp = (b[:rows * w].reshape(rows, w) for b in bufs)
+                self.edge_sums(X, e, e + rows, P, tmp)
+                out[e:e + rows] += np.einsum("ij,ij->i", P, P)
         return out
 
-    def apply_transpose(self, V: np.ndarray, work: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """(D+)' V for V of shape (n, B); `work`, a C-ordered array of shape
-        (>= n_c, B), takes the gathered rows of V and `out`, of shape (k, B),
-        the result, when given.  The solve allocates its own (n_c, B)
-        arrays."""
+    def gather(self, V: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """L+ G, of shape (n_c, B), of the rows G of V of shape (n, B) at
+        the block's vertices, which the grounded route centres first;
+        `work`, a C-ordered array of shape (>= n_c, B), takes G when given
+        (its contents are overwritten).  The solve allocates its own
+        (n_c, B) arrays."""
         G = np.take(V, self.vertices, axis=0, mode="clip",
                     out=None if work is None else work[:len(self.vertices)])
-        return self._product(G, out)
+        if self.dct is None:
+            G -= G.mean(axis=0)
+        return self.lap_solve(G)
 
-    def to_dense(self, n: int) -> np.ndarray:
-        """Materialized (n, k) block embedded at the component's vertices."""
-        out = np.zeros((n, len(self.order)), dtype=np.float64)
-        out[self.vertices, :] = self.apply_transpose(np.eye(n)[:, self.vertices]).T
+    def edge_sums(self, X: np.ndarray, lo: int, hi: int, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+        """Heads minus tails of the block's edges lo:hi in the solve X of
+        `gather`, into `out` of shape (hi - lo, B), with the tails in `tmp`
+        of the same shape; allocates nothing."""
+        np.take(X, self.head[lo:hi], axis=0, out=out, mode="clip")
+        out -= np.take(X, self.tail[lo:hi], axis=0, out=tmp, mode="clip")
         return out
 
 

@@ -136,9 +136,11 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     Before any ADMM iteration one full-fusion screen (polish._fused_screen)
     takes every column at its level: lam for the plain estimator, and
     lam = 2 lambda0 sigma0 for a square-root column, sigma0 = ||Y - Ybar||_n,
-    unless sigma0 is 0 (a column constant on each component: overfit at
-    once, f = Y).  A column the screen fuses leaves with F = Ybar, converged
-    and certified, no iteration and the exact dual.  For the square root
+    unless sigma0 is within the rounding of the componentwise mean, at most
+    n eps max|Y_j| with eps float64's machine epsilon (a column constant on
+    each component, up to that rounding: overfit at once, f = Y, whatever
+    the graph's Laplacian solve).  A column the screen fuses leaves with
+    F = Ybar, converged and certified, no iteration and the exact dual.  For the square root
     that is the fixed point: a column fused there has residual norm sigma0,
     the largest attainable scale, so sigma0 is its largest fixed point.
     Fusion at lam implies fusion at every larger lam, while lam only falls
@@ -166,7 +168,9 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     centred = Y - mean
     if sqrt:
         sigma = norm_n(centred, axis=0)
-        overfit = sigma == 0.0   # constant on each component: f = Y at once
+        # constant on each component up to the rounding of its mean, which
+        # leaves each centred entry within about n eps max|Y_j| of 0: f = Y
+        overfit = sigma <= n * np.finfo(np.float64).eps * np.abs(Y).max(axis=0)
         lam = np.where(overfit, 0.0, 2.0 * level * sigma)
     else:
         lam, overfit = np.full(B, float(level)), np.zeros(B, dtype=bool)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,7 +24,7 @@ from tvgo.experiments import (EventEvaluator, SignalSpec,
                               trial_noise, verify_probability_lemmas)
 from tvgo.graphs import active_set, incidence, path_graph
 
-from test_projections import _staircase
+from test_projections import _grid_edge, _grid_halves, _staircase
 
 
 def test_signal_levels_constant_per_component():
@@ -195,6 +196,11 @@ FLAG_CASES = {
     # columns 1-3 of rows 1-3 and columns 1-2 of rows 4-6 against the
     # rest: two L-shaped dense blocks
     "grid_staircase": (graphs.grid_graph(6, 6), [3, 8, 13, 45, 17, 22, 27]),
+    # one Laplacian block reduced in two slabs of EVENT_CHUNK edges: the
+    # whole 24x24 grid, a DCT block of 1,104 edges, and the same grid with
+    # the edge from (12, 12) to (12, 13) active, a grounded block of 1,103
+    "grid24_whole": (graphs.grid_graph(24, 24), []),
+    "grid24_inner_edge": (graphs.grid_graph(24, 24), [_grid_edge(24, 24, 12, 12)]),
 }
 
 
@@ -276,6 +282,29 @@ def test_flags_batch_reuses_work_buffers(case):
         for w, gt in zip(want * 3, run):
             assert all(np.array_equal(gt[key], w[key]) for key in w)
 
+
+
+def test_flags_batch_holds_one_block_solve_at_a_time():
+    # a block of trials allocates nothing of a block's size but a Laplacian
+    # block's solve, which goes before the next block's gather: on the
+    # mc_grid geometry (a 32x32 grid cut into two 512-vertex halves, 64
+    # trials) a second call, on the thread's kept work arrays, peaks below
+    # the largest block's two (n_c, B) solve arrays plus 128 KB
+    side, B = 32, 64
+    g = graphs.grid_graph(side, side)
+    act = active_set(g, _grid_halves(side))
+    rep = projections.theory_report(incidence(g), act)
+    ev = EventEvaluator(rep, act, 1.0, 0.1, 0.5, 2.0, 2.0)
+    eps = np.random.default_rng(0).standard_normal((g.n, B))
+    ev.flags_batch(eps)
+    nc = max(len(blk.vertices) for blk in rep.pinv.blocks)
+    tracemalloc.start()
+    try:
+        ev.flags_batch(eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * nc * B * 8 + 128 * 1024, peak
 
 BASE_CFG = {
     "graph": {"family": "path", "params": {"n": 64}},

@@ -1,4 +1,9 @@
+import ast
+import graphlib
+import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +65,22 @@ def test_data_in_nullspace_returned_unchanged():
     rs = solve_sqrt_analysis(Y, incidence(g), 0.3)
     assert np.array_equal(rs.f_hat, Y)
     assert rs.overfit and rs.sigma_hat == 0.0
+
+
+@pytest.mark.parametrize("g", [grid_graph(5, 6), grid_graph(8, 8), path_graph(64)],
+                         ids=["grid5x6", "grid8x8", "path64"])
+@pytest.mark.parametrize("c", [0.1, 3.7, math.pi, 1e6 + 0.1, -7.3])
+def test_constant_up_to_rounding_overfits_on_every_graph(g, c):
+    # the componentwise mean of these columns rounds, so Y - Ybar is 4e-17
+    # to 1e-9, not 0: such a column has no scale and leaves at once as
+    # overfit, whichever Laplacian solve its graph takes (the DCT on the
+    # grids, a factor on the path)
+    Y = np.full(g.n, c)
+    r = solve_sqrt_analysis(Y, incidence(g), 0.05)
+    assert r.overfit and r.converged
+    assert np.array_equal(r.f_hat, Y)
+    assert r.sigma_hat == 0.0 and r.lambda_used == 0.0
+    assert r.iterations == 0
 
 
 def test_matches_coordinate_descent_reference():
@@ -467,10 +488,36 @@ def test_solution_is_affine_equivariant(sqrt, family, size, a, negate, b, lam, s
         assert abs(moved.objective - abs(a) * base.objective) <= gap * moved.objective
         assert abs(moved.sigma_hat - abs(a) * base.sigma_hat) <= gap * moved.sigma_hat
         assert norm_n(moved.f_hat - (a * base.f_hat + b)) <= gap * moved.objective
-        # only an exactly constant Y has no scale, and reads as overfit
+        # only a Y constant up to the rounding of its mean has no scale,
+        # and reads as overfit
         assert solve_sqrt_analysis(np.full(g.n, 3.0), D, lam, opts).overfit
         return
     base = solve_analysis(Y, D, lam, opts)
     moved = solve_analysis(a * Y + b, D, abs(a) * lam, opts)
     assert abs(moved.objective - a * a * base.objective) <= gap * moved.objective
     assert norm_n(moved.f_hat - (a * base.f_hat + b)) ** 2 <= 4.0 * gap * moved.objective
+
+
+def test_readme_import_sentence_matches_the_code():
+    # the relative imports of src/tvgo form no cycle, and among the solver
+    # modules and projections they are exactly the ones README's "Imports
+    # run one way" sentence lists
+    root = Path(__file__).parents[1]
+    imports = {}
+    for path in (root / "src" / "tvgo").glob("*.py"):
+        imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports[path.stem] |= ({node.module} if node.module
+                                       else {alias.name for alias in node.names})
+    list(graphlib.TopologicalSorter(imports).static_order())   # CycleError on a cycle
+    readme = " ".join((root / "README.md").read_text().split())
+    sentence = readme.split("the imports are exactly these: ", 1)[1].split(".", 1)[0]
+    listed = set()
+    for clause in sentence.split(";"):
+        importers, imported = re.split(r"\bimports?\b", clause)
+        listed |= {(a, b) for a in re.findall(r"`(\w+)`", importers)
+                   for b in re.findall(r"`(\w+)`", imported)}
+    core = {module for edge in listed for module in edge}
+    assert core == {"griddct", "splitting", "admm", "projections", "certify", "polish", "solvers"}
+    assert {(a, b) for a in core for b in imports[a] & core} == listed
