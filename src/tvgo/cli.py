@@ -240,8 +240,11 @@ _SHARED_FLAGS = {
     **{name: dict(type=float, default=getattr(experiments.ExperimentConfig, name))
        for name in ("sigma", "t", "x", "a", "eta")},
 }
-# shared flags whose parsed value is checked before a subcommand runs
-_SHARED_CHECKS = {"sigma": lambda value: solvers.check_level("--sigma", value)}
+# shared flags whose parsed value is checked before a subcommand runs: each
+# must be finite and > 0 (eta is checked where it is used, so that tune can
+# report a lambda0 it rejects)
+_SHARED_CHECKS = {flag: lambda value, flag=flag: solvers.check_level(f"--{flag}", value)
+                  for flag in ("sigma", "t", "x", "a")}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -298,7 +298,9 @@ class ExperimentConfig:
         for name, value, zero_ok in (("sigma", self.sigma, False), ("lambda", self.lam, True),
                                      ("lambda0", self.lambda0, False),
                                      ("solver_tol", self.solver_tol, False),
-                                     ("kappa_value", self.kappa_value, False)):
+                                     ("kappa_value", self.kappa_value, False),
+                                     *((f"params.{key}", getattr(self, key), False)
+                                       for key in ("x", "t", "a"))):
             if value is not None:
                 solvers.check_level(name, value, zero_ok)
         if self.kappa_source not in tuning.KAPPA_SOURCES:

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import admm, graphs, projections
-from .splitting import Splitting, Subgraph
+from .splitting import Splitting
 
 # alternating projections of the full-fusion screen (_fused_screen), on graphs with a cycle:
 SCREEN_STEPS = 40       # mc_grid square-root columns certified: 974 of 1024 at 10 steps, 1015 at 40
@@ -52,21 +52,21 @@ POLISH_BOX = 0.99       # polish: the ADMM dual starts near the bound, so clip c
 POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to the data's sup norm
 
 
-def _fused_screen(split: Splitting | Subgraph, centred: np.ndarray, bound: np.ndarray,
+def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray,
                   guess: np.ndarray | None = None, steps: int = SCREEN_STEPS,
                   box: float = SCREEN_BOX):
     """Columns of centred, shape (n, B), that some group dual v fits: v on
     split's edges with D'v = centred and |v| <= bound, the per-column
     penalty n lam > 0; and those duals.
 
-    Each column of centred sums to zero over each component of split, whose
-    components are the groups: the whole graph's for full fusion (centred is
-    then Y minus its componentwise mean), the fused-edge subgraph's for the
-    polish.  v starts as the point of {D'v = centred} nearest the guess
-    (m, B), or the minimum-norm one, D (D'D)^+ centred, when there is none;
-    on a forest it is the only one.  On a graph with a cycle a column that
-    misses the bound, but by at most SCREEN_GIVE_UP times, takes up to steps
-    alternating projections: v is clipped to box times the bound and
+    Each column of centred sums to zero over each component of split's
+    graph, whose components are the groups: the whole graph's for full
+    fusion (centred is then Y minus its componentwise mean), the fused-edge
+    pattern's for the polish.  v starts as the point of {D'v = centred}
+    nearest the guess (m, B), or the minimum-norm one, D (D'D)^+ centred,
+    when there is none; on a forest it is the only one.  On a graph with a
+    cycle a column that misses the bound, but by at most SCREEN_GIVE_UP
+    times, takes up to steps alternating projections: v is clipped to box times the bound and
     projected back with the same (D'D)^+.  A column leaves at the first v
     within the bound (certified) or past the give-up ratio.  Returns the
     certified mask (B,) and their scaled duals v / bound, in [-1, 1], shape
@@ -141,18 +141,23 @@ def _group_means(split: Splitting, fused: np.ndarray, T: np.ndarray):
 
     One component labelling of the union of the B fused-edge subgraphs,
     column j's vertices offset by j n, gives every column's groups; its
-    adjacency tiles the Splitting's CSR pattern (by_tail, tail_ptr) and
-    keeps the fused entries.  projections.componentwise_mean of the stacked
-    columns over those labels takes the means.  Returns the means (n, B)
+    adjacency tiles the CSR pattern of split's edges, ordered by their
+    first endpoint, and keeps the fused entries.
+    projections.componentwise_mean of the stacked columns over those labels
+    takes the means.  Returns the means (n, B)
     and the labels (B, n): row j holds column j's group labels as
     graphs.component_labels numbers them, from 0 in the order of each
     group's smallest vertex."""
     n, B = T.shape
     m = len(split.ends)
-    keep = fused[split.by_tail].T.ravel()
-    heads = (split.ends[split.by_tail, 1] + (np.arange(B) * n)[:, None]).ravel()[keep]
+    # the edges in the order of their first endpoint, and where each
+    # vertex's run of them ends
+    by_tail = np.argsort(split.ends[:, 0], kind="stable")
+    tail_end = np.cumsum(np.bincount(split.ends[:, 0], minlength=n))
+    keep = fused[by_tail].T.ravel()
+    heads = (split.ends[by_tail, 1] + (np.arange(B) * n)[:, None]).ravel()[keep]
     kept = np.concatenate([[0], np.cumsum(keep)])   # entries kept before each slot
-    indptr = np.concatenate([[0], kept[(np.arange(B)[:, None] * m + split.tail_ptr[1:]).ravel()]])
+    indptr = np.concatenate([[0], kept[(np.arange(B)[:, None] * m + tail_end).ravel()]])
     labels = graphs.adjacency_labels(sp.csr_matrix((np.ones(len(heads)), heads, indptr),
                                                    shape=(n * B, n * B)))
     means = projections.componentwise_mean(labels, T.T.ravel()).reshape(B, n).T
@@ -163,7 +168,7 @@ def _group_means(split: Splitting, fused: np.ndarray, T: np.ndarray):
 
 def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
             lam: np.ndarray, fused: np.ndarray, S: np.ndarray,
-            subgraphs: dict[bytes, Subgraph] | None = None) -> np.ndarray:
+            subgraphs: dict[bytes, Splitting] | None = None) -> np.ndarray:
     """Polish the plain iterates F of Y's columns, both (n, B), at per-column
     penalties lam onto exact solutions, with the scaled duals V (m, B) as
     the guess; returns the mask (B,) of certified columns, whose F and V it
@@ -184,12 +189,14 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     fused-edge subgraph, from the guess's fused rows, and a last check
     bounds the KKT residual ||(Y - c)/n - lam D'v||_inf of the dual v (s on
     the boundary, w / (n lam) on the fused edges) by POLISH_KKT ||Y||_inf.
-    The fused-edge Subgraph, with its grounded Laplacian factor, is taken
-    from subgraphs, a dict keyed by the packed fused-edge mask, and built
-    and added there for a mask it does not hold yet: the mask alone fixes
-    the subgraph's rows, its groups' labels and the factor, so a Subgraph
-    held from an earlier call is the one this call would build.  Without
-    subgraphs, each pattern's Subgraph serves this call alone.
+    The fused-edge pattern's Splitting, built from split's rows of the
+    fused edges, their endpoints and the groups' labels, with its Laplacian
+    factor, is taken from subgraphs, a dict keyed by the packed fused-edge
+    mask, and built and added there for a mask it does not hold yet: the
+    mask alone fixes the pattern's rows, its groups' labels and the factor,
+    so a Splitting held from an earlier call is the one this call would
+    build.  Without subgraphs, each pattern's Splitting serves this call
+    alone.
     """
     D, Dt = split.D, split.Dt
     n, B = Y.shape
@@ -206,7 +213,7 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
         cols = np.asarray(cols)
         rows = np.flatnonzero(fused[:, cols[0]])
         if key not in subgraphs:
-            subgraphs[key] = split.subgraph(rows, labels[cols[0]])
+            subgraphs[key] = Splitting(split.D[rows], split.ends[rows], labels[cols[0]])
         good, W = _fused_screen(subgraphs[key], T[:, cols] - C[:, cols],
                                 bound[cols], V[np.ix_(rows, cols)] * bound[cols],
                                 POLISH_STEPS, POLISH_BOX)
@@ -231,10 +238,10 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
     rung's uncertified columns keep their ADMM iterate and dual.  max_iter
     bounds the iterations of the whole ladder; a column is converged when it
     met the test at opts.tol or was certified.  Every rung's polish shares
-    one dict of fused-edge Subgraphs, so each pattern's factor is built once
-    per call, and reads the groups against ||D centred||_inf, taken once
-    from the product the state starts z at.  Returns the centred fits F
-    with (converged, certified, V, iterations).
+    one dict of the fused-edge patterns' Splittings, so each pattern's
+    factor is built once per call, and reads the groups against
+    ||D centred||_inf, taken once from the product the state starts z at.
+    Returns the centred fits F with (converged, certified, V, iterations).
 
     The state is float32 from the first rung while the Splitting has
     float32 operators (the DCT grids), the rung's tol is at least

@@ -21,6 +21,7 @@ component.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -112,7 +113,8 @@ def check_level(name: str, value: float, zero_ok: bool = False) -> None:
 
     Penalty levels and stopping tolerances are checked before any iteration:
     a NaN level would surface as a singular factor, a negative one poses a
-    different problem, and a tolerance <= 0 is never met.
+    different problem, and a tolerance <= 0 is never met.  The deviation
+    parameters x, t and a of a config or a CLI call take the same check.
     """
     if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
         raise ValueError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value}")
@@ -158,7 +160,10 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
         raise ValueError(f"dimension mismatch: D has {n} columns, so Y must be ({n},) "
                          f"for one solve or ({n}, B) for a batch")
     check_level("lambda0" if sqrt else "lam", level, zero_ok=not sqrt)
-    check_level("tol", opts.tol)
+    for name in ("tol", "fp_tol", "kkt_tol"):
+        check_level(name, getattr(opts, name))
+    if not isinstance(opts.max_iter, numbers.Integral) or opts.max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {opts.max_iter!r}")
     B = Y.shape[1]
     if not sqrt and level == 0.0:
         return BatchResult(Y.copy(), np.ones(B, dtype=bool), np.zeros(B), 0, np.zeros((m, B)),

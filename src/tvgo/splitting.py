@@ -2,20 +2,21 @@
 
 Every linear solve the estimators take, the ADMM f-update's
 (I + rho D'D) X = R and the screen's and the polish's D'D X = R, is picked
-here once per graph from D's edge endpoints, and held by a Splitting.  On a
-row-major grid the orthonormal DCT-II over the two grid axes diagonalises
-D'D (`griddct`, which also says which transforms a grid takes), so no
-factor is built and a new rho only rebuilds a diagonal.  Every other graph
-takes a SuperLU factor per rho and, for D'D, a factor grounded at one
-vertex per component, built from the endpoints: banded Cholesky up to a
-band of BAND_MAX, SuperLU past it.  `laplacian` makes that one choice
-between the DCT and the grounded factor, the package's one factor of a
-graph Laplacian, for a Splitting and for every pseudoinverse block with
-cycles in `projections`.
+here once per graph from D's edge endpoints, and held by a Splitting: one
+for the whole graph, and one per pattern of fused edges the polish reads
+(the graph on the same vertices with those edges alone).  On a row-major
+grid the orthonormal DCT-II over the two grid axes diagonalises D'D
+(`griddct`, which also says which transforms a grid takes), so no factor
+is built and a new rho only rebuilds a diagonal.  Every other graph takes,
+for each rho asked for, a SuperLU factor of I + rho D'D and, for D'D, a
+factor grounded at one vertex per component: banded Cholesky up to a band
+of BAND_MAX, SuperLU past it.  Both matrices are built from the endpoints,
+with no sparse product.  `laplacian` makes the one choice between the DCT
+and the grounded factor, the package's one factor of a graph Laplacian,
+for every Splitting and for every pseudoinverse block with cycles in
+`projections`.
 """
 from __future__ import annotations
-
-from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,30 +53,34 @@ def laplacian(n: int, ends: np.ndarray, labels: np.ndarray | None = None):
     return _grounded_solve(ends, labels), None
 
 
-def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
-    """(factory, factory32, lap_solve) of D, whose 0-based edge endpoints are
-    ends and whose 0-based component labels are labels: factory maps rho to
-    solve, where solve(R) returns X with (I + rho D'D) X = R, factory32 does
-    the same in float32 on the DCT grids and is None on every other D, and
-    lap_solve is laplacian's.  All may overwrite R.
+def _solve_factory(n: int, ends: np.ndarray, labels: np.ndarray):
+    """(factory, factory32, lap_solve) of the graph on n vertices whose
+    0-based edge endpoints are ends and whose 0-based component labels are
+    labels: factory maps rho to solve, where solve(R) returns X with
+    (I + rho D'D) X = R, factory32 does the same in float32 on the DCT
+    grids and is None on every other graph, and lap_solve is laplacian's.
+    All may overwrite R.
 
     On the row-major grid, the orthonormal DCT-II along both grid axes
     diagonalises D'D, so the solve is exact without a factor and a new rho
     only rebuilds the denominator.  Up to griddct.DCT_MATRIX_MAX_SIDE per
     side the transforms are products with the DCT-II matrices, which do not
-    write to R; larger grids take scipy.fft's dctn/idctn.  Every other D,
-    paths included, takes a SuperLU factor of I + rho D'D per rho (on a path
-    its tridiagonal factor solves faster than the transforms).  A float32
-    solve takes float32 DCT-II matrices or transforms.  There is no float32
-    factor: in float32, 1 + 2 rho rounds to 2 rho from rho of about 1e7, so
-    I + rho D'D loses its identity, and SuperLU finds it singular from
-    rho = 1e8 on (a path of 200,000 vertices reached that in float32).
+    write to R; larger grids take scipy.fft's dctn/idctn.  Every other
+    graph, paths included, takes a SuperLU factor of I + rho D'D, built
+    from the endpoints when a rho is asked for (on a path its tridiagonal
+    factor solves faster than the transforms); a graph no solve is asked
+    of builds nothing for one.  A float32 solve takes float32 DCT-II
+    matrices or transforms.  There is no float32 factor: in float32,
+    1 + 2 rho rounds to 2 rho from rho of about 1e7, so I + rho D'D loses
+    its identity, and SuperLU finds it singular from rho = 1e8 on (a path of
+    200,000 vertices reached that in float32).
     """
-    lap_solve, dct = laplacian(D.shape[1], ends, labels)
+    lap_solve, dct = laplacian(n, ends, labels)
     if dct is None:
-        DtD = (D.T @ D).tocsc()
-        eye = sp.identity(DtD.shape[0], format="csc")
-        return (lambda rho: spla.splu((eye + rho * DtD).tocsc()).solve), None, lap_solve
+        def at(rho):
+            degree = np.bincount(ends.ravel(), minlength=n)
+            return spla.splu(_symmetric(1.0 + rho * degree, ends[:, 0], ends[:, 1], -rho)).solve
+        return at, None, lap_solve
 
     def factory(dtype):
         def at(rho):
@@ -83,6 +88,18 @@ def _solve_factory(D: sp.csr_matrix, ends: np.ndarray, labels: np.ndarray):
             return lambda R: dct.divide(R, denom)
         return at
     return factory(np.float64), factory(np.float32), lap_solve
+
+
+def _symmetric(diag: np.ndarray, lo: np.ndarray, hi: np.ndarray, off: float) -> sp.csc_matrix:
+    """The symmetric CSC matrix with diag on its diagonal and off at
+    (lo, hi) and (hi, lo) for each pair, a repeated pair's entries adding
+    up, with sorted row indices: the entries D'D, and I + rho D'D, would
+    hold for the edges joining the pairs."""
+    idx = np.arange(len(diag))
+    off = np.full(len(lo), off)
+    return sp.csc_matrix((np.concatenate([diag, off, off]),
+                          (np.concatenate([idx, hi, lo]), np.concatenate([idx, lo, hi]))),
+                         shape=(len(diag), len(diag)))
 
 
 def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
@@ -135,12 +152,7 @@ def _grounded_solve(ends: np.ndarray, labels: np.ndarray):
         def solve(R):
             return sla.cho_solve_banded(factor, R, check_finite=False)
     else:
-        idx = np.arange(k)
-        off = -np.ones(len(lo))
-        solve = spla.splu(sp.csc_matrix((np.concatenate([diag, off, off]),
-                                         (np.concatenate([idx, hi, lo]),
-                                          np.concatenate([idx, lo, hi]))),
-                                        shape=(k, k))).solve
+        solve = spla.splu(_symmetric(diag, lo, hi, -1.0)).solve
 
     def lap_solve(R):
         X = np.zeros_like(R)
@@ -159,50 +171,28 @@ class Splitting:
     float32 operators of the plain ladder's loose rungs (a read-only float32
     copy of D, its transpose and the float32 solve factory), and is None on
     every other graph.  It is never written after construction, so threads
-    may share it.  ends, when given, are D's endpoints as the caller holds
-    them (an experiment reads them from its graph); else they are read from D."""
+    may share it.  ends and labels, when given, are D's endpoints and its
+    graph's 0-based component labels, numbered from 0 with no gap, as the
+    caller holds them (an experiment reads the endpoints from its graph, the
+    polish a pattern's labels from its groups); else they are computed from
+    D."""
 
-    def __init__(self, D, ends: np.ndarray | None = None):
+    def __init__(self, D, ends: np.ndarray | None = None, labels: np.ndarray | None = None):
         self.D = sp.csr_matrix(D)
         self.Dt = self.D.T   # one CSC transpose
         self.ends = graphs.edge_endpoints(self.D) if ends is None else ends
         m, n = self.D.shape
-        self.labels = graphs.component_labels(n, self.ends)
-        # the edges in the order of their first endpoint, and where each
-        # vertex's start: the CSR pattern of the adjacency _group_means tiles
-        self.by_tail = np.argsort(self.ends[:, 0], kind="stable")
-        self.tail_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.ends[:, 0], minlength=n))])
-        self.factory, factory32, self.lap_solve = _solve_factory(self.D, self.ends, self.labels)
+        self.labels = graphs.component_labels(n, self.ends) if labels is None else labels
+        self.factory, factory32, self.lap_solve = _solve_factory(n, self.ends, self.labels)
         self.single = None
         if factory32 is not None:
             D32 = self.D.astype(np.float32)
             D32.data.flags.writeable = False
             self.single = (D32, D32.T, factory32)
         # a forest has m = n - (number of components) edges; more means a cycle
-        self.cyclic = m > n - len(np.unique(self.labels))
+        self.cyclic = m > n - self.labels.max() - 1
 
     def operators(self, dtype) -> tuple:
         """(D, D', rho -> solve) in dtype: float64, or float32 on the graphs
         whose single holds them."""
         return (self.D, self.Dt, self.factory) if dtype == np.float64 else self.single
-
-    def subgraph(self, rows: np.ndarray, labels: np.ndarray) -> Subgraph:
-        """What _fused_screen reads of the graph on the same vertices with
-        the edges rows (indices) alone, whose component labels the caller
-        holds; its Laplacian factor is built from those edges' endpoints."""
-        D = self.D[rows]
-        return Subgraph(D, D.T, labels, _grounded_solve(self.ends[rows], labels),
-                        len(rows) > D.shape[1] - labels.max() - 1)
-
-
-class Subgraph(NamedTuple):
-    """The incidence matrix D of some of a graph's edges, on all its
-    vertices, with D', the component labels, lap_solve and whether it has a
-    cycle, as a Splitting holds them for the whole graph."""
-
-    D: sp.csr_matrix
-    Dt: sp.csc_matrix
-    labels: np.ndarray
-    lap_solve: Callable
-    cyclic: bool
-

@@ -110,6 +110,55 @@ def test_solve_rejects_non_finite_observations(tmp_path, capsys):
         assert err["type"] == "ValueError" and "NaN or inf" in err["error"]
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_solve_rejects_an_iteration_budget_below_one(tmp_path, capsys, budget):
+    # no ADMM iteration ran, and the solve crashed on the unset iterate
+    y = tmp_path / "y.csv"
+    y.write_text("0\n1\n5\n")
+    for penalty in (["--lambda", "0.1"], ["--lambda0", "0.01"]):
+        assert dispatch(["solve", "--graph", "path:3", "--y", str(y), *penalty,
+                         "--max-iter", budget]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["type"] == "ValueError"
+        assert payload["error"] == f"max_iter must be an integer >= 1, got {budget}"
+
+
+@pytest.mark.parametrize("theorem,flag,value", [
+    ("plain_slow", "--x", "-1"), ("sqrt_slow", "--a", "0"), ("plain_fast", "--t", "nan"),
+    ("plain_slow", "--x", "inf"), ("sqrt_fast", "--t", "-2"),
+])
+def test_oracle_rhs_rejects_a_deviation_parameter_out_of_range(capsys, theorem, flag, value):
+    # --x -1 failed as a math domain error, and --a 0 printed a negative probability
+    assert dispatch(["oracle-rhs", "--theorem", theorem, "--graph", "path:16", "--S", "8",
+                     flag, value]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["type"] == "ValueError"
+    assert payload["error"].startswith(f"{flag} must be finite and > 0")
+
+
+@pytest.mark.parametrize("flag", ["--t", "--a"])
+def test_tune_rejects_a_deviation_parameter_out_of_range(capsys, flag):
+    assert dispatch(["tune", "--n", "16", "--r-S", "2", "--gamma", "0.3", flag, "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{flag} must be finite")
+
+
+@pytest.mark.parametrize("key,value", [("t", float("nan")), ("x", -1.0), ("a", 0.0),
+                                       ("t", float("inf"))])
+def test_simulate_rejects_a_deviation_parameter_out_of_range(tmp_path, capsys, key, value):
+    # a NaN t was reported as a bad lam, and with no theorem it ran with NaN event floors
+    for theorems in (["plain_fast"], []):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SIM_CFG, theorems=theorems,
+                                       params=dict(SIM_CFG["params"], **{key: value}))))
+        assert dispatch(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "t.csv")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["type"] == "ValueError"
+        assert payload["error"].startswith(f"params.{key} must be finite and > 0")
+
+
 def test_solve_requires_one_penalty(tmp_path, capsys):
     y = tmp_path / "y.csv"
     y.write_text("0\n2\n")

@@ -338,18 +338,26 @@ def test_setup_builds_one_pseudoinverse(monkeypatch):
                                                      ([], True, 0)])
 def test_one_splitting_per_experiment(monkeypatch, theorems, events, builds):
     # both estimators and every block of trials share one splitting of D; an
-    # events-only experiment runs no solver and builds none
-    calls = []
-    original = solvers.Splitting.__init__
+    # events-only experiment runs no solver and builds none.  The polish's
+    # pattern Splittings take a row slice of D, a new object, so they do
+    # not count
+    calls, made = [], []
+    original, init = solvers.Splitting.__init__, experiments.Experiment.__init__
 
-    def counting(self, D, *ends):
-        calls.append(D.shape)
-        original(self, D, *ends)
+    def counting(self, D, *given):
+        calls.append(D)
+        original(self, D, *given)
+
+    def keeping(self, config):
+        init(self, config)
+        made.append(self)
 
     monkeypatch.setattr(solvers.Splitting, "__init__", counting)
+    monkeypatch.setattr(experiments.Experiment, "__init__", keeping)
     run_experiment(dict(BASE_CFG, theorems=theorems, events=events,
                         trials=experiments.BLOCK_SIZE + 6))
-    assert len(calls) == builds
+    [exp] = made
+    assert sum(D is exp.D for D in calls) == builds
 
 
 def test_config_typos_are_rejected(tmp_path):
@@ -793,6 +801,17 @@ def test_bad_penalty_or_tolerance_rejected(key, value):
     # and a tolerance <= 0 spun to max_iter
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         experiments.ExperimentConfig.from_dict(dict(BASE_CFG, **{key: value}))
+
+
+@pytest.mark.parametrize("key,value", [("x", 0.0), ("x", -1.0), ("t", math.nan), ("t", -2.0),
+                                       ("a", 0.0), ("a", math.inf)])
+def test_deviation_parameter_out_of_range_rejected(key, value):
+    # eta is left to the checks where it is used
+    cfg = dict(BASE_CFG, params=dict(BASE_CFG["params"], **{key: value}))
+    with pytest.raises(ValueError, match=f"params.{key} must be finite and > 0"):
+        experiments.ExperimentConfig.from_dict(cfg)
+    with pytest.raises(ValueError, match=f"params.{key} must be finite and > 0"):
+        dataclasses.replace(experiments.ExperimentConfig.from_dict(BASE_CFG), **{key: value})
 
 
 @pytest.mark.parametrize("trials", [0, -5])

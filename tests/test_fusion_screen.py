@@ -135,13 +135,34 @@ def test_subgraph_laplacian_solve_inverts_its_dtd_on_centred_data(monkeypatch, n
     labels = graphs.component_labels(g.n, split.ends[rows])
     splus, splu = [], splitting.spla.splu
     monkeypatch.setattr(splitting.spla, "splu", lambda A: splus.append(1) or splu(A))
-    sub = split.subgraph(rows, labels)
+    sub = solvers.Splitting(split.D[rows], split.ends[rows], labels)
     assert len(splus) == superlu
     R = np.random.default_rng(g.n).standard_normal((g.n, 3))
     R -= projections.componentwise_mean(labels, R)
     X = sub.lap_solve(R.copy())
     D_F = split.D[rows]
     assert np.abs(D_F.T @ (D_F @ X) - R).max() <= 1e-12 * np.abs(R).max()
+
+
+@pytest.mark.parametrize("share", [0.5, 0.8, 1.0])
+@pytest.mark.parametrize("family", list(GRAPHS))
+def test_pattern_splitting_from_the_polish_labels_agrees_with_its_own(family, share):
+    # the polish hands a pattern's Splitting the group labels _group_means
+    # read; built without them, it finds the same labels, the same cycle
+    # test and the same Laplacian solve
+    g = GRAPHS[family]
+    split = solvers.Splitting(incidence(g))
+    rng = np.random.default_rng(g.n)
+    fused = rng.random((g.m, 1)) < share
+    _, labels = polish._group_means(split, fused, rng.standard_normal((g.n, 1)))
+    rows = np.flatnonzero(fused[:, 0])
+    given = solvers.Splitting(split.D[rows], split.ends[rows], labels[0])
+    own = solvers.Splitting(split.D[rows], split.ends[rows])
+    assert np.array_equal(given.labels, own.labels)
+    assert given.cyclic == own.cyclic
+    R = rng.standard_normal((g.n, 3))
+    R -= projections.componentwise_mean(own.labels, R)
+    assert np.array_equal(given.lap_solve(R.copy()), own.lap_solve(R.copy()))
 
 
 def test_shared_laplacian_factor_solves_alike_from_many_threads():

@@ -407,15 +407,15 @@ def test_float32_rounding_of_a_tight_iterate_reads_the_same_groups(seed):
 
 
 def test_each_fused_edge_pattern_is_factored_once_per_batch(monkeypatch):
-    # every rung's polish shares one dict of Subgraphs, so a mask of fused
-    # edges screened at several rungs is factored once; the Splitting is
-    # prebuilt, so every _grounded_solve call is a Subgraph's
+    # every rung's polish shares one dict of pattern Splittings, so a mask of
+    # fused edges screened at several rungs is factored once; the graph's
+    # Splitting is prebuilt, so every _grounded_solve call is a pattern's
     split, Y, lam, opts = _mc_grid_block(2101)
     builds, screened = [], []
     grounded, screen = splitting._grounded_solve, polish._fused_screen
 
     def spy(sub, *args):
-        if isinstance(sub, splitting.Subgraph):
+        if sub is not split:
             screened.append(graphs.edge_endpoints(sub.D).tobytes())
         return screen(sub, *args)
 

@@ -334,6 +334,30 @@ def test_bad_penalty_or_tolerance_rejected(call, name):
         call(np.tile(Y2[:, None], (1, 3)))
 
 
+@pytest.mark.parametrize("opts,message", [
+    (SolverOptions(max_iter=0), "max_iter must be an integer >= 1, got 0"),
+    (SolverOptions(max_iter=-2), "max_iter must be an integer >= 1, got -2"),
+    (SolverOptions(max_iter=2.5), "max_iter must be an integer >= 1, got 2.5"),
+    (SolverOptions(fp_tol=0.0), "fp_tol must be finite and > 0"),
+    (SolverOptions(fp_tol=np.nan), "fp_tol must be finite and > 0"),
+    (SolverOptions(kkt_tol=-1e-6), "kkt_tol must be finite and > 0"),
+    (SolverOptions(kkt_tol=np.inf), "kkt_tol must be finite and > 0"),
+], ids=["max_iter0", "max_iter_negative", "max_iter_float", "fp_tol0", "fp_tol_nan",
+        "kkt_tol_negative", "kkt_tol_inf"])
+def test_bad_solver_options_rejected(opts, message):
+    # a budget below 1 ran no ADMM iteration and crashed on an unset iterate;
+    # every entry point checks every option, whichever estimator reads it
+    Y = np.array([0.0, 1.0, 5.0])
+    D = incidence(path_graph(3))
+    calls = [lambda: solve_analysis(Y, D, 0.1, opts),
+             lambda: solve_analysis_batch(Y[:, None], D, 0.1, opts),
+             lambda: solve_sqrt_analysis(Y, D, 0.01, opts),
+             lambda: solve_sqrt_analysis_batch(Y[:, None], D, 0.01, opts)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_observations_rejected(bad):
     Y = np.array([0.0, bad])
@@ -421,6 +445,38 @@ def test_spectral_grid_solve_matches_superlu(h, w, rho):
         ref = lu.solve(R)
         X = solve(R.copy())
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _random_tree(seed, n):
+    rng = np.random.default_rng(seed)
+    return tree_graph([int(rng.integers(1, v)) for v in range(2, n + 1)])
+
+
+# the graphs that take a SuperLU factor of I + rho D'D; a parallel pair, one
+# edge of it reversed, must add up to -2 rho off the diagonal
+FACTORED = {
+    "path": path_graph(30),
+    "cycle": cycle_graph(25),
+    "random-tree": _random_tree(3, 40),
+    "parallel-pair": DirectedGraph(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (2, 1),
+                                       (3, 4))),
+    "relabelled-grid": _relabelled(grid_graph(9, 7), np.random.default_rng(8).permutation(63)),
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORED))
+@pytest.mark.parametrize("rho", [0.01, 1.7, 300.0])
+def test_endpoint_built_factor_solves_as_the_sparse_product_does(name, rho):
+    # the f-update's I + rho L is built from the edge endpoints; the sparse
+    # product D'D is the independent oracle, and the solves agree bit for bit
+    D = incidence(FACTORED[name])
+    n = D.shape[1]
+    assert solvers.Splitting(D).single is None
+    lu = spla.splu((sp.identity(n, format="csc") + rho * (D.T @ D)).tocsc())
+    solve = solvers.Splitting(D).factory(rho)
+    R = np.random.default_rng(n).standard_normal((n, 5))
+    assert np.array_equal(solve(R.copy()), lu.solve(R))
+    assert np.array_equal(solve(R[:, 0].copy()), lu.solve(R[:, 0]))
 
 
 def test_grid_batch_agrees_with_relabelled_grid_on_superlu():
@@ -521,3 +577,26 @@ def test_readme_import_sentence_matches_the_code():
     core = {module for edge in listed for module in edge}
     assert core == {"griddct", "splitting", "admm", "projections", "certify", "polish", "solvers"}
     assert {(a, b) for a in core for b in imports[a] & core} == listed
+
+
+def test_readme_module_table_names_every_knob():
+    # every upper-case module constant of the solver modules is named in its
+    # module's row of README's module table, or matched there by a PREFIX_*
+    # wildcard; every constant and wildcard a row names exists in its module
+    root = Path(__file__).parents[1]
+    rows = {}
+    for line in (root / "README.md").read_text().splitlines():
+        if cell := re.match(r"\| `(\w+)` \| (.*) \|$", line):
+            rows[cell[1]] = set(re.findall(r"`([A-Z][A-Z0-9_]+\*?)`", cell[2]))
+    for module in ("solvers", "griddct", "splitting", "admm", "polish", "certify"):
+        tree = ast.parse((root / "src" / "tvgo" / f"{module}.py").read_text())
+        knobs = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()}
+        named = rows[module]
+        wildcards = {name[:-1] for name in named if name.endswith("*")}
+        assert knobs, module
+        for knob in knobs:
+            assert knob in named or any(knob.startswith(w) for w in wildcards), (module, knob)
+        assert named - {w + "*" for w in wildcards} <= knobs, module
+        assert all(any(knob.startswith(w) for knob in knobs) for w in wildcards), module
