@@ -89,6 +89,17 @@ def _read_vector(path: str) -> np.ndarray:
     return np.array(graphs.read_numbers(path, float))
 
 
+def _read_signal(path: str, n: int, flag: str) -> np.ndarray:
+    """The signal file at path given as flag: n finite values, one per
+    vertex, or ValueError naming flag."""
+    v = _read_vector(path)
+    if len(v) != n:
+        raise ValueError(f"{flag} must hold {n} values, one per vertex, got {len(v)}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{flag} holds NaN or inf")
+    return v
+
+
 def _seed(args) -> int | None:
     env = os.environ.get("TVGO_SEED")
     return args.seed if env is None else graphs.read_numbers("TVGO_SEED", int, [env])[0]
@@ -179,8 +190,8 @@ def _cmd_tune(args) -> int:
 
 def _cmd_oracle_rhs(args) -> int:
     family, D, active, report = _graph_setup(args)
-    f0 = _read_vector(args.f0) if args.f0 else np.zeros(active.n)
-    f = _read_vector(args.f) if args.f else f0
+    f0 = _read_signal(args.f0, active.n, "--f0") if args.f0 else np.zeros(active.n)
+    f = _read_signal(args.f, active.n, "--f") if args.f else f0
     inputs = tuning.TheoremInputs(
         active=active, report=report, family=family, sigma=args.sigma,
         t=args.t, x=args.x, a=args.a, eta=args.eta, f=f, f0=f0, D=D,
@@ -240,11 +251,13 @@ _SHARED_FLAGS = {
     **{name: dict(type=float, default=getattr(experiments.ExperimentConfig, name))
        for name in ("sigma", "t", "x", "a", "eta")},
 }
-# shared flags whose parsed value is checked before a subcommand runs: each
-# must be finite and > 0 (eta is checked where it is used, so that tune can
-# report a lambda0 it rejects)
-_SHARED_CHECKS = {flag: lambda value, flag=flag: solvers.check_level(f"--{flag}", value)
-                  for flag in ("sigma", "t", "x", "a")}
+# flags whose parsed value, when given, is checked before a subcommand runs:
+# (flag, zero_ok) by dest; each must be finite and > 0, or >= 0 with zero_ok
+# (eta is checked where it is used, so that tune can report a lambda0 it
+# rejects)
+_CHECKS = {**{name: (f"--{name}", False) for name in ("sigma", "t", "x", "a", "lambda0")},
+           "lam": ("--lambda", True), "norm_df0": ("--norm-df0", True),
+           "grid_constant": ("--grid-constant", False)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,9 +325,9 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        for flag, check in _SHARED_CHECKS.items():
-            if flag in vars(args):
-                check(getattr(args, flag))
+        for dest, (flag, zero_ok) in _CHECKS.items():
+            if getattr(args, dest, None) is not None:
+                solvers.check_level(flag, getattr(args, dest), zero_ok)
         return args.func(args)
     except (ValueError, OSError) as exc:   # hypothesis, graph and JSON errors included
         return _fail(str(exc), kind=type(exc).__name__)

@@ -297,6 +297,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name, value, zero_ok in (("sigma", self.sigma, False), ("lambda", self.lam, True),
                                      ("lambda0", self.lambda0, False),
+                                     ("grid_constant", self.grid_constant, False),
                                      ("solver_tol", self.solver_tol, False),
                                      ("kappa_value", self.kappa_value, False),
                                      *((f"params.{key}", getattr(self, key), False)
@@ -617,7 +618,10 @@ def verify_probability_lemmas(trials: int = 100_000, seed: int = 0,
 
     For each cell, the empirical tail frequency must not exceed the stated
     bound by more than three binomial standard errors computed at the bound.
+    ValueError names a trial count below 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     grid = grid or DEFAULT_PROB_GRID
     cells = []
 

@@ -42,10 +42,8 @@ SCREEN_GIVE_UP = 1.25   # leave past 1.25 n lam: certified columns start at 0.90
 # plain ADMM tolerances the polish (_polish) runs at, from the loosest, then opts.tol
 POLISH_LADDER = (3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4) + tuple(10.0 ** -k for k in range(5, 13))
 GAP_CAP = 1e-2          # polish: fused edges are cut at a gap of |Df| below this fraction of the scale
-GAP_FLOOR = 1e-16       # polish: least floor of |Df| relative to the scale (see _groups_and_signs)
 # float32 rungs of the plain ladder, on the DCT grids (_plain_batch):
-SINGLE_TOL = 1e-3       # rungs at or above this may run in float32
-SINGLE_HEADROOM = 300   # only while the live float32 residual floor lies this far below the tol
+SINGLE_HEADROOM = 300   # while the live float32 residual floor lies this far below the rung's tol
 SINGLE_MAX_ITER = 500   # a float32 rung that takes this many iterations hands over to float64
 POLISH_STEPS = 4        # polish: alternating projections (rescues past 4 steps were ~1 in 20)
 POLISH_BOX = 0.99       # polish: the ADMM dual starts near the bound, so clip closer to it
@@ -53,8 +51,7 @@ POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to the
 
 
 def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray,
-                  guess: np.ndarray | None = None, steps: int = SCREEN_STEPS,
-                  box: float = SCREEN_BOX):
+                  guess: np.ndarray | None, steps: int, box: float):
     """Columns of centred, shape (n, B), that some group dual v fits: v on
     split's edges with D'v = centred and |v| <= bound, the per-column
     penalty n lam > 0; and those duals.
@@ -64,10 +61,12 @@ def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray,
     fusion (centred is then Y minus its componentwise mean), the fused-edge
     pattern's for the polish.  v starts as the point of {D'v = centred}
     nearest the guess (m, B), or the minimum-norm one, D (D'D)^+ centred,
-    when there is none; on a forest it is the only one.  On a graph with a
-    cycle a column that misses the bound, but by at most SCREEN_GIVE_UP
-    times, takes up to steps alternating projections: v is clipped to box times the bound and
-    projected back with the same (D'D)^+.  A column leaves at the first v
+    when the guess is None; on a forest it is the only one.  On a graph
+    with a cycle a column that misses the bound, but by at most
+    SCREEN_GIVE_UP times, takes up to steps alternating projections: v is
+    clipped to box times the bound and projected back with the same
+    (D'D)^+.  The full-fusion screen passes SCREEN_STEPS and SCREEN_BOX,
+    the polish POLISH_STEPS and POLISH_BOX.  A column leaves at the first v
     within the bound (certified) or past the give-up ratio.  Returns the
     certified mask (B,) and their scaled duals v / bound, in [-1, 1], shape
     (m, certified).
@@ -107,13 +106,15 @@ def _groups_and_signs(D: sp.csr_matrix, dy: np.ndarray, F: np.ndarray):
     that cap reads as a jump once the iterate's noise on the fused edges
     lies well below it.  A column with no a below GAP_CAP reads no fused
     edge; on a graph of one edge the one gap runs to the scale.  Ratios
-    divide by a floored at half an ulp of F_j's largest entry relative to
-    the scale, u max|F_j| / scale with u the unit roundoff of F's precision,
-    and at least at GAP_FLOOR, so exact zeros keep them finite: rounding
+    divide by a floored at the iterate's own half ulp, half an ulp of F_j's
+    largest entry relative to the scale, u max|F_j| / scale with u the unit
+    roundoff of F's precision, so exact zeros keep them finite: rounding
     leaves exact zeros among the noise of a float32 iterate's fused edges,
     noise of at most an ulp of F's entries, 2u max|F_j|, and a lower floor
-    would read the step from the zeros to the noise as the largest gap.  DF
-    is formed with the float64 D.
+    would read the step from the zeros to the noise as the largest gap.
+    The floor is at least the smallest normal number of F's precision, so
+    an all-zero iterate still divides by a positive number.  DF is formed
+    with the float64 D.
     """
     DF = D @ F
     S = np.sign(DF)
@@ -122,7 +123,7 @@ def _groups_and_signs(D: sp.csr_matrix, dy: np.ndarray, F: np.ndarray):
     scale = np.where(scale > 0.0, scale, 1.0)
     A /= scale
     peak = np.maximum(np.max(F, axis=0), -np.min(F, axis=0))
-    floor = np.maximum(np.finfo(F.dtype).eps / 2 * peak / scale, GAP_FLOOR)
+    floor = np.maximum(np.finfo(F.dtype).eps / 2 * peak / scale, np.finfo(F.dtype).tiny)
     low = np.sort(A.T, axis=1)                         # (B, m), each row ascending
     ratio = np.ones_like(low)
     ratio[:, :-1] = low[:, 1:]
@@ -244,15 +245,15 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
     Returns the centred fits F with (converged, certified, V, iterations).
 
     The state is float32 from the first rung while the Splitting has
-    float32 operators (the DCT grids), the rung's tol is at least
-    SINGLE_TOL and the live columns' float32 residual floor lies
-    SINGLE_HEADROOM below it; it is float64 from the first rung where one
-    of these fails, and after a float32 rung that took SINGLE_MAX_ITER
-    iterations, and always at opts.tol.  The floor: float32 rounds each
-    entry of F by about eps max|F_j|, with max|F_j| about max|centred_j|, so
-    over the m edges it leaves about eps max|centred_j| sqrt(m) in
-    ||DF_j - z_j||, which the primal test holds to tol ||D centred_j||_2 or
-    more.
+    float32 operators (the DCT grids) and SINGLE_HEADROOM times the live
+    columns' float32 residual floor is at most the rung's tol; it is
+    float64 from the first rung where that fails, after a float32 rung
+    that took SINGLE_MAX_ITER iterations, and always at opts.tol.  So the
+    floor alone, a measure of the data, sets how far down the ladder
+    float32 runs.  The floor: float32 rounds each entry of F by about
+    eps max|F_j|, with max|F_j| about max|centred_j|, so over the m edges
+    it leaves about eps max|centred_j| sqrt(m) in ||DF_j - z_j||, which the
+    primal test holds to tol ||D centred_j||_2 or more.
     """
     n, B = centred.shape
     m = split.D.shape[0]
@@ -267,8 +268,7 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
     single = split.single is not None
     for tol in [t for t in POLISH_LADDER if t > opts.tol] + [opts.tol]:
         # once float64, float64 to the end
-        single = single and tol >= SINGLE_TOL and tol != opts.tol \
-            and SINGLE_HEADROOM * np.max(floor[live]) <= tol
+        single = single and tol != opts.tol and SINGLE_HEADROOM * np.max(floor[live]) <= tol
         dtype = np.float32 if single else np.float64
         state.astype(dtype)
         budget = opts.max_iter - it

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +31,6 @@ from . import admm, polish, projections
 from .certify import kkt_bound, kkt_residual
 from .splitting import Splitting
 
-MAX_OUTER = 500         # square-root fixed-point steps before a column counts as unsettled
 OVERFIT_FLOOR = 1e-6    # sigma <= OVERFIT_FLOOR * ||Y - Ybar||_n flags a square-root overfit
 
 
@@ -59,7 +58,8 @@ class BatchResult:
 
     converged[j]: column j met the ADMM stopping test or was certified
     (plain), or its scale settled (square root).  lam[j]: the penalty column j was last solved at,
-    0 where f = Y.  iterations: inner ADMM iterations of the whole batch.
+    0 where f = Y.  iterations: inner ADMM iterations of the whole batch,
+    at most opts.max_iter.
     V, shape (m, B): column j's scaled ADMM dual rho u / (n lam[j]) clipped
     to [-1, 1], from the iteration it left the batch (for the square root,
     of its last inner solve; zero where lam[j] = 0), the dual guess kkt_bound
@@ -180,7 +180,8 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     else:
         lam, overfit = np.full(B, float(level)), np.zeros(B, dtype=bool)
     live = np.flatnonzero(~overfit)
-    fused, V_fused = polish._fused_screen(split, centred[:, live], n * lam[live])
+    fused, V_fused = polish._fused_screen(split, centred[:, live], n * lam[live], None,
+                                          polish.SCREEN_STEPS, polish.SCREEN_BOX)
     # the screened columns' centred fit is 0; the rest are overwritten below
     F, V = np.zeros_like(Y), np.zeros((m, B))
     conv, cert = np.ones(B, dtype=bool), np.zeros(B, dtype=bool)
@@ -252,12 +253,14 @@ def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, 
 
     A column leaves the batch once sigma settles (relative change <= fp_tol
     with a converged inner solve) or falls to its floor, OVERFIT_FLOOR times
-    its starting scale; sigma moves only on a converged inner solve.  A
-    column still live after MAX_OUTER steps is not settled.  Returns the
-    centred fits F, the settled mask, the penalties lam each column was
-    last solved at, the scaled duals V of its last inner solve, the inner
-    iterations, sigma and the overfit mask; the caller sets the overfit
-    columns' outcomes.
+    its starting scale; sigma moves only on a converged inner solve.
+    opts.max_iter bounds the inner iterations of the whole fixed point, as
+    it bounds the plain ladder's: each step's inner solve gets what the
+    steps before it left, and a column still live when none is left is not
+    settled.  Returns the centred fits F, the settled mask, the penalties
+    lam each column was last solved at, the scaled duals V of its last
+    inner solve, the inner iterations, sigma and the overfit mask; the
+    caller sets the overfit columns' outcomes.
     """
     n, B = centred.shape
     F, V = np.empty_like(centred), np.zeros((split.D.shape[0], B))
@@ -266,12 +269,11 @@ def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, 
     live = np.arange(B)
     state = admm._AdmmState(split, centred, lam)
     iterations = 0
-    for _ in range(MAX_OUTER):
-        if len(live) == 0:
-            break
+    while len(live) and iterations < opts.max_iter:
         sig_old = sigma[live]
         lam[live] = 2.0 * lambda0 * sig_old
-        F_new, state, it, conv = admm._admm_batch(state, centred[:, live], lam[live], opts)
+        F_new, state, it, conv = admm._admm_batch(
+            state, centred[:, live], lam[live], replace(opts, max_iter=opts.max_iter - iterations))
         iterations += it
         # a column whose inner solve has not converged keeps its scale: its
         # iterate is not the fit at this scale, so its residual is no evidence
@@ -289,7 +291,7 @@ def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, 
             keep = ~settled
             live = live[keep]
             state.keep(keep)
-    if len(live):   # unsettled after MAX_OUTER steps
+    if len(live):   # unsettled when the budget ran out
         V[:, live] = admm._scaled_dual(state.U, state.rho, n, lam[live])
     settled = np.ones(B, dtype=bool)
     settled[live] = False
@@ -310,7 +312,8 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: floa
     sigma_hat = lambda_used = 0 (there the stationarity certificate does not
     exist).  The solve sees Y only through Y - Ybar, so Y + b for b constant
     on each component gives the same sigma_hat and f_hat + b.  A scale that
-    has not settled after MAX_OUTER steps is returned with converged=False.
+    has not settled within opts.max_iter inner iterations, over all outer
+    steps, is returned with converged=False.
     D is the incidence matrix or its Splitting.
     """
     return _solve_one(Y, D, lambda0, opts, sqrt=True)

@@ -128,20 +128,36 @@ def test_solve_rejects_an_iteration_budget_below_one(tmp_path, capsys, budget):
 @pytest.mark.parametrize("theorem,flag,value", [
     ("plain_slow", "--x", "-1"), ("sqrt_slow", "--a", "0"), ("plain_fast", "--t", "nan"),
     ("plain_slow", "--x", "inf"), ("sqrt_fast", "--t", "-2"),
+    ("plain_fast", "--lambda", "-1"), ("plain_fast", "--lambda", "inf"),
+    ("sqrt_fast", "--lambda0", "0"), ("grid_slow", "--grid-constant", "-1"),
+    ("grid_slow", "--grid-constant", "0"), ("grid_slow", "--grid-constant", "nan"),
 ])
 def test_oracle_rhs_rejects_a_deviation_parameter_out_of_range(capsys, theorem, flag, value):
-    # --x -1 failed as a math domain error, and --a 0 printed a negative probability
+    # --x -1 failed as a math domain error, --a 0 printed a negative
+    # probability, --lambda -1 and --lambda0 0 printed numbers, and
+    # --grid-constant -1 was reported as theorems that disagree
     assert dispatch(["oracle-rhs", "--theorem", theorem, "--graph", "path:16", "--S", "8",
                      flag, value]) == 2
     payload = json.loads(capsys.readouterr().err)
     assert payload["type"] == "ValueError"
-    assert payload["error"].startswith(f"{flag} must be finite and > 0")
+    bound = ">= 0" if flag == "--lambda" else "> 0"
+    assert payload["error"].startswith(f"{flag} must be finite and {bound}")
 
 
 @pytest.mark.parametrize("flag", ["--t", "--a"])
 def test_tune_rejects_a_deviation_parameter_out_of_range(capsys, flag):
     assert dispatch(["tune", "--n", "16", "--r-S", "2", "--gamma", "0.3", flag, "0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"{flag} must be finite")
+
+
+@pytest.mark.parametrize("flag,value,bound", [("--lambda0", "-1", "> 0"),
+                                              ("--norm-df0", "-1", ">= 0"),
+                                              ("--norm-df0", "nan", ">= 0")])
+def test_tune_rejects_a_level_out_of_range(capsys, flag, value, bound):
+    # each printed numbers: --lambda0 -1 evaluated assumption 1 at lambda0 = -1
+    assert dispatch(["tune", "--graph", "path:16", "--S", "8", flag, value]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        f"{flag} must be finite and {bound}")
 
 
 @pytest.mark.parametrize("key,value", [("t", float("nan")), ("x", -1.0), ("a", 0.0),
@@ -157,6 +173,44 @@ def test_simulate_rejects_a_deviation_parameter_out_of_range(tmp_path, capsys, k
         payload = json.loads(capsys.readouterr().err)
         assert payload["type"] == "ValueError"
         assert payload["error"].startswith(f"params.{key} must be finite and > 0")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_simulate_rejects_a_grid_constant_out_of_range(tmp_path, capsys, value):
+    # 0 ran grid_slow at lambda = 0, so f_hat = Y and no trial held; -1 was
+    # reported as theorems that disagree, and NaN as a bad lam
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SIM_CFG, graph={"family": "grid",
+                                                   "params": {"height": 6, "width": 6}},
+                                   S=[3], theorems=["grid_slow"], grid_constant=value)))
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["type"] == "ValueError"
+    assert payload["error"].startswith("grid_constant must be finite and > 0")
+
+
+@pytest.mark.parametrize("flag", ["--f0", "--f"])
+@pytest.mark.parametrize("values,error", [
+    (["0", "1", "2"], "{flag} must hold 16 values, one per vertex, got 3"),
+    (["nan"] + ["0"] * 15, "{flag} holds NaN or inf"),
+])
+def test_oracle_rhs_names_a_bad_signal_file(tmp_path, capsys, flag, values, error):
+    # a short file failed with numpy's matmul dimension message, and a NaN
+    # exited 0 with "value": NaN, which is no JSON
+    signal = tmp_path / "f.csv"
+    signal.write_text("\n".join(values) + "\n")
+    assert dispatch(["oracle-rhs", "--theorem", "plain_fast", "--graph", "path:16", "--S", "8",
+                     flag, str(signal)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": error.format(flag=flag),
+                                                   "type": "ValueError"}
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_prob_rejects_trials_below_one(capsys, trials):
+    # 0 raised ZeroDivisionError, -5 numpy's negative-dimensions error
+    assert dispatch(["verify-prob", "--trials", trials]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": f"trials must be at least 1, got {trials}", "type": "ValueError"}
 
 
 def test_solve_requires_one_penalty(tmp_path, capsys):

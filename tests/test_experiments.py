@@ -472,10 +472,10 @@ def test_nonconverged_trials_are_reported_not_raised(tmp_path, monkeypatch):
         init(self, cfg)
         self.solver_opts = dataclasses.replace(self.solver_opts, max_iter=2)
 
-    # two iterations per solve and two outer steps leave every column of
-    # both estimators unconverged
+    # a budget of two iterations per batch leaves every column of both
+    # estimators unconverged: it bounds the square-root fixed point's inner
+    # iterations over all its outer steps, as it bounds the plain ladder's
     monkeypatch.setattr(experiments.Experiment, "__init__", starved)
-    monkeypatch.setattr(solvers, "MAX_OUTER", 2)
     starved_text, starved_summary = experiment_csv(cfg)
     rows = starved_text.splitlines()
     assert len(rows) == 71 and rows[0] == text.splitlines()[0]
@@ -627,7 +627,7 @@ def test_grid_csv_golden_digests():
 # the 32x32 grid cut into two L-shaped components along the staircase
 STAIRCASE_CFG = dict(GRID_CFG, graph={"family": "grid", "params": {"height": 32, "width": 32}},
                      S=_staircase(32), seed=941)
-STAIRCASE_CSV_DIGEST = "244b01c69da2779dcb57aec7b6d6222d39ce98452ec6dce8a03f1ec0df0cc79c"
+STAIRCASE_CSV_DIGEST = "35537d564465f7fe13074e156c53bd0e3cedd9dea84d4fbeee3cd8cc20e2446c"
 
 
 _GRID_CSV_BYTES = """
@@ -812,6 +812,14 @@ def test_deviation_parameter_out_of_range_rejected(key, value):
         experiments.ExperimentConfig.from_dict(cfg)
     with pytest.raises(ValueError, match=f"params.{key} must be finite and > 0"):
         dataclasses.replace(experiments.ExperimentConfig.from_dict(BASE_CFG), **{key: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_grid_constant_out_of_range_rejected(value):
+    # projections.gamma_bound rejects a constant <= 0 too, but only once a
+    # grid theorem is evaluated; 0 ran grid_slow at lambda = 0
+    with pytest.raises(ValueError, match="grid_constant must be finite and > 0"):
+        experiments.ExperimentConfig.from_dict(dict(BASE_CFG, grid_constant=value))
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -69,7 +69,8 @@ def test_screen_certifies_only_at_or_above_lam_max(name):
         assert kkt_residual(Y[:, j], mean[:, j], D, 1.03 * lam_max[j]) <= 1e-12
     for s in SCALES:
         lam = s * lam_max
-        fused, V = polish._fused_screen(split, centred, g.n * lam)
+        fused, V = polish._fused_screen(split, centred, g.n * lam, None,
+                                        polish.SCREEN_STEPS, polish.SCREEN_BOX)
         assert not fused[lam < lam_max].any(), s
         for k, j in enumerate(np.flatnonzero(fused)):
             assert kkt_residual(Y[:, j], mean[:, j], D, lam[j]) <= 1e-12
@@ -77,6 +78,33 @@ def test_screen_certifies_only_at_or_above_lam_max(name):
         if s == 2.0 or not split.cyclic and s > 1.0:
             # on a forest the dual is unique, so the screen is exact
             assert fused.all(), s
+
+
+def test_the_full_fusion_screen_reads_its_knobs_when_it_runs(monkeypatch):
+    # solvers passes polish.SCREEN_STEPS and SCREEN_BOX on every call, so a
+    # value set on the module reaches the screen.  Each column is scaled to
+    # lam_max = 1, and at lam = 1.1 the screen fuses some of them only by
+    # its alternating projections: with none it fuses fewer
+    split = solvers.Splitting(incidence(GRAPHS["grid"]))
+    Y = np.random.default_rng(4).standard_normal((split.D.shape[1], 16))
+    centred = Y - projections.componentwise_mean(split.labels, Y)
+    Y /= [_lam_max(split.D, centred[:, j]) for j in range(16)]
+    calls, screen = [], polish._fused_screen
+
+    def spy(sub, centred, bound, guess, steps, box):
+        fused, V = screen(sub, centred, bound, guess, steps, box)
+        if sub is split:
+            calls.append((steps, box, fused.sum()))
+        return fused, V
+
+    monkeypatch.setattr(polish, "_fused_screen", spy)
+    solve_analysis_batch(Y, split, 1.1)
+    knobs = (polish.SCREEN_STEPS, polish.SCREEN_BOX)
+    monkeypatch.setattr(polish, "SCREEN_STEPS", 0)
+    monkeypatch.setattr(polish, "SCREEN_BOX", 0.9)
+    solve_analysis_batch(Y, split, 1.1)
+    (steps, box, fused), bare = calls
+    assert (steps, box) == knobs and bare[:2] == (0, 0.9) and bare[2] < fused
 
 
 BUSHY_TREE = tree_graph([int(np.random.default_rng(400).integers(1, v)) for v in range(2, 401)])

@@ -311,20 +311,29 @@ def _switches_once(dtypes):
 
 def test_loose_rungs_run_in_float32_and_the_rest_in_float64(monkeypatch):
     # candidates moved off the exact solution never certify, so the ladder
-    # runs to opts.tol: float32 exactly at the rungs at or above SINGLE_TOL
-    # (the float32 floor of mc_grid's columns lies far below them), float64
-    # from the first rung below it, with max_iter one budget of which a
-    # float32 rung may take SINGLE_MAX_ITER
+    # runs to opts.tol: float32 exactly at the rungs whose tol is at least
+    # SINGLE_HEADROOM times the live columns' float32 floor, until a rung
+    # stalls at SINGLE_MAX_ITER or the ladder reaches opts.tol, float64 from
+    # there on, with max_iter one budget of which a float32 rung may take
+    # SINGLE_MAX_ITER
     split, Y, lam, opts = _mc_grid_block(0)
     _moving_first_columns(monkeypatch)
     rungs = _spy_rungs(monkeypatch, split)
     out = solve_analysis_batch(Y, split, lam, opts)
     assert [tol for tol, *_ in rungs] == [t for t in polish.POLISH_LADDER if t > opts.tol] + [
         opts.tol]
-    assert [dtype for _, dtype, *_ in rungs] == [
-        np.float32 if tol >= polish.SINGLE_TOL and tol != opts.tol else np.float64
-        for tol, *_ in rungs]
-    assert max(floor for *_, floor in rungs) * polish.SINGLE_HEADROOM < polish.SINGLE_TOL
+    single, expected = True, []
+    for tol, _, _, k, floor in rungs:
+        single = single and tol != opts.tol and polish.SINGLE_HEADROOM * floor <= tol
+        expected.append(np.float32 if single else np.float64)
+        single = single and k < polish.SINGLE_MAX_ITER
+    dtypes = [dtype for _, dtype, *_ in rungs]
+    assert dtypes == expected and _switches_once(dtypes)
+    # the headroom, not a stall or opts.tol, ends float32 here, after a
+    # float32 rung below 1e-3
+    k = dtypes.count(np.float32)
+    assert rungs[k - 1][0] < 1e-3 and rungs[k - 1][3] < polish.SINGLE_MAX_ITER
+    assert opts.tol < rungs[k][0] < polish.SINGLE_HEADROOM * rungs[k][4]
     spent = np.cumsum([0] + [k for _, _, _, k, _ in rungs])
     assert [budget for _, _, budget, _, _ in rungs] == [
         min(left, polish.SINGLE_MAX_ITER) if dtype == np.float32 else left
@@ -334,11 +343,10 @@ def test_loose_rungs_run_in_float32_and_the_rest_in_float64(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2101])
 def test_float32_rungs_keep_their_headroom_above_the_float32_floor(monkeypatch, seed):
-    # with SINGLE_TOL lowered to 1e-6, a float32 state cannot meet the
-    # tightest rungs (at seed 0 the 1e-6 rung took 99,780 iterations without
-    # the headroom); the ladder hands over to float64 at the first rung
-    # within SINGLE_HEADROOM of the live columns' float32 floor
-    monkeypatch.setattr(polish, "SINGLE_TOL", 1e-6)
+    # every rung above opts.tol may run in float32, but a float32 state
+    # cannot meet the tightest ones (at seed 0 the 1e-6 rung took 99,780
+    # iterations without the headroom); the ladder hands over to float64 at
+    # the first rung within SINGLE_HEADROOM of the live columns' float32 floor
     split, Y, lam, opts = _mc_grid_block(seed)
     rungs = _spy_rungs(monkeypatch, split)
     out = solve_analysis_batch(Y, split, lam, opts)
@@ -352,10 +360,9 @@ def test_float32_rungs_keep_their_headroom_above_the_float32_floor(monkeypatch, 
 
 
 def test_a_stalled_float32_rung_hands_over_to_float64(monkeypatch):
-    # with every rung allowed float32 and no headroom, the float32 rung at
-    # 1e-6 stalls at float32's rounding; it stops at SINGLE_MAX_ITER and the
-    # ladder goes on in float64 down to a tol of 1e-9
-    monkeypatch.setattr(polish, "SINGLE_TOL", 0.0)
+    # with no headroom every rung above opts.tol runs in float32, and the
+    # float32 rung at 1e-6 stalls at float32's rounding; it stops at
+    # SINGLE_MAX_ITER and the ladder goes on in float64 down to a tol of 1e-9
     monkeypatch.setattr(polish, "SINGLE_HEADROOM", 0.0)
     split, Y, lam, opts = _mc_grid_block(0)
     rungs = _spy_rungs(monkeypatch, split)
@@ -396,7 +403,7 @@ def test_a_large_shift_certifies_the_same_columns(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2101])
 def test_float32_rounding_of_a_tight_iterate_reads_the_same_groups(seed):
     # rounding to float32 leaves exact zeros among the noise of the fused
-    # edges; the float32 floor, GAP_FLOOR[float32], reads them as no gap,
+    # edges; the float32 iterate's own half-ulp floor reads them as no gap,
     # where float64's would cut between the zeros and the rest
     split, Y, lam, _ = _mc_grid_block(seed)
     F, _, _ = _admm(split, Y, lam, 1e-11)

@@ -114,7 +114,10 @@ def test_sqrt_path2_above_threshold():
 
 
 def test_sqrt_path2_below_threshold_overfits():
-    for lam0 in (0.05, 0.2, 0.24):
+    # each outer step multiplies sigma by 4 lambda0, so at 0.245 the scale
+    # takes 53,280 inner iterations to reach its floor, which the one
+    # max_iter budget of the whole fixed point allows
+    for lam0 in (0.05, 0.2, 0.24, 0.245):
         r = solve_sqrt_analysis(Y2, P2, lam0)
         assert r.overfit
         assert np.array_equal(r.f_hat, Y2)
@@ -134,16 +137,31 @@ def test_sqrt_matches_brute_force_scan():
 
 
 def test_starved_inner_solve_is_not_an_overfit():
-    # one ADMM iteration per outer step: an inner solve that has not converged
-    # keeps its scale, so its iterate after one step does not count as an
-    # overfit, and the warm-started steps reach the fixed point
+    # one ADMM iteration for the whole fixed point: an inner solve that has
+    # not converged keeps its scale, so its iterate does not count as an
+    # overfit; the columns the screen fuses (7-9) take no iteration and stay
+    # converged, and the others keep their starting scale, unsettled
     rng = np.random.default_rng(0)
     D = incidence(path_graph(64))
     Y = np.repeat([0.0, 1.0], 32)[:, None] + rng.standard_normal((64, 16))
     out = solve_sqrt_analysis_batch(Y, D, 0.1, SolverOptions(max_iter=1))
-    assert not out.overfit.any() and out.converged.all()
-    ref = solve_sqrt_analysis_batch(Y, D, 0.1, SolverOptions(tol=1e-11))
-    np.testing.assert_allclose(out.sigma_hat, ref.sigma_hat, rtol=1e-5)
+    assert not out.overfit.any() and out.iterations == 1
+    assert np.array_equal(np.flatnonzero(out.converged), [7, 8, 9])
+    assert np.array_equal(out.certified, out.converged)
+    np.testing.assert_allclose(out.sigma_hat, norm_n(Y - Y.mean(axis=0), axis=0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("max_iter", [1, 10, 100, 1000])
+def test_max_iter_bounds_the_whole_sqrt_fixed_point(max_iter):
+    # path(3) with Y = (0, 1, 5) at lambda0 = 0.1 overfits after some 3,000
+    # inner iterations over many outer steps; max_iter bounds them all, not
+    # each step's inner solve, so a smaller budget is spent to the last
+    # iteration and leaves the scale unsettled
+    D, Y = incidence(path_graph(3)), np.array([[0.0], [1.0], [5.0]])
+    full = solve_sqrt_analysis_batch(Y, D, 0.1)
+    assert full.overfit[0] and full.converged[0] and full.iterations > 1000
+    out = solve_sqrt_analysis_batch(Y, D, 0.1, SolverOptions(max_iter=max_iter))
+    assert out.iterations == max_iter and not out.converged[0] and not out.overfit[0]
 
 
 def test_sqrt_fixed_point_consistency():
@@ -579,6 +597,29 @@ def test_readme_import_sentence_matches_the_code():
     assert {(a, b) for a in core for b in imports[a] & core} == listed
 
 
+SOLVER_MODULES = ("solvers", "griddct", "splitting", "admm", "polish", "certify")
+
+
+def _module_tree(module):
+    return ast.parse((Path(__file__).parents[1] / "src" / "tvgo" / f"{module}.py").read_text())
+
+
+def test_no_solver_function_binds_a_knob_as_a_default():
+    # a default argument value is evaluated once, at import, so a module
+    # constant bound there ignores a value later set on the module: every
+    # function of the solver modules reads its knobs when it runs
+    for module in SOLVER_MODULES:
+        tree = _module_tree(module)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = [d for d in node.args.defaults + node.args.kw_defaults if d]
+                bound = {name.id if isinstance(name, ast.Name) else name.attr
+                         for d in defaults for name in ast.walk(d)
+                         if isinstance(name, (ast.Name, ast.Attribute))}
+                assert not {name for name in bound if name.isupper()}, \
+                    (module, getattr(node, "name", "lambda"))
+
+
 def test_readme_module_table_names_every_knob():
     # every upper-case module constant of the solver modules is named in its
     # module's row of README's module table, or matched there by a PREFIX_*
@@ -588,8 +629,8 @@ def test_readme_module_table_names_every_knob():
     for line in (root / "README.md").read_text().splitlines():
         if cell := re.match(r"\| `(\w+)` \| (.*) \|$", line):
             rows[cell[1]] = set(re.findall(r"`([A-Z][A-Z0-9_]+\*?)`", cell[2]))
-    for module in ("solvers", "griddct", "splitting", "admm", "polish", "certify"):
-        tree = ast.parse((root / "src" / "tvgo" / f"{module}.py").read_text())
+    for module in SOLVER_MODULES:
+        tree = _module_tree(module)
         knobs = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
                  for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
                  if isinstance(target, ast.Name) and target.id.isupper()}
