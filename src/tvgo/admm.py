@@ -3,8 +3,8 @@
 The solver core sees only centred data: each column of Y minus its
 componentwise mean, which D annihilates, so a constant added to a
 component of Y moves the solution by that constant and changes nothing
-here.  The stopping test runs at iteration 1, which a warm-started inner
-solve of the square-root fixed point often passes, and at every
+here.  The stopping test runs at iteration 1, which a warm-started rung
+of the polish ladder often passes, and at every
 CHECK_EVERY-th iteration after it, the iterations at which rho may adapt.
 Its anchors are the norms of DY and of the centred data, taken once per
 warm-start state.  The warm-start state keeps each column's iterate from the

@@ -101,8 +101,14 @@ def _read_signal(path: str, n: int, flag: str) -> np.ndarray:
 
 
 def _seed(args) -> int | None:
+    """The seed of TVGO_SEED, else of --seed (None when neither is set),
+    checked under the name of where it came from."""
     env = os.environ.get("TVGO_SEED")
-    return args.seed if env is None else graphs.read_numbers("TVGO_SEED", int, [env])[0]
+    name, seed = (("--seed", args.seed) if env is None else
+                  ("TVGO_SEED", graphs.read_numbers("TVGO_SEED", int, [env])[0]))
+    if seed is not None:
+        experiments.check_seed(name, seed)
+    return seed
 
 
 def _graph_setup(args):

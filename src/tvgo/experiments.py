@@ -82,10 +82,20 @@ class SignalSpec:
     """Piecewise-constant truth: one level per component of the graph with
     the true active edges removed.  Either explicit levels or a total
     variation budget (levels then alternate 0, h with h scaled so the total
-    variation equals the budget)."""
+    variation equals the budget), exactly one of them.  ValueError names a
+    spec with both or neither, a NaN or inf level and a budget that is not
+    finite and >= 0 (a negative one would flip the pattern's sign)."""
 
     levels: tuple[float, ...] | None = None
     tv_budget: float | None = None
+
+    def __post_init__(self):
+        if (self.levels is None) == (self.tv_budget is None):
+            raise ValueError("the signal needs exactly one of signal.levels and signal.tv_budget")
+        if self.levels is not None and not np.isfinite(self.levels).all():
+            raise ValueError(f"signal.levels must be finite, got {list(self.levels)}")
+        if self.tv_budget is not None:
+            solvers.check_level("signal.tv_budget", self.tv_budget, zero_ok=True)
 
     def build(self, D: sp.spmatrix, active: ActiveSet) -> np.ndarray:
         lab = active.comp_label
@@ -93,17 +103,24 @@ class SignalSpec:
             if len(self.levels) != active.r_S:
                 raise ValueError(f"need {active.r_S} levels, got {len(self.levels)}")
             f0 = np.asarray(self.levels, dtype=np.float64)[lab]
-        elif self.tv_budget is not None:
+        else:
             pattern = np.where(np.arange(active.r_S) % 2 == 0, 0.0, 1.0)[lab]
             tv = float(np.abs(D @ pattern).sum())
             f0 = pattern * (self.tv_budget / tv) if tv > 0 else pattern * 0.0
-        else:
-            raise ValueError("signal spec needs levels or tv_budget")
         Df0 = np.abs(D @ f0)
         support = set((np.flatnonzero(Df0 > 1e-12) + 1).tolist())
         if not support.issubset(set(active.S)):
             raise ValueError("generated signal jumps outside the true active set")
         return f0
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Raise ValueError, naming the seed's source name, unless
+    0 <= seed < 2**63: Philox keys the seed as an unsigned 64-bit word, and
+    outside that range distinct seeds shared a key (2**63 + 1 that of 2**63,
+    2**64 - 1 that of 0) or failed with an OverflowError."""
+    if not 0 <= seed < 2 ** 63:
+        raise ValueError(f"{name} must be an integer in [0, 2**63), got {seed}")
 
 
 def trial_noise(sigma: float, n: int, master_seed: int, trial: int | range) -> np.ndarray:
@@ -295,6 +312,7 @@ class ExperimentConfig:
         for name in ("trials", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_seed("seed", self.seed)
         for name, value, zero_ok in (("sigma", self.sigma, False), ("lambda", self.lam, True),
                                      ("lambda0", self.lambda0, False),
                                      ("grid_constant", self.grid_constant, False),
@@ -618,10 +636,11 @@ def verify_probability_lemmas(trials: int = 100_000, seed: int = 0,
 
     For each cell, the empirical tail frequency must not exceed the stated
     bound by more than three binomial standard errors computed at the bound.
-    ValueError names a trial count below 1.
+    ValueError names a trial count below 1 and a seed outside [0, 2**63).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    check_seed("seed", seed)
     grid = grid or DEFAULT_PROB_GRID
     cells = []
 

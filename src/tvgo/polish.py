@@ -9,8 +9,9 @@ D_F'w = Y - c - n lam D_b's and |w| <= n lam (Tibshirani & Taylor, "The
 solution path of the generalized lasso", Ann. Statist. 2011).  Full fusion
 is the one-group-per-component case, c = Ybar, whose least bound is the
 generalized lasso's lambda_max: _fused_screen tests it before any ADMM
-iteration.  Every other column runs ADMM down POLISH_LADDER
-(_plain_batch) and is polished after each rung, as OSQP polishes its
+iteration.  Every other column, plain or an outer step of the
+square-root fixed point, runs ADMM down POLISH_LADDER (_plain_batch) and
+is polished after each rung, as OSQP polishes its
 iterates (Stellato et al., Math. Prog. Comp. 2020): the rung's iterate
 only reveals the groups, signs and dual guess, and the certificate is built
 from the data in float64, so a certified column is the exact solution
@@ -174,7 +175,8 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     penalties lam onto exact solutions, with the scaled duals V (m, B) as
     the guess; returns the mask (B,) of certified columns, whose F and V it
     overwrites with the exact solution and dual.  _plain_batch passes the
-    centred columns as Y.
+    centred columns as Y, as does the square-root fixed point, which
+    polishes a certified step's groups and signs at its jump's penalty.
 
     fused and S (m, B) are the fused-edge masks and signs the caller read
     off the iterates with _groups_and_signs; S is overwritten.  Column j's

@@ -8,8 +8,11 @@ lam = 2*lambda0*sigma, and the residual norm of that solution updates
 sigma: an outer fixed point on the residual scale.  It starts at the
 largest attainable residual norm and decreases monotonically, so it lands
 on the largest fixed point; collapse to zero is reported as overfitting.
-So both estimators share one splitting (splitting), one ADMM core (admm),
-one full-fusion screen and polish (polish) and one certificate (certify).
+Each of its steps is a plain fit, and a certified one jumps to its
+pattern's closed-form scale.  So both estimators share one splitting
+(splitting), one ADMM core (admm), one full-fusion screen, polished
+ladder and polish (polish), the only code that computes a plain fit, and
+one certificate (certify).
 This module owns what differs between them: it makes every input check,
 runs the screen once for both at each column's level, runs the fixed point
 and reads the outcomes off as results.  It is also where Y enters and
@@ -62,11 +65,14 @@ class BatchResult:
     at most opts.max_iter.
     V, shape (m, B): column j's scaled ADMM dual rho u / (n lam[j]) clipped
     to [-1, 1], from the iteration it left the batch (for the square root,
-    of its last inner solve; zero where lam[j] = 0), the dual guess kkt_bound
+    of the fit it ends on; zero where lam[j] = 0), the dual guess kkt_bound
     certifies from.  certified[j]: the full-fusion screen or the polish (see
     the polish module) produced column j's exact solution and an exact
-    dual, which V[:, j] then holds, and converged[j] is true.  sigma_hat and
-    overfit are set by the square-root estimator only.  A column the screen
+    dual, which V[:, j] then holds, and converged[j] is true; a square-root
+    column is certified when it settled, not as an overfit, on a certified
+    fit: a verified jump to its pattern's own scale, or a certified step
+    that moved sigma by at most fp_tol.  sigma_hat and overfit are set by
+    the square-root estimator only.  A column the screen
     certifies takes no iteration: its F is the componentwise mean of Y;
     iterations is 0 when the screen certifies every column.
     """
@@ -148,7 +154,8 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     Fusion at lam implies fusion at every larger lam, while lam only falls
     along the iteration, so a column not fused at sigma0 is fused at no
     later step.  The other columns run the plain ladder
-    (polish._plain_batch) or the fixed point (_sqrt_fixed_point).
+    (polish._plain_batch) or the fixed point (_sqrt_fixed_point), each of
+    whose outer steps runs that ladder.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
@@ -189,8 +196,8 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     V[:, cert] = V_fused
     rest, it = live[~fused], 0
     if len(rest) and sqrt:
-        F[:, rest], conv[rest], lam[rest], V[:, rest], it, sigma[rest], overfit[rest] = \
-            _sqrt_fixed_point(centred[:, rest], sigma[rest], split, level, opts)
+        F[:, rest], conv[rest], cert[rest], lam[rest], V[:, rest], it, sigma[rest], \
+            overfit[rest] = _sqrt_fixed_point(centred[:, rest], sigma[rest], split, level, opts)
     elif len(rest):
         F[:, rest], conv[rest], cert[rest], V[:, rest], it = polish._plain_batch(
             split, centred[:, rest], lam[rest], opts)
@@ -251,51 +258,67 @@ def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, 
     componentwise mean), shape (n, B), none of them fully fused at its
     starting scale sigma = ||centred||_n > 0.
 
-    A column leaves the batch once sigma settles (relative change <= fp_tol
-    with a converged inner solve) or falls to its floor, OVERFIT_FLOOR times
-    its starting scale; sigma moves only on a converged inner solve.
-    opts.max_iter bounds the inner iterations of the whole fixed point, as
-    it bounds the plain ladder's: each step's inner solve gets what the
-    steps before it left, and a column still live when none is left is not
-    settled.  Returns the centred fits F, the settled mask, the penalties
-    lam each column was last solved at, the scaled duals V of its last
-    inner solve, the inner iterations, sigma and the overfit mask; the
-    caller sets the overfit columns' outcomes.
+    Each outer step solves the live columns at lam = 2 lambda0 sigma with
+    the plain ladder (polish._plain_batch), the one code that computes a
+    plain fit.  A step the polish does not certify takes the monotone step
+    sigma <- ||centred - f||_n when the ladder converged, and keeps sigma
+    when it did not (its iterate is then no evidence of overfit).  A
+    certified fit has groups G and boundary signs s that hold on an
+    interval of lam, where f(lam) = Ybar_G - n lam w with w constant on
+    each group, so ||centred - f(lam)||_n^2 = a + b lam^2 with
+    a = ||centred - Ybar_G||_n^2 (the cross term vanishes): b lam^2 is the
+    squared norm of the residual's group means and a that of the rest.  The
+    pattern's own fixed point r = sqrt(a / (1 - 4 b lambda0^2)) lies below
+    sigma whenever the monotone step does, and the column jumps there (to
+    the overfit floor when r is below it): the polish (polish._polish) of
+    the same groups and signs at lam = 2 lambda0 r verifies the jump.  A
+    fit it certifies there settles the column at sigma_hat = r exactly:
+    the lam at which one pattern is optimal form an interval, so no larger
+    fixed point lies between r and sigma.  A jump the polish does not
+    certify falls back to the monotone step (Sun & Zhang, Biometrika 2012).
+    A column also settles when a step moves sigma by at most fp_tol
+    relative, and flags an overfit when sigma falls to OVERFIT_FLOOR times
+    its starting scale, by a step or by a verified jump to that floor.
+
+    opts.max_iter bounds the inner iterations of the whole fixed point: each
+    step's ladder gets what the steps before it left, and a column still
+    live when none is left is not settled.  Returns the centred fits F, the
+    settled and certified masks, the penalties lam each column was last
+    solved at, the duals V of that solve, the inner iterations, sigma and
+    the overfit mask; the caller sets the overfit columns' outcomes.
     """
-    n, B = centred.shape
+    B = centred.shape[1]
     F, V = np.empty_like(centred), np.zeros((split.D.shape[0], B))
-    floor = OVERFIT_FLOOR * sigma
-    lam, overfit = 2.0 * lambda0 * sigma, np.zeros(B, dtype=bool)
-    live = np.arange(B)
-    state = admm._AdmmState(split, centred, lam)
-    iterations = 0
+    floor, lam = OVERFIT_FLOOR * sigma, 2.0 * lambda0 * sigma
+    overfit, cert = np.zeros((2, B), dtype=bool)
+    live, iterations = np.arange(B), 0
     while len(live) and iterations < opts.max_iter:
-        sig_old = sigma[live]
-        lam[live] = 2.0 * lambda0 * sig_old
-        F_new, state, it, conv = admm._admm_batch(
-            state, centred[:, live], lam[live], replace(opts, max_iter=opts.max_iter - iterations))
+        sig, Y_l = sigma[live], centred[:, live]
+        lam[live] = 2.0 * lambda0 * sig
+        F_l, conv, ok, V_l, it = polish._plain_batch(
+            split, Y_l, lam[live], replace(opts, max_iter=opts.max_iter - iterations))
         iterations += it
-        # a column whose inner solve has not converged keeps its scale: its
-        # iterate is not the fit at this scale, so its residual is no evidence
-        # of overfit
-        sig_new = np.where(conv, norm_n(centred[:, live] - F_new, axis=0), sig_old)
-        F[:, live] = F_new
-        sigma[live] = sig_new
-        hit_floor = sig_new <= floor[live]
-        overfit[live] |= hit_floor
-        settled = hit_floor | (conv & (np.abs(sig_new - sig_old)
-                                       <= opts.fp_tol * np.maximum(sig_old, 1e-300)))
-        if settled.any():
-            gone = live[settled]
-            V[:, gone] = admm._scaled_dual(state.U[:, settled], state.rho, n, lam[gone])
-            keep = ~settled
-            live = live[keep]
-            state.keep(keep)
-    if len(live):   # unsettled when the budget ran out
-        V[:, live] = admm._scaled_dual(state.U, state.rho, n, lam[live])
-    settled = np.ones(B, dtype=bool)
-    settled[live] = False
-    return F, settled, lam, V, iterations, sigma, overfit
+        R = Y_l - F_l
+        step = np.where(conv, norm_n(R, axis=0), sig)
+        done = conv & (np.abs(step - sig) <= opts.fp_tol * sig)
+        jump = np.flatnonzero(ok & ~done & (step < sig))
+        if len(jump):
+            # with lam = 2 lambda0 sigma, r = sigma sqrt(a / (sigma^2 - b lam^2))
+            S = np.sign(split.D @ F_l[:, jump])
+            M = polish._group_means(split, S == 0, R[:, jump])[0]
+            a, b_lam2 = norm_n(R[:, jump] - M, axis=0) ** 2, norm_n(M, axis=0) ** 2
+            r = np.maximum(sig[jump] * np.sqrt(a / (sig[jump] ** 2 - b_lam2)), floor[live[jump]])
+            F_r, V_r = F_l[:, jump], V_l[:, jump]
+            hit = polish._polish(split, Y_l[:, jump], F_r, V_r, 2.0 * lambda0 * r, S == 0, S)
+            jump = jump[hit]
+            F_l[:, jump], V_l[:, jump], step[jump] = F_r[:, hit], V_r[:, hit], r[hit]
+            lam[live[jump]] = 2.0 * lambda0 * r[hit]
+            done[jump] = True
+        F[:, live], V[:, live], cert[live], sigma[live] = F_l, V_l, ok, step
+        overfit[live] = step <= floor[live]
+        live = live[~(done | overfit[live])]
+    settled = ~np.isin(np.arange(B), live)
+    return F, settled, cert & settled & ~overfit, lam, V, iterations, sigma, overfit
 
 
 def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: float,
@@ -304,10 +327,14 @@ def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: floa
 
     The penalty is 2*lambda0*||Df||_1, mirroring the plain objective's
     2*lam*||Df||_1 form, so with sigma fixed the inner problem is the plain
-    one at lam = 2*lambda0*sigma.  Starting from sigma equal to the residual
-    norm of the fully penalized fit, the scale iterates downward to the
-    largest fixed point; if it collapses to OVERFIT_FLOOR times its starting
-    scale ||Y - Ybar||_n, with Ybar the componentwise mean of Y, the
+    one at lam = 2*lambda0*sigma, which each outer step solves with the
+    plain estimator's polished ladder.  Starting from sigma equal to the
+    residual norm of the fully penalized fit, the scale iterates downward to
+    the largest fixed point, jumping from a certified fit to its pattern's
+    closed-form fixed point where the polish verifies the pattern there (see
+    _sqrt_fixed_point), so a settled fit is exact and certified wherever
+    the polish certifies its steps; if it collapses to OVERFIT_FLOOR times
+    its starting scale ||Y - Ybar||_n, with Ybar the componentwise mean of Y, the
     estimator is flagged as overfitting and Y itself is returned, with
     sigma_hat = lambda_used = 0 (there the stationarity certificate does not
     exist).  The solve sees Y only through Y - Ybar, so Y + b for b constant

@@ -451,6 +451,31 @@ def test_simulate_rejects_bad_penalty_or_tolerance(tmp_path, capsys, key, value)
     assert payload["type"] == "ValueError" and f"{key} must be finite" in payload["error"]
 
 
+SEEDS_OUT_OF_RANGE = [2 ** 63, 2 ** 64 - 1, 2 ** 64, -1]
+
+
+@pytest.mark.parametrize("seed", SEEDS_OUT_OF_RANGE)
+@pytest.mark.parametrize("command,source", [("simulate", "seed"), ("simulate", "--seed"),
+                                            ("simulate", "TVGO_SEED"), ("verify-prob", "--seed"),
+                                            ("verify-prob", "TVGO_SEED")])
+def test_seed_out_of_range_exits_2_naming_its_source(tmp_path, capsys, monkeypatch, command,
+                                                     source, seed):
+    # Philox keys a seed as an unsigned 64-bit word: 2**64 - 1 reproduced
+    # seed 0's noise with a RuntimeWarning, 2**63 + 1 that of 2**63, and
+    # 2**64 and above crashed with an OverflowError traceback (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SIM_CFG, seed=seed) if source == "seed" else SIM_CFG))
+    argv = {"simulate": ["--config", str(cfg)], "verify-prob": ["--trials", "10"]}[command]
+    if source == "--seed":
+        argv += ["--seed", str(seed)]
+    if source == "TVGO_SEED":
+        monkeypatch.setenv("TVGO_SEED", str(seed))
+    assert dispatch([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"{source} must be an integer in [0, 2**63), got {seed}"
+
+
 def test_env_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SIM_CFG))
@@ -585,11 +610,22 @@ def test_cli_surface():
     (dict(SIM_CFG, theorems="plain_slow"), "'theorems'"),
     (dict(SIM_CFG, graph={"family": "tree", "params": {"parents": [1, None]}}), "'parents'"),
     (dict(SIM_CFG, signal={"levels": [0.0, None]}), "'signal.levels'"),
+    # the signal spec: exactly one of levels and a finite budget >= 0, finite levels
+    (dict(SIM_CFG, signal={"tv_budget": -1.0}), "signal.tv_budget must be finite and >= 0"),
+    (dict(SIM_CFG, signal={"tv_budget": float("nan")}), "signal.tv_budget must be finite"),
+    (dict(SIM_CFG, signal={"tv_budget": float("inf")}), "signal.tv_budget must be finite"),
+    (dict(SIM_CFG, signal={"levels": [0.0, float("nan")]}), "signal.levels must be finite"),
+    (dict(SIM_CFG, signal={"levels": [0.0, float("-inf")]}), "signal.levels must be finite"),
+    (dict(SIM_CFG, signal={"levels": [0.0, 1.0], "tv_budget": 2.0}),
+     "exactly one of signal.levels and signal.tv_budget"),
+    (dict(SIM_CFG, signal={}), "exactly one of signal.levels and signal.tv_budget"),
 ], ids=["params-null", "signal-list", "graph-params-typo", "graph-params-null",
         "unknown-family", "no-graph", "unknown-theorem", "kappa-source-typo", "not-an-object",
         "S-number", "sigma-null", "graph-n-null", "S-null-element", "S-string",
         "S-float-element", "events-string", "trials-float", "trials-string", "seed-bool",
-        "theorems-string", "tree-parent-null", "signal-level-null"])
+        "theorems-string", "tree-parent-null", "signal-level-null", "tv-budget-negative",
+        "tv-budget-nan", "tv-budget-inf", "levels-nan", "levels-inf", "levels-and-tv-budget",
+        "signal-empty"])
 def test_simulate_malformed_config_exits_2_naming_it(tmp_path, capsys, cfg, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -69,6 +69,29 @@ def test_signal_level_count_checked():
         SignalSpec(levels=(0.0,)).build(incidence(g), active_set(g, [5]))
 
 
+@pytest.mark.parametrize("spec,named", [
+    (dict(tv_budget=-1.0), "signal.tv_budget"), (dict(tv_budget=math.nan), "signal.tv_budget"),
+    (dict(tv_budget=math.inf), "signal.tv_budget"), (dict(levels=(0.0, math.nan)), "signal.levels"),
+    (dict(levels=(0.0, 1.0), tv_budget=1.0), "exactly one"), ({}, "exactly one")])
+def test_signal_spec_is_checked_when_built(spec, named):
+    # a budget of -1 ran with the pattern's sign flipped, NaN and inf failed
+    # only in the solver, and levels given with a budget dropped the budget
+    with pytest.raises(ValueError, match=named):
+        SignalSpec(**spec)
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 1, 2 ** 64, -1])
+def test_seed_outside_the_philox_key_range_is_rejected(seed):
+    cfg = experiments.ExperimentConfig.from_dict(
+        {"graph": {"family": "path", "params": {"n": 8}}, "S": [4],
+         "signal": {"levels": [0.0, 1.0]}, "trials": 2})
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*63\)"):
+        dataclasses.replace(cfg, seed=seed)
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*63\)"):
+        experiments.verify_probability_lemmas(trials=1, seed=seed)
+    dataclasses.replace(cfg, seed=2 ** 63 - 1)   # the largest seed keys losslessly
+
+
 def test_trial_noise_reproducible_and_keyed():
     e1 = trial_noise(1.0, 50, 123, 7)
     e2 = trial_noise(1.0, 50, 123, 7)
@@ -599,6 +622,19 @@ def test_offset_signal_levels_flag_the_same_trials():
     assert "nonoverfit_holds" in flags and len(flags["overfit"]) == 64
     assert set(flags["overfit"]) == {"0"}
     assert offset == flags
+
+
+def test_every_settled_sqrt_trial_of_a_path_experiment_is_certified():
+    # each outer step of the square-root fixed point goes through the
+    # polished ladder and settles by a verified jump, so every settled trial
+    # that did not overfit carries the exact fit; the bare-ADMM fixed point
+    # left 23 of these 64 uncertified after 9,004 inner iterations
+    cfg = dict(SOLVER_CFG, graph={"family": "path", "params": {"n": 128}}, S=[64],
+               theorems=["sqrt_slow"], events=False, trials=64)
+    summary, columns = run_experiment(cfg)
+    settled = columns["sqrt_converged"] & ~columns["overfit"]
+    assert summary["iterations"]["sqrt"] > 0 and settled.all()
+    assert columns["sqrt_certified"].all() and summary["uncertified"]["sqrt"] == 0
 
 
 # an 8x8 grid cut into two halves, whose two 8x4 grid pseudoinverse blocks

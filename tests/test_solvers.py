@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import brute_force_path2_sqrt, cd_reference_path, objective
-from tvgo import admm, experiments, griddct, solvers
+from tvgo import admm, experiments, griddct, polish, solvers
 from tvgo.graphs import (DirectedGraph, cycle_graph, edge_endpoints, grid_graph, incidence,
                          path_graph, tree_graph)
 from tvgo.solvers import (SolverOptions, kkt_residual, norm_n,
@@ -114,15 +114,24 @@ def test_sqrt_path2_above_threshold():
 
 
 def test_sqrt_path2_below_threshold_overfits():
-    # each outer step multiplies sigma by 4 lambda0, so at 0.245 the scale
-    # takes 53,280 inner iterations to reach its floor, which the one
-    # max_iter budget of the whole fixed point allows
-    for lam0 in (0.05, 0.2, 0.24, 0.245):
+    # the first step's fit (2 lam - 1, 1 - 2 lam) is certified with two
+    # groups, so a = 0 and the column jumps to the overfit floor, where
+    # polishing the same pattern verifies it: some ten inner iterations at
+    # each lambda0, where the monotone step, which multiplies sigma by
+    # 4 lambda0, took 53,280 at 0.245 and ran out of its 100,000 at 0.249
+    start = time.process_time()
+    for lam0 in (0.05, 0.2, 0.24, 0.245, 0.249):
         r = solve_sqrt_analysis(Y2, P2, lam0)
-        assert r.overfit
+        assert r.overfit and r.converged and r.iterations <= 100
         assert np.array_equal(r.f_hat, Y2)
         assert r.sigma_hat == 0.0
         assert r.kkt_residual is None
+    assert time.process_time() - start < 0.1
+    # at 0.2499 the fit's jump starts below GAP_CAP of the data's scale, which
+    # the polish reads as fused, so monotone steps run until one certifies
+    r = solve_sqrt_analysis(Y2, P2, 0.2499)
+    assert r.overfit and r.converged and r.iterations <= 1000
+    assert np.array_equal(r.f_hat, Y2) and r.sigma_hat == 0.0
 
 
 def test_sqrt_matches_brute_force_scan():
@@ -134,6 +143,20 @@ def test_sqrt_matches_brute_force_scan():
         r = solve_sqrt_analysis(Y, P2, lam0)
         assert r.sigma_hat == pytest.approx(sig_bf, abs=2e-5)
         assert np.allclose(r.f_hat, f_bf, atol=2e-5)
+
+
+def test_sqrt_path2_sweep_matches_brute_force_scan():
+    # lambda0 = 1/4 is left out: there the objective is flat along the
+    # fused-to-Y segment, and any of its points is a minimizer
+    for k in range(110):
+        lam0 = 0.05 + 0.005 * k
+        if abs(lam0 - 0.25) < 1e-12:
+            continue
+        f_bf, sig_bf = brute_force_path2_sqrt(Y2, lam0)
+        r = solve_sqrt_analysis(Y2, P2, lam0)
+        assert r.converged and r.overfit == (lam0 < 0.25), lam0
+        assert r.sigma_hat == pytest.approx(sig_bf, abs=2e-5), lam0
+        assert np.allclose(r.f_hat, f_bf, atol=2e-5), lam0
 
 
 def test_starved_inner_solve_is_not_an_overfit():
@@ -153,15 +176,63 @@ def test_starved_inner_solve_is_not_an_overfit():
 
 @pytest.mark.parametrize("max_iter", [1, 10, 100, 1000])
 def test_max_iter_bounds_the_whole_sqrt_fixed_point(max_iter):
-    # path(3) with Y = (0, 1, 5) at lambda0 = 0.1 overfits after some 3,000
-    # inner iterations over many outer steps; max_iter bounds them all, not
-    # each step's inner solve, so a smaller budget is spent to the last
-    # iteration and leaves the scale unsettled
-    D, Y = incidence(path_graph(3)), np.array([[0.0], [1.0], [5.0]])
+    # a noisy step on path(200) at lambda0 = 0.1 settles after 1,784 inner
+    # iterations over four outer steps; max_iter bounds them all, not each
+    # step's ladder, so a smaller budget is spent to the last iteration and
+    # leaves the scale unsettled
+    n = 200
+    Y = (np.arange(n) >= n // 2) + 0.5 * np.random.default_rng(1).standard_normal(n)
+    D, Y = incidence(path_graph(n)), Y[:, None]
     full = solve_sqrt_analysis_batch(Y, D, 0.1)
-    assert full.overfit[0] and full.converged[0] and full.iterations > 1000
+    assert full.converged[0] and full.certified[0] and full.iterations > 1000
     out = solve_sqrt_analysis_batch(Y, D, 0.1, SolverOptions(max_iter=max_iter))
     assert out.iterations == max_iter and not out.converged[0] and not out.overfit[0]
+    assert not out.certified[0]
+
+
+def test_a_jump_that_misses_falls_back_to_the_monotone_step(monkeypatch):
+    # path(4): the fit at the starting scale fuses vertices 1-3, and that
+    # pattern's own fixed point lies below the penalties at which the
+    # pattern holds, so polishing it there fails; the column takes the
+    # monotone step from the starting scale instead and settles later by a
+    # verified jump
+    lams, inner = [], polish._plain_batch
+
+    def spy(split, Y, lam, opts):
+        lams.append(float(lam[0]))
+        return inner(split, Y, lam, opts)
+
+    monkeypatch.setattr(polish, "_plain_batch", spy)
+    D, Y, lam0 = incidence(path_graph(4)), np.array([-2.3, -1.1, -1.4, 2.2]), 0.127
+    r = solve_sqrt_analysis(Y, D, lam0)
+    monkeypatch.undo()
+    sigma0 = norm_n(Y - Y.mean())
+    f0 = solve_analysis(Y, D, 2.0 * lam0 * sigma0).f_hat
+    s0 = np.sign(D @ f0)
+    assert np.array_equal(s0, [0.0, 0.0, 1.0])
+    # the pattern's closed form f(lam) = Ybar_G - n lam w, and its own root
+    G = np.array([0, 0, 0, 1])
+
+    def means(v):
+        return (np.bincount(G, v) / np.bincount(G))[G]
+
+    a, b = norm_n(Y - means(Y)) ** 2, norm_n(4 * means(D.T @ s0)) ** 2
+    root = math.sqrt(a / (1.0 - 4.0 * b * lam0 ** 2))
+    assert root < sigma0
+    # the fit at the root reads another pattern, so the jump misses ...
+    assert not np.array_equal(np.sign(D @ solve_analysis(Y, D, 2.0 * lam0 * root).f_hat), s0)
+    # ... and the second step is the monotone one from the starting scale
+    assert len(lams) == 3 and lams[0] == 2.0 * lam0 * sigma0
+    assert lams[1] == pytest.approx(2.0 * lam0 * norm_n(Y - f0), rel=1e-12)
+    # a jump from the last step settled the column: lambda_used is no step's
+    assert r.converged and not r.overfit and r.kkt_residual <= 1e-12
+    assert r.lambda_used == 2.0 * lam0 * r.sigma_hat < lams[-1]
+    # sigma_hat is a fixed point, the exact plain fit's residual norm ...
+    assert r.sigma_hat == pytest.approx(norm_n(Y - r.f_hat), rel=1e-12)
+    assert np.allclose(r.f_hat, cd_reference_path(Y, r.lambda_used), atol=1e-9)
+    # ... and the largest: every larger scale's plain fit leaves less
+    for s in np.geomspace(sigma0, 1.001 * r.sigma_hat, 30):
+        assert norm_n(Y - solve_analysis(Y, D, 2.0 * lam0 * s).f_hat) < s
 
 
 def test_sqrt_fixed_point_consistency():
@@ -641,3 +712,14 @@ def test_readme_module_table_names_every_knob():
             assert knob in named or any(knob.startswith(w) for w in wildcards), (module, knob)
         assert named - {w + "*" for w in wildcards} <= knobs, module
         assert all(any(knob.startswith(w) for knob in knobs) for w in wildcards), module
+
+
+def test_one_code_computes_a_plain_fit():
+    # both estimators reach ADMM only through the polished ladder
+    # (polish._plain_batch): solvers names no ADMM state, batch or dual
+    named = {node.attr for node in ast.walk(_module_tree("solvers"))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "admm"}
+    assert not named & {"_admm_batch", "_AdmmState", "_scaled_dual"}
+    assert "_plain_batch" in {node.attr for node in ast.walk(_module_tree("solvers"))
+                              if isinstance(node, ast.Attribute)}
