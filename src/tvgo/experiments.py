@@ -131,6 +131,9 @@ def trial_noise(sigma: float, n: int, master_seed: int, trial: int | range) -> n
     one-trial range's single column."""
     one = not isinstance(trial, range)
     trials = range(trial, trial + 1) if one else trial
+    for ti in (trials[0], trials[-1]) if trials else ():
+        if not 0 <= ti < 2 ** 64:   # a Philox key word
+            raise ValueError(f"trial index {ti} is not in [0, 2**64)")
     # one generator re-keyed per trial: the state setter writes every field
     # (counter, key, buffer, buffer position, cached half word), so each
     # trial starts from the state of a freshly built Philox([seed, trial])
@@ -448,16 +451,18 @@ class Experiment:
         self.events = EventEvaluator(self.report, self.active, cfg.sigma, lam_T, R,
                                      cfg.x, cfg.a) if cfg.events else None
         self.solver_opts = SolverOptions(tol=cfg.solver_tol, certify=False)
-        # one splitting of D for both estimators and every block of trials
-        self.split = (None if self.lam is None and self.lambda0 is None
-                      else solvers.Splitting(self.D, ends))
-        self.S_rows = np.asarray(self.active.S, dtype=np.int64) - 1
+        # one splitting of D for both estimators and every block of trials,
+        # and the rows of S that their errors read: a CSR product is taken
+        # row by row, so D_S F holds D F's rows of S bit for bit
+        solves = self.lam is not None or self.lambda0 is not None
+        self.split = solvers.Splitting(self.D, ends) if solves else None
+        self.D_S = self.D[np.asarray(self.active.S, dtype=np.int64) - 1] if solves else None
 
     def _errors(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-column mean squared error against f0 and ||D_S F||_1."""
-        diff = F - self.f0[:, None]
-        return (np.sum(diff ** 2, axis=0) / self.active.n,
-                np.abs(self.D @ F)[self.S_rows].sum(axis=0))
+        sq = F - self.f0[:, None]
+        np.square(sq, out=sq)
+        return np.sum(sq, axis=0) / self.active.n, np.abs(self.D_S @ F).sum(axis=0)
 
     def run_block(self, block_index: int, lo: int, hi: int) -> dict:
         """Trials lo..hi-1 as numpy columns keyed by CSV column name, plus each
@@ -481,6 +486,7 @@ class Experiment:
             np.add(self.f0[:, None], eps, out=Y)
         if self.events:
             cols.update(self.events.flags_batch(eps, eps_sq))
+        del eps   # the events and Y have read the noise
 
         errors = {}  # estimator kind -> (mse, ||D_S f_hat||_1) columns
         if self.lam is not None:
@@ -488,6 +494,7 @@ class Experiment:
             errors["plain"] = self._errors(out.F)
             cols.update(mse_plain=errors["plain"][0], plain_converged=out.converged,
                         plain_certified=out.certified, plain_iterations=np.array([out.iterations]))
+            del out   # its F and V, before the square-root solve
         if self.lambda0 is not None:
             # the solver's penalty is 2*lambda0*||Df||_1, so the inequality's
             # lambda0 (penalty coefficient as stated) maps to lambda0/2 here

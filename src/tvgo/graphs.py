@@ -87,8 +87,8 @@ class DirectedGraph(_ComparesByValue):
 
     def __post_init__(self):
         edges = self.__dict__.pop("edges")
-        if self.n < 1:
-            raise GraphError("vertex count must be >= 1")
+        if not _integral((self.n,)) or self.n < 1:
+            raise GraphError(f"vertex count must be an integer >= 1, got {self.n!r}")
         try:
             pairs = np.asarray(edges).reshape(len(edges), 2)
         except ValueError:   # not m pairs

@@ -126,9 +126,11 @@ def _groups_and_signs(D: sp.csr_matrix, dy: np.ndarray, F: np.ndarray):
     peak = np.maximum(np.max(F, axis=0), -np.min(F, axis=0))
     floor = np.maximum(np.finfo(F.dtype).eps / 2 * peak / scale, np.finfo(F.dtype).tiny)
     low = np.sort(A.T, axis=1)                         # (B, m), each row ascending
-    ratio = np.ones_like(low)
-    ratio[:, :-1] = low[:, 1:]
-    ratio /= np.maximum(low, floor[:, None])
+    # each neighbour's ratio over the floored lower end, the scale's over the
+    # largest, filled into the floored ends
+    ratio = np.maximum(low, floor[:, None])
+    np.divide(low[:, 1:], ratio[:, :-1], out=ratio[:, :-1])
+    np.divide(1.0, ratio[:, -1], out=ratio[:, -1])
     ratio[low >= GAP_CAP] = 0.0
     cut = np.take_along_axis(low, np.argmax(ratio, axis=1)[:, None], axis=1)[:, 0]
     fused = A <= np.where(low[:, 0] < GAP_CAP, cut, -1.0)
@@ -141,31 +143,43 @@ def _group_means(split: Splitting, fused: np.ndarray, T: np.ndarray):
     components of the column's fused edges (fused, (m, B), of split's
     graph), replicated on the group's vertices.
 
-    One component labelling of the union of the B fused-edge subgraphs,
-    column j's vertices offset by j n, gives every column's groups; its
-    adjacency tiles the CSR pattern of split's edges, ordered by their
-    first endpoint, and keeps the fused entries.
-    projections.componentwise_mean of the stacked columns over those labels
-    takes the means.  Returns the means (n, B)
-    and the labels (B, n): row j holds column j's group labels as
+    Columns with one fused-edge mask share their groups, so each distinct
+    mask is labelled once: one component labelling of the union of the
+    distinct masks' subgraphs, mask k's vertices offset by k n, gives every
+    column's groups; its adjacency tiles the CSR pattern of split's edges,
+    ordered by their first endpoint, and keeps the fused entries.  One
+    bincount over every column's groups takes the sums, each in vertex
+    order, so each column's means are projections.componentwise_mean's of
+    that column alone, bit for bit.  Returns the means (n, B) and the
+    labels (B, n): row j holds column j's group labels as
     graphs.component_labels numbers them, from 0 in the order of each
     group's smallest vertex."""
     n, B = T.shape
     m = len(split.ends)
+    # each column's mask, numbered in the order of first reading, and the
+    # first column to read each
+    ids = {}
+    mask = np.array([ids.setdefault(key.tobytes(), len(ids))
+                     for key in np.packbits(fused, axis=0).T])
+    first = np.unique(mask, return_index=True)[1]
+    k = len(first)
     # the edges in the order of their first endpoint, and where each
     # vertex's run of them ends
     by_tail = np.argsort(split.ends[:, 0], kind="stable")
     tail_end = np.cumsum(np.bincount(split.ends[:, 0], minlength=n))
-    keep = fused[by_tail].T.ravel()
-    heads = (split.ends[by_tail, 1] + (np.arange(B) * n)[:, None]).ravel()[keep]
+    keep = fused[np.ix_(by_tail, first)].T.ravel()
+    heads = (split.ends[by_tail, 1] + (np.arange(k) * n)[:, None]).ravel()[keep]
     kept = np.concatenate([[0], np.cumsum(keep)])   # entries kept before each slot
-    indptr = np.concatenate([[0], kept[(np.arange(B)[:, None] * m + tail_end).ravel()]])
+    indptr = np.concatenate([[0], kept[(np.arange(k)[:, None] * m + tail_end).ravel()]])
     labels = graphs.adjacency_labels(sp.csr_matrix((np.ones(len(heads)), heads, indptr),
-                                                   shape=(n * B, n * B)))
-    means = projections.componentwise_mean(labels, T.T.ravel()).reshape(B, n).T
-    labels = labels.reshape(B, n)
-    # ids follow the smallest vertex, so column j's start at that of vertex j n
-    return means, labels - labels[:, :1]
+                                                   shape=(n * k, n * k))).reshape(k, n)
+    # ids follow the smallest vertex, so mask i's start at that of vertex i n
+    labels = (labels - labels[:, :1])[mask]
+    # column j's groups take the ids after those of the columns before it
+    groups = labels.max(axis=1) + 1
+    keys = labels + (np.cumsum(groups) - groups)[:, None]
+    means = np.bincount(keys.ravel(), weights=T.T.ravel()) / np.bincount(keys.ravel())
+    return means[keys].T, labels
 
 
 def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
@@ -193,18 +207,21 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     bounds the KKT residual ||(Y - c)/n - lam D'v||_inf of the dual v (s on
     the boundary, w / (n lam) on the fused edges) by POLISH_KKT ||Y||_inf.
     The fused-edge pattern's Splitting, built from split's rows of the
-    fused edges, their endpoints and the groups' labels, with its Laplacian
-    factor, is taken from subgraphs, a dict keyed by the packed fused-edge
-    mask, and built and added there for a mask it does not hold yet: the
-    mask alone fixes the pattern's rows, its groups' labels and the factor,
-    so a Splitting held from an earlier call is the one this call would
-    build.  Without subgraphs, each pattern's Splitting serves this call
-    alone.
+    fused edges, their endpoints and a copy of the groups' labels, with its
+    Laplacian factor, is taken from subgraphs, a dict keyed by the packed
+    fused-edge mask, and built and added there for a mask it does not hold
+    yet: the mask alone fixes the pattern's rows, its groups' labels and the
+    factor, so a Splitting held from an earlier call is the one this call
+    would build.  The dict then keeps the patterns this call reads, and
+    drops the others before any is built.  Without subgraphs, each
+    pattern's Splitting serves this call alone.
     """
     D, Dt = split.D, split.Dt
     n, B = Y.shape
     bound = n * lam
-    T = Y - bound * (Dt @ S)
+    T = Dt @ S
+    T *= -bound
+    T += Y                                  # Y - n lam D'S
     C, labels = _group_means(split, fused, T)
     ok = np.zeros(B, dtype=bool)
     signs = np.flatnonzero(np.all(np.sign(D @ C) == S, axis=0))
@@ -212,27 +229,42 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     patterns = {}
     for j, key in zip(signs, np.packbits(fused[:, signs], axis=0).T):
         patterns.setdefault(key.tobytes(), []).append(j)
+    for key in subgraphs.keys() - patterns.keys():
+        del subgraphs[key]
     for key, cols in patterns.items():
         cols = np.asarray(cols)
         rows = np.flatnonzero(fused[:, cols[0]])
         if key not in subgraphs:
-            subgraphs[key] = Splitting(split.D[rows], split.ends[rows], labels[cols[0]])
+            # a copy: a row of labels would hold the whole (B, n) array
+            subgraphs[key] = Splitting(split.D[rows], split.ends[rows], labels[cols[0]].copy())
         good, W = _fused_screen(subgraphs[key], T[:, cols] - C[:, cols],
                                 bound[cols], V[np.ix_(rows, cols)] * bound[cols],
                                 POLISH_STEPS, POLISH_BOX)
         ok[cols[good]] = True
         S[np.ix_(rows, cols[good])] = W
+    del T, labels   # the check below reads C and S alone
     cols = np.flatnonzero(ok)
-    R = Y[:, cols] - C[:, cols]
+    Y_c = _columns(Y, cols)
+    R = Y_c - _columns(C, cols)
     R /= n
-    R -= lam[cols] * (Dt @ S[:, cols])
+    P = Dt @ _columns(S, cols)
+    P *= lam[cols]
+    R -= P
     ok[cols] = (np.max(np.abs(R), axis=0, initial=0.0)
-                <= POLISH_KKT * np.max(np.abs(Y[:, cols]), axis=0, initial=0.0))
-    F[:, ok], V[:, ok] = C[:, ok], S[:, ok]
+                <= POLISH_KKT * np.max(np.abs(Y_c), axis=0, initial=0.0))
+    np.copyto(F, C, where=ok)
+    np.copyto(V, S, where=ok)
     return ok
 
 
-def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
+def _columns(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns cols of X, distinct and ascending: X itself, with no
+    copy, when they are all of its columns."""
+    return X if len(cols) == X.shape[1] else X[:, cols]
+
+
+def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts,
+                 F: np.ndarray, V: np.ndarray):
     """The plain estimator on the centred columns (each Y minus its
     componentwise mean), shape (n, B), none of them fully fused: ADMM runs
     on one warm state of them down the tolerances of POLISH_LADDER looser
@@ -241,10 +273,14 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
     rung's uncertified columns keep their ADMM iterate and dual.  max_iter
     bounds the iterations of the whole ladder; a column is converged when it
     met the test at opts.tol or was certified.  Every rung's polish shares
-    one dict of the fused-edge patterns' Splittings, so each pattern's
-    factor is built once per call, and reads the groups against
+    one dict of the fused-edge patterns' Splittings, which keeps the
+    patterns the rung's columns read, so a pattern read at consecutive
+    rungs is factored once, and reads the groups against
     ||D centred||_inf, taken once from the product the state starts z at.
-    Returns the centred fits F with (converged, certified, V, iterations).
+    The centred fits go to F (n, B) and the scaled duals to V (m, B), the
+    caller's arrays: a rung at which every column is live reads centred and
+    polishes F and V in place, with no copy.  Returns (converged,
+    certified, iterations).
 
     The state is float32 from the first rung while the Splitting has
     float32 operators (the DCT grids) and SINGLE_HEADROOM times the live
@@ -259,7 +295,6 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
     """
     n, B = centred.shape
     m = split.D.shape[0]
-    F, V = np.empty_like(centred), np.empty((m, B))
     conv, cert = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
     # a new float64 state holds D centred as its z, and its norm as its anchor
     state = admm._AdmmState(split, centred, lam)
@@ -274,21 +309,28 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts):
         dtype = np.float32 if single else np.float64
         state.astype(dtype)
         budget = opts.max_iter - it
-        Y_l, lam_l = centred[:, live], lam[live]
-        F_l, state, k, conv_l = admm._admm_batch(
+        whole = len(live) == B
+        Y_l, lam_l = _columns(centred, live), lam[live]
+        state, k, conv_l = admm._admm_batch(   # the state holds its iterates
             state, Y_l.astype(dtype, copy=False), lam_l,
-            replace(opts, tol=tol, max_iter=min(budget, SINGLE_MAX_ITER) if single else budget))
+            replace(opts, tol=tol, max_iter=min(budget, SINGLE_MAX_ITER) if single else budget))[1:]
         it += k
         single = single and k < SINGLE_MAX_ITER
-        fused, S = _groups_and_signs(split.D, dy[live], F_l)
-        F_l = F_l.astype(np.float64)   # a copy: the polish writes over it, not the state's F
-        V_l = admm._scaled_dual(state.U.astype(np.float64), state.rho, n, lam_l)
-        ok = _polish(split, Y_l, F_l, V_l, lam_l, fused, S, subgraphs)
-        F[:, live], V[:, live], cert[live] = F_l, V_l, ok
+        # the polish writes over float64 copies of the state's F and U
+        F_l, V_l = (F, V) if whole else (np.empty((n, len(live))), np.empty((m, len(live))))
+        np.copyto(F_l, state.F)
+        np.copyto(V_l, state.U)
+        admm._scaled_dual(V_l, state.rho, n, lam_l)
+        ok = _polish(split, Y_l, F_l, V_l, lam_l,
+                     *_groups_and_signs(split.D, dy[live], state.F), subgraphs)
+        if not whole:
+            F[:, live], V[:, live] = F_l, V_l
+        cert[live] = ok
         if tol == opts.tol:
             conv[live] = conv_l
         if ok.all() or tol == opts.tol or it >= opts.max_iter:
             break
         live = live[~ok]
         state.keep(~ok)
-    return F, conv | cert, cert, V, it
+        del Y_l, F_l, V_l   # the next rung's columns are fewer
+    return conv | cert, cert, it

@@ -126,6 +126,15 @@ def check_level(name: str, value: float, zero_ok: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value}")
 
 
+def _observations(Y) -> np.ndarray:
+    """Y as a float64 array; ValueError when it is complex, whose imaginary
+    part the conversion would drop with a warning alone."""
+    Y = np.asarray(Y)
+    if np.iscomplexobj(Y):
+        raise ValueError(f"observations must be real, got dtype {Y.dtype}")
+    return Y.astype(np.float64, copy=False)
+
+
 def _objective(Y, F, lam, D) -> np.ndarray:
     n = Y.shape[0]
     return admm._colsumsq(Y - F) / n + 2.0 * lam * np.einsum("ij->j", np.abs(D @ F))
@@ -139,7 +148,9 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
 
     Y is centred here once, to Y - Ybar with Ybar its componentwise mean;
     the screen, the ladder and the fixed point take the centred columns
-    alone and return their fits, to which Ybar is added back at the end.
+    alone, and the ladder and the fixed point write their fits and duals
+    into this estimate's own F and V (in place when no column was screened),
+    to whose fits Ybar, taken again, is added back at the end.
 
     Before any ADMM iteration one full-fusion screen (polish._fused_screen)
     takes every column at its level: lam for the plain estimator, and
@@ -157,7 +168,7 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     (polish._plain_batch) or the fixed point (_sqrt_fixed_point), each of
     whose outer steps runs that ladder.
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _observations(Y)
     if not np.isfinite(Y).all():
         raise ValueError("observations contain NaN or inf")
     split = D if isinstance(D, Splitting) else None
@@ -177,31 +188,42 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
                            np.ones(B, dtype=bool))
     split = split or Splitting(D)
     mean = projections.componentwise_mean(split.labels, Y)
-    centred = Y - mean
     if sqrt:
-        sigma = norm_n(centred, axis=0)
+        sigma = norm_n(Y - mean, axis=0)
         # constant on each component up to the rounding of its mean, which
         # leaves each centred entry within about n eps max|Y_j| of 0: f = Y
         overfit = sigma <= n * np.finfo(np.float64).eps * np.abs(Y).max(axis=0)
         lam = np.where(overfit, 0.0, 2.0 * level * sigma)
     else:
         lam, overfit = np.full(B, float(level)), np.zeros(B, dtype=bool)
+    # column-major, as the layers below have always read their columns (the
+    # rounding of a sum along a column follows the layout); the mean is
+    # taken again for the fits, the same bits
+    centred = np.subtract(Y, mean, order="F")
+    del mean
     live = np.flatnonzero(~overfit)
-    fused, V_fused = polish._fused_screen(split, centred[:, live], n * lam[live], None,
-                                          polish.SCREEN_STEPS, polish.SCREEN_BOX)
-    # the screened columns' centred fit is 0; the rest are overwritten below
+    fused, V_fused = polish._fused_screen(split, polish._columns(centred, live), n * lam[live],
+                                          None, polish.SCREEN_STEPS, polish.SCREEN_BOX)
+    # the screened columns' centred fit is 0; the rest are written below,
+    # in place when no column was screened
     F, V = np.zeros_like(Y), np.zeros((m, B))
     conv, cert = np.ones(B, dtype=bool), np.zeros(B, dtype=bool)
     cert[live[fused]] = True
     V[:, cert] = V_fused
     rest, it = live[~fused], 0
-    if len(rest) and sqrt:
-        F[:, rest], conv[rest], cert[rest], lam[rest], V[:, rest], it, sigma[rest], \
-            overfit[rest] = _sqrt_fixed_point(centred[:, rest], sigma[rest], split, level, opts)
-    elif len(rest):
-        F[:, rest], conv[rest], cert[rest], V[:, rest], it = polish._plain_batch(
-            split, centred[:, rest], lam[rest], opts)
-    F += mean
+    if len(rest):
+        whole = len(rest) == B
+        F_r, V_r = (F, V) if whole else (np.empty((n, len(rest))), np.empty((m, len(rest))))
+        if sqrt:
+            conv[rest], cert[rest], lam[rest], it, sigma[rest], overfit[rest] = _sqrt_fixed_point(
+                polish._columns(centred, rest), sigma[rest], split, level, opts, F_r, V_r)
+        else:
+            conv[rest], cert[rest], it = polish._plain_batch(
+                split, polish._columns(centred, rest), lam[rest], opts, F_r, V_r)
+        if not whole:
+            F[:, rest], V[:, rest] = F_r, V_r
+    del centred
+    F += projections.componentwise_mean(split.labels, Y)
     if not sqrt:
         return BatchResult(F, conv, lam, it, V, cert)
     # overfit columns carry f = Y and sigma_hat = lam = 0, with no certificate
@@ -229,7 +251,7 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
     and certified when opts asks and a certificate exists (not for an
     unsettled or overfit square-root fit)."""
     opts = opts or SolverOptions()
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _observations(Y)
     split = D if isinstance(D, Splitting) else Splitting(D)
     D = split.D
     out = _estimate(Y[:, None], split, level, opts, sqrt)
@@ -253,7 +275,7 @@ def _solve_one(Y, D, level: float, opts: SolverOptions | None, sqrt: bool) -> Es
 
 
 def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, lambda0: float,
-                      opts: SolverOptions):
+                      opts: SolverOptions, F: np.ndarray, V: np.ndarray):
     """The square-root fixed point on the centred columns (each Y minus its
     componentwise mean), shape (n, B), none of them fully fused at its
     starting scale sigma = ||centred||_n > 0.
@@ -282,23 +304,28 @@ def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, 
 
     opts.max_iter bounds the inner iterations of the whole fixed point: each
     step's ladder gets what the steps before it left, and a column still
-    live when none is left is not settled.  Returns the centred fits F, the
-    settled and certified masks, the penalties lam each column was last
-    solved at, the duals V of that solve, the inner iterations, sigma and
-    the overfit mask; the caller sets the overfit columns' outcomes.
+    live when none is left is not settled.  The centred fits go to F (n, B)
+    and the duals of the solve each column was last solved at to V (m, B),
+    the caller's arrays: a step at which every column is live runs its
+    ladder on them in place.  Returns the settled and certified masks, the
+    penalties lam each column was last solved at, the inner iterations,
+    sigma and the overfit mask; the caller sets the overfit columns'
+    outcomes.
     """
-    B = centred.shape[1]
-    F, V = np.empty_like(centred), np.zeros((split.D.shape[0], B))
+    n, B = centred.shape
+    m = split.D.shape[0]
     floor, lam = OVERFIT_FLOOR * sigma, 2.0 * lambda0 * sigma
     overfit, cert = np.zeros((2, B), dtype=bool)
     live, iterations = np.arange(B), 0
     while len(live) and iterations < opts.max_iter:
-        sig, Y_l = sigma[live], centred[:, live]
+        whole = len(live) == B
+        sig, Y_l = sigma[live], polish._columns(centred, live)
+        F_l, V_l = (F, V) if whole else (np.empty((n, len(live))), np.empty((m, len(live))))
         lam[live] = 2.0 * lambda0 * sig
-        F_l, conv, ok, V_l, it = polish._plain_batch(
-            split, Y_l, lam[live], replace(opts, max_iter=opts.max_iter - iterations))
+        conv, ok, it = polish._plain_batch(
+            split, Y_l, lam[live], replace(opts, max_iter=opts.max_iter - iterations), F_l, V_l)
         iterations += it
-        R = Y_l - F_l
+        R = np.subtract(Y_l, F_l, order="F")   # column-major: its norms round as they always have
         step = np.where(conv, norm_n(R, axis=0), sig)
         done = conv & (np.abs(step - sig) <= opts.fp_tol * sig)
         jump = np.flatnonzero(ok & ~done & (step < sig))
@@ -314,11 +341,14 @@ def _sqrt_fixed_point(centred: np.ndarray, sigma: np.ndarray, split: Splitting, 
             F_l[:, jump], V_l[:, jump], step[jump] = F_r[:, hit], V_r[:, hit], r[hit]
             lam[live[jump]] = 2.0 * lambda0 * r[hit]
             done[jump] = True
-        F[:, live], V[:, live], cert[live], sigma[live] = F_l, V_l, ok, step
+        if not whole:
+            F[:, live], V[:, live] = F_l, V_l
+        cert[live], sigma[live] = ok, step
         overfit[live] = step <= floor[live]
         live = live[~(done | overfit[live])]
+        del Y_l, F_l, V_l, R   # the next step's columns are fewer
     settled = ~np.isin(np.arange(B), live)
-    return F, settled, cert & settled & ~overfit, lam, V, iterations, sigma, overfit
+    return settled, cert & settled & ~overfit, lam, iterations, sigma, overfit
 
 
 def solve_sqrt_analysis(Y: np.ndarray, D: sp.spmatrix | Splitting, lambda0: float,

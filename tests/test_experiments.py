@@ -24,6 +24,7 @@ from tvgo.experiments import (EventEvaluator, SignalSpec,
                               trial_noise, verify_probability_lemmas)
 from tvgo.graphs import active_set, incidence, path_graph
 
+from test_polish import MC_GRID
 from test_projections import _grid_edge, _grid_halves, _staircase
 
 
@@ -90,6 +91,19 @@ def test_seed_outside_the_philox_key_range_is_rejected(seed):
     with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*63\)"):
         experiments.verify_probability_lemmas(trials=1, seed=seed)
     dataclasses.replace(cfg, seed=2 ** 63 - 1)   # the largest seed keys losslessly
+
+
+@pytest.mark.parametrize("trial, bad", [(-1, -1), (range(-2, 3), -2), (2 ** 64, 2 ** 64),
+                                        (range(5, 2 ** 64 + 1), 2 ** 64)])
+def test_trial_index_outside_the_philox_key_range_is_rejected(trial, bad):
+    # numpy raised OverflowError on the generator's key, naming no trial
+    with pytest.raises(ValueError, match=rf"^trial index {bad} is not in \[0, 2\*\*64\)"):
+        trial_noise(1.0, 4, 0, trial)
+    if not isinstance(trial, range):
+        g = path_graph(4)
+        with pytest.raises(ValueError, match=rf"^trial index {bad} "):
+            generate_trial(SignalSpec(levels=(0.0, 1.0)), incidence(g), active_set(g, [2]),
+                           1.0, 0, trial)
 
 
 def test_trial_noise_reproducible_and_keyed():
@@ -328,6 +342,26 @@ def test_flags_batch_holds_one_block_solve_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * nc * B * 8 + 128 * 1024, peak
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_block_holds_each_solver_array_once(seed):
+    # block 0 of the mc_grid experiment of a benchmark seed: each estimate's
+    # F and V exist once through the solver layers, the noise and the plain
+    # fit go once read, and the polish keeps only the patterns its rung
+    # reads.  A second call peaked at 9.5 MB (seed 0) and 11.7 MB (seed 3),
+    # against 15.5 and 17.2 MB when each layer held its own
+    cfg_seed = int(np.random.default_rng([seed, 0]).integers(0, 2 ** 40))
+    exp = experiments.Experiment(experiments.ExperimentConfig.from_dict(
+        dict(MC_GRID, seed=cfg_seed)))
+    exp.run_block(0, 0, 64)
+    tracemalloc.start()
+    try:
+        exp.run_block(0, 0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2 ** 20, peak
+
 
 BASE_CFG = {
     "graph": {"family": "path", "params": {"n": 64}},

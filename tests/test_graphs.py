@@ -97,6 +97,14 @@ def test_graph_compares_by_n_and_edges_and_holds_read_only_endpoints():
     assert "ends" not in repr(g)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, -3, "3", np.float64(2.0)])
+def test_vertex_count_must_be_an_integer_of_at_least_one(n):
+    # 2.5 and True were kept as the vertex count, as tree parents are not
+    with pytest.raises(GraphError, match="vertex count must be an integer >= 1"):
+        graphs.DirectedGraph(n, np.zeros((0, 2), int))
+    assert graphs.DirectedGraph(np.int64(2), [(1, 2)]).n == 2
+
+
 def test_minimum_sizes():
     with pytest.raises(GraphError):
         path_graph(1)

@@ -414,9 +414,11 @@ def test_float32_rounding_of_a_tight_iterate_reads_the_same_groups(seed):
 
 
 def test_each_fused_edge_pattern_is_factored_once_per_batch(monkeypatch):
-    # every rung's polish shares one dict of pattern Splittings, so a mask of
-    # fused edges screened at several rungs is factored once; the graph's
-    # Splitting is prebuilt, so every _grounded_solve call is a pattern's
+    # every rung's polish shares one dict of pattern Splittings, which keeps
+    # the patterns the rung read, so a mask of fused edges screened at
+    # consecutive rungs, as every mask of this block is, is factored once;
+    # the graph's Splitting is prebuilt, so every _grounded_solve call is a
+    # pattern's
     split, Y, lam, opts = _mc_grid_block(2101)
     builds, screened = [], []
     grounded, screen = splitting._grounded_solve, polish._fused_screen
@@ -451,3 +453,49 @@ def test_shared_subgraphs_polish_as_fresh_ones(monkeypatch):
     monkeypatch.setattr(polish, "_polish", both)
     assert solve_analysis_batch(Y, split, lam, opts).certified.all()
     assert len(held) > 1 and held[0] == 0 < held[-1]
+
+
+def _polish_rungs(monkeypatch, seed):
+    """The batch's Splitting and, for each polish of block 0 of a benchmark
+    seed's mc_grid plain batch, the pattern Splittings it screened and those
+    its dict held after it."""
+    split, Y, lam, opts = _mc_grid_block(seed)
+    real, screen, screened, rungs = polish._polish, polish._fused_screen, [], []
+
+    def screening(sub, *args):
+        if sub is not split:
+            screened.append(sub)
+        return screen(sub, *args)
+
+    def spy(split_, Y_, F, V, lam_, fused, S, subgraphs):
+        first = len(screened)
+        ok = real(split_, Y_, F, V, lam_, fused, S, subgraphs)
+        rungs.append((screened[first:], list(subgraphs.values())))
+        return ok
+
+    monkeypatch.setattr(polish, "_fused_screen", screening)
+    monkeypatch.setattr(polish, "_polish", spy)
+    solve_analysis_batch(Y, split, lam, opts)
+    return split, rungs
+
+
+@pytest.mark.parametrize("seed", [0, 2101])
+def test_the_pattern_cache_holds_what_its_rung_read(monkeypatch, seed):
+    # a pattern leaves the dict at the first rung that does not read it: it
+    # rarely recurs, and each held a banded factor
+    _, rungs = _polish_rungs(monkeypatch, seed)
+    assert len(rungs) > 2
+    for read, held in rungs:
+        assert {id(sub) for sub in held} == {id(sub) for sub in read}
+    # a pattern read at consecutive rungs is the same Splitting
+    assert any({id(s) for s in a[1]} & {id(s) for s in b[1]} for a, b in zip(rungs, rungs[1:]))
+
+
+def test_each_cached_pattern_owns_its_labels(monkeypatch):
+    # a row of the rung's (B, n) labels held the whole array for as long as
+    # the pattern stayed in the dict
+    split, rungs = _polish_rungs(monkeypatch, 0)
+    held = [sub for _, subs in rungs for sub in subs]
+    assert held
+    for sub in held:
+        assert sub.labels.shape == (split.D.shape[1],) and sub.labels.base is None

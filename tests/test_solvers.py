@@ -198,9 +198,9 @@ def test_a_jump_that_misses_falls_back_to_the_monotone_step(monkeypatch):
     # verified jump
     lams, inner = [], polish._plain_batch
 
-    def spy(split, Y, lam, opts):
+    def spy(split, Y, lam, opts, F, V):
         lams.append(float(lam[0]))
-        return inner(split, Y, lam, opts)
+        return inner(split, Y, lam, opts, F, V)
 
     monkeypatch.setattr(polish, "_plain_batch", spy)
     D, Y, lam0 = incidence(path_graph(4)), np.array([-2.3, -1.1, -1.4, 2.2]), 0.127
@@ -457,6 +457,19 @@ def test_non_finite_observations_rejected(bad):
              lambda: solve_sqrt_analysis_batch(Y[:, None], P2, 0.3)]
     for call in calls:
         with pytest.raises(ValueError, match="NaN or inf"):
+            call()
+
+
+def test_complex_observations_rejected():
+    # the float conversion dropped the imaginary part with a ComplexWarning
+    # alone, and the solve reported converged
+    Y = np.arange(2) + 1j
+    calls = [lambda: solve_analysis(Y, P2, 0.25),
+             lambda: solve_analysis_batch(Y[:, None], P2, 0.25),
+             lambda: solve_sqrt_analysis(Y, P2, 0.3),
+             lambda: solve_sqrt_analysis_batch(Y[:, None], P2, 0.3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="observations must be real, got dtype complex128"):
             call()
 
 
