@@ -22,10 +22,12 @@ gives the same bits as a column-by-column evaluation of T and R.
 The event evaluator allocates nothing of a block's size per block of
 trials, but for the solve of a Laplacian block, which is released before
 the next block gathers: each thread keeps its own work arrays on the
-evaluator, and they go with the evaluator.  One has n rows, for the
-squared noise and then each block's gathered rows or prefix sums; three
-have at most EVENT_CHUNK rows, for a slab's edge sums, their scales and
-their comparisons.  The projected noise norm comes from the
+evaluator, and they go with the evaluator.  One has as many rows as the
+largest pseudoinverse block has vertices, and at least EVENT_CHUNK (or n),
+for each block's gathered rows or prefix sums and for the squared noise,
+which streams through it one slab of rows at a time when the caller has
+not summed it; three have at most EVENT_CHUNK rows, for a slab's edge
+sums, their scales and their comparisons.  The projected noise norm comes from the
 (r_S, B) noise sums of the components, one product with an indicator
 matrix built once, not from a projection of the whole block.  That norm rounds differently from the sum
 of squares of the projection, so a trial whose X, A or A' statistic sits
@@ -64,17 +66,19 @@ BLOCK_SIZE = 64  # trials per solver batch; fixed so results never depend on thr
 EVENT_NAMES = ("T", "X", "A", "Aprime", "R")
 # trials whose noise is written into a block at once: each trial draws its
 # row of a (NOISE_CHUNK, n) buffer, which is then transposed into the block's
-# columns.  A 64-trial block at n = 4096 took 3.35-3.48 ms at 8 rows,
-# 3.25-3.28 at 16, 3.16-3.25 at 32 and 3.20-3.28 at 64 (best of 40 calls in
-# each of three rounds, 2-vCPU Xeon); the buffer then holds 1 MB.
-NOISE_CHUNK = 32
+# columns.  A 64-trial block at n = 4096 took 6.57-6.65 ms at 8 rows,
+# 5.29-5.50 at 16, 5.39-5.43 at 32 and 5.75-5.83 at 64 (best of 40
+# alternating calls in each of three rounds, 2-vCPU Xeon); the buffer then
+# holds 0.5 MB, half of what 32 rows hold.
+NOISE_CHUNK = 16
 # pseudoinverse directions whose noise events are reduced at once: three
-# (1024, 64) slabs take 1.1 MB, inside a core's 2 MB L2 cache, where the
-# arrays of a whole 4,077-edge block do not fit.  flags_batch on that block
-# (the mc_events tree) took 2.33-2.38 ms at 256, 2.31-2.34 at 512,
-# 2.12-2.33 at 1024, 2.24-2.41 at 2048 and 2.38-2.50 in one slab (best of
-# 40 calls in each of three rounds, same machine).
-EVENT_CHUNK = 1024
+# (512, 64) slabs take 0.5 MB, inside a core's 2 MB L2 cache, where the
+# arrays of a whole 1,994-edge block do not fit.  flags_batch on the
+# mc_events tree of seed 3101 (blocks of 1,995, 1,368, 730 and 3 vertices)
+# took 3.97 ms at 256, 3.58-3.60 at 512, 3.65-3.68 at 1024, 3.91-3.99 at
+# 2048 and 4.00-4.07 in one slab (best of 40 alternating calls in each of
+# three rounds, same machine).
+EVENT_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,9 @@ def trial_noise(sigma: float, n: int, master_seed: int, trial: int | range) -> n
     # one generator re-keyed per trial: the state setter writes every field
     # (counter, key, buffer, buffer position, cached half word), so each
     # trial starts from the state of a freshly built Philox([seed, trial])
-    bitgen = np.random.Philox(key=[master_seed, trials.start])
+    # a uint64 key: a list holding an index past 2**63 is read as float64,
+    # and the cast of 2**64 - 2 or 2**64 - 1 back to uint64 warns
+    bitgen = np.random.Philox(key=np.array([master_seed, trials.start], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     # trials fill contiguous rows of a small buffer, NOISE_CHUNK at a time,
@@ -204,6 +210,11 @@ class EventEvaluator:
         self.members = projections.component_indicator(active.comp_label)
         self.sizes = np.asarray(active.comp_sizes, dtype=np.float64)[:, None]
         self.slab_rows = min(EVENT_CHUNK, max(len(thr) for _, thr, _ in self.blocks))
+        # the most rows a block's gather writes, and at least EVENT_CHUNK (or
+        # n) for the squared noise, so that graphs of tiny blocks do not
+        # stream the squares a few rows at a time
+        self.gather_rows = max(max(len(blk.vertices) for blk in self.pinv.blocks),
+                               min(n, EVENT_CHUNK))
         self._local = threading.local()
         self.thr_X = math.sqrt(sigma ** 2 / n) * (math.sqrt(r) + math.sqrt(2 * x))
         self.pi_lo = r - 2.0 * math.sqrt(a * r)
@@ -213,12 +224,12 @@ class EventEvaluator:
 
     def _work(self, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The calling thread's work arrays for a block of B trials: one of
-        shape (n, B) for the squared noise and for each pseudoinverse
-        block's gathered rows or prefix sums, and three of shape
-        (slab_rows, B) for a slab's edge sums, their scales and their
+        shape (gather_rows, B) for each pseudoinverse block's gathered rows
+        or prefix sums and for the slabs of squared noise, and three of
+        shape (slab_rows, B) for a slab's edge sums, their scales and their
         comparisons.  They are kept between blocks, and grown when a wider
         block comes."""
-        w, s = self.active.n, self.slab_rows
+        w, s = self.gather_rows, self.slab_rows
         bufs = getattr(self._local, "bufs", None)
         if bufs is None or bufs[1].size < s * B:
             bufs = self._local.bufs = (np.empty((w + 2 * s) * B), np.empty(s * B, dtype=bool))
@@ -236,9 +247,7 @@ class EventEvaluator:
         # nothing else that large
         work, corr_buf, scale_buf, below_buf = self._work(B)
         if eps_sq is None:
-            # the squares go through the work array: np.sum sums a one-column
-            # block pairwise, which np.einsum does not, so its bits would move
-            eps_sq = np.sum(np.square(eps, out=work), axis=0)
+            eps_sq = _square_sums(eps, work)
         sums = self.members @ eps   # (r_S, B) noise sum per component
         proj_sq = np.sum(np.square(sums, out=sums) / self.sizes, axis=0)
         eps_n = np.sqrt(eps_sq / n)
@@ -268,6 +277,26 @@ class EventEvaluator:
         A = (pi_scaled >= self.pi_lo) & (pi_scaled <= self.pi_hi) & (anti_scaled >= self.anti_lo)
         Ap = A & (anti_scaled <= self.anti_hi)
         return {f"{nm}_holds": flag for nm, flag in zip(EVENT_NAMES, (T, X, A, Ap, Rflag))}
+
+
+def _square_sums(eps: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """np.sum(np.square(eps), axis=0) of eps (n, B), bit for bit, with the
+    squares streamed through work, a C-ordered array of at least two rows
+    and B columns, one slab of rows at a time.  Over two or more columns
+    numpy's axis-0 sum adds the rows in order, so a slab led by the running
+    sum adds what one sum over all n rows would.  A one-column block sums
+    pairwise, so it takes its own (n, 1) squares."""
+    n, B = eps.shape
+    if B == 1:
+        return np.sum(np.square(eps), axis=0)
+    hi = min(len(work), n)
+    total = np.sum(np.square(eps[:hi], out=work[:hi]), axis=0)
+    while hi < n:
+        lo, hi = hi, min(hi + len(work) - 1, n)
+        work[0] = total
+        np.square(eps[lo:hi], out=work[1:1 + hi - lo])
+        total = np.sum(work[:1 + hi - lo], axis=0)
+    return total
 
 
 EVENT_FLOORS = dict(zip(EVENT_NAMES, (

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -140,6 +141,20 @@ def test_trial_noise_block_starts_each_trial_from_a_fresh_generator():
         for j in range(11):
             fresh = np.random.Generator(np.random.Philox(key=[seed, j]))
             assert np.array_equal(block[:, j], fresh.standard_normal(n)), (n, j)
+
+
+@pytest.mark.parametrize("trial", [2 ** 64 - 2, 2 ** 64 - 1, range(2 ** 64 - 2, 2 ** 64)],
+                         ids=["2**64-2", "2**64-1", "both"])
+def test_trial_noise_keys_the_top_trial_indices_without_a_warning(trial):
+    # numpy read a key list holding these indices as float64, and its cast
+    # back to uint64 warned, which raises under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps = trial_noise(1.0, 5, 3, trial)
+    for j, ti in enumerate([trial] if isinstance(trial, int) else trial):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([3, ti], dtype=np.uint64)))
+        assert np.array_equal(eps if isinstance(trial, int) else eps[:, j],
+                              fresh.standard_normal(5))
 
 
 def test_generate_trial_composition():
@@ -342,6 +357,83 @@ def test_flags_batch_holds_one_block_solve_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * nc * B * 8 + 128 * 1024, peak
+
+@pytest.mark.parametrize("case", list(FLAG_CASES))
+def test_event_work_is_sized_by_the_largest_pseudoinverse_block(case):
+    # each thread's gather array has the rows of the largest block, and at
+    # least EVENT_CHUNK (or n) for the squared noise, then two slabs follow
+    g, S = FLAG_CASES[case]
+    act = active_set(g, S)
+    rep = projections.theory_report(incidence(g), act)
+    ev = EventEvaluator(rep, act, 1.0, 0.1, 0.5, 2.0, 2.0)
+    B = 5
+    ev.flags_batch(np.random.default_rng(0).standard_normal((g.n, B)))
+    rows = max(max(len(blk.vertices) for blk in rep.pinv.blocks),
+               min(g.n, experiments.EVENT_CHUNK))
+    work, corr, scale, below = ev._work(B)
+    assert work.shape == (rows, B) and corr.shape == scale.shape == below.shape
+    assert ev._local.bufs[0].size == (rows + 2 * ev.slab_rows) * B
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 64])
+def test_square_sums_stream_the_bits_of_one_sum(B):
+    # 1,000 rows through 2, 3, 100 and 512 rows of work, none a divisor of
+    # what the slabs after the first take: each slab is led by the running
+    # sum, so the rows add in the order of one axis-0 sum
+    eps = np.random.default_rng(B).standard_normal((1000, B))
+    want = np.sum(np.square(eps), axis=0)
+    for rows in (2, 3, 100, 512):
+        work = np.empty((rows, B))
+        assert np.array_equal(experiments._square_sums(eps, work), want), rows
+
+
+def test_tiny_blocks_take_no_per_row_loop(monkeypatch):
+    # a path of 1,400 vertices cut into 700 two-vertex blocks: the squared
+    # noise streams through EVENT_CHUNK rows, three slabs, not two rows at
+    # a time
+    g = path_graph(1400)
+    act = active_set(g, range(2, 1400, 2))
+    rep = projections.theory_report(incidence(g), act)
+    assert max(len(blk.vertices) for blk in rep.pinv.blocks) == 2
+    ev = EventEvaluator(rep, act, 1.0, 0.1, 0.5, 2.0, 2.0)
+    eps = np.random.default_rng(1).standard_normal((g.n, 4))
+    calls, square = [], np.square
+    monkeypatch.setattr(np, "square", lambda *a, **k: calls.append(1) or square(*a, **k))
+    got = ev.flags_batch(eps)
+    monkeypatch.undo()
+    assert ev._work(4)[0].shape[0] == experiments.EVENT_CHUNK
+    assert len(calls) <= 4   # three slabs of squares and the component sums
+    want = _assembled_flags(rep, ev, eps)
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+
+
+def test_flags_batch_on_a_four_part_tree_holds_no_graph_sized_array():
+    # the mc_events geometry: a 4,096-vertex tree whose vertices draw their
+    # parents from the 8 before them in their part, cut into four parts of
+    # 1,024 by the edges into the parts' first vertices.  A fresh
+    # evaluator's first call allocates its work arrays, sized by the largest
+    # part, 1.1 MB with the comparisons, and a second call peaks at 139 KB;
+    # sized by n the work arrays took 3.1 MB
+    rng = np.random.default_rng(3)
+    g = graphs.tree_graph([v - 1 if v % 1024 == 1 else
+                           int(rng.integers(max(v - 8, v - (v - 1) % 1024), v))
+                           for v in range(2, 4097)])
+    act = active_set(g, [1024, 2048, 3072])
+    assert act.comp_sizes == (1024,) * 4
+    rep = projections.theory_report(incidence(g), act)
+    nc = max(len(blk.vertices) for blk in rep.pinv.blocks)
+    B = 64
+    eps = np.random.default_rng(0).standard_normal((g.n, B))
+    ev = EventEvaluator(rep, act, 1.0, 0.1, 0.5, 2.0, 2.0)
+    tracemalloc.start()
+    try:
+        ev.flags_batch(eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (nc + 2 * ev.slab_rows) * B * 8 + 256 * 1024, peak
+    assert peak < g.n * B * 8, peak
+
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_a_block_holds_each_solver_array_once(seed):
