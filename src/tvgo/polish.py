@@ -9,7 +9,10 @@ D_F'w = Y - c - n lam D_b's and |w| <= n lam (Tibshirani & Taylor, "The
 solution path of the generalized lasso", Ann. Statist. 2011).  Full fusion
 is the one-group-per-component case, c = Ybar, whose least bound is the
 generalized lasso's lambda_max: _fused_screen tests it before any ADMM
-iteration.  Every other column, plain or an outer step of the
+iteration, and on a graph with a cycle settles the columns its projections
+leave undecided with one integer maximum flow each (_flow_duals), so a
+column fully fused at its level is found so unless its lambda_max lies
+within the flow's rounding margin below it.  Every other column, plain or an outer step of the
 square-root fixed point, runs ADMM down POLISH_LADDER (_plain_batch) and
 is polished after each rung, as OSQP polishes its
 iterates (Stellato et al., Math. Prog. Comp. 2020): the rung's iterate
@@ -32,6 +35,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from . import admm, graphs, projections
 from .splitting import Splitting
@@ -52,7 +56,7 @@ POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to the
 
 
 def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray,
-                  guess: np.ndarray | None, steps: int, box: float):
+                  guess: np.ndarray | None, steps: int, box: float, flow: bool = False):
     """Columns of centred, shape (n, B), that some group dual v fits: v on
     split's edges with D'v = centred and |v| <= bound, the per-column
     penalty n lam > 0; and those duals.
@@ -68,9 +72,11 @@ def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray,
     clipped to box times the bound and projected back with the same
     (D'D)^+.  The full-fusion screen passes SCREEN_STEPS and SCREEN_BOX,
     the polish POLISH_STEPS and POLISH_BOX.  A column leaves at the first v
-    within the bound (certified) or past the give-up ratio.  Returns the
-    certified mask (B,) and their scaled duals v / bound, in [-1, 1], shape
-    (m, certified).
+    within the bound (certified) or past the give-up ratio.  With flow (the
+    full-fusion screen), on a graph with a cycle, each column still live
+    after the steps takes _flow_duals' v, and is certified when that is
+    within the bound.  Returns the certified mask (B,) and their scaled
+    duals v / bound, in [-1, 1], shape (m, certified).
     """
     D, Dt, lap_solve = split.D, split.Dt, split.lap_solve
     V = D @ lap_solve(centred.copy() if guess is None else centred - Dt @ guess)
@@ -92,7 +98,64 @@ def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray,
         ok = peak <= bound[live]
         fused[live[ok]] = True
         live = live[~ok & (peak <= SCREEN_GIVE_UP * bound[live])]
+    if flow and split.cyclic and len(live):
+        W = _flow_duals(split, centred[:, live], bound[live])
+        ok = np.max(np.abs(W), axis=0, initial=0.0) <= bound[live]
+        V[:, live[ok]] = W[:, ok]
+        fused[live[ok]] = True
     return fused, V[:, fused] / bound[fused]
+
+
+def _flow_duals(split: Splitting, centred: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """A v on split's edges with D'v = centred for each column c of
+    centred, shape (n, k), whose entries fit within its bound (k,) whenever
+    some such v does with a margin of about (1.5 n + 1) / K: one integer
+    maximum flow (scipy's Dinic) per column, then one Laplacian correction
+    of all k.  Returns v, shape (m, k).
+
+    A v with D'v = c and |v| <= bound is a flow on the graph, both ways
+    along each edge, out of the vertices where c > 0 and into those where
+    c < 0: D'v at a vertex is what v carries in less what it carries out,
+    so v is minus the net flow from each edge's tail to its head.  The flow
+    is scaled by K = 2^30 / max(sum c+, d bound), with d the largest vertex
+    degree, so that the supplies round(c K), each pair of endpoints'
+    capacity and the flow's value, which scipy keeps in int32, stay below
+    2^31.  Each edge's capacity is floor(bound K) - n: the supplies round
+    by at most 1/2 each, so a flow that routes the smaller of the rounded
+    supply and demand leaves a residual c - D'v of at most n / K in l1, and
+    the electrical flow D L^+ (c - D'v) that the correction adds, a
+    potential flow and so acyclic, carries at most half of that on any
+    edge.  A flow between parallel edges is shared equally among them.  The
+    caller checks |v| <= bound in float64.
+    """
+    n, k = centred.shape
+    tail, head = split.ends[:, 0], split.ends[:, 1]
+    m = len(tail)
+    degree = np.bincount(split.ends.ravel(), minlength=n).max()
+    # how many edges join each edge's two endpoints
+    pair = np.unique(np.minimum(tail, head) * n + np.maximum(tail, head), return_inverse=True,
+                     return_counts=True)
+    parallel = pair[2][pair[1]]
+    V = np.zeros((m, k))
+    for j in range(k):
+        c = centred[:, j]
+        K = 2.0 ** 30 / max(np.sum(c[c > 0]), degree * bound[j])
+        cap = int(bound[j] * K) - n
+        if cap <= 0:
+            continue
+        supply = np.rint(c * K).astype(np.int32)
+        up, down = np.flatnonzero(supply > 0), np.flatnonzero(supply < 0)
+        # the edges both ways, the source n to each supply, each demand to the sink n + 1
+        net = csgraph.maximum_flow(sp.csr_matrix(
+            (np.concatenate([np.full(2 * m, cap, dtype=np.int32), supply[up], -supply[down]]),
+             (np.concatenate([tail, head, np.full(len(up), n), down]),
+              np.concatenate([head, tail, up, np.full(len(down), n + 1)]))),
+            shape=(n + 2, n + 2)), n, n + 1, method="dinic").flow
+        V[:, j] = np.asarray(net[tail, head]).ravel() / (-K * parallel)
+    R = split.Dt @ V
+    np.subtract(centred, R, out=R)
+    V += split.D @ split.lap_solve(R)
+    return V
 
 
 def _groups_and_signs(D: sp.csr_matrix, dy: np.ndarray, F: np.ndarray):

@@ -152,8 +152,9 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     into this estimate's own F and V (in place when no column was screened),
     to whose fits Ybar, taken again, is added back at the end.
 
-    Before any ADMM iteration one full-fusion screen (polish._fused_screen)
-    takes every column at its level: lam for the plain estimator, and
+    Before any ADMM iteration one full-fusion screen (polish._fused_screen,
+    with its maximum flows on a graph with a cycle) takes every column at
+    its level: lam for the plain estimator, and
     lam = 2 lambda0 sigma0 for a square-root column, sigma0 = ||Y - Ybar||_n,
     unless sigma0 is within the rounding of the componentwise mean, at most
     n eps max|Y_j| with eps float64's machine epsilon (a column constant on
@@ -202,8 +203,9 @@ def _estimate(Y, D, level: float, opts: SolverOptions, sqrt: bool) -> BatchResul
     centred = np.subtract(Y, mean, order="F")
     del mean
     live = np.flatnonzero(~overfit)
+    # the screen's projections, then its maximum flows (the last argument)
     fused, V_fused = polish._fused_screen(split, polish._columns(centred, live), n * lam[live],
-                                          None, polish.SCREEN_STEPS, polish.SCREEN_BOX)
+                                          None, polish.SCREEN_STEPS, polish.SCREEN_BOX, True)
     # the screened columns' centred fit is 0; the rest are written below,
     # in place when no column was screened
     F, V = np.zeros_like(Y), np.zeros((m, B))

@@ -24,6 +24,7 @@ from tvgo.solvers import (SolverOptions, kkt_bound, kkt_residual, solve_analysis
                           solve_analysis_batch, solve_sqrt_analysis_batch)
 
 from test_experiments import GRID_CFG
+from test_fusion_screen import _lam_max
 
 KKT_TOL = SolverOptions().kkt_tol
 HIGHS_FEAS_TOL = 1e-7   # HiGHS's default feasibility tolerance: its optimum is good to this
@@ -88,11 +89,17 @@ def test_bound_is_above_program_and_passes_on_converged_solves(family, size, sqr
 def test_certified_solves_and_experiments_leave_the_lp_unloaded():
     # scipy.optimize adds about 14 MB of RSS to a process, so it is loaded
     # only by the linear-program fallback, which none of these need: nor
-    # does the polish of a grid experiment or of a 32x32 grid batch
+    # does the polish of a grid experiment or of a 32x32 grid batch, nor the
+    # full-fusion screen's maximum flow, which certifies a column of the 8x8
+    # grid whose lam_max is 0.99 of its bound (lam_max comes from this
+    # process's linear program)
+    g = grid_graph(8, 8)
+    Y = (np.arange(g.n) % 8 >= 4) + np.random.default_rng(0).standard_normal(g.n)
+    lam = _lam_max(incidence(g), Y - Y.mean()) / 0.99
     script = """
 import json, sys
 import numpy as np
-from tvgo import experiments, solvers
+from tvgo import experiments, polish, solvers
 from tvgo.graphs import cycle_graph, grid_graph, incidence, path_graph, tree_graph
 rng = np.random.default_rng(0)
 graphs = [path_graph(40), cycle_graph(30), grid_graph(6, 6),
@@ -110,14 +117,20 @@ experiments.experiment_csv(json.loads(sys.argv[1]))
 g = grid_graph(32, 32)
 Y = rng.standard_normal((g.n, 8)) + (np.arange(g.n) % 32 >= 16)[:, None]
 assert solvers.solve_analysis_batch(Y, incidence(g), 0.004).certified.any()
+flows, flow_duals = [], polish._flow_duals
+polish._flow_duals = lambda *args: flows.append(flow_duals(*args)) or flows[-1]
+g = grid_graph(8, 8)
+Y = (np.arange(g.n) % 8 >= 4) + np.random.default_rng(0).standard_normal(g.n)
+res = solvers.solve_analysis(Y, incidence(g), float(sys.argv[2]))
+assert len(flows) == 1 and res.iterations == 0 and res.kkt_residual <= 1e-12, res
 print("scipy.optimize" in sys.modules)
 D = incidence(path_graph(6))
 solvers.kkt_residual(np.arange(6.0), np.full(6, 2.5), D, 0.05)   # every row free
 print("scipy.optimize" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(tvgo.__file__).parents[1]))
-    r = subprocess.run([sys.executable, "-c", script, json.dumps(GRID_CFG)], capture_output=True,
-                       text=True, env=env)
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(GRID_CFG), repr(lam)],
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "True"]
 

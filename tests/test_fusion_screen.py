@@ -54,6 +54,19 @@ def _lam_max(D, centred):
 
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_screen_certifies_only_at_or_above_lam_max(name):
+    _check_screen(name, flow=False)
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_flow_screen_certifies_only_at_or_above_lam_max(name):
+    # with its maximum flows the screen stays sound: no column fuses below
+    # its lam_max, and every one it fuses carries an exact dual
+    _check_screen(name, flow=True)
+
+
+def _check_screen(name, flow):
+    """The screen, with or without its maximum flows, on four columns of the
+    graph name at SCALES times their lam_max."""
     g = GRAPHS[name]
     D = incidence(g)
     split = solvers.Splitting(D)
@@ -70,7 +83,7 @@ def test_screen_certifies_only_at_or_above_lam_max(name):
     for s in SCALES:
         lam = s * lam_max
         fused, V = polish._fused_screen(split, centred, g.n * lam, None,
-                                        polish.SCREEN_STEPS, polish.SCREEN_BOX)
+                                        polish.SCREEN_STEPS, polish.SCREEN_BOX, flow)
         assert not fused[lam < lam_max].any(), s
         for k, j in enumerate(np.flatnonzero(fused)):
             assert kkt_residual(Y[:, j], mean[:, j], D, lam[j]) <= 1e-12
@@ -80,33 +93,77 @@ def test_screen_certifies_only_at_or_above_lam_max(name):
             assert fused.all(), s
 
 
+def _scaled_to_lam_max(split, Y):
+    """Y's columns scaled so that each one's lam_max is 1."""
+    centred = Y - projections.componentwise_mean(split.labels, Y)
+    return Y / [_lam_max(split.D, centred[:, j]) for j in range(Y.shape[1])]
+
+
 def test_the_full_fusion_screen_reads_its_knobs_when_it_runs(monkeypatch):
     # solvers passes polish.SCREEN_STEPS and SCREEN_BOX on every call, so a
-    # value set on the module reaches the screen.  Each column is scaled to
-    # lam_max = 1, and at lam = 1.1 the screen fuses some of them only by
-    # its alternating projections: with none it fuses fewer
-    split = solvers.Splitting(incidence(GRAPHS["grid"]))
-    Y = np.random.default_rng(4).standard_normal((split.D.shape[1], 16))
-    centred = Y - projections.componentwise_mean(split.labels, Y)
-    Y /= [_lam_max(split.D, centred[:, j]) for j in range(16)]
-    calls, screen = [], polish._fused_screen
+    # value set on the module reaches the screen.  Each column, a jump of 2
+    # across the 8x8 grid's middle plus noise, is scaled to lam_max = 1, and
+    # at lam = 1.02 every one is fully fused and within the give-up ratio:
+    # the screen's projections certify most, and the maximum flow takes the
+    # rest.  With no projection step every column reaches the flow, and as
+    # many fuse
+    g = grid_graph(8, 8)
+    split = solvers.Splitting(incidence(g))
+    Y = _scaled_to_lam_max(split, 2.0 * (np.arange(g.n) % 8 >= 4)[:, None]
+                           + np.random.default_rng(4).standard_normal((g.n, 16)))
+    calls, flows = [], []
+    screen, flow_duals = polish._fused_screen, polish._flow_duals
 
-    def spy(sub, centred, bound, guess, steps, box):
-        fused, V = screen(sub, centred, bound, guess, steps, box)
+    def spy(sub, centred, bound, guess, steps, box, flow=False):
+        fused, V = screen(sub, centred, bound, guess, steps, box, flow)
         if sub is split:
-            calls.append((steps, box, fused.sum()))
+            calls.append((steps, box, flow, fused.sum()))
         return fused, V
 
+    def flow_spy(sub, centred, bound):
+        flows.append(centred.shape[1])
+        return flow_duals(sub, centred, bound)
+
     monkeypatch.setattr(polish, "_fused_screen", spy)
-    solve_analysis_batch(Y, split, 1.1)
-    knobs = (polish.SCREEN_STEPS, polish.SCREEN_BOX)
+    monkeypatch.setattr(polish, "_flow_duals", flow_spy)
+    solve_analysis_batch(Y, split, 1.02)
+    knobs = (polish.SCREEN_STEPS, polish.SCREEN_BOX, True)
     monkeypatch.setattr(polish, "SCREEN_STEPS", 0)
     monkeypatch.setattr(polish, "SCREEN_BOX", 0.9)
-    solve_analysis_batch(Y, split, 1.1)
-    (steps, box, fused), bare = calls
-    assert (steps, box) == knobs and bare[:2] == (0, 0.9) and bare[2] < fused
+    solve_analysis_batch(Y, split, 1.02)
+    (*given, fused), (*bare, bare_fused) = calls
+    assert tuple(given) == knobs and tuple(bare) == (0, 0.9, True)
+    assert fused == bare_fused == 16
+    assert flows[-1] == 16 and sum(flows[:-1]) < 16
 
 
+@pytest.mark.parametrize("sqrt", [False, True], ids=["plain", "sqrt"])
+def test_a_column_fully_fused_near_its_bound_leaves_fused(sqrt):
+    # a column on the 8x8 grid, a jump of 1 across its middle plus noise,
+    # whose lam_max is 0.99 of the level's bound n lam is fully fused:
+    # f = Ybar, certified before any ADMM iteration, with an exact dual.
+    # The screen's projections clip to SCREEN_BOX = 0.95 of the bound and
+    # missed it; the maximum flow finds it.  At 1.01 of the bound it is not
+    # fused.  For the square root the level is the lambda0 whose starting
+    # lam = 2 lambda0 sigma0 puts lam_max there
+    g = grid_graph(8, 8)
+    split = solvers.Splitting(incidence(g))
+    Y = _scaled_to_lam_max(split, (np.arange(g.n) % 8 >= 4)[:, None]
+                           + np.random.default_rng(0).standard_normal((g.n, 1)))[:, 0]
+    mean = projections.componentwise_mean(split.labels, Y)
+    sigma0 = norm_n(Y - mean)
+    for ratio in (0.99, 1.01):
+        lam = 1.0 / ratio
+        if sqrt:
+            res = solve_sqrt_analysis(Y, split, lam / (2.0 * sigma0))
+        else:
+            res = solvers.solve_analysis(Y, split, lam)
+        fused = np.array_equal(res.f_hat, mean)
+        assert fused == (ratio < 1.0), ratio
+        if fused:
+            assert res.iterations == 0 and res.converged
+            assert res.kkt_residual <= 1e-12
+            assert kkt_residual(Y, res.f_hat, split.D, res.lambda_used) <= 1e-12
 BUSHY_TREE = tree_graph([int(np.random.default_rng(400).integers(1, v)) for v in range(2, 401)])
 
 
