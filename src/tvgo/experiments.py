@@ -27,13 +27,13 @@ largest pseudoinverse block has vertices, and at least EVENT_CHUNK (or n),
 for each block's gathered rows or prefix sums and for the squared noise,
 which streams through it one slab of rows at a time when the caller has
 not summed it; three have at most EVENT_CHUNK rows, for a slab's edge
-sums, their scales and their comparisons.  The projected noise norm comes from the
-(r_S, B) noise sums of the components, one product with an indicator
-matrix built once, not from a projection of the whole block.  That norm rounds differently from the sum
-of squares of the projection, so a trial whose X, A or A' statistic sits
-exactly on its threshold could flip; byte identity of the trials CSV for
-these three flags was checked on runs of the benchmark and test
-configurations, not proven.  T and R keep their arithmetic (|corr|/n against
+sums, their scales and their comparisons.  The projected noise norm comes
+from the (r_S, B) noise sums of the components, one product with an
+indicator matrix built once, not from a projection of the whole block.
+That norm rounds differently from the sum of squares of the projection,
+so a trial whose X, A or A' statistic sits exactly on its threshold could
+flip; byte identity of the trials CSV for these three flags was checked
+on runs of the benchmark and test configurations, not proven.  T and R keep their arithmetic (|corr|/n against
 the T thresholds; the max of (|corr|/n) / (||d+||_n ||eps||_n)): a single max
 of |corr| / ||d+||_n for both was tried and flipped the R flag of a tied
 column that the assembled-oracle test pins.

@@ -11,12 +11,12 @@ is the one-group-per-component case, c = Ybar, whose least bound is the
 generalized lasso's lambda_max: _fused_screen tests it before any ADMM
 iteration, and on a graph with a cycle settles the columns its projections
 leave undecided with one integer maximum flow each (_flow_duals), so a
-column fully fused at its level is found so unless its lambda_max lies
-within the flow's rounding margin below it.  Every other column, plain or an outer step of the
-square-root fixed point, runs ADMM down POLISH_LADDER (_plain_batch) and
-is polished after each rung, as OSQP polishes its
-iterates (Stellato et al., Math. Prog. Comp. 2020): the rung's iterate
-only reveals the groups, signs and dual guess, and the certificate is built
+column fully fused at its level is certified unless its lambda_max lies
+within the flow's rounding margin of the bound.  Every other column, plain
+or an outer step of the square-root fixed point, runs ADMM down
+POLISH_LADDER (_plain_batch) and is polished after each rung, as OSQP
+polishes its iterates (Stellato et al., Math. Prog. Comp. 2020): the
+rung's iterate only reveals the groups, signs and dual guess, and the certificate is built
 from the data in float64, so a certified column is the exact solution
 whatever rung, and whatever precision, its groups were read at.  That is
 why the loose rungs may run in float32 on the DCT grids, where every kernel

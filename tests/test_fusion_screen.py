@@ -103,10 +103,9 @@ def test_the_full_fusion_screen_reads_its_knobs_when_it_runs(monkeypatch):
     # solvers passes polish.SCREEN_STEPS and SCREEN_BOX on every call, so a
     # value set on the module reaches the screen.  Each column, a jump of 2
     # across the 8x8 grid's middle plus noise, is scaled to lam_max = 1, and
-    # at lam = 1.02 every one is fully fused and within the give-up ratio:
-    # the screen's projections certify most, and the maximum flow takes the
-    # rest.  With no projection step every column reaches the flow, and as
-    # many fuse
+    # at lam = 1.02 every one is fully fused and within the give-up ratio,
+    # where the screen's projections certify them.  With no projection step
+    # every column reaches the maximum flow instead, which fuses as many
     g = grid_graph(8, 8)
     split = solvers.Splitting(incidence(g))
     Y = _scaled_to_lam_max(split, 2.0 * (np.arange(g.n) % 8 >= 4)[:, None]
