@@ -34,12 +34,15 @@ class _AdmmState:
     anchors, one penalty rho, the f-update solve at that rho and dtype and
     the Splitting of D.  A new state starts every column of the centred data
     Yc, Y minus its componentwise mean, at f = Yc, z = D Yc, u = 0, with
-    rho = mean(n lam)."""
+    rho = mean(n lam), in dtype; DY, when given, is D Yc in float64, which
+    the caller took to read its own scales (else it is formed here), and the
+    anchors are taken from it and Yc in float64."""
 
-    def __init__(self, split: Splitting, centred: np.ndarray, lam: np.ndarray, dtype=np.float64):
+    def __init__(self, split: Splitting, centred: np.ndarray, lam: np.ndarray, dtype=np.float64,
+                 DY: np.ndarray | None = None):
         self.split = split
         self.F = centred.astype(dtype, order="C")
-        DY = split.D @ centred
+        DY = split.D @ centred if DY is None else DY
         self.Z = DY.astype(dtype, copy=False)
         self.U = np.zeros_like(self.Z)
         self.rho = max(float(np.mean(centred.shape[0] * lam)), 1e-6)
@@ -47,8 +50,8 @@ class _AdmmState:
         # absolute anchors keep the stopping test meaningful for fully fused
         # solutions, where z = 0 and a purely relative test can never fire;
         # the data never change, so neither do they
-        self.pri_anchor = np.maximum(np.sqrt(_colsumsq(DY)), 1e-12)
-        self.dual_anchor = np.maximum(np.sqrt(_colsumsq(centred)), 1e-12)
+        self.pri_anchor = _anchor(DY)
+        self.dual_anchor = _anchor(centred)
 
     def astype(self, dtype) -> None:
         """Hold F, Z, U and the solve in dtype from now on."""
@@ -64,6 +67,11 @@ class _AdmmState:
 
 def _colsumsq(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", X, X)
+
+
+def _anchor(X: np.ndarray) -> np.ndarray:
+    """Each column's 2-norm, floored at 1e-12: a stopping-test anchor."""
+    return np.maximum(np.sqrt(_colsumsq(X)), 1e-12)
 
 
 def _shrink(V: np.ndarray, k: np.ndarray, U_out: np.ndarray) -> None:
@@ -92,22 +100,25 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts):
     per-column converged mask (column j met the test).  F is the state's F:
     each column's iterate at the iteration it left the batch (or the last
     one).  The state, updated in place, also holds those iterations' Z and U,
-    the batch's one penalty rho and its solve.
+    the batch's one penalty rho and its solve.  Every column of the state is
+    live at entry, so until one leaves the iteration writes over the
+    state's own Z and U, with no copy; the f-update solve reuses its
+    buffers while the live columns stay the same.
     """
     split, rho, solve = state.split, state.rho, state.solve
     dtype = state.F.dtype
     D, Dt, factory = split.operators(dtype)
     n, B = Y.shape
     thresh_scale = (n * lam).astype(dtype)  # soft threshold numerator in the scaled problem
-    # the working Z and U are updated in place, so they must not alias the
-    # state, whose U is rescaled separately on a change of rho
-    Z, U = state.Z.copy(), state.U.copy()
+    # the state's own Z and U, then, once a column leaves, arrays of the live
+    # columns, whose Z and U go to the state as they leave
+    Z, U = state.Z, state.U
     converged = np.zeros(B, dtype=bool)
     pri_anchor, dual_anchor = state.pri_anchor, state.dual_anchor
-    # the working arrays hold the live columns only; Zn and T are (m, live)
-    # buffers, and Zn holds the previous z once the new one is in Z
+    # Zn and T are (m, live) buffers, and Zn holds the previous z once the
+    # new one is in Z; work holds the f-update solve's buffers of this width
     live = np.arange(B)
-    Zn, T = np.empty_like(Z), np.empty_like(Z)
+    Zn, T, work = np.empty_like(Z), np.empty_like(Z), []
     # a few columns left to themselves can make the adaptation cycle between
     # two penalties, each change undoing the progress since the last; ADMM
     # at a fixed penalty converges, so rho is held after MAX_RHO_REVERSALS
@@ -120,7 +131,7 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts):
         R = Dt @ T
         R *= rho
         R += Y
-        F = solve(R)
+        F = solve(R, work)
         DF = D @ F
 
         # over-relaxed z-update: v = u + alpha Df + (1 - alpha) z; u_new is v
@@ -152,7 +163,8 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts):
             if len(live) == 0:
                 break
             Y, F, Z, U = Y[:, keep], F[:, keep], Z[:, keep], U[:, keep]
-            Zn, T = np.empty_like(Z), np.empty_like(Z)
+            del Zn, T, DF, work   # freed before the live columns' buffers are allocated
+            Zn, T, work = np.empty_like(Z), np.empty_like(Z), []
             thresh_scale = thresh_scale[keep]
             pri_anchor, dual_anchor = pri_anchor[keep], dual_anchor[keep]
             r_norm, s_norm = r_norm[keep], s_norm[keep]
@@ -171,9 +183,12 @@ def _admm_batch(state: _AdmmState, Y: np.ndarray, lam: np.ndarray, opts):
                 # the scaled dual u = y/rho of the columns that have left is
                 # rescaled too, so the whole state stays at one rho
                 U /= step
-                state.U /= step
+                if U is not state.U:
+                    state.U /= step
                 solve = factory(rho)
-    if len(live):   # max_iter reached with columns still live
+    if len(live) == B:   # max_iter reached before any column left
+        state.F, state.Z, state.U = F, Z, U
+    elif len(live):      # max_iter reached with columns still live
         state.F[:, live], state.Z[:, live], state.U[:, live] = F, Z, U
 
     state.rho, state.solve = rho, solve

@@ -83,12 +83,15 @@ class GridDCT:
         self.lap_denom = self.eig[:, :, None].copy()
         self.lap_denom[0, 0] = np.inf
 
-    def divide(self, R: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    def divide(self, R: np.ndarray, denom: np.ndarray, work: list | None = None) -> np.ndarray:
         """C'(C R / denom) for R of shape (hw, B), C the two-axis DCT-II and
         denom of eig's layout with a trailing axis, in denom's dtype.  The
         matrix products leave R alone and write their third and fourth
         results over their first two; scipy.fft transforms R in place when it
-        can."""
+        can.  work, when given, is a list its caller holds across calls with
+        one R shape and dtype: the matrix products take their two buffers
+        from it, putting them there on the first call, so the result is the
+        second buffer and holds only until the next call with that list."""
         h, w = self.shape
         B = R.shape[1]
         if not self.products:
@@ -96,8 +99,11 @@ class GridDCT:
             X /= denom
             return sfft.idctn(X, norm="ortho", axes=(0, 1), overwrite_x=True).reshape(h * w, B)
         Ch, Cw = self.mats[denom.dtype]
-        X = np.matmul(Cw, R.reshape(h, w, B))                 # along w: (h, w, B)
-        Y = np.matmul(Ch, X.transpose(1, 0, 2))               # along h: (w, h, B)
+        work = [] if work is None else work
+        if not work:
+            work += [np.empty((h, w, B), denom.dtype), np.empty((w, h, B), denom.dtype)]
+        X = np.matmul(Cw, R.reshape(h, w, B), out=work[0])    # along w: (h, w, B)
+        Y = np.matmul(Ch, X.transpose(1, 0, 2), out=work[1])  # along h: (w, h, B)
         Y /= denom
         Z = np.matmul(Ch.T, Y, out=X.reshape(w, h, B))
         return np.matmul(Cw.T, Z.transpose(1, 0, 2), out=Y.reshape(h, w, B)).reshape(h * w, B)

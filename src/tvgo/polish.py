@@ -53,6 +53,7 @@ SINGLE_MAX_ITER = 500   # a float32 rung that takes this many iterations hands o
 POLISH_STEPS = 4        # polish: alternating projections (rescues past 4 steps were ~1 in 20)
 POLISH_BOX = 0.99       # polish: the ADMM dual starts near the bound, so clip closer to it
 POLISH_KKT = 1e-12      # polish: largest KKT residual accepted, relative to the data's sup norm
+POLISH_SLAB = 2 ** 14   # plain ladder: most edge entries, m x columns, read or polished at once
 
 
 def _fused_screen(split: Splitting, centred: np.ndarray, bound: np.ndarray,
@@ -247,7 +248,8 @@ def _group_means(split: Splitting, fused: np.ndarray, T: np.ndarray):
 
 def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
             lam: np.ndarray, fused: np.ndarray, S: np.ndarray,
-            subgraphs: dict[bytes, Splitting] | None = None) -> np.ndarray:
+            subgraphs: dict[bytes, Splitting] | None = None,
+            held: dict[bytes, Splitting] | None = None) -> np.ndarray:
     """Polish the plain iterates F of Y's columns, both (n, B), at per-column
     penalties lam onto exact solutions, with the scaled duals V (m, B) as
     the guess; returns the mask (B,) of certified columns, whose F and V it
@@ -272,11 +274,10 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     The fused-edge pattern's Splitting, built from split's rows of the
     fused edges, their endpoints and a copy of the groups' labels, with its
     Laplacian factor, is taken from subgraphs, a dict keyed by the packed
-    fused-edge mask, and built and added there for a mask it does not hold
-    yet: the mask alone fixes the pattern's rows, its groups' labels and the
-    factor, so a Splitting held from an earlier call is the one this call
-    would build.  The dict then keeps the patterns this call reads, and
-    drops the others before any is built.  Without subgraphs, each
+    fused-edge mask, or else moved there from held, a dict of the same
+    keys, or else built and added there: the mask alone fixes the pattern's
+    rows, its groups' labels and the factor, so a Splitting held from an
+    earlier call is the one this call would build.  Without subgraphs, each
     pattern's Splitting serves this call alone.
     """
     D, Dt = split.D, split.Dt
@@ -289,17 +290,17 @@ def _polish(split: Splitting, Y: np.ndarray, F: np.ndarray, V: np.ndarray,
     ok = np.zeros(B, dtype=bool)
     signs = np.flatnonzero(np.all(np.sign(D @ C) == S, axis=0))
     subgraphs = {} if subgraphs is None else subgraphs
+    held = {} if held is None else held
     patterns = {}
     for j, key in zip(signs, np.packbits(fused[:, signs], axis=0).T):
         patterns.setdefault(key.tobytes(), []).append(j)
-    for key in subgraphs.keys() - patterns.keys():
-        del subgraphs[key]
     for key, cols in patterns.items():
         cols = np.asarray(cols)
         rows = np.flatnonzero(fused[:, cols[0]])
         if key not in subgraphs:
             # a copy: a row of labels would hold the whole (B, n) array
-            subgraphs[key] = Splitting(split.D[rows], split.ends[rows], labels[cols[0]].copy())
+            subgraphs[key] = held.pop(key) if key in held else Splitting(
+                split.D[rows], split.ends[rows], labels[cols[0]].copy())
         good, W = _fused_screen(subgraphs[key], T[:, cols] - C[:, cols],
                                 bound[cols], V[np.ix_(rows, cols)] * bound[cols],
                                 POLISH_STEPS, POLISH_BOX)
@@ -335,15 +336,23 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts,
     iterates are polished, and the certified ones leave the state; the last
     rung's uncertified columns keep their ADMM iterate and dual.  max_iter
     bounds the iterations of the whole ladder; a column is converged when it
-    met the test at opts.tol or was certified.  Every rung's polish shares
-    one dict of the fused-edge patterns' Splittings, which keeps the
-    patterns the rung's columns read, so a pattern read at consecutive
-    rungs is factored once, and reads the groups against
-    ||D centred||_inf, taken once from the product the state starts z at.
-    The centred fits go to F (n, B) and the scaled duals to V (m, B), the
-    caller's arrays: a rung at which every column is live reads centred and
-    polishes F and V in place, with no copy.  Returns (converged,
-    certified, iterations).
+    met the test at opts.tol or was certified.  A rung first reads every
+    live column's fused edges and signs, POLISH_SLAB // m columns (at least
+    one) at a time, and keeps the signs as int8, zero exactly on the fused
+    edges, so the patterns the rung before read that no column's fused edges
+    match go before any is built.  It then polishes its live columns in
+    slabs of that width, taken in the order of their masks' first reading,
+    so that the columns of one mask sit together and mostly share a slab,
+    each slab on float64 copies of its columns of the state's F and U: it
+    holds their labels and candidates a slab at a time.  Every step of the
+    polish is per column, so the slabs give the bits of one pass.  The slabs
+    share one dict of the fused-edge patterns' Splittings, taking a pattern
+    the rung before read from that rung's dict, and after the rung the dict
+    holds the patterns its slabs read: a pattern read at consecutive rungs
+    is factored once.  The groups are read against ||D centred||_inf, taken
+    once with the state's z.  The centred fits go to F (n, B) and the scaled
+    duals to V (m, B), the caller's arrays.  Returns (converged, certified,
+    iterations).
 
     The state is float32 from the first rung while the Splitting has
     float32 operators (the DCT grids) and SINGLE_HEADROOM times the live
@@ -354,40 +363,53 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts,
     float32 runs.  The floor: float32 rounds each entry of F by about
     eps max|F_j|, with max|F_j| about max|centred_j|, so over the m edges
     it leaves about eps max|centred_j| sqrt(m) in ||DF_j - z_j||, which the
-    primal test holds to tol ||D centred_j||_2 or more.
+    primal test holds to tol ||D centred_j||_2 or more.  The state is built
+    in its first rung's dtype, from D centred in float64.
     """
     n, B = centred.shape
     m = split.D.shape[0]
     conv, cert = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
-    # a new float64 state holds D centred as its z, and its norm as its anchor
-    state = admm._AdmmState(split, centred, lam)
-    dy = np.max(np.abs(state.Z), axis=0, initial=0.0)
+    DY = split.D @ centred
+    dy = np.max(np.abs(DY), axis=0, initial=0.0)
     floor = np.finfo(np.float32).eps * np.sqrt(m) * np.max(np.abs(centred), axis=0) \
-        / state.pri_anchor
-    live, it, subgraphs = np.arange(B), 0, {}
+        / admm._anchor(DY)
+    live, it, subgraphs, state = np.arange(B), 0, {}, None
+    width = max(1, POLISH_SLAB // m)
     single = split.single is not None
     for tol in [t for t in POLISH_LADDER if t > opts.tol] + [opts.tol]:
         # once float64, float64 to the end
         single = single and tol != opts.tol and SINGLE_HEADROOM * np.max(floor[live]) <= tol
         dtype = np.float32 if single else np.float64
-        state.astype(dtype)
+        if state is None:
+            state = admm._AdmmState(split, centred, lam, dtype, DY)
+            del DY   # a float32 state holds its own copy
+        else:
+            state.astype(dtype)
         budget = opts.max_iter - it
-        whole = len(live) == B
         Y_l, lam_l = _columns(centred, live), lam[live]
         state, k, conv_l = admm._admm_batch(   # the state holds its iterates
             state, Y_l.astype(dtype, copy=False), lam_l,
             replace(opts, tol=tol, max_iter=min(budget, SINGLE_MAX_ITER) if single else budget))[1:]
         it += k
         single = single and k < SINGLE_MAX_ITER
-        # the polish writes over float64 copies of the state's F and U
-        F_l, V_l = (F, V) if whole else (np.empty((n, len(live))), np.empty((m, len(live))))
-        np.copyto(F_l, state.F)
-        np.copyto(V_l, state.U)
-        admm._scaled_dual(V_l, state.rho, n, lam_l)
-        ok = _polish(split, Y_l, F_l, V_l, lam_l,
-                     *_groups_and_signs(split.D, dy[live], state.F), subgraphs)
-        if not whole:
-            F[:, live], V[:, live] = F_l, V_l
+        # the signs, zero exactly on the fused edges, kept as int8
+        signs = np.hstack([_groups_and_signs(split.D, dy[live[lo:lo + width]],
+                                             state.F[:, lo:lo + width])[1].astype(np.int8)
+                           for lo in range(0, len(live), width)])
+        # the columns of one mask side by side, so they mostly share a slab
+        ids = {}
+        order = np.argsort([ids.setdefault(key.tobytes(), len(ids))
+                            for key in np.packbits(signs == 0, axis=0).T], kind="stable")
+        held = {key: sub for key, sub in subgraphs.items() if key in ids}
+        subgraphs, ok = {}, np.empty(len(live), dtype=bool)
+        for lo in range(0, len(live), width):
+            j = order[lo:lo + width]
+            F_s, V_s = (X[:, j].astype(np.float64, copy=False) for X in (state.F, state.U))
+            admm._scaled_dual(V_s, state.rho, n, lam_l[j])
+            S = signs[:, j].astype(np.float64)
+            ok[j] = _polish(split, Y_l[:, j], F_s, V_s, lam_l[j], S == 0, S, subgraphs, held)
+            F[:, live[j]], V[:, live[j]] = F_s, V_s
+        del held   # the patterns some mask matched but no slab of this rung read
         cert[live] = ok
         if tol == opts.tol:
             conv[live] = conv_l
@@ -395,5 +417,5 @@ def _plain_batch(split: Splitting, centred: np.ndarray, lam: np.ndarray, opts,
             break
         live = live[~ok]
         state.keep(~ok)
-        del Y_l, F_l, V_l   # the next rung's columns are fewer
+        del Y_l   # the next rung's columns are fewer
     return conv | cert, cert, it

@@ -56,10 +56,11 @@ def laplacian(n: int, ends: np.ndarray, labels: np.ndarray | None = None):
 def _solve_factory(n: int, ends: np.ndarray, labels: np.ndarray):
     """(factory, factory32, lap_solve) of the graph on n vertices whose
     0-based edge endpoints are ends and whose 0-based component labels are
-    labels: factory maps rho to solve, where solve(R) returns X with
-    (I + rho D'D) X = R, factory32 does the same in float32 on the DCT
+    labels: factory maps rho to solve, where solve(R, work=None) returns X
+    with (I + rho D'D) X = R, factory32 does the same in float32 on the DCT
     grids and is None on every other graph, and lap_solve is laplacian's.
-    All may overwrite R.
+    All may overwrite R.  work is the DCT solve's list of buffers
+    (GridDCT.divide), which a factor's solve does not read.
 
     On the row-major grid, the orthonormal DCT-II along both grid axes
     diagonalises D'D, so the solve is exact without a factor and a new rho
@@ -79,13 +80,14 @@ def _solve_factory(n: int, ends: np.ndarray, labels: np.ndarray):
     if dct is None:
         def at(rho):
             degree = np.bincount(ends.ravel(), minlength=n)
-            return spla.splu(_symmetric(1.0 + rho * degree, ends[:, 0], ends[:, 1], -rho)).solve
+            lu = spla.splu(_symmetric(1.0 + rho * degree, ends[:, 0], ends[:, 1], -rho))
+            return lambda R, work=None: lu.solve(R)
         return at, None, lap_solve
 
     def factory(dtype):
         def at(rho):
             denom = (1.0 + rho * dct.eig)[:, :, None].astype(dtype, copy=False)
-            return lambda R: dct.divide(R, denom)
+            return lambda R, work=None: dct.divide(R, denom, work)
         return at
     return factory(np.float64), factory(np.float32), lap_solve
 

@@ -53,7 +53,8 @@ def test_float32_grid_solve_matches_pocketfft_oracle(h, w, rho):
 
 def _check_grid_solve(h, w, rho, dtype):
     """The solve in dtype at 1, 8 and 64 columns, held to the float64
-    oracle; the matrix products leave R alone."""
+    oracle; the matrix products leave R alone, and with a held list of
+    buffers give the same bytes in the second buffer, call after call."""
     D = incidence(grid_graph(h, w))
     solve = solvers.Splitting(D).operators(dtype)[2](rho)
     rng = np.random.default_rng(h * 1000 + w)
@@ -63,6 +64,10 @@ def _check_grid_solve(h, w, rho, dtype):
         X = solve(R)
         if max(h, w) <= griddct.DCT_MATRIX_MAX_SIDE:
             assert R.tobytes() == before.tobytes()
+            work = []
+            for _ in range(2):
+                held = solve(R, work)
+                assert held.tobytes() == X.tobytes() and np.shares_memory(held, work[1])
         assert X.shape == (h * w, B) and X.flags.c_contiguous and X.dtype == dtype
         ref = _pocketfft_solve(before.astype(np.float64), h, w, rho)
         assert np.linalg.norm(X - ref) <= SOLVE_TOL[dtype] * np.linalg.norm(ref)

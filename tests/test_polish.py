@@ -229,6 +229,9 @@ def test_gap_rule_reads_fused_edges_below_the_largest_gap_only():
     # the gap from 0.02 to 0.3 is larger, but only a gap below the cap cuts
     assert np.array_equal(fused[:, 3], steps[:, 3] < 0.01)
     assert np.array_equal(S[~fused], np.ones((~fused).sum()))
+    # the signs are zero exactly on the fused edges, the exact zero jump of
+    # column 2 among them, so the ladder reads the masks back off the signs
+    assert np.array_equal(S == 0, fused)
 
 
 def test_group_means_equal_each_columns_componentwise_mean():
@@ -411,14 +414,15 @@ def test_float32_rounding_of_a_tight_iterate_reads_the_same_groups(seed):
     fused, S = polish._groups_and_signs(split.D, dy, F)
     fused32, S32 = polish._groups_and_signs(split.D, dy, F.astype(np.float32))
     assert np.array_equal(fused32, fused) and np.array_equal(S32, S)
+    assert np.array_equal(S32 == 0, fused32)
 
 
 def test_each_fused_edge_pattern_is_factored_once_per_batch(monkeypatch):
-    # every rung's polish shares one dict of pattern Splittings, which keeps
-    # the patterns the rung read, so a mask of fused edges screened at
-    # consecutive rungs, as every mask of this block is, is factored once;
-    # the graph's Splitting is prebuilt, so every _grounded_solve call is a
-    # pattern's
+    # every slab of a rung's polish shares one dict of pattern Splittings,
+    # which keeps the patterns the rung read, so a mask of fused edges
+    # screened at consecutive rungs, as every mask of this block is, is
+    # factored once; the graph's Splitting is prebuilt, so every
+    # _grounded_solve call is a pattern's
     split, Y, lam, opts = _mc_grid_block(2101)
     builds, screened = [], []
     grounded, screen = splitting._grounded_solve, polish._fused_screen
@@ -431,48 +435,52 @@ def test_each_fused_edge_pattern_is_factored_once_per_batch(monkeypatch):
     monkeypatch.setattr(splitting, "_grounded_solve", lambda *a: builds.append(1) or grounded(*a))
     monkeypatch.setattr(polish, "_fused_screen", spy)
     solve_analysis_batch(Y, split, lam, opts)
-    # one screen per pattern and rung, so their count is the per-rung sum
+    # one screen per pattern and slab, so their count is the per-slab sum
     assert len(builds) == len(set(screened)) < len(screened)
 
 
 def test_shared_subgraphs_polish_as_fresh_ones(monkeypatch):
-    # each rung's polish with the batch's dict gives the bits of a polish
-    # with a dict of its own
+    # each slab's polish with its rung's dict and the last rung's gives the
+    # bits of a polish with a dict of its own
     split, Y, lam, opts = _mc_grid_block(2101)
-    real, held = polish._polish, []
+    real, shared = polish._polish, []
 
-    def both(split_, Y_, F, V, lam_, fused, S, subgraphs):
+    def both(split_, Y_, F, V, lam_, fused, S, subgraphs, held):
         F_own, V_own = F.copy(), V.copy()
         own = real(split_, Y_, F_own, V_own, lam_, fused, S.copy(), {})
-        held.append(len(subgraphs))
-        ok = real(split_, Y_, F, V, lam_, fused, S, subgraphs)
+        shared.append(len(subgraphs) + len(held))
+        ok = real(split_, Y_, F, V, lam_, fused, S, subgraphs, held)
         assert np.array_equal(ok, own)
         assert np.array_equal(F, F_own) and np.array_equal(V, V_own)
         return ok
 
     monkeypatch.setattr(polish, "_polish", both)
     assert solve_analysis_batch(Y, split, lam, opts).certified.all()
-    assert len(held) > 1 and held[0] == 0 < held[-1]
+    assert len(shared) > 1 and shared[0] == 0 < shared[-1]
 
 
 def _polish_rungs(monkeypatch, seed):
-    """The batch's Splitting and, for each polish of block 0 of a benchmark
-    seed's mc_grid plain batch, the pattern Splittings it screened and those
-    its dict held after it."""
+    """The batch's Splitting and, for each rung of block 0 of a benchmark
+    seed's mc_grid plain batch, the pattern Splittings its slabs screened
+    and those its dict held after its last slab."""
     split, Y, lam, opts = _mc_grid_block(seed)
-    real, screen, screened, rungs = polish._polish, polish._fused_screen, [], []
+    real, screen, batch, rungs = polish._polish, polish._fused_screen, admm._admm_batch, []
+
+    def rung(*args):
+        rungs.append(([], []))
+        return batch(*args)
 
     def screening(sub, *args):
         if sub is not split:
-            screened.append(sub)
+            rungs[-1][0].append(sub)
         return screen(sub, *args)
 
-    def spy(split_, Y_, F, V, lam_, fused, S, subgraphs):
-        first = len(screened)
-        ok = real(split_, Y_, F, V, lam_, fused, S, subgraphs)
-        rungs.append((screened[first:], list(subgraphs.values())))
+    def spy(split_, Y_, F, V, lam_, fused, S, subgraphs, held):
+        ok = real(split_, Y_, F, V, lam_, fused, S, subgraphs, held)
+        rungs[-1][1][:] = subgraphs.values()
         return ok
 
+    monkeypatch.setattr(admm, "_admm_batch", rung)
     monkeypatch.setattr(polish, "_fused_screen", screening)
     monkeypatch.setattr(polish, "_polish", spy)
     solve_analysis_batch(Y, split, lam, opts)
@@ -481,8 +489,8 @@ def _polish_rungs(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [0, 2101])
 def test_the_pattern_cache_holds_what_its_rung_read(monkeypatch, seed):
-    # a pattern leaves the dict at the first rung that does not read it: it
-    # rarely recurs, and each held a banded factor
+    # a pattern leaves the dict at the first rung none of whose slabs reads
+    # it: it rarely recurs, and each held a banded factor
     _, rungs = _polish_rungs(monkeypatch, seed)
     assert len(rungs) > 2
     for read, held in rungs:
@@ -499,3 +507,26 @@ def test_each_cached_pattern_owns_its_labels(monkeypatch):
     assert held
     for sub in held:
         assert sub.labels.shape == (split.D.shape[1],) and sub.labels.base is None
+
+
+def test_the_polish_slabs_give_the_bits_of_one_pass(monkeypatch):
+    # the ladder polishes each rung's live columns POLISH_SLAB // m at a
+    # time; slabs of one column, the default's and one slab of the whole
+    # block give the same fits, duals, masks and iterations
+    split, Y, lam, opts = _mc_grid_block(0)
+    m, B = split.D.shape[0], Y.shape[1]
+    default = polish.POLISH_SLAB // m
+    centred = np.subtract(Y, _mean(split, Y), order="F")
+    lams = np.full(B, lam)
+    widths, inner, runs = [], admm._admm_batch, []
+    monkeypatch.setattr(admm, "_admm_batch", lambda state, Y_, *a: widths.append(Y_.shape[1])
+                        or inner(state, Y_, *a))
+    for slab in (m, polish.POLISH_SLAB, B * m):
+        monkeypatch.setattr(polish, "POLISH_SLAB", slab)
+        F, V = np.empty_like(centred), np.empty((m, B))
+        runs.append((F, V, *polish._plain_batch(split, centred, lams, opts, F, V)))
+    # the columns leave over several rungs, one of which splits its live
+    # columns into more than one default slab
+    assert runs[0][3].all() and any(default < width < B for width in widths)
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
